@@ -179,8 +179,8 @@ def is_unimodular(rows: Iterable[Sequence[int]]) -> bool:
 
     Equivalently: the gcd of all 2x2 minors is 1.
     """
-    mat = [(int(r[0]), int(r[1])) for r in rows]
-    if any(len(r) != 2 for r in rows) or len(mat) < 2:
+    mat = [tuple(int(e) for e in r) for r in rows]
+    if any(len(r) != 2 for r in mat) or len(mat) < 2:
         raise ValueError("expected an m x 2 integer matrix with m >= 2")
     g = 0
     for (p, q), (r, s) in combinations(mat, 2):

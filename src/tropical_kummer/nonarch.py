@@ -8,6 +8,9 @@ a point v is then ``m . (G v)``, kept exact.
 Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
+A series also holds its valuations as integer numerators over one common
+denominator, so tropicalization scans plain ints and builds a single
+`Fraction` for the result.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -15,12 +18,12 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptySupportError, NonSymmetricError
 from .exact import Mat2, Vec2, gram_eval
-from .lattice import PrincipallyPolarizedSurface
+from .lattice import PrincipallyPolarizedSurface, _int_gram
 from .theta import ThetaCharacteristic, char_vector
 
 
@@ -100,6 +103,18 @@ class FormalThetaSeries:
     constant_shift: Fraction
     char: ThetaCharacteristic
     cutoff: int
+    # The support on one denominator: (den, ((ex, ey, den * valuation), ...)).
+    _table: tuple[int, tuple[tuple[int, int, int], ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        den = math.lcm(*(val.denominator for _, val in self.support))
+        table = tuple(
+            (ex, ey, val.numerator * (den // val.denominator))
+            for (ex, ey), val in self.support
+        )
+        object.__setattr__(self, "_table", (den, table))
 
 
 def build_series(
@@ -111,19 +126,25 @@ def build_series(
 
     Term for u' in the box: exponent c + 2u' (dual coordinates of the class
     representative plus twice the lattice point), valuation
-    Q(u', u') + Q(c, u').
+    Q(u', u') + Q(c, u'), computed as an integer over the Gram's common
+    denominator.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     c = char_vector(surface, char)
     cx, cy = int(c.x), int(c.y)
+    g = surface.gram
+    h11, h12, h22 = _int_gram(g)
+    gram_den = math.lcm(g.a.denominator, g.b.denominator, g.d.denominator)
     terms = []
     for i in range(-cutoff, cutoff + 1):
         for j in range(-cutoff, cutoff + 1):
-            up = Vec2(i, j)
-            exponent = (cx + 2 * i, cy + 2 * j)
-            valuation = surface.norm(up) + surface.q(c, up)
-            terms.append((exponent, valuation))
+            num = (
+                h11 * i * (i + cx)
+                + h12 * (2 * i * j + cx * j + cy * i)
+                + h22 * j * (j + cy)
+            )
+            terms.append(((cx + 2 * i, cy + 2 * j), Fraction(num, gram_den)))
     return FormalThetaSeries(
         surface=surface,
         support=tuple(terms),
@@ -138,17 +159,11 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     if not series.support:
         raise EmptySupportError("series has empty support")
     gv = series.surface.gram.mul_vec(v)
+    val_den, table = series._table
     # Clear denominators once so the minimum runs on plain integers.
-    den = math.lcm(
-        gv.x.denominator,
-        gv.y.denominator,
-        *(val.denominator for _, val in series.support),
-    )
-    gx, gy = int(gv.x * den), int(gv.y * den)
-    best = min(
-        ex * gx + ey * gy + int(val * den)
-        for (ex, ey), val in series.support
-    )
+    den = math.lcm(gv.x.denominator, gv.y.denominator, val_den)
+    gx, gy, k = int(gv.x * den), int(gv.y * den), den // val_den
+    best = min(ex * gx + ey * gy + k * val for ex, ey, val in table)
     return series.constant_shift + Fraction(best, den)
 
 

@@ -98,6 +98,12 @@ def theta_eval_bruteforce(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     s = x + HALF * char_vector(surface, char)
+    too_small = RadiusTooSmallError(
+        f"radius {radius} cannot certify the minimum for shift {s.as_tuple()}"
+    )
+    margin = radius + 1 - s.sup_norm()
+    if margin <= 0:  # the certificate fails whatever the box minimum
+        raise too_small
     h11, h12, h22 = _int_gram(surface.gram)
     den = math.lcm(s.x.denominator, s.y.denominator)
     t0, t1 = int(s.x * den), int(s.y * den)
@@ -122,11 +128,8 @@ def theta_eval_bruteforce(
 
     g = surface.gram
     lam_low = g.det() / (g.a + g.d)
-    margin = radius + 1 - s.sup_norm()
-    if margin <= 0 or lam_low * margin * margin <= box_min:
-        raise RadiusTooSmallError(
-            f"radius {radius} cannot certify the minimum for shift {s.as_tuple()}"
-        )
+    if lam_low * margin * margin <= box_min:
+        raise too_small
     return ThetaValue(
         value=box_min - surface.norm(x), minimizer=Vec2(best_a[0], best_a[1])
     )

@@ -242,27 +242,6 @@ def _check_voronoi_geometry(ctx: _Ctx):
     return PASS, n + 1, None, None
 
 
-def _brute_force_cvp(surface: PrincipallyPolarizedSurface, x: Vec2) -> Fraction:
-    """Independent closest-vector oracle: certified box enumeration."""
-    g = surface.gram
-    lam_low = g.det() / (g.a + g.d)
-    bound = surface.norm(x)  # distance to the lattice is at most |x - 0|
-    radius = 1
-    while True:
-        margin = radius + 1 - x.sup_norm()
-        if margin > 0 and lam_low * margin * margin > bound:
-            break
-        radius += 1
-    best = None
-    for a1 in range(-radius, radius + 1):
-        for a2 in range(-radius, radius + 1):
-            d = x - Vec2(a1, a2)
-            q = surface.norm(d)
-            if best is None or q < best:
-                best = q
-    return best
-
-
 def _check_cvp_oracle(ctx: _Ctx):
     s = ctx.surface
     n = ctx.samples
@@ -272,7 +251,7 @@ def _check_cvp_oracle(ctx: _Ctx):
         x0, p = reduce_point(s, x)
         if x0 + p != x or not p.is_integral():
             return FAIL, k + 1, {"x": _vec(x), "problem": "bad decomposition"}, None
-        expected = _brute_force_cvp(s, x)
+        expected = _oracle_theta(s, CHARACTERISTICS[0], x) + s.norm(x)
         if s.norm(x0) != expected:
             return (
                 FAIL,
@@ -383,6 +362,7 @@ def _check_theta_concavity(ctx: _Ctx):
 
 
 def _oracle_theta(surface, char, x) -> Fraction:
+    """Theta by the certified box of `theta_eval_bruteforce`, not the descent."""
     radius = 1
     while True:
         try:

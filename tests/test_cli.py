@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -128,6 +129,38 @@ def test_series_output(capsys, hex_config):
         "3",
     )
     assert json.loads(out)["value"] == "1/2"
+
+
+# Outputs recorded from the Fraction-per-term series and box oracles; the
+# integer kernels must reproduce them byte for byte.
+HEX_VERIFY_SEED7_SAMPLES50_SHA256 = (
+    "ad3f0caf5fc29958538e8ff344358b2af85904f6fea104daec84532dd66ce8b8"
+)
+HEX_SERIES_11_OUTPUT = """{
+  "char": "11",
+  "constant_shift": "1/2",
+  "cutoff": 7,
+  "point": [
+    "3/2",
+    "-1/3"
+  ],
+  "terms": 225,
+  "value": "-17/3"
+}
+"""
+
+
+def test_pinned_outputs(capsys, hex_config):
+    code, out, _ = run_cli(capsys, "verify", hex_config, "--samples", "50")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        HEX_VERIFY_SEED7_SAMPLES50_SHA256
+    )
+    code, out, _ = run_cli(
+        capsys, "series", hex_config, "--char", "11", "--point", "3/2,-1/3"
+    )
+    assert code == 0
+    assert out == HEX_SERIES_11_OUTPUT
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -77,6 +77,9 @@ def test_unimodular_rejects_malformed():
         is_unimodular([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
         is_unimodular([(1, 0)])
+    # A generator is consumed once; the shape check must still see its rows.
+    with pytest.raises(ValueError):
+        is_unimodular(r for r in [(1, 0, 5), (0, 1, 7)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,12 +13,14 @@ from tropical_kummer import (
     build_series,
     descent_datum,
     general_descent_datum,
+    make_surface,
     safe_cutoff,
     theta_eval,
     tropicalize_series,
 )
 from tropical_kummer.errors import NonSymmetricError
 from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
+from tropical_kummer.theta import char_vector
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -89,15 +91,31 @@ def test_tropicalize_examples(hexagonal):
 
 def test_tropicalize_is_shift_equivariant(hexagonal):
     base = build_series(hexagonal, CH(0, 1), 2)
-    shifted = FormalThetaSeries(
-        surface=base.surface,
-        support=tuple((e, val + 7) for e, val in base.support),
-        constant_shift=base.constant_shift,
-        char=base.char,
-        cutoff=base.cutoff,
-    )
     v = Vec2(F(1, 3), F(-2, 7))
-    assert tropicalize_series(shifted, v) == tropicalize_series(base, v) + 7
+    # The second shift puts the valuations on a denominator the Gram lacks.
+    for shift in (7, F(1, 3)):
+        shifted = FormalThetaSeries(
+            surface=base.surface,
+            support=tuple((e, val + shift) for e, val in base.support),
+            constant_shift=base.constant_shift,
+            char=base.char,
+            cutoff=base.cutoff,
+        )
+        assert tropicalize_series(shifted, v) == tropicalize_series(base, v) + shift
+
+
+def test_integer_series_on_rational_gram():
+    s = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    for char in CHARACTERISTICS:
+        c = char_vector(s, char)
+        for (ex, ey), val in build_series(s, char, 3).support:
+            up = Vec2(F(ex - c.x, 2), F(ey - c.y, 2))
+            assert up.is_integral()
+            assert val == s.norm(up) + s.q(c, up)
+        series = build_series(s, char, safe_cutoff(s, char, F(2)))
+        for k in range(20):
+            v = random_point(rng_for(73, "rational-gram", k), 2)
+            assert tropicalize_series(series, v) == theta_eval(s, char, v).value
 
 
 def test_tropicalize_empty_support(hexagonal):
