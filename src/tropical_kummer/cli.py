@@ -6,8 +6,10 @@ strings ("p/q" or "n"); JSON output is deterministic (sorted keys, exact
 rational strings, no timestamps).  Only the OFF mesh export approximates,
 at a configurable number of decimal digits.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Input
-errors emit a machine-readable JSON object on stderr.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (two independent computations disagreed).  Errors emit one JSON
+object ``{"error": {"type", "stage", "message"}}`` on stderr, where the
+stage is the subcommand.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from fractions import Fraction
 from . import kummer, nonarch, verify
 from .errors import (
     EmptySupportError,
+    InternalInconsistencyError,
     NonSymmetricError,
+    NotAffineOnCellError,
     NotPositiveDefiniteError,
     ProductTypeError,
     RadiusTooSmallError,
 )
-from .exact import Mat2, Vec2, Vec3, fraction_decimal, fraction_str, to_fraction
+from .exact import Mat2, Vec2, fraction_decimal, to_fraction
 from .lattice import (
     PrincipallyPolarizedSurface,
     classify,
@@ -47,14 +51,15 @@ INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
+INTERNAL_ERRORS = (InternalInconsistencyError, NotAffineOnCellError)
 
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _emit_error(kind: str, message: str) -> None:
-    obj = {"error": {"type": kind, "message": message}}
+def _emit_error(exc: Exception, stage: str) -> None:
+    obj = {"error": {"type": type(exc).__name__, "stage": stage, "message": str(exc)}}
     sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -93,12 +98,8 @@ def _parse_point(text: str) -> Vec2:
     return Vec2(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
 
 
-def _vec2_json(v: Vec2) -> list[str]:
-    return [fraction_str(v.x), fraction_str(v.y)]
-
-
-def _vec3_json(v: Vec3) -> list[str]:
-    return [fraction_str(v.x), fraction_str(v.y), fraction_str(v.z)]
+def _vec_json(v) -> list[str]:
+    return [str(c) for c in v.as_tuple()]
 
 
 def cmd_classify(args) -> int:
@@ -107,11 +108,11 @@ def cmd_classify(args) -> int:
     _emit(
         {
             "class": classify(surface).value,
-            "reduced_basis": {"u": _vec2_json(rb.u), "v": _vec2_json(rb.v)},
+            "reduced_basis": {"u": _vec_json(rb.u), "v": _vec_json(rb.v)},
             "norms": {
-                "uu": fraction_str(rb.norms[0]),
-                "vv": fraction_str(rb.norms[1]),
-                "uv": fraction_str(rb.norms[2]),
+                "uu": str(rb.norms[0]),
+                "vv": str(rb.norms[1]),
+                "uv": str(rb.norms[2]),
             },
         }
     )
@@ -124,8 +125,8 @@ def cmd_voronoi(args) -> int:
     _emit(
         {
             "kind": cell.kind.value,
-            "relevant_vectors": [_vec2_json(r) for r in cell.relevant_vectors],
-            "vertices": [_vec2_json(m) for m in cell.vertices],
+            "relevant_vectors": [_vec_json(r) for r in cell.relevant_vectors],
+            "vertices": [_vec_json(m) for m in cell.vertices],
         }
     )
     return 0
@@ -139,9 +140,9 @@ def cmd_theta(args) -> int:
     _emit(
         {
             "char": str(char),
-            "point": _vec2_json(point),
-            "value": fraction_str(tv.value),
-            "minimizer": _vec2_json(tv.minimizer),
+            "point": _vec_json(point),
+            "value": str(tv.value),
+            "minimizer": _vec_json(tv.minimizer),
         }
     )
     return 0
@@ -152,8 +153,8 @@ def cmd_embed(args) -> int:
     point = _parse_point(args.point)
     _emit(
         {
-            "point": _vec2_json(point),
-            "psi": _vec3_json(kummer.psi_eval(surface, point)),
+            "point": _vec_json(point),
+            "psi": _vec_json(kummer.psi_eval(surface, point)),
         }
     )
     return 0
@@ -175,7 +176,7 @@ def cmd_surface(args) -> int:
         faces = [
             {
                 "normal": list(face.normal),
-                "offset": fraction_str(face.offset),
+                "offset": str(face.offset),
                 "vertices": list(face.vertex_ids),
                 "cells": list(face.source_cells),
             }
@@ -184,13 +185,11 @@ def cmd_surface(args) -> int:
         _emit(
             {
                 "vertices": {
-                    label: _vec3_json(v)
+                    label: _vec_json(v)
                     for label, v in zip(kummer.VERTEX_LABELS, quartic.vertices)
                 },
                 "faces": faces,
-                "theta_constants": [
-                    fraction_str(t) for t in quartic.theta_constants
-                ],
+                "theta_constants": [str(t) for t in quartic.theta_constants],
             }
         )
         return 0
@@ -219,11 +218,11 @@ def cmd_series(args) -> int:
     _emit(
         {
             "char": str(char),
-            "point": _vec2_json(point),
+            "point": _vec_json(point),
             "cutoff": cutoff,
             "terms": len(series.support),
-            "constant_shift": fraction_str(series.constant_shift),
-            "value": fraction_str(value),
+            "constant_shift": str(series.constant_shift),
+            "value": str(value),
         }
     )
     return 0
@@ -244,6 +243,7 @@ def cmd_verify(args) -> int:
             f"[{check.status:4s}] {check.name} "
             f"({check.cases} cases, {check.elapsed * 1000:.1f} ms)\n"
         )
+        sys.stderr.write(check.traceback or "")
 
     report = verify.run_verification(
         surface, seed=seed, samples=samples, progress=progress
@@ -307,8 +307,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc))
+        _emit_error(exc, args.command)
         return 2
+    except INTERNAL_ERRORS as exc:
+        _emit_error(exc, args.command)
+        return 3
 
 
 if __name__ == "__main__":

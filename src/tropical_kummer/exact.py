@@ -29,10 +29,6 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def fraction_str(q: Fraction) -> str:
-    return str(q)
-
-
 def fraction_decimal(q: Fraction, digits: int) -> str:
     """Round q to `digits` fractional digits, exactly (no float round-trip)."""
     if digits < 1:
@@ -169,9 +165,6 @@ def is_positive_definite(gram: Mat2) -> bool:
     if not gram.is_symmetric():
         raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
     return gram.a > 0 and gram.det() > 0
-
-
-IntRow = tuple[int, int]
 
 
 def is_unimodular(rows: Iterable[Sequence[int]]) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import (
@@ -30,12 +29,14 @@ from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
+    _hq,
     classify,
-    lagrange_reduce,
-    reduce_point,
+    descend,
+    numerators,
+    per_surface,
     subdivide,
 )
-from .theta import CHARACTERISTICS, ThetaCharacteristic, theta_constants, theta_eval
+from .theta import CHARACTERISTICS, ThetaCharacteristic, theta_constants
 
 # The Klein four-group inside S4, as involutive index permutations.
 V4 = (
@@ -110,13 +111,19 @@ def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
 
     Differences of second-order theta values are invariant under integer
     translation (the quasi-periodicity anomaly cancels), so x is reduced
-    into the Voronoi cell first.
+    into the Voronoi cell first, once.  With x0 = t/den, theta_c(x0) is
+    (h(n_c) - 4 h(t)) / (gram_den * (2*den)^2), where n_c is the descent of
+    2*t + den*c and h(y) = y^T H y; the h(t) terms cancel in the differences.
     """
-    x0, _ = reduce_point(surface, x)
-    t00, t10, t01, t11 = (
-        theta_eval(surface, char, x0).value for char in CHARACTERISTICS
-    )
-    return Vec3(t10 - t00, t01 - t00, t11 - t00)
+    t0, t1, den = numerators(x)
+    t0, t1 = descend(surface, t0, t1, den)
+    h = surface.int_gram
+    norms = []
+    for cx, cy in surface.char_vectors:  # 00, 10, 01, 11
+        n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den)
+        norms.append(_hq(h, n, n))
+    scale = surface.gram_den * 4 * den * den
+    return Vec3(*(Fraction(n - norms[0], scale) for n in norms[1:]))
 
 
 def g_action(
@@ -220,7 +227,7 @@ def _validate_quartic(
         raise InternalInconsistencyError("vertices do not span a parallelepiped")
 
 
-@lru_cache(maxsize=None)
+@per_surface
 def build_quartic(surface: PrincipallyPolarizedSurface) -> KummerQuartic:
     """Vertices as the full group orbit of the theta-constant point."""
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
@@ -466,17 +473,10 @@ def two_torsion_images(
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("two-torsion report needs a hexagonal cell")
-    rb = lagrange_reduce(surface)
-    quartic = build_quartic(surface)
-    vertex_set = set(quartic.vertices)
-    reps = (
-        Vec2(0, 0),
-        HALF * rb.u,
-        HALF * rb.v,
-        HALF * (rb.u + rb.v),
-    )
+    vertex_set = set(build_quartic(surface).vertices)
     out = []
-    for rep in reps:
+    for c in surface.char_vectors:  # 0, u/2, v/2, (u + v)/2
+        rep = HALF * Vec2(*c)
         image = psi_eval(surface, rep)
         out.append((rep, image, image in vertex_set))
     return tuple(out)

@@ -16,15 +16,22 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 ``w, -v, u, -w, v, -u``: vertex ``m_i`` is the intersection of the facet
 lines of the i-th and (i+1)-st entries, so ``m_1`` lies on the facets
 defined by ``w`` and ``-v`` and ``m_{i+3} = -m_i``.
+
+`make_surface` derives each surface's context once and stores it on the
+surface: the reduced basis, the integer Gram ``H = gram_den * G``, the
+descent triples and the characteristic vectors.  The closest-vector descent
+(the relevant-vector slicer of Sommer-Feder-Shalvi) runs on integer
+numerators over a common denominator.  The Voronoi cell and its subdivision
+are memoized on the surface instance, so nothing outlives the surface.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
 from .exact import Mat2, Vec2, ZERO2, gram_eval, is_positive_definite
@@ -44,10 +51,19 @@ class CellKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PrincipallyPolarizedSurface:
-    """A polarized surface: Gram matrix plus the dual-lattice basis G^{-1}."""
+    """A polarized surface: Gram matrix, dual basis G^{-1} and derived context."""
 
     gram: Mat2
     n_basis: Mat2
+    reduced: ReducedBasis = field(compare=False, repr=False)
+    int_gram: tuple[int, int, int] = field(compare=False, repr=False)  # gram_den * G
+    gram_den: int = field(compare=False, repr=False)
+    # (r, H r, r^T H r) for the relevant vectors r, in descent scan order.
+    descent: tuple = field(compare=False, repr=False)
+    # j1*u + j2*v for the characteristics 00, 10, 01, 11.
+    char_vectors: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    # Geometric products built on first use; see `per_surface`.
+    lazy: dict = field(default_factory=dict, compare=False, repr=False)
 
     def q(self, x: Vec2, y: Vec2) -> Fraction:
         return gram_eval(self.gram, x, y)
@@ -114,25 +130,51 @@ class CellComplex:
 
 
 def make_surface(gram) -> PrincipallyPolarizedSurface:
-    """Build a surface from a symmetric positive-definite rational matrix."""
+    """Build a surface, and its context, from a symmetric positive-definite matrix."""
     g = gram if isinstance(gram, Mat2) else Mat2.from_rows(gram)
     if not is_positive_definite(g):  # raises NonSymmetricError when asymmetric
         raise NotPositiveDefiniteError(
             f"matrix {g.describe()} is not positive-definite"
         )
-    return PrincipallyPolarizedSurface(gram=g, n_basis=g.inverse())
-
-
-def _int_gram(gram: Mat2) -> tuple[int, int, int]:
-    """A positive multiple of the Gram matrix with integer entries.
-
-    Comparisons of Q-norms are scale-invariant, so every descent and
-    reduction loop can run on (h11, h12, h22) with plain int arithmetic.
-    """
-    den = math.lcm(
-        gram.a.denominator, gram.b.denominator, gram.d.denominator
+    # Comparisons of Q-norms are scale-invariant, so reduction and descent
+    # run on the integer multiple H = gram_den * G.
+    den = math.lcm(g.a.denominator, g.b.denominator, g.d.denominator)
+    h = (int(g.a * den), int(g.b * den), int(g.d * den))
+    u, v = _lagrange_reduce(h)
+    # The relevant vectors in descent scan order: u, v (, w), then negatives.
+    half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if _hq(h, u, v) < 0 else (u, v)
+    rel = half + tuple((-x, -y) for x, y in half)
+    descent = tuple(
+        (r, (h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]), _hq(h, r, r))
+        for r in rel
     )
-    return (int(gram.a * den), int(gram.b * den), int(gram.d * den))
+    norms = tuple(Fraction(_hq(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
+    return PrincipallyPolarizedSurface(
+        gram=g,
+        n_basis=g.inverse(),
+        reduced=ReducedBasis(u=Vec2(*u), v=Vec2(*v), norms=norms),
+        int_gram=h,
+        gram_den=den,
+        descent=descent,
+        char_vectors=((0, 0), u, v, (u[0] + v[0], u[1] + v[1])),
+    )
+
+
+def per_surface(build):
+    """Memoize a function of one surface in that surface's `lazy` dict."""
+
+    @functools.wraps(build)
+    def get(surface):
+        if build not in surface.lazy:
+            surface.lazy[build] = build(surface)
+        return surface.lazy[build]
+
+    return get
+
+
+def _hq(h: tuple[int, int, int], s: tuple[int, int], t: tuple[int, int]) -> int:
+    """s^T H t for the integer Gram H = (h11, h12, h22)."""
+    return h[0] * s[0] * t[0] + h[1] * (s[0] * t[1] + s[1] * t[0]) + h[2] * s[1] * t[1]
 
 
 def _lexpos(vec: tuple[int, int]) -> tuple[int, int]:
@@ -143,20 +185,15 @@ def _lexpos(vec: tuple[int, int]) -> tuple[int, int]:
     return (x, y)
 
 
-@lru_cache(maxsize=None)
-def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
-    """Lagrange-Gauss reduction of the period lattice basis.
+def _lagrange_reduce(h: tuple[int, int, int]):
+    """Lagrange-Gauss reduction of the period basis under the integer Gram h.
 
     The iteration is deterministic (round-half-up multiplier, fixed swap
     rule) and is followed by a sign normalization: Q(u,v) <= 0, and the
     leading nonzero coordinate of u is positive (of both u and v when
     Q(u,v) = 0, where the signs decouple).
     """
-    h11, h12, h22 = _int_gram(surface.gram)
-
-    def q(s: tuple[int, int], t: tuple[int, int]) -> int:
-        return h11 * s[0] * t[0] + h12 * (s[0] * t[1] + s[1] * t[0]) + h22 * s[1] * t[1]
-
+    q = functools.partial(_hq, h)
     u, v = (1, 0), (0, 1)
     if q(u, u) > q(v, v):
         u, v = v, u
@@ -175,10 +212,12 @@ def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
         u, v = _lexpos(u), _lexpos(v)
     elif u != _lexpos(u):
         u, v = (-u[0], -u[1]), (-v[0], -v[1])
+    return u, v
 
-    uu, vv = Vec2(u[0], u[1]), Vec2(v[0], v[1])
-    norms = (surface.q(uu, uu), surface.q(vv, vv), surface.q(uu, vv))
-    return ReducedBasis(u=uu, v=vv, norms=norms)
+
+def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
+    """The surface's Lagrange-reduced basis, computed by `make_surface`."""
+    return surface.reduced
 
 
 def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
@@ -189,11 +228,7 @@ def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
 
 
 def relevant_vectors(surface: PrincipallyPolarizedSurface) -> tuple[Vec2, ...]:
-    rb = lagrange_reduce(surface)
-    if classify(surface) is SurfaceClass.IRREDUCIBLE:
-        w = rb.w
-        return (rb.u, rb.v, w, -rb.u, -rb.v, -w)
-    return (rb.u, rb.v, -rb.u, -rb.v)
+    return voronoi_cell(surface).relevant_vectors
 
 
 def _facet_vertex(surface: PrincipallyPolarizedSurface, q1: Vec2, q2: Vec2) -> Vec2:
@@ -205,19 +240,18 @@ def _facet_vertex(surface: PrincipallyPolarizedSurface, q1: Vec2, q2: Vec2) -> V
     return Vec2((c1 * r2.y - c2 * r1.y) / det, (r1.x * c2 - r2.x * c1) / det)
 
 
-@lru_cache(maxsize=None)
+@per_surface
 def voronoi_cell(surface: PrincipallyPolarizedSurface) -> VoronoiCell:
     rb = lagrange_reduce(surface)
     u, v = rb.u, rb.v
+    rel = tuple(Vec2(*r) for r, _, _ in surface.descent)
     if classify(surface) is SurfaceClass.IRREDUCIBLE:
         w = rb.w
         facet_cycle = (w, -v, u, -w, v, -u)
         kind = CellKind.HEXAGON
-        rel = (u, v, w, -u, -v, -w)
     else:
         facet_cycle = (-v, u, v, -u)
         kind = CellKind.RECTANGLE
-        rel = (u, v, -u, -v)
     verts = tuple(
         _facet_vertex(surface, facet_cycle[i], facet_cycle[(i + 1) % len(facet_cycle)])
         for i in range(len(facet_cycle))
@@ -232,17 +266,32 @@ def in_voronoi_cell(surface: PrincipallyPolarizedSurface, y: Vec2) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _descent_data(surface: PrincipallyPolarizedSurface):
-    """Integer data for the relevant-vector descent: (r, H r, r^T H r) triples."""
-    h11, h12, h22 = _int_gram(surface.gram)
-    data = []
-    for r in relevant_vectors(surface):
-        rx, ry = int(r.x), int(r.y)
-        hr = (h11 * rx + h12 * ry, h12 * rx + h22 * ry)
-        qr = rx * hr[0] + ry * hr[1]
-        data.append(((rx, ry), hr, qr))
-    return tuple(data)
+def descend(
+    surface: PrincipallyPolarizedSurface, t0: int, t1: int, den: int
+) -> tuple[int, int]:
+    """Relevant-vector descent of t/den into the cell, on integer numerators.
+
+    Unit steps in the fixed scan order of `surface.descent` while the Q-norm
+    strictly drops, so it terminates.  Scaling (t, den) by k scales the
+    result by k, so callers may pick any common denominator.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for (rx, ry), (hr0, hr1), qr in surface.descent:
+            # Q(t/den - r) < Q(t/den) iff 2 <t, H r> > den * r^T H r.
+            while 2 * (t0 * hr0 + t1 * hr1) > den * qr:
+                t0 -= den * rx
+                t1 -= den * ry
+                changed = True
+    return t0, t1
+
+
+def numerators(x: Vec2) -> tuple[int, int, int]:
+    """(t0, t1, den) with x = (t0, t1) / den over the least common denominator."""
+    (a, b), (c, d) = x.x.as_integer_ratio(), x.y.as_integer_ratio()
+    den = math.lcm(b, d)
+    return a * (den // b), c * (den // d), den
 
 
 def reduce_point(
@@ -250,22 +299,10 @@ def reduce_point(
 ) -> tuple[Vec2, Vec2]:
     """Closest-vector reduction: x = x0 + p with p integral and x0 in the cell.
 
-    Iterated relevant-vector descent with unit steps in a fixed scan order;
-    terminates because the Q-norm strictly decreases through a discrete set.
-    Boundary points keep whichever representative the descent reaches first.
+    Boundary points keep whichever representative `descend` reaches first.
     """
-    den = math.lcm(x.x.denominator, x.y.denominator)
-    t0, t1 = int(x.x * den), int(x.y * den)
-    data = _descent_data(surface)
-    changed = True
-    while changed:
-        changed = False
-        for (rx, ry), (hr0, hr1), qr in data:
-            # Q(t/den - r) < Q(t/den) iff 2 <t, H r> > den * r^T H r.
-            while 2 * (t0 * hr0 + t1 * hr1) > den * qr:
-                t0 -= den * rx
-                t1 -= den * ry
-                changed = True
+    t0, t1, den = numerators(x)
+    t0, t1 = descend(surface, t0, t1, den)
     x0 = Vec2(Fraction(t0, den), Fraction(t1, den))
     return x0, x - x0
 
@@ -291,7 +328,7 @@ def _quadrant_frames(surface: PrincipallyPolarizedSurface):
     return a, b, m, n
 
 
-@lru_cache(maxsize=None)
+@per_surface
 def subdivide(surface: PrincipallyPolarizedSurface) -> CellComplex:
     """The 18-cell subdivision of the hexagonal Voronoi cell.
 

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptySupportError, NonSymmetricError
+from .errors import EmptySupportError
 from .exact import Mat2, Vec2, gram_eval
-from .lattice import PrincipallyPolarizedSurface, _int_gram
+from .lattice import PrincipallyPolarizedSurface
 from .theta import ThetaCharacteristic, char_vector
 
 
@@ -69,31 +69,6 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     )
 
 
-def general_descent_datum(
-    surface: PrincipallyPolarizedSurface,
-    lambda_matrix: tuple[tuple[int, int], tuple[int, int]],
-    ell: Vec2,
-) -> TropicalDescentDatum:
-    """The datum of an arbitrary pair (form, ell) given by its dual map.
-
-    Exposed for completeness; series evaluation supports only the even
-    second-order case above.
-    """
-    g = surface.gram
-    lam = Mat2(
-        lambda_matrix[0][0],
-        lambda_matrix[0][1],
-        lambda_matrix[1][0],
-        lambda_matrix[1][1],
-    )
-    pairing = g.mul_mat(lam)
-    if not pairing.is_symmetric():
-        raise NonSymmetricError("the induced bilinear form must be symmetric")
-    return TropicalDescentDatum(
-        lambda_matrix=lambda_matrix, pairing=pairing, ell=ell
-    )
-
-
 @dataclass(frozen=True)
 class FormalThetaSeries:
     """Finite Fourier support with exact valuations, plus the lifting shift."""
@@ -133,9 +108,8 @@ def build_series(
         raise ValueError("cutoff must be nonnegative")
     c = char_vector(surface, char)
     cx, cy = int(c.x), int(c.y)
-    g = surface.gram
-    h11, h12, h22 = _int_gram(g)
-    gram_den = math.lcm(g.a.denominator, g.b.denominator, g.d.denominator)
+    h11, h12, h22 = surface.int_gram
+    gram_den = surface.gram_den
     terms = []
     for i in range(-cutoff, cutoff + 1):
         for j in range(-cutoff, cutoff + 1):

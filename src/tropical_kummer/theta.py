@@ -6,13 +6,14 @@ the function value at x is
     min over integer a of  Q(a + s, a + s) - Q(x, x),
     with the shift  s = x + (j1*u + j2*v)/2.
 
-The minimum is computed by closest-vector reduction of s; a brute-force
-enumeration oracle with a global-minimum certificate is provided alongside.
+The minimum is found by the closest-vector descent on integer numerators:
+for x = t/den, s is 2*t + den*c over 2*den, and one `Fraction` is built for
+the value.  A brute-force enumeration oracle with a global-minimum
+certificate, sharing no code with the descent, is provided alongside.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +23,11 @@ from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
-    _int_gram,
+    _hq,
     classify,
+    descend,
     lagrange_reduce,
-    reduce_point,
+    numerators,
 )
 
 
@@ -67,19 +69,21 @@ def char_vector(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic
 ) -> Vec2:
     """The integer vector j1*u + j2*v in the reduced basis."""
-    rb = lagrange_reduce(surface)
-    return Vec2(
-        char.j1 * rb.u.x + char.j2 * rb.v.x, char.j1 * rb.u.y + char.j2 * rb.v.y
-    )
+    return Vec2(*surface.char_vectors[char.j1 + 2 * char.j2])
 
 
 def theta_eval(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, x: Vec2
 ) -> ThetaValue:
-    s = x + HALF * char_vector(surface, char)
-    s0, p = reduce_point(surface, s)
-    value = surface.norm(s0) - surface.norm(x)
-    return ThetaValue(value=value, minimizer=-p)
+    t0, t1, den = numerators(x)
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    s0, s1 = 2 * t0 + den * cx, 2 * t1 + den * cy
+    n = descend(surface, s0, s1, 2 * den)
+    h, t = surface.int_gram, (t0, t1)
+    value = Fraction(_hq(h, n, n) - 4 * _hq(h, t, t), surface.gram_den * 4 * den * den)
+    # n - s is 2*den times the lattice point that attains the minimum.
+    minimizer = Vec2((n[0] - s0) // (2 * den), (n[1] - s1) // (2 * den))
+    return ThetaValue(value=value, minimizer=minimizer)
 
 
 def theta_eval_bruteforce(
@@ -104,9 +108,8 @@ def theta_eval_bruteforce(
     margin = radius + 1 - s.sup_norm()
     if margin <= 0:  # the certificate fails whatever the box minimum
         raise too_small
-    h11, h12, h22 = _int_gram(surface.gram)
-    den = math.lcm(s.x.denominator, s.y.denominator)
-    t0, t1 = int(s.x * den), int(s.y * den)
+    h11, h12, h22 = surface.int_gram
+    t0, t1, den = numerators(s)
 
     best = None
     best_a = (0, 0)
@@ -119,12 +122,7 @@ def theta_eval_bruteforce(
                 best = num
                 best_a = (a1, a2)
 
-    gram_den = math.lcm(
-        surface.gram.a.denominator,
-        surface.gram.b.denominator,
-        surface.gram.d.denominator,
-    )
-    box_min = Fraction(best, gram_den * den * den)
+    box_min = Fraction(best, surface.gram_den * den * den)
 
     g = surface.gram
     lam_low = g.det() / (g.a + g.d)

@@ -3,7 +3,9 @@
 Every check draws its samples from (seed, check-name, index), so reports
 are deterministic for a fixed configuration.  Wall-clock timings are kept
 out of the report payload (they go to stderr) to keep two runs with the
-same seed byte-identical.
+same seed byte-identical.  A check that raises is recorded as a failure
+whose counterexample names the exception, and the remaining checks still
+run; its traceback is kept on the result, outside the payload.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 
 from . import kummer, nonarch, theta
 from .errors import InternalInconsistencyError, RadiusTooSmallError
-from .exact import Mat2, Vec2, fraction_str, is_unimodular
+from .exact import Mat2, Vec2, is_unimodular
 from .lattice import (
     PrincipallyPolarizedSurface,
     SurfaceClass,
@@ -51,6 +53,7 @@ class CheckResult:
     counterexample: Optional[dict] = None
     detail: Optional[dict] = None
     elapsed: float = 0.0
+    traceback: Optional[str] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,7 +80,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         return {
             "config": {
-                "gram": [[fraction_str(e) for e in row] for row in self.gram.rows()],
+                "gram": [[str(e) for e in row] for row in self.gram.rows()],
                 "seed": self.seed,
                 "samples": self.samples,
             },
@@ -101,12 +104,8 @@ class _Ctx:
         return max(2, min(20, self.samples // 10))
 
 
-def _vec(v: Vec2) -> list[str]:
-    return [fraction_str(v.x), fraction_str(v.y)]
-
-
-def _vec3(v) -> list[str]:
-    return [fraction_str(c) for c in v.as_tuple()]
+def _vec(v) -> list[str]:
+    return [str(c) for c in v.as_tuple()]
 
 
 def _check_gram_symmetry(ctx: _Ctx):
@@ -127,7 +126,7 @@ def _check_gram_positivity(ctx: _Ctx):
         if x == Vec2(0, 0):
             continue
         if s.norm(x) <= 0:
-            return FAIL, k + 1, {"x": _vec(x), "q": fraction_str(s.norm(x))}, None
+            return FAIL, k + 1, {"x": _vec(x), "q": str(s.norm(x))}, None
     return PASS, ctx.samples, None, None
 
 
@@ -161,7 +160,7 @@ def _check_dual_basis_integrality(ctx: _Ctx):
         for j, n in enumerate(duals):
             val = s.q(f, n)
             if val != (1 if i == j else 0):
-                return FAIL, 4, {"i": i, "j": j, "q": fraction_str(val)}, None
+                return FAIL, 4, {"i": i, "j": j, "q": str(val)}, None
     return PASS, 4, None, None
 
 
@@ -180,7 +179,7 @@ def _check_reduction_invariants(ctx: _Ctx):
     detail = {
         "u": _vec(rb.u),
         "v": _vec(rb.v),
-        "norms": [fraction_str(q) for q in rb.norms],
+        "norms": [str(q) for q in rb.norms],
     }
     return (PASS if ok else FAIL), 1, (None if ok else detail), detail
 
@@ -194,7 +193,7 @@ def _check_classify_congruence(ctx: _Ctx):
         u = random_unimodular(rng)
         conj = u.transpose().mul_mat(g).mul_mat(u)
         if classify(make_surface(conj)) is not base_class:
-            rows = [[fraction_str(e) for e in row] for row in u.rows()]
+            rows = [[str(e) for e in row] for row in u.rows()]
             return FAIL, k + 1, {"U": rows}, None
     return PASS, n, None, None
 
@@ -237,7 +236,7 @@ def _check_voronoi_geometry(ctx: _Ctx):
         surface = random_surface(rng)
         problem = _voronoi_geometry_ok(surface)
         if problem:
-            rows = [[fraction_str(e) for e in row] for row in surface.gram.rows()]
+            rows = [[str(e) for e in row] for row in surface.gram.rows()]
             return FAIL, k + 2, {"gram": rows, "problem": problem}, None
     return PASS, n + 1, None, None
 
@@ -258,8 +257,8 @@ def _check_cvp_oracle(ctx: _Ctx):
                 k + 1,
                 {
                     "x": _vec(x),
-                    "descent": fraction_str(s.norm(x0)),
-                    "oracle": fraction_str(expected),
+                    "descent": str(s.norm(x0)),
+                    "oracle": str(expected),
                 },
                 None,
             )
@@ -287,7 +286,7 @@ def _check_theta_zero_on_cell(ctx: _Ctx):
         x0, _ = reduce_point(s, random_point(rng, 5))
         val = theta_eval(s, char00, x0).value
         if val != 0:
-            return FAIL, k + 1, {"x0": _vec(x0), "value": fraction_str(val)}, None
+            return FAIL, k + 1, {"x0": _vec(x0), "value": str(val)}, None
     return PASS, ctx.samples, None, None
 
 
@@ -386,9 +385,7 @@ def _check_theta_oracle(ctx: _Ctx):
             fast = theta_eval(surface, char, x).value
             slow = _oracle_theta(surface, char, x)
             if fast != slow:
-                rows = [
-                    [fraction_str(e) for e in row] for row in surface.gram.rows()
-                ]
+                rows = [[str(e) for e in row] for row in surface.gram.rows()]
                 return (
                     FAIL,
                     cases,
@@ -396,8 +393,8 @@ def _check_theta_oracle(ctx: _Ctx):
                         "gram": rows,
                         "x": _vec(x),
                         "char": str(char),
-                        "fast": fraction_str(fast),
-                        "oracle": fraction_str(slow),
+                        "fast": str(fast),
+                        "oracle": str(slow),
                     },
                     None,
                 )
@@ -454,8 +451,8 @@ def _check_series_lift(ctx: _Ctx):
                     {
                         "v": _vec(v),
                         "char": str(char),
-                        "series": fraction_str(got),
-                        "theta": fraction_str(want),
+                        "series": str(got),
+                        "theta": str(want),
                     },
                     None,
                 )
@@ -528,7 +525,7 @@ def _check_quartic_structure(ctx: _Ctx):
     detail = {
         "display_reading": diagnostics["consistent_reading"],
         "two_torsion_on_vertices": [flag for _, _, flag in torsion],
-        "theta_constants": [fraction_str(t) for t in quartic.theta_constants],
+        "theta_constants": [str(t) for t in quartic.theta_constants],
     }
     if diagnostics["consistent_reading"] != "minus":
         return FAIL, 1, detail, detail
@@ -544,7 +541,7 @@ def _check_quartic_coverage(ctx: _Ctx):
         x = random_point(rng, 4)
         image = kummer.psi_eval(ctx.surface, x)
         if not kummer.contains(quartic, image):
-            return FAIL, k + 1, {"x": _vec(x), "psi": _vec3(image)}, None
+            return FAIL, k + 1, {"x": _vec(x), "psi": _vec(image)}, None
     return PASS, ctx.samples, None, None
 
 
@@ -606,7 +603,7 @@ def _check_affine_unimodularity(ctx: _Ctx):
         cases += len(pieces)
         bad = [p for p in pieces if not p.unimodular]
         if len(pieces) != 18 or bad:
-            rows = [[fraction_str(e) for e in row] for row in surface.gram.rows()]
+            rows = [[str(e) for e in row] for row in surface.gram.rows()]
             return (
                 FAIL,
                 cases,
@@ -631,7 +628,7 @@ def _check_coplanarity_table(ctx: _Ctx):
         return SKIP, 0, None, None
     report = kummer.coplanarity_report(ctx.surface)  # self-validating
     detail = {
-        f"{face.normal}={fraction_str(face.offset)}": list(cells)
+        f"{face.normal}={face.offset}": list(cells)
         for face, cells in report.items()
     }
     return PASS, len(report), None, detail
@@ -644,7 +641,7 @@ def _check_subdivision_geometry(ctx: _Ctx):
     complex_ = subdivide(s)
     total = sum(cell.area() for cell in complex_.cells)
     if total != 1:
-        return FAIL, 1, {"total_area": fraction_str(total)}, None
+        return FAIL, 1, {"total_area": str(total)}, None
     for cell in complex_.cells:
         for p in cell.vertices:
             if not in_voronoi_cell(s, p):
@@ -713,17 +710,18 @@ def run_verification(
     )
     for name, func in _CHECKS:
         start = time.perf_counter()
-        status, cases, counterexample, detail = func(ctx)
+        trace = None
+        try:
+            status, cases, counterexample, detail = func(ctx)
+        except Exception as exc:  # one raising check must not lose the report
+            import traceback  # here, not at the top: importing it slows CLI start
+
+            trace = traceback.format_exc()
+            status, cases, detail = FAIL, 0, None
+            counterexample = {"exception": type(exc).__name__, "message": str(exc)}
         elapsed = time.perf_counter() - start
         report.checks.append(
-            CheckResult(
-                name=name,
-                status=status,
-                cases=cases,
-                counterexample=counterexample,
-                detail=detail,
-                elapsed=elapsed,
-            )
+            CheckResult(name, status, cases, counterexample, detail, elapsed, trace)
         )
         if progress is not None:
             progress(report.checks[-1])

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropical_kummer import cli
+from tropical_kummer import cli, make_surface, verify
+from tropical_kummer.errors import InternalInconsistencyError, NotAffineOnCellError
 
 F = Fraction
 
@@ -213,10 +216,62 @@ def test_verify_seed_changes_report(capsys, hex_config, tmp_path):
 
 
 def test_cli_subprocess_entry_point(hex_config):
+    # The child imports the same package as this process, whatever the
+    # parent's PYTHONPATH.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "tropical_kummer", "classify", hex_config],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "irreducible"
+
+
+@pytest.mark.parametrize("error", [InternalInconsistencyError, NotAffineOnCellError])
+def test_internal_errors_exit_3(capsys, monkeypatch, hex_config, error):
+    def broken(args):
+        raise error("two computations disagree")
+
+    monkeypatch.setattr(cli, "cmd_embed", broken)
+    code, out, err = run_cli(capsys, "embed", hex_config, "--point", "0,0")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": {
+            "type": error.__name__,
+            "stage": "embed",
+            "message": "two computations disagree",
+        }
+    }
+
+
+def test_raising_check_is_recorded(capsys, monkeypatch, hex_config):
+    def broken(ctx):
+        raise ZeroDivisionError("boom")
+
+    checks = list(verify._CHECKS)
+    index = [name for name, _ in checks].index("cvp-descent-oracle")
+    checks[index] = ("cvp-descent-oracle", broken)
+    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    report = verify.run_verification(make_surface(HEX_GRAM), seed=7, samples=5)
+    assert len(report.checks) == 27
+    failed = report.checks[index]
+    assert failed.name == "cvp-descent-oracle"
+    assert failed.status == "fail"
+    assert failed.counterexample == {"exception": "ZeroDivisionError", "message": "boom"}
+    assert "ZeroDivisionError" in failed.traceback
+    others = {c.name: c.status for c in report.checks if c is not failed}
+    assert set(others.values()) == {"pass", "skip"}
+    assert others["psi-product-collapse"] == "skip"  # the hexagon is irreducible
+    assert not report.passed
+
+    code, out, err = run_cli(capsys, "verify", hex_config, "--samples", "5")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert "ZeroDivisionError: boom" in err

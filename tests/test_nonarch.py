@@ -12,13 +12,11 @@ from tropical_kummer import (
     Vec2,
     build_series,
     descent_datum,
-    general_descent_datum,
     make_surface,
     safe_cutoff,
     theta_eval,
     tropicalize_series,
 )
-from tropical_kummer.errors import NonSymmetricError
 from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
 from tropical_kummer.theta import char_vector
 
@@ -50,15 +48,6 @@ def test_descent_cocycle_identity(u1, u2):
     datum = descent_datum(make_surface([[2, -1], [-1, 3]]))
     assert datum.cocycle_defect(u1, u2) == 0
     assert datum.gamma(u1) == datum.gamma(-u1)
-
-
-def test_general_descent_datum_requires_symmetry(hexagonal):
-    with pytest.raises(NonSymmetricError):
-        general_descent_datum(hexagonal, ((1, 0), (1, 1)), Vec2(0, 0))
-    datum = general_descent_datum(hexagonal, ((2, 0), (0, 2)), Vec2(F(1, 2), 0))
-    # ell shifts gamma but not the cocycle defect.
-    assert datum.cocycle_defect(Vec2(1, 0), Vec2(0, 1)) == 0
-    assert not datum.is_even()
 
 
 def test_build_series_examples(hexagonal):
