@@ -24,8 +24,13 @@ def to_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -155,9 +160,25 @@ class Mat2:
 
 
 def gram_eval(gram: Mat2, x: Vec2, y: Vec2) -> Fraction:
-    """The bilinear form value x^T (gram) y."""
-    gy = gram.mul_vec(y)
-    return x.x * gy.x + x.y * gy.y
+    """The bilinear form value x^T (gram) y, for any 2x2 matrix.
+
+    Runs on integer numerators over the least common denominators of the
+    matrix, x and y, and builds one `Fraction` for the value.
+    """
+    a, da = gram.a.as_integer_ratio()
+    b, db = gram.b.as_integer_ratio()
+    c, dc = gram.c.as_integer_ratio()
+    d, dd = gram.d.as_integer_ratio()
+    x0, dx0 = x.x.as_integer_ratio()
+    x1, dx1 = x.y.as_integer_ratio()
+    y0, dy0 = y.x.as_integer_ratio()
+    y1, dy1 = y.y.as_integer_ratio()
+    dm, dx, dy = math.lcm(da, db, dc, dd), math.lcm(dx0, dx1), math.lcm(dy0, dy1)
+    a, b, c, d = a * (dm // da), b * (dm // db), c * (dm // dc), d * (dm // dd)
+    x0, x1 = x0 * (dx // dx0), x1 * (dx // dx1)
+    y0, y1 = y0 * (dy // dy0), y1 * (dy // dy1)
+    num = x0 * (a * y0 + b * y1) + x1 * (c * y0 + d * y1)
+    return Fraction(num, dm * dx * dy)
 
 
 def is_positive_definite(gram: Mat2) -> bool:

@@ -364,6 +364,7 @@ def _apply_affine(col1: Vec3, col2: Vec3, offset: Vec3, p: Vec2) -> Vec3:
     )
 
 
+@per_surface
 def affine_pieces(
     surface: PrincipallyPolarizedSurface,
 ) -> tuple[AffinePiece, ...]:

@@ -9,8 +9,12 @@ Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
 A series also holds its valuations as integer numerators over one common
-denominator, so tropicalization scans plain ints and builds a single
-`Fraction` for the result.
+denominator, grouped into rows by first exponent.  A row whose second
+exponents are evenly spaced and whose numerators have a constant second
+difference (every row of `build_series`, and any constant shift of one) is
+stored as an integer quadratic and minimized in O(1); any other row is
+scanned term by term.  Tropicalization reads ``G v`` from the surface's
+integer Gram and builds a single `Fraction` for the result.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -23,8 +27,8 @@ from fractions import Fraction
 
 from .errors import EmptySupportError
 from .exact import Mat2, Vec2, gram_eval
-from .lattice import PrincipallyPolarizedSurface
-from .theta import ThetaCharacteristic, char_vector
+from .lattice import PrincipallyPolarizedSurface, numerators
+from .theta import ThetaCharacteristic, char_vector, spectral_floor
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,48 @@ class FormalThetaSeries:
     constant_shift: Fraction
     char: ThetaCharacteristic
     cutoff: int
-    # The support on one denominator: (den, ((ex, ey, den * valuation), ...)).
-    _table: tuple[int, tuple[tuple[int, int, int], ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    # The support on one denominator `den`, one row per first exponent:
+    # (den, quadratic rows, scanned terms); see `_quadratic_row`.
+    _rows: tuple[int, tuple, tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        den = math.lcm(*(val.denominator for _, val in self.support))
-        table = tuple(
-            (ex, ey, val.numerator * (den // val.denominator))
-            for (ex, ey), val in self.support
-        )
-        object.__setattr__(self, "_table", (den, table))
+        ratios = [val.as_integer_ratio() for _, val in self.support]
+        den = math.lcm(*(q for _, q in ratios))
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for ((ex, ey), _), (p, q) in zip(self.support, ratios):
+            rows.setdefault(ex, []).append((ey, p * (den // q)))
+        quadratic, scanned = [], []
+        for ex, row in rows.items():
+            row.sort()
+            fit = _quadratic_row(row)
+            if fit is None:
+                scanned.extend((ex, ey, num) for ey, num in row)
+            else:
+                quadratic.append((ex, *fit))
+        object.__setattr__(self, "_rows", (den, tuple(quadratic), tuple(scanned)))
+
+
+def _quadratic_row(row: list[tuple[int, int]]):
+    """Fit a row sorted by second exponent: ``(e0, step, n, a, b, c)`` or None.
+
+    The fit exists when the n exponents are e0 + k*step with step > 0 and the
+    numerators have a constant second difference; then the k-th numerator is
+    (a k^2 + b k + c) / 2 with integer a, b, c.  Every row of `build_series`,
+    and any constant shift of one, fits.
+    """
+    n = len(row)
+    e0, v0 = row[0]
+    if n == 1:
+        return e0, 1, 1, 0, 0, 2 * v0
+    step = row[1][0] - e0
+    if step <= 0:
+        return None
+    a = row[2][1] - 2 * row[1][1] + v0 if n > 2 else 0
+    b, c = 2 * (row[1][1] - v0) - a, 2 * v0
+    for k, (ey, num) in enumerate(row):
+        if ey != e0 + k * step or 2 * num != (a * k + b) * k + c:
+            return None
+    return e0, step, n, a, b, c
 
 
 def build_series(
@@ -129,16 +163,33 @@ def build_series(
 
 
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
-    """constant_shift + min over the support of (<exponent, v> + valuation)."""
+    """constant_shift + min over the support of (<exponent, v> + valuation).
+
+    Works on twice the terms' integer numerators: a fitted row is a quadratic
+    in the term's index along the row, minimized in O(1) at the clamped
+    vertex when convex and at an endpoint otherwise; other rows are scanned
+    term by term.
+    """
     if not series.support:
         raise EmptySupportError("series has empty support")
-    gv = series.surface.gram.mul_vec(v)
-    val_den, table = series._table
-    # Clear denominators once so the minimum runs on plain integers.
-    den = math.lcm(gv.x.denominator, gv.y.denominator, val_den)
-    gx, gy, k = int(gv.x * den), int(gv.y * den), den // val_den
-    best = min(ex * gx + ey * gy + k * val for ex, ey, val in table)
-    return series.constant_shift + Fraction(best, den)
+    t0, t1, vden = numerators(v)
+    h11, h12, h22 = series.surface.int_gram
+    g_den = series.surface.gram_den * vden  # G v = H t / g_den
+    val_den, quadratic, scanned = series._rows
+    den = math.lcm(g_den, val_den)
+    m, k = den // g_den, den // val_den
+    gx, gy = (h11 * t0 + h12 * t1) * m, (h12 * t0 + h22 * t1) * m
+    lows = [2 * (ex * gx + ey * gy + k * num) for ex, ey, num in scanned]
+    for ex, e0, step, n, a, b, c in quadratic:
+        # Twice the term at index i is (qa i + qb) i + qc.
+        qa, qb = k * a, 2 * step * gy + k * b
+        if qa > 0:  # convex: the index nearest the vertex, clamped
+            i = min(max((qa - qb) // (2 * qa), 0), n - 1)
+            low = (qa * i + qb) * i
+        else:  # concave or linear: an endpoint
+            low = min(0, (qa * (n - 1) + qb) * (n - 1))
+        lows.append(low + 2 * (ex * gx + e0 * gy) + k * c)
+    return series.constant_shift + Fraction(min(lows), 2 * den)
 
 
 def safe_cutoff(
@@ -151,8 +202,8 @@ def safe_cutoff(
     The minimized quadratic at u' = 0 is at most
     M = (sum |G_ij|) * (bound + |c|_inf / 2)^2, while any u' outside the
     cutoff-R box keeps it above lam_low * (R + 1 - bound - |c|_inf / 2)^2
-    with lam_low = det(G) / (G11 + G22); R is grown until the latter
-    exceeds the former.
+    with lam_low = `spectral_floor`; R is grown until the latter exceeds the
+    former.
     """
     bound = Fraction(region_bound)
     if bound < 0:
@@ -162,7 +213,7 @@ def safe_cutoff(
     reach = bound + c.sup_norm() / 2
     weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
     upper = weight * reach * reach
-    lam_low = g.det() / (g.a + g.d)
+    lam_low = spectral_floor(surface)
     radius = 1
     while True:
         margin = radius + 1 - reach

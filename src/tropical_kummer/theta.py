@@ -86,6 +86,15 @@ def theta_eval(
     return ThetaValue(value=value, minimizer=minimizer)
 
 
+def spectral_floor(surface: PrincipallyPolarizedSurface) -> Fraction:
+    """lam_low = det(G) / (G11 + G22), so that Q(y, y) >= lam_low * ||y||_inf^2.
+
+    The box certificate of `theta_eval_bruteforce` and `nonarch.safe_cutoff`.
+    """
+    h11, h12, h22 = surface.int_gram
+    return Fraction(h11 * h22 - h12 * h12, surface.gram_den * (h11 + h22))
+
+
 def theta_eval_bruteforce(
     surface: PrincipallyPolarizedSurface,
     char: ThetaCharacteristic,
@@ -94,8 +103,7 @@ def theta_eval_bruteforce(
 ) -> ThetaValue:
     """Enumerate the box |a_i| <= radius and certify the minimum is global.
 
-    The certificate uses the exact spectral lower bound
-    Q(y, y) >= lam_low * ||y||_inf^2 with lam_low = det(G) / (G11 + G22):
+    The certificate uses the exact spectral lower bound of `spectral_floor`:
     every lattice point outside the box must exceed the box minimum, else
     RadiusTooSmallError.
     """
@@ -124,9 +132,7 @@ def theta_eval_bruteforce(
 
     box_min = Fraction(best, surface.gram_den * den * den)
 
-    g = surface.gram
-    lam_low = g.det() / (g.a + g.d)
-    if lam_low * margin * margin <= box_min:
+    if spectral_floor(surface) * margin * margin <= box_min:
         raise too_small
     return ThetaValue(
         value=box_min - surface.norm(x), minimizer=Vec2(best_a[0], best_a[1])

@@ -231,7 +231,31 @@ def test_cli_subprocess_entry_point(hex_config):
     assert json.loads(proc.stdout)["class"] == "irreducible"
 
 
-@pytest.mark.parametrize("error", [InternalInconsistencyError, NotAffineOnCellError])
+def test_zero_denominator_exits_2(capsys, hex_config, tmp_path):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"gram": [["1/0", "0"], ["0", "1"]]}))
+    runs = (
+        ("classify", str(zero)),
+        ("theta", hex_config, "--char", "00", "--point=1/0,0"),
+        ("embed", hex_config, "--point", "0,-3/0"),
+        ("series", hex_config, "--char", "11", "--point", "1/0,1"),
+    )
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ValueError"
+        assert error["stage"] == argv[0]
+        assert "zero denominator" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InternalInconsistencyError, NotAffineOnCellError, ZeroDivisionError, RuntimeError],
+)
 def test_internal_errors_exit_3(capsys, monkeypatch, hex_config, error):
     def broken(args):
         raise error("two computations disagree")

@@ -38,6 +38,14 @@ def test_rational_rejects_junk():
         to_fraction(True)
 
 
+def test_rational_rejects_zero_denominator():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            to_fraction(text)
+    with pytest.raises(ValueError):
+        Vec2("1", "2/0")
+
+
 def test_fraction_decimal_is_exactly_rounded():
     assert fraction_decimal(Fraction(1, 3), 6) == "0.333333"
     assert fraction_decimal(Fraction(-1, 2), 3) == "-0.500"
@@ -88,6 +96,17 @@ def test_gram_eval_symmetry(a, b, d, x1, x2, y1, y2):
     g = Mat2(a, b, b, d)
     x, y = Vec2(x1, x2), Vec2(y1, y2)
     assert gram_eval(g, x, y) == gram_eval(g, y, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[rationals] * 4), st.tuples(*[rationals] * 4))
+def test_gram_eval_matches_fraction_formula(entries, coordinates):
+    # Any Mat2, symmetric or not: x^T M y with M's rows (a b) and (c d).
+    a, b, c, d = entries
+    x1, x2, y1, y2 = coordinates
+    value = gram_eval(Mat2(a, b, c, d), Vec2(x1, x2), Vec2(y1, y2))
+    assert type(value) is Fraction
+    assert value == x1 * (a * y1 + b * y2) + x2 * (c * y1 + d * y2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -183,3 +184,89 @@ def test_series_quasi_periodicity(hexagonal):
                 - s.norm(up)
             )
             assert lhs == rhs
+
+
+def _scan(series, v):
+    """The definition of tropicalization, term by term on Fractions."""
+    g = series.surface.gram
+    gx = g.a * v.x + g.b * v.y
+    gy = g.c * v.x + g.d * v.y
+    return series.constant_shift + min(
+        ex * gx + ey * gy + val for (ex, ey), val in series.support
+    )
+
+
+def _support_variants(s, char, cutoff):
+    """Supports derived from one `build_series` support, by name."""
+    base = build_series(s, char, cutoff)
+    sup = base.support
+    width = 2 * cutoff + 1  # build_series emits rows of this length
+    rng = rng_for(79, "variants", s.gram.describe(), str(char), cutoff)
+    first_per_row = {}
+    for (ex, ey), val in sup:
+        first_per_row.setdefault(ex, ((ex, ey), val))
+    shuffled = list(sup)
+    rng.shuffle(shuffled)
+    variants = {
+        "base": sup,
+        "shift 7": tuple((e, val + 7) for e, val in sup),
+        "shift 1/3": tuple((e, val + F(1, 3)) for e, val in sup),
+        # Each row shifted by its own constant and tilted linearly.
+        "row-wise affine": tuple(
+            ((ex, ey), val + F(ex, 5) - ey) for (ex, ey), val in sup
+        ),
+        "decimated": tuple(t for k, t in enumerate(sup) if k % width % 2 == 0),
+        "irregular": sup[:1] + tuple(t for t in sup[1:] if rng.random() < 0.7),
+        "duplicates": sup
+        + tuple((e, val + rng.randint(-2, 2)) for e, val in sup[::3]),
+        "concave": tuple((e, -val) for e, val in sup),
+        "concave shuffled": tuple((e, -val) for e, val in shuffled),
+        "single-term rows": tuple(first_per_row.values()),
+        "one perturbed term": sup[:-1] + ((sup[-1][0], sup[-1][1] + F(1, 5)),),
+        "shuffled": tuple(shuffled),
+    }
+    for name, support in variants.items():
+        yield name, FormalThetaSeries(
+            surface=s,
+            support=support,
+            constant_shift=base.constant_shift,
+            char=char,
+            cutoff=cutoff,
+        )
+
+
+def _variant_cases():
+    grams = (
+        [[2, -1], [-1, 2]],
+        [[2, -1], [-1, 3]],
+        [[5, 3], [3, 2]],
+        [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]],
+    )
+    for gram in grams:
+        s = make_surface(gram)
+        for char in CHARACTERISTICS:
+            for cutoff in (0, 1, 2, 4):
+                for name, series in _support_variants(s, char, cutoff):
+                    for k in range(5):
+                        key = (str(gram), str(char), cutoff, name, k)
+                        v = random_point(rng_for(83, *key), 3)
+                        yield key, series, v
+
+
+def test_tropicalize_matches_scan():
+    for key, series, v in _variant_cases():
+        assert tropicalize_series(series, v) == _scan(series, v), key
+
+
+# SHA-256 of every `_variant_cases` value, recorded before the series rows
+# replaced the flat term table.
+TROPICALIZE_VARIANTS_SHA256 = (
+    "d1687c587c4054fb827fb1e5a0e67f143d284f8dfe989e6f47c1fe7c3bbbee1c"
+)
+
+
+def test_tropicalize_variants_pinned():
+    digest = hashlib.sha256()
+    for key, series, v in _variant_cases():
+        digest.update(f"{key}:{tropicalize_series(series, v)}\n".encode())
+    assert digest.hexdigest() == TROPICALIZE_VARIANTS_SHA256
