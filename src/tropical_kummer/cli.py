@@ -20,13 +20,6 @@ import json
 import sys
 
 from . import kummer, nonarch, verify
-from .errors import (
-    EmptySupportError,
-    NonSymmetricError,
-    NotPositiveDefiniteError,
-    ProductTypeError,
-    RadiusTooSmallError,
-)
 from .exact import Mat2, Vec2, fraction_decimal, to_fraction
 from .lattice import (
     PrincipallyPolarizedSurface,
@@ -37,18 +30,9 @@ from .lattice import (
 )
 from .theta import ThetaCharacteristic, theta_eval
 
-INPUT_ERRORS = (
-    NonSymmetricError,
-    NotPositiveDefiniteError,
-    ProductTypeError,
-    RadiusTooSmallError,
-    EmptySupportError,
-    ValueError,
-    TypeError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+# The library's input errors (NonSymmetricError, ProductTypeError, ...) and
+# json.JSONDecodeError are ValueErrors.
+INPUT_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 
 def _emit(payload: dict) -> None:

@@ -37,18 +37,15 @@ class TropicalDescentDatum:
 
     `lambda_matrix` holds the dual-basis coordinates of the images of the
     period basis; `pairing` is the symmetric bilinear form
-    B(s, t) = <lambda(t), s> as a matrix in period coordinates; `ell` is the
-    linear-form part (zero in every supported evaluation path).
+    B(s, t) = <lambda(t), s> as a matrix in period coordinates.  The datum is
+    even: gamma has no linear part.
     """
 
     lambda_matrix: tuple[tuple[int, int], tuple[int, int]]
     pairing: Mat2
-    ell: Vec2
 
     def gamma(self, up: Vec2) -> Fraction:
-        return gram_eval(self.pairing, up, up) / 2 - (
-            self.ell.x * up.x + self.ell.y * up.y
-        )
+        return gram_eval(self.pairing, up, up) / 2
 
     def cocycle_defect(self, u1: Vec2, u2: Vec2) -> Fraction:
         """gamma(u1+u2) - gamma(u1) - gamma(u2) - <lambda(u2), u1>; zero always."""
@@ -59,9 +56,6 @@ class TropicalDescentDatum:
             - gram_eval(self.pairing, u1, u2)
         )
 
-    def is_even(self) -> bool:
-        return self.ell == Vec2(0, 0)
-
 
 def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     """The datum of the second-order pair (2Q, 0): gamma(u') = Q(u', u')."""
@@ -69,7 +63,6 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     return TropicalDescentDatum(
         lambda_matrix=((2, 0), (0, 2)),
         pairing=Mat2(2 * g.a, 2 * g.b, 2 * g.c, 2 * g.d),
-        ell=Vec2(0, 0),
     )
 
 

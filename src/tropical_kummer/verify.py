@@ -1,11 +1,31 @@
 """Seeded verification suite behind the command-line ``verify`` command.
 
-Every check draws its samples from (seed, check-name, index), so reports
-are deterministic for a fixed configuration.  Wall-clock timings are kept
-out of the report payload (they go to stderr) to keep two runs with the
-same seed byte-identical.  A check that raises is recorded as a failure
-whose counterexample names the exception, and the remaining checks still
-run; its traceback is kept on the result, outside the payload.
+The suite is one table, `CHECKS`, of `Check` rows, and one runner,
+`run_check`; `run_verification` loops over the table, and the pytest suite
+runs the same rows.  A row holds the check's name, its function, the key of
+its random streams, the rule turning the sample size into a case count, the
+surface class it needs (if any) and an optional setup.
+
+* A per-case row (one with a key) calls ``fn(surface, rng[, setup])`` for
+  k = 0, 1, ... with ``rng`` drawn from (seed, key, k); the function returns
+  a counterexample dict, or None when the case holds.  The runner stops at
+  the first counterexample and reports ``fail`` with ``k + 1`` cases, and
+  otherwise ``pass`` with every case.
+* A whole-check row (no key) is a check that is not one seeded loop:
+  ``fn(surface, seed, samples)`` returns ``(status, cases, counterexample,
+  detail)`` itself.
+* A surface outside the row's class is ``skip`` with 0 cases; nothing of
+  the row runs.
+* ``setup(surface)`` is built once per run of the row, before its first
+  case, and dropped when the row ends.  It is not memoized on the surface:
+  the series tables and cutoff ladders would outlive the check.
+
+Every draw depends on (seed, key, index) alone, so reports are deterministic
+for a fixed configuration.  Wall-clock timings are kept out of the report
+payload (they go to stderr) to keep two runs with the same seed
+byte-identical.  A check that raises is recorded as a failure whose
+counterexample names the exception, and the remaining checks still run; its
+traceback is kept on the result, outside the payload.
 """
 
 from __future__ import annotations
@@ -19,6 +39,7 @@ from . import kummer, nonarch, theta
 from .errors import InternalInconsistencyError, RadiusTooSmallError
 from .exact import Mat2, Vec2, is_unimodular
 from .lattice import (
+    HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
     classify,
@@ -80,7 +101,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         return {
             "config": {
-                "gram": [[str(e) for e in row] for row in self.gram.rows()],
+                "gram": _rows(self.gram),
                 "seed": self.seed,
                 "samples": self.samples,
             },
@@ -90,69 +111,99 @@ class VerificationReport:
         }
 
 
-@dataclass
-class _Ctx:
-    surface: PrincipallyPolarizedSurface
-    seed: int
-    samples: int
+def _all(samples: int) -> int:
+    return samples
 
-    def rng(self, *index):
-        return rng_for(self.seed, *index)
 
-    @property
-    def n_matrices(self) -> int:
-        return max(2, min(20, self.samples // 10))
+def _quarter(samples: int) -> int:
+    return max(1, samples // 4)
+
+
+def _n_matrices(samples: int) -> int:
+    """How many extra random surfaces a check draws."""
+    return max(2, min(20, samples // 10))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the invariant table; see the module docstring."""
+
+    name: str
+    fn: Callable
+    key: Optional[str] = None  # rng key of a per-case row; None: a whole check
+    count: Callable[[int], int] = _all  # samples -> cases of a per-case row
+    needs: Optional[SurfaceClass] = None
+    setup: Optional[Callable] = None
+
+
+def run_check(
+    check: Check, surface: PrincipallyPolarizedSurface, seed: int, samples: int
+) -> CheckResult:
+    """Run one row on one surface; a raising check is recorded as `fail`."""
+    start = time.perf_counter()
+    counterexample = detail = trace = None
+    try:
+        if check.needs is not None and classify(surface) is not check.needs:
+            status, cases = SKIP, 0
+        elif check.key is None:
+            status, cases, counterexample, detail = check.fn(surface, seed, samples)
+        else:
+            status, cases = PASS, check.count(samples)
+            extra = () if check.setup is None else (check.setup(surface),)
+            for k in range(cases):
+                counterexample = check.fn(surface, rng_for(seed, check.key, k), *extra)
+                if counterexample is not None:
+                    status, cases = FAIL, k + 1
+                    break
+    except Exception as exc:  # one raising check must not lose the report
+        import traceback  # here, not at the top: importing it slows CLI start
+
+        trace = traceback.format_exc()
+        status, cases, detail = FAIL, 0, None
+        counterexample = {"exception": type(exc).__name__, "message": str(exc)}
+    elapsed = time.perf_counter() - start
+    return CheckResult(
+        check.name, status, cases, counterexample, detail, elapsed, trace
+    )
 
 
 def _vec(v) -> list[str]:
     return [str(c) for c in v.as_tuple()]
 
 
-def _check_gram_symmetry(ctx: _Ctx):
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("gram-symmetry", k)
-        x, y = random_point(rng, 5), random_point(rng, 5)
-        if s.q(x, y) != s.q(y, x):
-            return FAIL, k + 1, {"x": _vec(x), "y": _vec(y)}, None
-    return PASS, ctx.samples, None, None
+def _rows(m: Mat2) -> list[list[str]]:
+    return [[str(e) for e in row] for row in m.rows()]
 
 
-def _check_gram_positivity(ctx: _Ctx):
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("gram-positivity", k)
-        x = random_point(rng, 5)
-        if x == Vec2(0, 0):
-            continue
-        if s.norm(x) <= 0:
-            return FAIL, k + 1, {"x": _vec(x), "q": str(s.norm(x))}, None
-    return PASS, ctx.samples, None, None
+def _gram_symmetry(s, rng):
+    x, y = random_point(rng, 5), random_point(rng, 5)
+    if s.q(x, y) != s.q(y, x):
+        return {"x": _vec(x), "y": _vec(y)}
 
 
-def _check_unimodular_invariance(ctx: _Ctx):
-    for k in range(ctx.samples):
-        rng = ctx.rng("unimodular-invariance", k)
-        m = rng.choice((2, 3))
-        rows = [
-            (rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m)
-        ]
-        base = is_unimodular(rows)
-        perm = list(range(m))
-        rng.shuffle(perm)
-        permuted = [rows[i] for i in perm]
-        u = random_unimodular(rng)
-        transformed = []
-        for r in rows:
-            rv = u.mul_vec(Vec2(r[0], r[1]))  # right multiplication by U
-            transformed.append((int(rv.x), int(rv.y)))
-        if is_unimodular(permuted) != base or is_unimodular(transformed) != base:
-            return FAIL, k + 1, {"rows": rows, "unimodular": base}, None
-    return PASS, ctx.samples, None, None
+def _gram_positivity(s, rng):
+    x = random_point(rng, 5)
+    if x != Vec2(0, 0) and s.norm(x) <= 0:
+        return {"x": _vec(x), "q": str(s.norm(x))}
 
 
-def _check_dual_basis_integrality(ctx: _Ctx):
-    s = ctx.surface
+def _unimodular_invariance(s, rng):
+    m = rng.choice((2, 3))
+    rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m)]
+    base = is_unimodular(rows)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    permuted = [rows[i] for i in perm]
+    u = random_unimodular(rng)
+    transformed = []
+    for r in rows:
+        rv = u.mul_vec(Vec2(r[0], r[1]))  # right multiplication by U
+        transformed.append((int(rv.x), int(rv.y)))
+    if is_unimodular(permuted) != base or is_unimodular(transformed) != base:
+        return {"rows": rows, "unimodular": base}
+
+
+def _dual_basis_integrality(s, seed, samples):
     basis = (Vec2(1, 0), Vec2(0, 1))
     nb = s.n_basis
     duals = (Vec2(nb.a, nb.c), Vec2(nb.b, nb.d))  # columns of G^{-1}
@@ -164,8 +215,8 @@ def _check_dual_basis_integrality(ctx: _Ctx):
     return PASS, 4, None, None
 
 
-def _check_reduction_invariants(ctx: _Ctx):
-    rb = lagrange_reduce(ctx.surface)
+def _reduction_invariants(s, seed, samples):
+    rb = lagrange_reduce(s)
     quu, qvv, quv = rb.norms
     det = rb.u.x * rb.v.y - rb.u.y * rb.v.x
     ok = (
@@ -184,18 +235,11 @@ def _check_reduction_invariants(ctx: _Ctx):
     return (PASS if ok else FAIL), 1, (None if ok else detail), detail
 
 
-def _check_classify_congruence(ctx: _Ctx):
-    base_class = classify(ctx.surface)
-    g = ctx.surface.gram
-    n = max(10, ctx.n_matrices)
-    for k in range(n):
-        rng = ctx.rng("classify-congruence", k)
-        u = random_unimodular(rng)
-        conj = u.transpose().mul_mat(g).mul_mat(u)
-        if classify(make_surface(conj)) is not base_class:
-            rows = [[str(e) for e in row] for row in u.rows()]
-            return FAIL, k + 1, {"U": rows}, None
-    return PASS, n, None, None
+def _classify_congruence(s, rng, base_class):
+    u = random_unimodular(rng)
+    conj = u.transpose().mul_mat(s.gram).mul_mat(u)
+    if classify(make_surface(conj)) is not base_class:
+        return {"U": _rows(u)}
 
 
 def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> Optional[str]:
@@ -226,138 +270,82 @@ def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> Optional[str]:
     return None
 
 
-def _check_voronoi_geometry(ctx: _Ctx):
-    problem = _voronoi_geometry_ok(ctx.surface)
+def _voronoi_geometry(s, seed, samples):
+    problem = _voronoi_geometry_ok(s)
     if problem:
         return FAIL, 1, {"surface": "configured", "problem": problem}, None
-    n = ctx.n_matrices
+    n = _n_matrices(samples)
     for k in range(n):
-        rng = ctx.rng("voronoi-geometry", k)
-        surface = random_surface(rng)
+        surface = random_surface(rng_for(seed, "voronoi-geometry", k))
         problem = _voronoi_geometry_ok(surface)
         if problem:
-            rows = [[str(e) for e in row] for row in surface.gram.rows()]
-            return FAIL, k + 2, {"gram": rows, "problem": problem}, None
+            return FAIL, k + 2, {"gram": _rows(surface.gram), "problem": problem}, None
     return PASS, n + 1, None, None
 
 
-def _check_cvp_oracle(ctx: _Ctx):
-    s = ctx.surface
-    n = ctx.samples
-    for k in range(n):
-        rng = ctx.rng("cvp-oracle", k)
-        x = random_point(rng, 5)
-        x0, p = reduce_point(s, x)
-        if x0 + p != x or not p.is_integral():
-            return FAIL, k + 1, {"x": _vec(x), "problem": "bad decomposition"}, None
-        expected = _oracle_theta(s, CHARACTERISTICS[0], x) + s.norm(x)
-        if s.norm(x0) != expected:
-            return (
-                FAIL,
-                k + 1,
-                {
-                    "x": _vec(x),
-                    "descent": str(s.norm(x0)),
-                    "oracle": str(expected),
-                },
-                None,
-            )
-    return PASS, n, None, None
+def _cvp_oracle(s, rng):
+    x = random_point(rng, 5)
+    x0, p = reduce_point(s, x)
+    if x0 + p != x or not p.is_integral():
+        return {"x": _vec(x), "problem": "bad decomposition"}
+    expected = _oracle_theta(s, CHARACTERISTICS[0], x) + s.norm(x)
+    if s.norm(x0) != expected:
+        return {"x": _vec(x), "descent": str(s.norm(x0)), "oracle": str(expected)}
 
 
-def _check_reduce_idempotence(ctx: _Ctx):
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("reduce-idempotence", k)
-        x0, _ = reduce_point(s, random_point(rng, 5))
-        x1, p = reduce_point(s, x0)
-        if p != Vec2(0, 0) or s.norm(x1) != s.norm(x0):
-            return FAIL, k + 1, {"x0": _vec(x0), "x1": _vec(x1)}, None
-        if not in_voronoi_cell(s, x0):
-            return FAIL, k + 1, {"x0": _vec(x0), "problem": "not in cell"}, None
-    return PASS, ctx.samples, None, None
+def _reduce_idempotence(s, rng):
+    x0, _ = reduce_point(s, random_point(rng, 5))
+    x1, p = reduce_point(s, x0)
+    if p != Vec2(0, 0) or s.norm(x1) != s.norm(x0):
+        return {"x0": _vec(x0), "x1": _vec(x1)}
+    if not in_voronoi_cell(s, x0):
+        return {"x0": _vec(x0), "problem": "not in cell"}
 
 
-def _check_theta_zero_on_cell(ctx: _Ctx):
-    s = ctx.surface
+def _theta_zero_on_cell(s, rng):
+    x0, _ = reduce_point(s, random_point(rng, 5))
+    val = theta_eval(s, CHARACTERISTICS[0], x0).value
+    if val != 0:
+        return {"x0": _vec(x0), "value": str(val)}
+
+
+def _theta_evenness(s, rng):
+    x = random_point(rng, 4)
+    for char in CHARACTERISTICS:
+        if theta_eval(s, char, x).value != theta_eval(s, char, -x).value:
+            return {"x": _vec(x), "char": str(char)}
+
+
+def _theta_quasi_periodicity(s, rng):
+    x = random_point(rng, 3)
+    up = random_integer_vector(rng, 3)
+    for char in CHARACTERISTICS:
+        lhs = theta_eval(s, char, x + up).value
+        rhs = theta_eval(s, char, x).value - 2 * s.q(x, up) - s.norm(up)
+        if lhs != rhs:
+            return {"x": _vec(x), "shift": _vec(up), "char": str(char)}
+
+
+def _theta_translation(s, rng, rb):
     char00 = CHARACTERISTICS[0]
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-zero-on-cell", k)
-        x0, _ = reduce_point(s, random_point(rng, 5))
-        val = theta_eval(s, char00, x0).value
-        if val != 0:
-            return FAIL, k + 1, {"x0": _vec(x0), "value": str(val)}, None
-    return PASS, ctx.samples, None, None
+    x = random_point(rng, 3)
+    for char, vec in zip(CHARACTERISTICS[1:], (rb.u, rb.v, rb.w)):
+        lhs = theta_eval(s, char, x).value
+        quarter = s.norm(vec) / 4
+        plus = theta_eval(s, char00, x + HALF * vec).value + s.q(x, vec) + quarter
+        minus = theta_eval(s, char00, x - HALF * vec).value - s.q(x, vec) + quarter
+        if lhs != plus or lhs != minus:
+            return {"x": _vec(x), "char": str(char)}
 
 
-def _check_theta_evenness(ctx: _Ctx):
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-evenness", k)
-        x = random_point(rng, 4)
-        for char in CHARACTERISTICS:
-            if theta_eval(s, char, x).value != theta_eval(s, char, -x).value:
-                return FAIL, k + 1, {"x": _vec(x), "char": str(char)}, None
-    return PASS, ctx.samples, None, None
-
-
-def _check_theta_quasi_periodicity(ctx: _Ctx):
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-quasi-periodicity", k)
-        x = random_point(rng, 3)
-        up = random_integer_vector(rng, 3)
-        for char in CHARACTERISTICS:
-            lhs = theta_eval(s, char, x + up).value
-            rhs = theta_eval(s, char, x).value - 2 * s.q(x, up) - s.norm(up)
-            if lhs != rhs:
-                return (
-                    FAIL,
-                    k + 1,
-                    {"x": _vec(x), "shift": _vec(up), "char": str(char)},
-                    None,
-                )
-    return PASS, ctx.samples, None, None
-
-
-def _check_theta_translation(ctx: _Ctx):
-    s = ctx.surface
-    rb = lagrange_reduce(s)
-    char00 = CHARACTERISTICS[0]
-    triples = (
-        (CHARACTERISTICS[1], rb.u),
-        (CHARACTERISTICS[2], rb.v),
-        (CHARACTERISTICS[3], rb.w),
-    )
-    half = Fraction(1, 2)
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-translation", k)
-        x = random_point(rng, 3)
-        for char, vec in triples:
-            lhs = theta_eval(s, char, x).value
-            quarter = s.norm(vec) / 4
-            plus = theta_eval(s, char00, x + half * vec).value + s.q(x, vec) + quarter
-            minus = theta_eval(s, char00, x - half * vec).value - s.q(x, vec) + quarter
-            if lhs != plus or lhs != minus:
-                return FAIL, k + 1, {"x": _vec(x), "char": str(char)}, None
-    return PASS, ctx.samples, None, None
-
-
-def _check_theta_concavity(ctx: _Ctx):
-    s = ctx.surface
-    half = Fraction(1, 2)
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-concavity", k)
-        x, y = random_point(rng, 3), random_point(rng, 3)
-        mid = half * (x + y)
-        for char in CHARACTERISTICS:
-            lhs = theta_eval(s, char, mid).value
-            rhs = (
-                theta_eval(s, char, x).value + theta_eval(s, char, y).value
-            ) / 2
-            if lhs < rhs:
-                return FAIL, k + 1, {"x": _vec(x), "y": _vec(y)}, None
-    return PASS, ctx.samples, None, None
+def _theta_concavity(s, rng):
+    x, y = random_point(rng, 3), random_point(rng, 3)
+    mid = HALF * (x + y)
+    for char in CHARACTERISTICS:
+        lhs = theta_eval(s, char, mid).value
+        rhs = (theta_eval(s, char, x).value + theta_eval(s, char, y).value) / 2
+        if lhs < rhs:
+            return {"x": _vec(x), "y": _vec(y)}
 
 
 def _oracle_theta(surface, char, x) -> Fraction:
@@ -370,158 +358,115 @@ def _oracle_theta(surface, char, x) -> Fraction:
             radius += 2
 
 
-def _check_theta_oracle(ctx: _Ctx):
-    surfaces = [ctx.surface]
-    for k in range(ctx.n_matrices):
-        surfaces.append(random_surface(ctx.rng("theta-oracle-gram", k)))
+def _theta_oracle(s, seed, samples):
+    surfaces = [s]
+    for k in range(_n_matrices(samples)):
+        surfaces.append(random_surface(rng_for(seed, "theta-oracle-gram", k)))
     cases = 0
-    per_surface = max(1, ctx.samples // len(surfaces))
+    per_surface = max(1, samples // len(surfaces))
     for si, surface in enumerate(surfaces):
         for k in range(per_surface):
-            rng = ctx.rng("theta-oracle", si, k)
+            rng = rng_for(seed, "theta-oracle", si, k)
             x = random_point(rng, 2)
             char = CHARACTERISTICS[rng.randrange(4)]
             cases += 1
             fast = theta_eval(surface, char, x).value
             slow = _oracle_theta(surface, char, x)
             if fast != slow:
-                rows = [[str(e) for e in row] for row in surface.gram.rows()]
-                return (
-                    FAIL,
-                    cases,
-                    {
-                        "gram": rows,
-                        "x": _vec(x),
-                        "char": str(char),
-                        "fast": str(fast),
-                        "oracle": str(slow),
-                    },
-                    None,
-                )
+                counterexample = {
+                    "gram": _rows(surface.gram),
+                    "x": _vec(x),
+                    "char": str(char),
+                    "fast": str(fast),
+                    "oracle": str(slow),
+                }
+                return FAIL, cases, counterexample, None
     return PASS, cases, None, None
 
 
-def _check_theta_minimizer(ctx: _Ctx):
-    s = ctx.surface
-    half = Fraction(1, 2)
-    for k in range(ctx.samples):
-        rng = ctx.rng("theta-minimizer", k)
-        x = random_point(rng, 4)
-        char = CHARACTERISTICS[rng.randrange(4)]
-        tv = theta_eval(s, char, x)
-        shift = x + half * theta.char_vector(s, char)
-        attained = s.norm(tv.minimizer + shift) - s.norm(x)
-        if attained != tv.value or not tv.minimizer.is_integral():
-            return FAIL, k + 1, {"x": _vec(x), "char": str(char)}, None
-    return PASS, ctx.samples, None, None
+def _theta_minimizer(s, rng):
+    x = random_point(rng, 4)
+    char = CHARACTERISTICS[rng.randrange(4)]
+    tv = theta_eval(s, char, x)
+    shift = x + HALF * theta.char_vector(s, char)
+    attained = s.norm(tv.minimizer + shift) - s.norm(x)
+    if attained != tv.value or not tv.minimizer.is_integral():
+        return {"x": _vec(x), "char": str(char)}
 
 
-def _check_descent_cocycle(ctx: _Ctx):
-    datum = nonarch.descent_datum(ctx.surface)
-    for k in range(ctx.samples):
-        rng = ctx.rng("descent-cocycle", k)
-        u1 = random_integer_vector(rng, 5)
-        u2 = random_integer_vector(rng, 5)
-        if datum.cocycle_defect(u1, u2) != 0:
-            return FAIL, k + 1, {"u1": _vec(u1), "u2": _vec(u2)}, None
-        if datum.gamma(u1) != datum.gamma(-u1):
-            return FAIL, k + 1, {"u1": _vec(u1), "problem": "gamma not even"}, None
-        if datum.gamma(u1) != ctx.surface.norm(u1):
-            return FAIL, k + 1, {"u1": _vec(u1), "problem": "gamma != Q(u,u)"}, None
-    return PASS, ctx.samples, None, None
+def _descent_cocycle(s, rng, datum):
+    u1 = random_integer_vector(rng, 5)
+    u2 = random_integer_vector(rng, 5)
+    if datum.cocycle_defect(u1, u2) != 0:
+        return {"u1": _vec(u1), "u2": _vec(u2)}
+    if datum.gamma(u1) != datum.gamma(-u1):
+        return {"u1": _vec(u1), "problem": "gamma not even"}
+    if datum.gamma(u1) != s.norm(u1):
+        return {"u1": _vec(u1), "problem": "gamma != Q(u,u)"}
 
 
-def _check_series_lift(ctx: _Ctx):
-    s = ctx.surface
-    bound = Fraction(2)
-    series = {
-        str(char): nonarch.build_series(s, char, nonarch.safe_cutoff(s, char, bound))
-        for char in CHARACTERISTICS
-    }
-    for k in range(ctx.samples):
-        rng = ctx.rng("series-lift", k)
-        v = random_point(rng, 2)
-        for char in CHARACTERISTICS:
-            got = nonarch.tropicalize_series(series[str(char)], v)
-            want = theta_eval(s, char, v).value
-            if got != want:
-                return (
-                    FAIL,
-                    k + 1,
-                    {
-                        "v": _vec(v),
-                        "char": str(char),
-                        "series": str(got),
-                        "theta": str(want),
-                    },
-                    None,
-                )
-    return PASS, ctx.samples, None, None
+def _series_tables(bound: Fraction) -> Callable:
+    """Setup: one series per characteristic, certified up to `bound`."""
 
-
-def _check_series_quasi_periodicity(ctx: _Ctx):
-    s = ctx.surface
-    bound = Fraction(5)
-    series = {
-        str(char): nonarch.build_series(s, char, nonarch.safe_cutoff(s, char, bound))
-        for char in CHARACTERISTICS
-    }
-    n = max(1, ctx.samples // 4)
-    for k in range(n):
-        rng = ctx.rng("series-quasi-periodicity", k)
-        v = random_point(rng, 2)
-        up = random_integer_vector(rng, 2)
-        for char in CHARACTERISTICS:
-            lhs = nonarch.tropicalize_series(series[str(char)], v + up)
-            rhs = (
-                nonarch.tropicalize_series(series[str(char)], v)
-                - 2 * s.q(v, up)
-                - s.norm(up)
-            )
-            if lhs != rhs:
-                return FAIL, k + 1, {"v": _vec(v), "shift": _vec(up)}, None
-    return PASS, n, None, None
-
-
-def _check_cutoff_stability(ctx: _Ctx):
-    s = ctx.surface
-    bound = Fraction(2)
-    ladders = {}
-    for char in CHARACTERISTICS:
-        safe = nonarch.safe_cutoff(s, char, bound)
-        ladders[str(char)] = [
-            nonarch.build_series(s, char, r)
-            for r in (max(0, safe - 1), safe, 2 * safe)
+    def setup(s):
+        return [
+            nonarch.build_series(s, char, nonarch.safe_cutoff(s, char, bound))
+            for char in CHARACTERISTICS
         ]
-    n = max(1, ctx.samples // 4)
-    for k in range(n):
-        rng = ctx.rng("cutoff-stability", k)
-        v = random_point(rng, 2)
-        for char in CHARACTERISTICS:
-            values = [
-                nonarch.tropicalize_series(series, v)
-                for series in ladders[str(char)]
-            ]
-            if values[1] > values[0] or values[2] > values[1]:
-                return FAIL, k + 1, {"v": _vec(v), "char": str(char)}, None
-            if values[2] != values[1]:
-                return (
-                    FAIL,
-                    k + 1,
-                    {"v": _vec(v), "char": str(char), "problem": "not stabilized"},
-                    None,
-                )
-    return PASS, n, None, None
+
+    return setup
 
 
-def _check_quartic_structure(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    quartic = kummer.build_quartic(ctx.surface)  # construction re-validates
+def _series_lift(s, rng, tables):
+    v = random_point(rng, 2)
+    for char, series in zip(CHARACTERISTICS, tables):
+        got = nonarch.tropicalize_series(series, v)
+        want = theta_eval(s, char, v).value
+        if got != want:
+            return {
+                "v": _vec(v),
+                "char": str(char),
+                "series": str(got),
+                "theta": str(want),
+            }
+
+
+def _series_quasi_periodicity(s, rng, tables):
+    v = random_point(rng, 2)
+    up = random_integer_vector(rng, 2)
+    for series in tables:
+        lhs = nonarch.tropicalize_series(series, v + up)
+        rhs = nonarch.tropicalize_series(series, v) - 2 * s.q(v, up) - s.norm(up)
+        if lhs != rhs:
+            return {"v": _vec(v), "shift": _vec(up)}
+
+
+def _cutoff_ladders(s):
+    """Setup: per characteristic, series at cutoffs safe - 1, safe, 2 safe."""
+    ladders = []
+    for char in CHARACTERISTICS:
+        safe = nonarch.safe_cutoff(s, char, Fraction(2))
+        cutoffs = (max(0, safe - 1), safe, 2 * safe)
+        ladders.append([nonarch.build_series(s, char, r) for r in cutoffs])
+    return ladders
+
+
+def _cutoff_stability(s, rng, ladders):
+    v = random_point(rng, 2)
+    for char, ladder in zip(CHARACTERISTICS, ladders):
+        values = [nonarch.tropicalize_series(series, v) for series in ladder]
+        if values[1] > values[0] or values[2] > values[1]:
+            return {"v": _vec(v), "char": str(char)}
+        if values[2] != values[1]:
+            return {"v": _vec(v), "char": str(char), "problem": "not stabilized"}
+
+
+def _quartic_structure(s, seed, samples):
+    quartic = kummer.build_quartic(s)  # construction re-validates
     if set(quartic.vertices) != {-v for v in quartic.vertices}:
         return FAIL, 1, {"problem": "vertex set not antipodally stable"}, None
-    diagnostics = kummer.vertex_sign_diagnostics(ctx.surface)
-    torsion = kummer.two_torsion_images(ctx.surface)
+    diagnostics = kummer.vertex_sign_diagnostics(s)
+    torsion = kummer.two_torsion_images(s)
     detail = {
         "display_reading": diagnostics["consistent_reading"],
         "two_torsion_on_vertices": [flag for _, _, flag in torsion],
@@ -532,70 +477,45 @@ def _check_quartic_structure(ctx: _Ctx):
     return PASS, 1, None, detail
 
 
-def _check_quartic_coverage(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    quartic = kummer.build_quartic(ctx.surface)
-    for k in range(ctx.samples):
-        rng = ctx.rng("quartic-coverage", k)
-        x = random_point(rng, 4)
-        image = kummer.psi_eval(ctx.surface, x)
-        if not kummer.contains(quartic, image):
-            return FAIL, k + 1, {"x": _vec(x), "psi": _vec(image)}, None
-    return PASS, ctx.samples, None, None
+def _quartic_coverage(s, rng, quartic):
+    x = random_point(rng, 4)
+    image = kummer.psi_eval(s, x)
+    if not kummer.contains(quartic, image):
+        return {"x": _vec(x), "psi": _vec(image)}
 
 
-def _check_psi_injectivity(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    s = ctx.surface
-    for k in range(ctx.samples):
-        rng = ctx.rng("psi-injectivity", k)
-        y = random_point(rng, 3)
-        mode = rng.randrange(3)
-        if mode == 0:
-            yp = y + random_integer_vector(rng, 3)
-        elif mode == 1:
-            yp = -y + random_integer_vector(rng, 3)
-        else:
-            yp = random_point(rng, 3)
-        try:
-            verdict = kummer.injectivity_check(s, y, yp)
-        except InternalInconsistencyError as exc:
-            return FAIL, k + 1, {"y": _vec(y), "yp": _vec(yp), "error": str(exc)}, None
-        same_image = kummer.psi_eval(s, y) == kummer.psi_eval(s, yp)
-        equivalent = isinstance(
-            verdict, (kummer.EquivalentPlus, kummer.EquivalentMinus)
-        )
-        if same_image != equivalent:
-            return FAIL, k + 1, {"y": _vec(y), "yp": _vec(yp)}, None
-    return PASS, ctx.samples, None, None
+def _psi_injectivity(s, rng):
+    y = random_point(rng, 3)
+    mode = rng.randrange(3)
+    if mode == 0:
+        yp = y + random_integer_vector(rng, 3)
+    elif mode == 1:
+        yp = -y + random_integer_vector(rng, 3)
+    else:
+        yp = random_point(rng, 3)
+    try:
+        verdict = kummer.injectivity_check(s, y, yp)
+    except InternalInconsistencyError as exc:
+        return {"y": _vec(y), "yp": _vec(yp), "error": str(exc)}
+    same_image = kummer.psi_eval(s, y) == kummer.psi_eval(s, yp)
+    equivalent = isinstance(verdict, (kummer.EquivalentPlus, kummer.EquivalentMinus))
+    if same_image != equivalent:
+        return {"y": _vec(y), "yp": _vec(yp)}
 
 
-def _check_psi_product_collapse(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.PRODUCT_TYPE:
-        return SKIP, 0, None, None
-    s = ctx.surface
-    rb = lagrange_reduce(s)
-    for k in range(ctx.samples):
-        rng = ctx.rng("psi-product-collapse", k)
-        # Mirror across the first reduced axis: x1 u + x2 v -> x1 u - x2 v.
-        c1, c2 = random_point(rng, 3).as_tuple()
-        x = c1 * rb.u + c2 * rb.v
-        mirrored = c1 * rb.u - c2 * rb.v
-        if kummer.psi_eval(s, x) != kummer.psi_eval(s, mirrored):
-            return FAIL, k + 1, {"x": _vec(x)}, None
-    return PASS, ctx.samples, None, None
+def _psi_product_collapse(s, rng, rb):
+    # Mirror across the first reduced axis: x1 u + x2 v -> x1 u - x2 v.
+    c1, c2 = random_point(rng, 3).as_tuple()
+    x = c1 * rb.u + c2 * rb.v
+    if kummer.psi_eval(s, x) != kummer.psi_eval(s, c1 * rb.u - c2 * rb.v):
+        return {"x": _vec(x)}
 
 
-def _check_affine_unimodularity(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    surfaces = [ctx.surface]
-    n_extra = max(2, ctx.n_matrices // 2)
-    for k in range(n_extra):
+def _affine_unimodularity(s, seed, samples):
+    surfaces = [s]
+    for k in range(max(2, _n_matrices(samples) // 2)):
         surfaces.append(
-            random_irreducible_surface(ctx.rng("affine-unimodularity-gram", k))
+            random_irreducible_surface(rng_for(seed, "affine-unimodularity-gram", k))
         )
     cases = 0
     for surface in surfaces:
@@ -603,13 +523,11 @@ def _check_affine_unimodularity(ctx: _Ctx):
         cases += len(pieces)
         bad = [p for p in pieces if not p.unimodular]
         if len(pieces) != 18 or bad:
-            rows = [[str(e) for e in row] for row in surface.gram.rows()]
-            return (
-                FAIL,
-                cases,
-                {"gram": rows, "bad_cells": [p.cell.label for p in bad]},
-                None,
-            )
+            counterexample = {
+                "gram": _rows(surface.gram),
+                "bad_cells": [p.cell.label for p in bad],
+            }
+            return FAIL, cases, counterexample, None
         for piece in pieces:
             antipode = next(
                 q
@@ -623,10 +541,8 @@ def _check_affine_unimodularity(ctx: _Ctx):
     return PASS, cases, None, None
 
 
-def _check_coplanarity_table(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    report = kummer.coplanarity_report(ctx.surface)  # self-validating
+def _coplanarity_table(s, seed, samples):
+    report = kummer.coplanarity_report(s)  # self-validating
     detail = {
         f"{face.normal}={face.offset}": list(cells)
         for face, cells in report.items()
@@ -634,10 +550,7 @@ def _check_coplanarity_table(ctx: _Ctx):
     return PASS, len(report), None, detail
 
 
-def _check_subdivision_geometry(ctx: _Ctx):
-    if classify(ctx.surface) is not SurfaceClass.IRREDUCIBLE:
-        return SKIP, 0, None, None
-    s = ctx.surface
+def _subdivision_geometry(s, seed, samples):
     complex_ = subdivide(s)
     total = sum(cell.area() for cell in complex_.cells)
     if total != 1:
@@ -647,51 +560,107 @@ def _check_subdivision_geometry(ctx: _Ctx):
             if not in_voronoi_cell(s, p):
                 return FAIL, 1, {"cell": cell.label, "vertex": _vec(p)}, None
     rb = lagrange_reduce(s)
-    half = Fraction(1, 2)
-    shifts = (half * rb.v, half * -rb.w)
+    shifts = (HALF * rb.v, HALF * -rb.w)
     for cell in complex_.cells:
         if cell.quadrilateral != 1:
             continue
         for shift in shifts:
             for p in cell.vertices:
                 if not in_voronoi_cell(s, p + shift):
-                    return (
-                        FAIL,
-                        1,
-                        {"cell": cell.label, "vertex": _vec(p), "shift": _vec(shift)},
-                        None,
-                    )
+                    counterexample = {
+                        "cell": cell.label,
+                        "vertex": _vec(p),
+                        "shift": _vec(shift),
+                    }
+                    return FAIL, 1, counterexample, None
     return PASS, len(complex_.cells), None, None
 
 
-_CHECKS: tuple[tuple[str, Callable[[_Ctx], tuple]], ...] = (
-    ("gram-symmetry", _check_gram_symmetry),
-    ("gram-positivity", _check_gram_positivity),
-    ("unimodular-invariance", _check_unimodular_invariance),
-    ("dual-basis-integrality", _check_dual_basis_integrality),
-    ("reduction-invariants", _check_reduction_invariants),
-    ("classify-congruence-invariance", _check_classify_congruence),
-    ("voronoi-geometry", _check_voronoi_geometry),
-    ("cvp-descent-oracle", _check_cvp_oracle),
-    ("reduce-idempotence", _check_reduce_idempotence),
-    ("theta-zero-on-cell", _check_theta_zero_on_cell),
-    ("theta-evenness", _check_theta_evenness),
-    ("theta-quasi-periodicity", _check_theta_quasi_periodicity),
-    ("theta-translation-identities", _check_theta_translation),
-    ("theta-concavity", _check_theta_concavity),
-    ("theta-minimizer-attained", _check_theta_minimizer),
-    ("theta-bruteforce-oracle", _check_theta_oracle),
-    ("descent-datum-cocycle", _check_descent_cocycle),
-    ("series-lift-consistency", _check_series_lift),
-    ("series-quasi-periodicity", _check_series_quasi_periodicity),
-    ("series-cutoff-stability", _check_cutoff_stability),
-    ("quartic-structure", _check_quartic_structure),
-    ("quartic-coverage", _check_quartic_coverage),
-    ("psi-injectivity-mod-sign", _check_psi_injectivity),
-    ("psi-product-collapse", _check_psi_product_collapse),
-    ("affine-unimodularity", _check_affine_unimodularity),
-    ("coplanarity-table", _check_coplanarity_table),
-    ("subdivision-geometry", _check_subdivision_geometry),
+_IRREDUCIBLE = SurfaceClass.IRREDUCIBLE
+
+# The report lists the checks in this order.  Setups that `perfbench` traces
+# are called through a lambda: looked up when the check runs, the wrapped
+# function is the one called.
+CHECKS: tuple[Check, ...] = (
+    Check("gram-symmetry", _gram_symmetry, "gram-symmetry"),
+    Check("gram-positivity", _gram_positivity, "gram-positivity"),
+    Check("unimodular-invariance", _unimodular_invariance, "unimodular-invariance"),
+    Check("dual-basis-integrality", _dual_basis_integrality),
+    Check("reduction-invariants", _reduction_invariants),
+    Check(
+        "classify-congruence-invariance",
+        _classify_congruence,
+        "classify-congruence",
+        count=lambda samples: max(10, _n_matrices(samples)),
+        setup=classify,
+    ),
+    Check("voronoi-geometry", _voronoi_geometry),
+    Check("cvp-descent-oracle", _cvp_oracle, "cvp-oracle"),
+    Check("reduce-idempotence", _reduce_idempotence, "reduce-idempotence"),
+    Check("theta-zero-on-cell", _theta_zero_on_cell, "theta-zero-on-cell"),
+    Check("theta-evenness", _theta_evenness, "theta-evenness"),
+    Check(
+        "theta-quasi-periodicity", _theta_quasi_periodicity, "theta-quasi-periodicity"
+    ),
+    Check(
+        "theta-translation-identities",
+        _theta_translation,
+        "theta-translation",
+        setup=lambda s: lagrange_reduce(s),
+    ),
+    Check("theta-concavity", _theta_concavity, "theta-concavity"),
+    Check("theta-minimizer-attained", _theta_minimizer, "theta-minimizer"),
+    Check("theta-bruteforce-oracle", _theta_oracle),
+    Check(
+        "descent-datum-cocycle",
+        _descent_cocycle,
+        "descent-cocycle",
+        setup=nonarch.descent_datum,
+    ),
+    Check(
+        "series-lift-consistency",
+        _series_lift,
+        "series-lift",
+        setup=_series_tables(Fraction(2)),
+    ),
+    Check(
+        "series-quasi-periodicity",
+        _series_quasi_periodicity,
+        "series-quasi-periodicity",
+        count=_quarter,
+        setup=_series_tables(Fraction(5)),
+    ),
+    Check(
+        "series-cutoff-stability",
+        _cutoff_stability,
+        "cutoff-stability",
+        count=_quarter,
+        setup=_cutoff_ladders,
+    ),
+    Check("quartic-structure", _quartic_structure, needs=_IRREDUCIBLE),
+    Check(
+        "quartic-coverage",
+        _quartic_coverage,
+        "quartic-coverage",
+        needs=_IRREDUCIBLE,
+        setup=lambda s: kummer.build_quartic(s),
+    ),
+    Check(
+        "psi-injectivity-mod-sign",
+        _psi_injectivity,
+        "psi-injectivity",
+        needs=_IRREDUCIBLE,
+    ),
+    Check(
+        "psi-product-collapse",
+        _psi_product_collapse,
+        "psi-product-collapse",
+        needs=SurfaceClass.PRODUCT_TYPE,
+        setup=lambda s: lagrange_reduce(s),
+    ),
+    Check("affine-unimodularity", _affine_unimodularity, needs=_IRREDUCIBLE),
+    Check("coplanarity-table", _coplanarity_table, needs=_IRREDUCIBLE),
+    Check("subdivision-geometry", _subdivision_geometry, needs=_IRREDUCIBLE),
 )
 
 
@@ -701,28 +670,14 @@ def run_verification(
     samples: int = 200,
     progress=None,
 ) -> VerificationReport:
-    ctx = _Ctx(surface=surface, seed=seed, samples=samples)
     report = VerificationReport(
         gram=surface.gram,
         seed=seed,
         samples=samples,
         surface_class=classify(surface).value,
     )
-    for name, func in _CHECKS:
-        start = time.perf_counter()
-        trace = None
-        try:
-            status, cases, counterexample, detail = func(ctx)
-        except Exception as exc:  # one raising check must not lose the report
-            import traceback  # here, not at the top: importing it slows CLI start
-
-            trace = traceback.format_exc()
-            status, cases, detail = FAIL, 0, None
-            counterexample = {"exception": type(exc).__name__, "message": str(exc)}
-        elapsed = time.perf_counter() - start
-        report.checks.append(
-            CheckResult(name, status, cases, counterexample, detail, elapsed, trace)
-        )
+    for check in CHECKS:
+        report.checks.append(run_check(check, surface, seed, samples))
         if progress is not None:
             progress(report.checks[-1])
     return report

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropical_kummer import make_surface
+from tropical_kummer import make_surface, verify
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,19 @@ def hidden_product():
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+@pytest.fixture(scope="session")
+def row_passes():
+    """Run one row of the `verify` table on surfaces; assert that it passes.
+
+    ``samples`` is the suite size the row's case-count rule reads.
+    """
+
+    def run(name, *surfaces, samples, seed):
+        (check,) = [c for c in verify.CHECKS if c.name == name]
+        for surface in surfaces:
+            result = verify.run_check(check, surface, seed, samples)
+            assert result.status == verify.PASS, (surface.gram.describe(), result)
+
+    return run

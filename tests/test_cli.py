@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -166,6 +167,46 @@ def test_pinned_outputs(capsys, hex_config):
     assert out == HEX_SERIES_11_OUTPUT
 
 
+# SHA-256 of `verify` reports at seed 7 and 50 samples, serialized as the
+# CLI prints them, recorded before the checks became one table of rows.
+VERIFY_SEED7_SAMPLES50_SHA256 = {
+    "skew": "028d8ac167c8f1dff6392548c7e5e3c96601d064bc8a98c25c7d47c25226a749",
+    "hidden-product": "388b2fc46d3cb172ecd14587b53b8642599b325bb4d69b938053cf274f88302e",
+    "unit-square": "026826549bc196555371d424ae41ac490115e63a45ad4a24433fa360f295323b",
+    "rational": "df475598bd6aedda758d09548ca68cf35ba909fe0d9b725e492ea127f80c0697",
+    # The skew surface with its descent cut to +-u, +-v: eleven checks fail,
+    # two of them by raising, so counterexamples and failing case counts
+    # are pinned too.
+    "skew-descent-cut": "d91f8e17a5de3be27c1c5a4de5393dc3facda337ce56e0e1354ca1b38eae4f53",
+}
+
+
+def _cut_descent(surface):
+    """The surface with its descent scanning only +-u and +-v (a broken kernel)."""
+    rb = surface.reduced
+    keep = {r.as_tuple() for r in (rb.u, rb.v, -rb.u, -rb.v)}
+    descent = tuple(entry for entry in surface.descent if entry[0] in keep)
+    return dataclasses.replace(surface, descent=descent, lazy={})
+
+
+_PINNED_SURFACES = {
+    "skew": make_surface([[2, -1], [-1, 3]]),
+    "hidden-product": make_surface([[5, 3], [3, 2]]),
+    "unit-square": make_surface([[1, 0], [0, 1]]),
+    "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+    "skew-descent-cut": _cut_descent(make_surface([[2, -1], [-1, 3]])),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SURFACES))
+def test_verify_reports_pinned(name):
+    report = verify.run_verification(_PINNED_SURFACES[name], seed=7, samples=50)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        VERIFY_SEED7_SAMPLES50_SHA256[name]
+    )
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"gram": [["1", "2"], ["2", "1"]]}))
@@ -188,6 +229,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(floaty))
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text('{"gram": [["2", "-1"],')
+    code, _, err = run_cli(capsys, "classify", str(garbled))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "JSONDecodeError"
 
 
 def test_surface_rejects_product_type(capsys, product_config):
@@ -276,13 +323,13 @@ def test_internal_errors_exit_3(capsys, monkeypatch, hex_config, error):
 
 
 def test_raising_check_is_recorded(capsys, monkeypatch, hex_config):
-    def broken(ctx):
+    def broken(surface, seed, samples):
         raise ZeroDivisionError("boom")
 
-    checks = list(verify._CHECKS)
-    index = [name for name, _ in checks].index("cvp-descent-oracle")
-    checks[index] = ("cvp-descent-oracle", broken)
-    monkeypatch.setattr(verify, "_CHECKS", tuple(checks))
+    checks = list(verify.CHECKS)
+    index = [check.name for check in checks].index("cvp-descent-oracle")
+    checks[index] = verify.Check("cvp-descent-oracle", broken)
+    monkeypatch.setattr(verify, "CHECKS", tuple(checks))
     report = verify.run_verification(make_surface(HEX_GRAM), seed=7, samples=5)
     assert len(report.checks) == 27
     failed = report.checks[index]

@@ -21,12 +21,7 @@ from tropical_kummer import (
     two_torsion_images,
     vertex_sign_diagnostics,
 )
-from tropical_kummer.sampling import (
-    random_integer_vector,
-    random_irreducible_surface,
-    random_point,
-    rng_for,
-)
+from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
 
 F = Fraction
 H = F(1, 2)
@@ -46,10 +41,8 @@ def test_psi_is_lattice_periodic(hexagonal, skew_hexagonal, unit_square):
             assert psi_eval(s, x) == psi_eval(s, x + shift)
 
 
-def test_psi_product_type_collapses(unit_square):
-    for k in range(40):
-        x = random_point(rng_for(43, "collapse", k), 3)
-        assert psi_eval(unit_square, x) == psi_eval(unit_square, Vec2(x.x, -x.y))
+def test_psi_product_type_collapses(row_passes, unit_square):
+    row_passes("psi-product-collapse", unit_square, samples=40, seed=43)
 
 
 def test_g_action_examples():
@@ -97,9 +90,8 @@ def test_quartic_skew_example(skew_hexagonal):
     assert quartic.vertex("tau_0") == Vec3(H, F(3, 4), F(3, 4))
 
 
-def test_quartic_vertex_set_is_antipodally_stable(skew_hexagonal):
-    vertices = set(build_quartic(skew_hexagonal).vertices)
-    assert vertices == {-v for v in vertices}
+def test_quartic_vertex_set_is_antipodally_stable(row_passes, skew_hexagonal):
+    row_passes("quartic-structure", skew_hexagonal, samples=1, seed=0)
 
 
 def test_face_offsets_come_in_opposite_pairs(hexagonal, skew_hexagonal):
@@ -127,12 +119,8 @@ def test_contains_rejects_points_off_the_faces(hexagonal):
     assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
 
 
-def test_surface_coverage(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        quartic = build_quartic(s)
-        for k in range(60):
-            x = random_point(rng_for(47, "coverage", k), 4)
-            assert contains(quartic, psi_eval(s, x))
+def test_surface_coverage(row_passes, hexagonal, skew_hexagonal):
+    row_passes("quartic-coverage", hexagonal, skew_hexagonal, samples=60, seed=47)
 
 
 def test_injectivity_examples(hexagonal):
@@ -150,21 +138,8 @@ def test_injectivity_rejects_product(unit_square):
         injectivity_check(unit_square, Vec2(0, 0), Vec2(0, 0))
 
 
-def test_injectivity_biconditional_sampled(hexagonal):
-    s = hexagonal
-    for k in range(200):
-        rng = rng_for(53, "pairs", k)
-        y = random_point(rng, 3)
-        mode = rng.randrange(3)
-        if mode == 0:
-            yp = y + random_integer_vector(rng, 3)
-        elif mode == 1:
-            yp = -y + random_integer_vector(rng, 3)
-        else:
-            yp = random_point(rng, 3)
-        verdict = injectivity_check(s, y, yp)
-        same = psi_eval(s, y) == psi_eval(s, yp)
-        assert isinstance(verdict, (EquivalentPlus, EquivalentMinus)) == same
+def test_injectivity_biconditional_sampled(row_passes, hexagonal):
+    row_passes("psi-injectivity-mod-sign", hexagonal, samples=200, seed=53)
 
 
 def test_affine_pieces_sigma_linear_part(hexagonal):
@@ -174,22 +149,12 @@ def test_affine_pieces_sigma_linear_part(hexagonal):
     assert sigma.unimodular
 
 
-def test_affine_pieces_all_unimodular(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        pieces = affine_pieces(s)
-        assert len(pieces) == 18
-        assert all(p.unimodular for p in pieces)
+def test_affine_pieces_all_unimodular(row_passes, hexagonal, skew_hexagonal):
+    row_passes("affine-unimodularity", hexagonal, skew_hexagonal, samples=1, seed=0)
 
 
-def test_affine_pieces_antipodal_cells_negate(hexagonal):
-    pieces = {p.cell.label: p for p in affine_pieces(hexagonal)}
-    for kind in ("sigma", "tau", "rho"):
-        for q in (1, 2, 3):
-            a = pieces[f"{kind}{q}"]
-            b = pieces[f"{kind}{q + 3}"]
-            assert b.linear_part == tuple(
-                (-r[0], -r[1]) for r in a.linear_part
-            )
+def test_affine_pieces_antipodal_cells_negate(row_passes, hexagonal):
+    row_passes("affine-unimodularity", hexagonal, samples=1, seed=0)
 
 
 def test_affine_pieces_offset_reproduces_values(hexagonal):
@@ -205,10 +170,9 @@ def test_affine_pieces_offset_reproduces_values(hexagonal):
             assert image == psi_eval(hexagonal, p)
 
 
-def test_unimodularity_on_seeded_irreducible_surfaces():
-    for k in range(6):
-        s = random_irreducible_surface(rng_for(59, "unimodular", k))
-        assert all(p.unimodular for p in affine_pieces(s))
+def test_unimodularity_on_seeded_irreducible_surfaces(row_passes, hexagonal):
+    # The hexagon and 6 random irreducible surfaces.
+    row_passes("affine-unimodularity", hexagonal, samples=120, seed=59)
 
 
 def test_coplanarity_report_hexagonal(hexagonal):

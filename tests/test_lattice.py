@@ -10,7 +10,6 @@ from tropical_kummer import (
     SurfaceClass,
     Vec2,
     classify,
-    in_voronoi_cell,
     lagrange_reduce,
     make_surface,
     reduce_point,
@@ -43,14 +42,8 @@ def test_make_surface_rejects_bad_input():
         make_surface([[1, 2], [3, 1]])
 
 
-def test_dual_basis_pairing_is_kronecker(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        nb = s.n_basis
-        duals = (Vec2(nb.a, nb.c), Vec2(nb.b, nb.d))
-        basis = (Vec2(1, 0), Vec2(0, 1))
-        for i, f in enumerate(basis):
-            for j, n in enumerate(duals):
-                assert s.q(f, n) == (1 if i == j else 0)
+def test_dual_basis_pairing_is_kronecker(row_passes, hexagonal, skew_hexagonal):
+    row_passes("dual-basis-integrality", hexagonal, skew_hexagonal, samples=1, seed=0)
 
 
 def test_lagrange_reduce_examples(hexagonal, unit_square, hidden_product):
@@ -141,30 +134,9 @@ def test_voronoi_relevant_norms(skew_hexagonal):
     assert [skew_hexagonal.norm(r) for r in rel[:3]] == [2, 3, 3]
 
 
-def _assert_voronoi_geometry(s):
-    cell = voronoi_cell(s)
-    rel = relevant_vectors(s)
-    verts = cell.vertices
-    half = len(verts) // 2
-    for m in verts:
-        tight = [r for r in rel if 2 * s.q(m, r) == s.norm(r)]
-        assert len(tight) == 2
-        assert all(2 * s.q(m, r) <= s.norm(r) for r in rel)
-    for i in range(half):
-        assert verts[i] + verts[i + half] == Vec2(0, 0)
-    if cell.kind is CellKind.HEXAGON:
-        rb = lagrange_reduce(s)
-        cycle = (rb.w, -rb.v, rb.u, -rb.w, rb.v, -rb.u)
-        for i in range(6):
-            # The two vertices of a facet sum to its relevant vector.
-            assert verts[i - 1] + verts[i] == cycle[i]
-        for a, b in ((rb.u, rb.v), (rb.u, rb.w), (rb.v, rb.w)):
-            assert abs(a.x * b.y - a.y * b.x) == 1
-
-
-def test_voronoi_geometry_on_seeded_matrices():
-    for k in range(20):
-        _assert_voronoi_geometry(random_surface(rng_for(23, "voronoi", k)))
+def test_voronoi_geometry_on_seeded_matrices(row_passes, hexagonal):
+    # The hexagon and 20 random surfaces.
+    row_passes("voronoi-geometry", hexagonal, samples=200, seed=23)
 
 
 def test_reduce_point_examples(hexagonal):
@@ -183,16 +155,10 @@ def test_reduce_point_examples(hexagonal):
     )
 
 
-def test_reduce_point_idempotent(hexagonal, hidden_product):
-    for s in (hexagonal, hidden_product):
-        for k in range(50):
-            x = random_point(rng_for(2, "idem", k), 5)
-            x0, p = reduce_point(s, x)
-            assert x0 + p == x and p.is_integral()
-            again, q = reduce_point(s, x0)
-            assert q == Vec2(0, 0)
-            assert s.norm(again) == s.norm(x0)
-            assert in_voronoi_cell(s, x0)
+def test_reduce_point_idempotent(row_passes, hexagonal, hidden_product):
+    # x = x0 + p with p integral, then reducing x0 again moves nothing.
+    for name in ("cvp-descent-oracle", "reduce-idempotence"):
+        row_passes(name, hexagonal, hidden_product, samples=50, seed=2)
 
 
 def _cvp_oracle(s, x):
@@ -265,24 +231,15 @@ def test_subdivide_rejects_product_type(unit_square):
         subdivide(unit_square)
 
 
-def test_subdivision_cells_stay_in_cell(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        for cell in subdivide(s).cells:
-            for p in cell.vertices:
-                assert in_voronoi_cell(s, p)
+def test_subdivision_cells_stay_in_cell(row_passes, hexagonal, skew_hexagonal):
+    row_passes("subdivision-geometry", hexagonal, skew_hexagonal, samples=1, seed=0)
 
 
-def test_first_quadrilateral_translates_into_cell(hexagonal, skew_hexagonal):
+def test_first_quadrilateral_translates_into_cell(
+    row_passes, hexagonal, skew_hexagonal
+):
     # Shifting the first quadrilateral by v/2 or by -w/2 stays inside.
-    for s in (hexagonal, skew_hexagonal):
-        rb = lagrange_reduce(s)
-        shifts = (F(1, 2) * rb.v, F(-1, 2) * rb.w)
-        for cell in subdivide(s).cells:
-            if cell.quadrilateral != 1:
-                continue
-            for shift in shifts:
-                for p in cell.vertices:
-                    assert in_voronoi_cell(s, p + shift)
+    row_passes("subdivision-geometry", hexagonal, skew_hexagonal, samples=1, seed=0)
 
 
 def test_subdivision_quadrant_labels(hexagonal):

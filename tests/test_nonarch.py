@@ -18,7 +18,7 @@ from tropical_kummer import (
     theta_eval,
     tropicalize_series,
 )
-from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
+from tropical_kummer.sampling import random_point, rng_for
 from tropical_kummer.theta import char_vector
 
 F = Fraction
@@ -38,7 +38,6 @@ def test_descent_datum_examples(hexagonal):
     assert lhs == -2
     assert lhs == 2 * hexagonal.q(Vec2(0, 1), Vec2(1, 0))
     assert datum.lambda_matrix == ((2, 0), (0, 2))
-    assert datum.is_even()
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,17 +125,11 @@ def test_safe_cutoff_examples(hexagonal):
     assert safe_cutoff(hexagonal, CH(1, 1), F(0)) >= 1
 
 
-def test_safe_cutoff_doubling_stability(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        for char in CHARACTERISTICS:
-            r = safe_cutoff(s, char, F(2))
-            series_r = build_series(s, char, r)
-            series_2r = build_series(s, char, 2 * r)
-            for k in range(25):
-                v = random_point(rng_for(61, "doubling", k), 2)
-                assert tropicalize_series(series_r, v) == tropicalize_series(
-                    series_2r, v
-                )
+def test_safe_cutoff_doubling_stability(row_passes, hexagonal, skew_hexagonal):
+    # 25 points: the row reads a quarter of the samples.
+    row_passes(
+        "series-cutoff-stability", hexagonal, skew_hexagonal, samples=100, seed=61
+    )
 
 
 def test_cutoff_monotone_and_stabilized(hexagonal):
@@ -151,39 +144,14 @@ def test_cutoff_monotone_and_stabilized(hexagonal):
     assert values[r] == values[2 * r]
 
 
-def test_lift_consistency(hexagonal, skew_hexagonal, hidden_product):
-    for s in (hexagonal, skew_hexagonal, hidden_product):
-        series = {
-            str(char): build_series(s, char, safe_cutoff(s, char, F(2)))
-            for char in CHARACTERISTICS
-        }
-        for k in range(50):
-            v = random_point(rng_for(67, "lift", k), 2)
-            for char in CHARACTERISTICS:
-                assert (
-                    tropicalize_series(series[str(char)], v)
-                    == theta_eval(s, char, v).value
-                )
+def test_lift_consistency(row_passes, hexagonal, skew_hexagonal, hidden_product):
+    surfaces = (hexagonal, skew_hexagonal, hidden_product)
+    row_passes("series-lift-consistency", *surfaces, samples=50, seed=67)
 
 
-def test_series_quasi_periodicity(hexagonal):
-    s = hexagonal
-    series = {
-        str(char): build_series(s, char, safe_cutoff(s, char, F(6)))
-        for char in CHARACTERISTICS
-    }
-    for k in range(15):
-        rng = rng_for(71, "series-quasi", k)
-        v = random_point(rng, 2)
-        up = random_integer_vector(rng, 2)
-        for char in CHARACTERISTICS:
-            lhs = tropicalize_series(series[str(char)], v + up)
-            rhs = (
-                tropicalize_series(series[str(char)], v)
-                - 2 * s.q(v, up)
-                - s.norm(up)
-            )
-            assert lhs == rhs
+def test_series_quasi_periodicity(row_passes, hexagonal):
+    # 15 points: the row reads a quarter of the samples.
+    row_passes("series-quasi-periodicity", hexagonal, samples=60, seed=71)
 
 
 def _scan(series, v):

@@ -3,38 +3,17 @@ from fractions import Fraction
 import pytest
 
 from tropical_kummer import (
-    CHARACTERISTICS,
     ProductTypeError,
     RadiusTooSmallError,
     ThetaCharacteristic,
     Vec2,
-    lagrange_reduce,
-    reduce_point,
     theta_constants,
     theta_eval,
     theta_eval_bruteforce,
 )
-from tropical_kummer.sampling import (
-    random_integer_vector,
-    random_point,
-    random_surface,
-    rng_for,
-)
-from tropical_kummer.theta import char_vector
 
 F = Fraction
 CH = ThetaCharacteristic
-
-
-def oracle_radius_search(surface, char, x):
-    """Grow the box until the brute-force certificate accepts it."""
-    s = x + F(1, 2) * char_vector(surface, char)
-    radius = int(s.sup_norm()) + 2
-    while True:
-        try:
-            return theta_eval_bruteforce(surface, char, x, radius)
-        except RadiusTooSmallError:
-            radius += 2
 
 
 def test_theta_eval_examples(hexagonal):
@@ -58,16 +37,10 @@ def test_bruteforce_radius_certificate(hexagonal):
         theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(4, 4), 0)
 
 
-def test_minimizer_is_attained(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        for k in range(40):
-            rng = rng_for(3, "minimizer", k)
-            x = random_point(rng, 4)
-            char = CHARACTERISTICS[rng.randrange(4)]
-            tv = theta_eval(s, char, x)
-            shift = x + F(1, 2) * char_vector(s, char)
-            assert tv.minimizer.is_integral()
-            assert s.norm(tv.minimizer + shift) - s.norm(x) == tv.value
+def test_minimizer_is_attained(row_passes, hexagonal, skew_hexagonal):
+    row_passes(
+        "theta-minimizer-attained", hexagonal, skew_hexagonal, samples=40, seed=3
+    )
 
 
 def test_theta_constants_examples(hexagonal, skew_hexagonal):
@@ -94,83 +67,31 @@ def test_theta_constants_reject_product_type(unit_square):
         theta_constants(unit_square)
 
 
-def test_zero_on_voronoi_cell(hexagonal, hidden_product):
-    for s in (hexagonal, hidden_product):
-        for k in range(40):
-            x = random_point(rng_for(9, "zero", k), 5)
-            x0, _ = reduce_point(s, x)
-            assert theta_eval(s, CH(0, 0), x0).value == 0
+def test_zero_on_voronoi_cell(row_passes, hexagonal, hidden_product):
+    row_passes("theta-zero-on-cell", hexagonal, hidden_product, samples=40, seed=9)
 
 
-def test_evenness(hexagonal, skew_hexagonal, hidden_product):
-    for s in (hexagonal, skew_hexagonal, hidden_product):
-        for k in range(40):
-            x = random_point(rng_for(13, "even", k), 4)
-            for char in CHARACTERISTICS:
-                assert (
-                    theta_eval(s, char, x).value == theta_eval(s, char, -x).value
-                )
+def test_evenness(row_passes, hexagonal, skew_hexagonal, hidden_product):
+    surfaces = (hexagonal, skew_hexagonal, hidden_product)
+    row_passes("theta-evenness", *surfaces, samples=40, seed=13)
 
 
-def test_quasi_periodicity(hexagonal, skew_hexagonal):
-    for s in (hexagonal, skew_hexagonal):
-        for k in range(40):
-            rng = rng_for(17, "quasi", k)
-            x = random_point(rng, 3)
-            up = random_integer_vector(rng, 3)
-            for char in CHARACTERISTICS:
-                lhs = theta_eval(s, char, x + up).value
-                rhs = theta_eval(s, char, x).value - 2 * s.q(x, up) - s.norm(up)
-                assert lhs == rhs
+def test_quasi_periodicity(row_passes, hexagonal, skew_hexagonal):
+    row_passes(
+        "theta-quasi-periodicity", hexagonal, skew_hexagonal, samples=40, seed=17
+    )
 
 
-def test_translation_identities(hexagonal, skew_hexagonal):
-    half = F(1, 2)
-    for s in (hexagonal, skew_hexagonal):
-        rb = lagrange_reduce(s)
-        triples = (
-            (CH(1, 0), rb.u),
-            (CH(0, 1), rb.v),
-            (CH(1, 1), rb.w),
-        )
-        for k in range(40):
-            x = random_point(rng_for(19, "translation", k), 3)
-            for char, vec in triples:
-                value = theta_eval(s, char, x).value
-                quarter = s.norm(vec) / 4
-                assert value == (
-                    theta_eval(s, CH(0, 0), x + half * vec).value
-                    + s.q(x, vec)
-                    + quarter
-                )
-                assert value == (
-                    theta_eval(s, CH(0, 0), x - half * vec).value
-                    - s.q(x, vec)
-                    + quarter
-                )
+def test_translation_identities(row_passes, hexagonal, skew_hexagonal):
+    row_passes(
+        "theta-translation-identities", hexagonal, skew_hexagonal, samples=40, seed=19
+    )
 
 
-def test_concavity(hexagonal):
-    half = F(1, 2)
-    for k in range(40):
-        rng = rng_for(21, "concave", k)
-        x, y = random_point(rng, 3), random_point(rng, 3)
-        for char in CHARACTERISTICS:
-            mid = theta_eval(hexagonal, char, half * (x + y)).value
-            avg = (
-                theta_eval(hexagonal, char, x).value
-                + theta_eval(hexagonal, char, y).value
-            ) / 2
-            assert mid >= avg
+def test_concavity(row_passes, hexagonal):
+    row_passes("theta-concavity", hexagonal, samples=40, seed=21)
 
 
-def test_oracle_equivalence_on_random_surfaces():
-    for k in range(10):
-        s = random_surface(rng_for(29, "oracle-gram", k))
-        for j in range(15):
-            rng = rng_for(29, "oracle-point", k, j)
-            x = random_point(rng, 2)
-            char = CHARACTERISTICS[rng.randrange(4)]
-            fast = theta_eval(s, char, x)
-            slow = oracle_radius_search(s, char, x)
-            assert fast.value == slow.value
+def test_oracle_equivalence_on_random_surfaces(row_passes, hexagonal):
+    # The hexagon and 15 random surfaces, 10 points each.
+    row_passes("theta-bruteforce-oracle", hexagonal, samples=160, seed=29)
