@@ -2,8 +2,9 @@
 """End-to-end tour of the symmetric hexagonal surface.
 
 Prints the reduced basis, Voronoi cell, theta constants, quartic vertices,
-and face planes, then writes the parallelepiped as an OFF mesh next to the
-script for use in external viewers.
+and face planes, then writes the parallelepiped as an OFF mesh,
+``kummer_hexagonal.off`` in the current directory, for use in external
+viewers.
 """
 
 from fractions import Fraction
@@ -56,7 +57,7 @@ def main() -> None:
     sample = Vec2(Fraction(1, 5), Fraction(1, 7))
     print(f"psi{fmt(sample)} = {fmt(psi_eval(surface, sample))}")
 
-    out = Path(__file__).with_name("kummer_hexagonal.off")
+    out = Path("kummer_hexagonal.off")
     digits = 12
     lines = ["OFF", "8 6 12"]
     for v in quartic.vertices:

@@ -36,7 +36,12 @@ from .lattice import (
     per_surface,
     subdivide,
 )
-from .theta import CHARACTERISTICS, ThetaCharacteristic, theta_constants
+from .theta import (
+    CHARACTERISTICS,
+    ThetaCharacteristic,
+    theta_constants,
+    theta_eval,
+)
 
 # The Klein four-group inside S4, as involutive index permutations.
 V4 = (
@@ -321,86 +326,50 @@ def injectivity_check(
     return verdict
 
 
-def _interior_points(cell: Cell) -> list[Vec2]:
-    """Four rational interior points, the first three affinely independent."""
-    c = cell.centroid()
-    points = [c]
-    for v in cell.vertices[:3]:
-        points.append(HALF * (c + v))
-    return points
-
-
-def _fit_affine(
-    points: Sequence[Vec2], values: Sequence[Vec3]
-) -> tuple[Vec3, Vec3, Vec3]:
-    """Fit values = A*point + d from three affinely independent samples.
-
-    Returns A as the images of the two coordinate directions (its columns,
-    each a Vec3) plus the offset d.
-    """
-    p0, p1, p2 = points
-    d1, d2 = p1 - p0, p2 - p0
-    det = d1.x * d2.y - d1.y * d2.x
-    if det == 0:
-        raise NotAffineOnCellError("sample points are affinely dependent")
-    w1 = values[1] - values[0]
-    w2 = values[2] - values[0]
-    # Columns of A solve A [d1 d2] = [w1 w2].
-    col1 = Fraction(1, 1) / det * (d2.y * w1 - d1.y * w2)
-    col2 = Fraction(1, 1) / det * (d1.x * w2 - d2.x * w1)
-    offset = values[0] - Vec3(
-        col1.x * p0.x + col2.x * p0.y,
-        col1.y * p0.x + col2.y * p0.y,
-        col1.z * p0.x + col2.z * p0.y,
-    )
-    return col1, col2, offset
-
-
-def _apply_affine(col1: Vec3, col2: Vec3, offset: Vec3, p: Vec2) -> Vec3:
-    return Vec3(
-        col1.x * p.x + col2.x * p.y + offset.x,
-        col1.y * p.x + col2.y * p.y + offset.y,
-        col1.z * p.x + col2.z * p.y + offset.z,
-    )
-
-
 @per_surface
 def affine_pieces(
     surface: PrincipallyPolarizedSurface,
 ) -> tuple[AffinePiece, ...]:
-    """Fit the embedding on every subdivision cell and certify unimodularity.
+    """Read the embedding off the theta minimizers on every subdivision cell.
 
-    The affine map is recovered from evaluations at interior points, checked
-    on a fourth point and on every cell vertex, and its linear part is
-    converted to dual-lattice coordinates, where it must be integral.
+    At the cell centroid, `theta_eval` gives for each characteristic c a
+    lattice minimizer a_c.  With the integer vector s_c = 2 a_c + c,
+    theta_c(x) = Q(x + s_c/2) - Q(x), so on the cell
+
+        psi_c(x) = Q(x + s_c/2) - Q(x + s_00/2)
+                 = (s_c - s_00) . G x + (h(s_c) - h(s_00)) / (4 gram_den),
+
+    where h(s) = s^T H s.  The linear part in dual coordinates G x is the
+    integer row s_c - s_00.  Each piece is checked against `psi_eval` at the
+    centroid, at (centroid + v)/2 for the first three vertices v, and at
+    every vertex.
     """
     complex_ = subdivide(surface)  # raises ProductTypeError on rectangles
-    nb = surface.n_basis
+    h, den4 = surface.int_gram, 4 * surface.gram_den
     pieces = []
     for cell in complex_.cells:
-        pts = _interior_points(cell)
-        vals = [psi_eval(surface, p) for p in pts]
-        col1, col2, offset = _fit_affine(pts[:3], vals[:3])
-        check_pts = pts[3:] + list(cell.vertices)
-        check_vals = vals[3:] + [psi_eval(surface, p) for p in cell.vertices]
-        for p, expected in zip(check_pts, check_vals):
-            if _apply_affine(col1, col2, offset, p) != expected:
+        c = cell.centroid()
+        shifts = []
+        for char, (cx, cy) in zip(CHARACTERISTICS, surface.char_vectors):
+            a = theta_eval(surface, char, c).minimizer
+            shifts.append((2 * int(a.x) + cx, 2 * int(a.y) + cy))
+        s0 = shifts[0]
+        rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
+        gaps = [_hq(h, s, s) - _hq(h, s0, s0) for s in shifts[1:]]
+        halfway = (HALF * (c + v) for v in cell.vertices[:3])
+        for p in (c, *halfway, *cell.vertices):
+            t0, t1, den = numerators(p)
+            piece = (
+                Fraction(4 * _hq(h, r, (t0, t1)) + den * gap, den4 * den)
+                for r, gap in zip(rows, gaps)
+            )
+            if Vec3(*piece) != psi_eval(surface, p):
                 raise NotAffineOnCellError(f"cell {cell.label} is not affine")
-        rows = []
-        for c1, c2 in zip(col1.as_tuple(), col2.as_tuple()):
-            # Row of A times n_basis: the linear part in dual coordinates.
-            r1 = c1 * nb.a + c2 * nb.c
-            r2 = c1 * nb.b + c2 * nb.d
-            if r1.denominator != 1 or r2.denominator != 1:
-                raise NotAffineOnCellError(
-                    f"cell {cell.label}: linear part {r1}, {r2} is not integral"
-                )
-            rows.append((int(r1), int(r2)))
         pieces.append(
             AffinePiece(
                 cell=cell,
-                linear_part=tuple(rows),
-                offset=offset,
+                linear_part=rows,
+                offset=Vec3(*(Fraction(gap, den4) for gap in gaps)),
                 unimodular=is_unimodular(rows),
             )
         )
@@ -432,7 +401,7 @@ def coplanarity_report(
 ) -> dict[FacePlane, tuple[str, ...]]:
     """Group the 18 affine-piece images into the six face planes.
 
-    The grouping computed from the fitted maps must reproduce the faces'
+    The grouping computed from the affine pieces must reproduce the faces'
     (normal, offset, source-cell) table exactly.
     """
     quartic = build_quartic(surface)

@@ -51,10 +51,9 @@ class CellKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PrincipallyPolarizedSurface:
-    """A polarized surface: Gram matrix, dual basis G^{-1} and derived context."""
+    """A polarized surface: the Gram matrix and its derived context."""
 
     gram: Mat2
-    n_basis: Mat2
     reduced: ReducedBasis = field(compare=False, repr=False)
     int_gram: tuple[int, int, int] = field(compare=False, repr=False)  # gram_den * G
     gram_den: int = field(compare=False, repr=False)
@@ -64,6 +63,11 @@ class PrincipallyPolarizedSurface:
     char_vectors: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def n_basis(self) -> Mat2:
+        """The dual basis G^{-1}, as columns."""
+        return self.gram.inverse()
 
     def q(self, x: Vec2, y: Vec2) -> Fraction:
         return gram_eval(self.gram, x, y)
@@ -151,7 +155,6 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
     norms = tuple(Fraction(_hq(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
     return PrincipallyPolarizedSurface(
         gram=g,
-        n_basis=g.inverse(),
         reduced=ReducedBasis(u=Vec2(*u), v=Vec2(*v), norms=norms),
         int_gram=h,
         gram_den=den,

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,14 @@ def hidden_product():
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+def cut_descent(surface):
+    """The surface with its descent scanning only +-u and +-v (a broken kernel)."""
+    rb = surface.reduced
+    keep = {r.as_tuple() for r in (rb.u, rb.v, -rb.u, -rb.v)}
+    descent = tuple(entry for entry in surface.descent if entry[0] in keep)
+    return dataclasses.replace(surface, descent=descent, lazy={})
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import cut_descent
 
 from tropical_kummer import cli, make_surface, verify
 from tropical_kummer.errors import InternalInconsistencyError, NotAffineOnCellError
@@ -181,20 +181,12 @@ VERIFY_SEED7_SAMPLES50_SHA256 = {
 }
 
 
-def _cut_descent(surface):
-    """The surface with its descent scanning only +-u and +-v (a broken kernel)."""
-    rb = surface.reduced
-    keep = {r.as_tuple() for r in (rb.u, rb.v, -rb.u, -rb.v)}
-    descent = tuple(entry for entry in surface.descent if entry[0] in keep)
-    return dataclasses.replace(surface, descent=descent, lazy={})
-
-
 _PINNED_SURFACES = {
     "skew": make_surface([[2, -1], [-1, 3]]),
     "hidden-product": make_surface([[5, 3], [3, 2]]),
     "unit-square": make_surface([[1, 0], [0, 1]]),
     "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
-    "skew-descent-cut": _cut_descent(make_surface([[2, -1], [-1, 3]])),
+    "skew-descent-cut": cut_descent(make_surface([[2, -1], [-1, 3]])),
 }
 
 
@@ -204,6 +196,17 @@ def test_verify_reports_pinned(name):
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         VERIFY_SEED7_SAMPLES50_SHA256[name]
+    )
+
+
+def test_verify_cut_descent_report_pinned_at_seed_8():
+    # A second seed for the failing report: twelve checks fail at seed 8,
+    # and nine checks' case counts differ from seed 7.
+    surface = _PINNED_SURFACES["skew-descent-cut"]
+    report = verify.run_verification(surface, seed=8, samples=50)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3d96b4ec7fff7493c54779f95e0ece2d3c63e9bb22b9767bfbbb9ba65b081e39"
     )
 
 

@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from conftest import cut_descent
+from test_kernel_pinned import GRAMS
 
 from tropical_kummer import (
     Distinct,
@@ -16,12 +19,18 @@ from tropical_kummer import (
     g_action,
     injectivity_check,
     lagrange_reduce,
+    make_surface,
     psi_eval,
     theta_constants,
     two_torsion_images,
     vertex_sign_diagnostics,
 )
-from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
+from tropical_kummer.sampling import (
+    random_integer_vector,
+    random_irreducible_surface,
+    random_point,
+    rng_for,
+)
 
 F = Fraction
 H = F(1, 2)
@@ -198,6 +207,38 @@ def test_coplanarity_report_skew(skew_hexagonal):
         (face.normal, face.offset): cells for face, cells in report.items()
     }
     assert by_key[((1, -1, -1), F(1))] == ("tau1", "tau4")
+
+
+def _pieces_text(surface):
+    """The affine pieces and the coplanarity table, or the error they raise."""
+    try:
+        report = coplanarity_report(surface)
+        table = sorted((f.normal, f.offset, cells) for f, cells in report.items())
+        return repr((affine_pieces(surface), table))
+    except RuntimeError as exc:  # NotAffineOnCellError, InternalInconsistencyError
+        return f"{type(exc).__name__}: {exc}"
+
+
+# SHA-256 of `_pieces_text` on 45 irreducible surfaces, each as given and
+# with its descent cut to +-u, +-v, recorded while the pieces were still
+# fitted from interior points; 43 of the 45 cut surfaces raise.
+PIECES_SHA256 = (
+    "5e3c71f94bfef1456fab3bb2954c5efe9e6a907874967379a4dd5f41606ecb3b"
+)
+
+
+def test_affine_pieces_pinned():
+    grams = (((2, -1), (-1, 2)), ((2, -1), (-1, 3))) + GRAMS[2:]
+    surfaces = [make_surface(g) for g in grams]
+    surfaces += [
+        random_irreducible_surface(rng_for(0, "pieces-pin", k), max_entry=12)
+        for k in range(40)
+    ]
+    h = hashlib.sha256()
+    for surface in surfaces:
+        for s in (surface, cut_descent(surface)):
+            h.update(_pieces_text(s).encode() + b"\n")
+    assert h.hexdigest() == PIECES_SHA256
 
 
 def test_two_torsion_images(hexagonal):
