@@ -7,10 +7,16 @@ rational strings, no timestamps).  Only the OFF mesh export approximates,
 at a configurable number of decimal digits.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-error (two independent computations disagreed, or any other unexpected
-exception).  Errors emit one JSON object ``{"error": {"type", "stage",
-"message"}}`` on stderr, where the stage is the subcommand; never a
-traceback.
+error.  Exit 2 covers a failure while reading and validating the config and
+the arguments (the ``with _reading()`` block of each command) and the typed
+input errors of `errors` (`errors.InputError`, e.g. a product-type surface
+given to ``surface``).  Any other exception from the computation exits 3: two
+independent computations disagreed, or a bug.  Errors emit one JSON object
+``{"error": {"type", "stage", "message"}}`` on stderr, where the stage is the
+subcommand; never a traceback.
+
+``series`` rejects a cutoff above `MAX_SERIES_CUTOFF`, whether given by
+``--cutoff`` or computed from the point, as an input error.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import kummer, nonarch, verify
+from .errors import InputError
 from .exact import Mat2, Vec2, fraction_decimal, to_fraction
 from .lattice import (
     PrincipallyPolarizedSurface,
@@ -30,9 +38,31 @@ from .lattice import (
 )
 from .theta import ThetaCharacteristic, theta_eval
 
-# The library's input errors (NonSymmetricError, ProductTypeError, ...) and
-# json.JSONDecodeError are ValueErrors.
-INPUT_ERRORS = (ValueError, TypeError, KeyError, OSError)
+# What reading a config or an argument raises on bad input;
+# json.JSONDecodeError is a ValueError.
+READ_ERRORS = (ValueError, TypeError, KeyError, OSError)
+
+# The largest series cutoff `series` accepts.  A build and an evaluation
+# cost O(cutoff) time and memory: at this limit the whole command takes
+# about 0.5 s and 70 MB peak RSS on an x86-64 machine with Python 3.11.
+MAX_SERIES_CUTOFF = 10**5
+
+
+class _BadInput(Exception):
+    """Carries an exception raised while reading the inputs."""
+
+    def __init__(self, exc: Exception):
+        super().__init__(exc)
+        self.exc = exc
+
+
+@contextmanager
+def _reading():
+    """Mark a command's input reading: what fails in it exits 2."""
+    try:
+        yield
+    except READ_ERRORS as exc:
+        raise _BadInput(exc) from exc
 
 
 def _emit(payload: dict) -> None:
@@ -84,7 +114,8 @@ def _vec_json(v) -> list[str]:
 
 
 def cmd_classify(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
     rb = lagrange_reduce(surface)
     _emit(
         {
@@ -101,7 +132,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
     cell = voronoi_cell(surface)
     _emit(
         {
@@ -114,9 +146,10 @@ def cmd_voronoi(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
-    char = ThetaCharacteristic.parse(args.char)
-    point = _parse_point(args.point)
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
+        char = ThetaCharacteristic.parse(args.char)
+        point = _parse_point(args.point)
     tv = theta_eval(surface, char, point)
     _emit(
         {
@@ -130,8 +163,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
-    point = _parse_point(args.point)
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
+        point = _parse_point(args.point)
     _emit(
         {
             "point": _vec_json(point),
@@ -151,7 +185,10 @@ def _face_cycle(quartic: kummer.KummerQuartic, face: kummer.FacePlane) -> list[i
 
 
 def cmd_surface(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
+        if args.out == "off" and args.precision < 1:
+            raise ValueError("precision must be positive")
     quartic = kummer.build_quartic(surface)
     if args.out == "json":
         faces = [
@@ -187,13 +224,18 @@ def cmd_surface(args) -> int:
 
 
 def cmd_series(args) -> int:
-    surface = _surface_from_config(_load_config(args.file))
-    char = ThetaCharacteristic.parse(args.char)
-    point = _parse_point(args.point)
-    if args.cutoff is not None:
-        cutoff = args.cutoff
-    else:
+    with _reading():
+        surface = _surface_from_config(_load_config(args.file))
+        char = ThetaCharacteristic.parse(args.char)
+        point = _parse_point(args.point)
+    cutoff = args.cutoff
+    if cutoff is None:
         cutoff = nonarch.safe_cutoff(surface, char, point.sup_norm())
+    with _reading():  # the cutoff is an argument, given or derived from the point
+        if not 0 <= cutoff <= MAX_SERIES_CUTOFF:
+            raise ValueError(
+                f"cutoff {cutoff} is outside [0, {MAX_SERIES_CUTOFF}]"
+            )
     series = nonarch.build_series(surface, char, cutoff)
     value = nonarch.tropicalize_series(series, point)
     _emit(
@@ -201,7 +243,7 @@ def cmd_series(args) -> int:
             "char": str(char),
             "point": _vec_json(point),
             "cutoff": cutoff,
-            "terms": len(series.support),
+            "terms": series.n_terms,
             "constant_shift": str(series.constant_shift),
             "value": str(value),
         }
@@ -210,14 +252,17 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.file)
-    surface = _surface_from_config(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    samples = (
-        args.samples if args.samples is not None else int(config.get("samples", 200))
-    )
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    with _reading():
+        config = _load_config(args.file)
+        surface = _surface_from_config(config)
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        samples = (
+            args.samples
+            if args.samples is not None
+            else int(config.get("samples", 200))
+        )
+        if samples < 1:
+            raise ValueError("samples must be positive")
 
     def progress(check):
         sys.stderr.write(
@@ -287,7 +332,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except _BadInput as bad:
+        _emit_error(bad.exc, args.command)
+        return 2
+    except InputError as exc:
         _emit_error(exc, args.command)
         return 2
     except Exception as exc:  # internal: an inconsistency or a bug, not bad input

@@ -1,23 +1,27 @@
 """Exception types shared across the package."""
 
 
-class NonSymmetricError(ValueError):
+class InputError(ValueError):
+    """Bad input to a computation; the CLI exits 2 on it."""
+
+
+class NonSymmetricError(InputError):
     """A matrix that must be symmetric is not."""
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(InputError):
     """A Gram matrix fails the positive-definiteness test."""
 
 
-class ProductTypeError(ValueError):
+class ProductTypeError(InputError):
     """Operation needs an irreducible surface; the Voronoi cell is a rectangle."""
 
 
-class RadiusTooSmallError(ValueError):
+class RadiusTooSmallError(InputError):
     """A brute-force box is too small to certify a global minimum."""
 
 
-class EmptySupportError(ValueError):
+class EmptySupportError(InputError):
     """A formal series with no terms cannot be minimized."""
 
 

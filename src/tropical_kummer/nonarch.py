@@ -8,13 +8,17 @@ a point v is then ``m . (G v)``, kept exact.
 Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
-A series also holds its valuations as integer numerators over one common
+A series holds its valuations as integer numerators over one common
 denominator, grouped into rows by first exponent.  A row whose second
 exponents are evenly spaced and whose numerators have a constant second
-difference (every row of `build_series`, and any constant shift of one) is
-stored as an integer quadratic and minimized in O(1); any other row is
-scanned term by term.  Tropicalization reads ``G v`` from the surface's
-integer Gram and builds a single `Fraction` for the result.
+difference is stored as an integer quadratic and minimized in O(1); any
+other row is scanned term by term.  `build_series` writes each of its
+2N + 1 rows in closed form from the integer Gram, so a build is O(N) and
+makes no term; its `support` is built term by term only when read.  A
+series built by hand from a support is fitted into rows from its terms.
+Tropicalization reads ``G v`` from the surface's integer Gram and builds a
+single `Fraction` for the result.  `safe_cutoff` takes a few exact steps
+from an integer square root, whatever the bound.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -22,7 +26,7 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySupportError
@@ -66,34 +70,62 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     )
 
 
-@dataclass(frozen=True)
 class FormalThetaSeries:
-    """Finite Fourier support with exact valuations, plus the lifting shift."""
+    """Finite Fourier support with exact valuations, plus the lifting shift.
 
-    surface: PrincipallyPolarizedSurface
-    support: tuple[tuple[tuple[int, int], Fraction], ...]
-    constant_shift: Fraction
-    char: ThetaCharacteristic
-    cutoff: int
-    # The support on one denominator `den`, one row per first exponent:
-    # (den, quadratic rows, scanned terms); see `_quadratic_row`.
-    _rows: tuple[int, tuple, tuple] = field(init=False, compare=False, repr=False)
+    A series built from an explicit `support` is fitted into rows here (see
+    `_fit_rows`).  `build_series` passes its rows in closed form and no
+    support; `support` is then the terms of its cutoff box, built on first
+    read.
+    """
 
-    def __post_init__(self):
-        ratios = [val.as_integer_ratio() for _, val in self.support]
-        den = math.lcm(*(q for _, q in ratios))
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for ((ex, ey), _), (p, q) in zip(self.support, ratios):
-            rows.setdefault(ex, []).append((ey, p * (den // q)))
-        quadratic, scanned = [], []
-        for ex, row in rows.items():
-            row.sort()
-            fit = _quadratic_row(row)
-            if fit is None:
-                scanned.extend((ex, ey, num) for ey, num in row)
-            else:
-                quadratic.append((ex, *fit))
-        object.__setattr__(self, "_rows", (den, tuple(quadratic), tuple(scanned)))
+    def __init__(
+        self,
+        surface: PrincipallyPolarizedSurface,
+        support: tuple[tuple[tuple[int, int], Fraction], ...] | None,
+        constant_shift: Fraction,
+        char: ThetaCharacteristic,
+        cutoff: int,
+        *,
+        rows: tuple[int, tuple, tuple] | None = None,
+    ):
+        self.surface = surface
+        self.constant_shift = constant_shift
+        self.char = char
+        self.cutoff = cutoff
+        self._support = None if support is None else tuple(support)
+        # The support on one denominator `den`, one row per first exponent:
+        # (den, quadratic rows, scanned terms); see `_quadratic_row`.
+        self._rows = _fit_rows(self._support) if rows is None else rows
+
+    @property
+    def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        if self._support is None:
+            self._support = _box_terms(self.surface, self.char, self.cutoff)
+        return self._support
+
+    @property
+    def n_terms(self) -> int:
+        """The number of terms, read off the rows."""
+        _, quadratic, scanned = self._rows
+        return sum(row[3] for row in quadratic) + len(scanned)
+
+
+def _fit_rows(support) -> tuple[int, tuple, tuple]:
+    ratios = [val.as_integer_ratio() for _, val in support]
+    den = math.lcm(*(q for _, q in ratios))
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for ((ex, ey), _), (p, q) in zip(support, ratios):
+        rows.setdefault(ex, []).append((ey, p * (den // q)))
+    quadratic, scanned = [], []
+    for ex, row in rows.items():
+        row.sort()
+        fit = _quadratic_row(row)
+        if fit is None:
+            scanned.extend((ex, ey, num) for ey, num in row)
+        else:
+            quadratic.append((ex, *fit))
+    return den, tuple(quadratic), tuple(scanned)
 
 
 def _quadratic_row(row: list[tuple[int, int]]):
@@ -126,17 +158,45 @@ def build_series(
 ) -> FormalThetaSeries:
     """Truncate the theta series of a characteristic to a cutoff box.
 
-    Term for u' in the box: exponent c + 2u' (dual coordinates of the class
-    representative plus twice the lattice point), valuation
-    Q(u', u') + Q(c, u'), computed as an integer over the Gram's common
-    denominator.
+    Term for u' = (i, j) in the box: exponent c + 2u' (dual coordinates of
+    the class representative plus twice the lattice point), valuation
+    Q(u', u') + Q(c, u') over the Gram's common denominator.  Row i is
+    written in closed form: with k = j + cutoff, twice the numerator is
+    a k^2 + b k + c_i, so the build is O(cutoff) and makes no term.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    c = char_vector(surface, char)
-    cx, cy = int(c.x), int(c.y)
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
     h11, h12, h22 = surface.int_gram
-    gram_den = surface.gram_den
+    n = 2 * cutoff + 1
+    e0 = cy - 2 * cutoff
+    a = 2 * h22
+    rows = []
+    for i in range(-cutoff, cutoff + 1):
+        # The numerator is h22 j^2 + lin j + const, with j = k - cutoff.
+        lin = h12 * (2 * i + cx) + h22 * cy
+        const = h11 * i * (i + cx) + h12 * cy * i
+        b = 2 * (lin - 2 * h22 * cutoff)
+        c = 2 * ((h22 * cutoff - lin) * cutoff + const)
+        rows.append((cx + 2 * i, e0, 2, n, a, b, c))
+    return FormalThetaSeries(
+        surface=surface,
+        support=None,
+        constant_shift=Fraction(
+            h11 * cx * cx + 2 * h12 * cx * cy + h22 * cy * cy, 4 * surface.gram_den
+        ),
+        char=char,
+        cutoff=cutoff,
+        rows=(surface.gram_den, tuple(rows), ()),
+    )
+
+
+def _box_terms(
+    surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, cutoff: int
+) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """The terms of `build_series`, one `Fraction` each, term by term."""
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    h11, h12, h22 = surface.int_gram
     terms = []
     for i in range(-cutoff, cutoff + 1):
         for j in range(-cutoff, cutoff + 1):
@@ -145,14 +205,8 @@ def build_series(
                 + h12 * (2 * i * j + cx * j + cy * i)
                 + h22 * j * (j + cy)
             )
-            terms.append(((cx + 2 * i, cy + 2 * j), Fraction(num, gram_den)))
-    return FormalThetaSeries(
-        surface=surface,
-        support=tuple(terms),
-        constant_shift=surface.q(c, c) / 4,
-        char=char,
-        cutoff=cutoff,
-    )
+            terms.append(((cx + 2 * i, cy + 2 * j), Fraction(num, surface.gram_den)))
+    return tuple(terms)
 
 
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
@@ -163,12 +217,12 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     vertex when convex and at an endpoint otherwise; other rows are scanned
     term by term.
     """
-    if not series.support:
+    val_den, quadratic, scanned = series._rows
+    if not quadratic and not scanned:
         raise EmptySupportError("series has empty support")
     t0, t1, vden = numerators(v)
     h11, h12, h22 = series.surface.int_gram
     g_den = series.surface.gram_den * vden  # G v = H t / g_den
-    val_den, quadratic, scanned = series._rows
     den = math.lcm(g_den, val_den)
     m, k = den // g_den, den // val_den
     gx, gy = (h11 * t0 + h12 * t1) * m, (h12 * t0 + h22 * t1) * m
@@ -195,8 +249,11 @@ def safe_cutoff(
     The minimized quadratic at u' = 0 is at most
     M = (sum |G_ij|) * (bound + |c|_inf / 2)^2, while any u' outside the
     cutoff-R box keeps it above lam_low * (R + 1 - bound - |c|_inf / 2)^2
-    with lam_low = `spectral_floor`; R is grown until the latter exceeds the
-    former.
+    with lam_low = `spectral_floor`; R is the smallest R >= 1 for which the
+    latter exceeds the former.  With reach = bound + |c|_inf / 2, that needs
+    R + 1 - reach > T = sqrt(M / lam_low), so the smallest R is
+    floor(T + reach): s + floor(reach) or one more, where
+    s = isqrt(floor(M / lam_low)) = floor(T).  The exact test picks which.
     """
     bound = Fraction(region_bound)
     if bound < 0:
@@ -207,7 +264,8 @@ def safe_cutoff(
     weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
     upper = weight * reach * reach
     lam_low = spectral_floor(surface)
-    radius = 1
+    ratio = upper / lam_low
+    radius = max(1, math.isqrt(ratio.numerator // ratio.denominator) + math.floor(reach))
     while True:
         margin = radius + 1 - reach
         if margin > 0 and lam_low * margin * margin > upper:

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import cut_descent
 
-from tropical_kummer import cli, make_surface, verify
+from tropical_kummer import cli, kummer, make_surface, verify
 from tropical_kummer.errors import InternalInconsistencyError, NotAffineOnCellError
 
 F = Fraction
@@ -152,6 +153,61 @@ HEX_SERIES_11_OUTPUT = """{
   "value": "-17/3"
 }
 """
+
+
+# `series` on diag(1, 10^4) at 5,5, recorded when every term was built one
+# by one (1,022,121 terms, several seconds); the rows now cost O(cutoff).
+DIAG_SERIES_00_OUTPUT = """{
+  "char": "00",
+  "constant_shift": "0",
+  "cutoff": 505,
+  "point": [
+    "5",
+    "5"
+  ],
+  "terms": 1022121,
+  "value": "-250025"
+}
+"""
+
+
+def test_series_pinned_on_ill_conditioned_gram(capsys, tmp_path):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"gram": [["1", "0"], ["0", "10000"]]}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "series", str(path), "--char", "00", "--point=5,5")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out == DIAG_SERIES_00_OUTPUT
+    assert elapsed < 2.0
+
+
+def test_series_cutoff_is_bounded(capsys, hex_config):
+    # Both a given and a computed cutoff above the limit are input errors,
+    # found before any series is built.
+    runs = (
+        ("--point", "0,0", "--cutoff", str(cli.MAX_SERIES_CUTOFF + 1)),
+        ("--point", "0,0", "--cutoff", "-1"),
+        ("--point=1000000000,1",),
+        ("--point=-1e9,1/3",),
+        ("--point=1e60,0",),
+    )
+    for extra in runs:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "series", hex_config, "--char", "11", *extra)
+        elapsed = time.perf_counter() - start
+        assert code == 2, extra
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error == {
+            "type": "ValueError",
+            "stage": "series",
+            "message": error["message"],
+        }
+        assert "cutoff" in error["message"]
+        assert elapsed < 0.5, extra
 
 
 def test_pinned_outputs(capsys, hex_config):
@@ -304,13 +360,22 @@ def test_zero_denominator_exits_2(capsys, hex_config, tmp_path):
 
 @pytest.mark.parametrize(
     "error",
-    [InternalInconsistencyError, NotAffineOnCellError, ZeroDivisionError, RuntimeError],
+    [
+        InternalInconsistencyError,
+        NotAffineOnCellError,
+        ZeroDivisionError,
+        RuntimeError,
+        # Raised by the computation, not while reading the input: a bug.
+        KeyError,
+        TypeError,
+        ValueError,
+    ],
 )
 def test_internal_errors_exit_3(capsys, monkeypatch, hex_config, error):
-    def broken(args):
+    def broken(surface, point):
         raise error("two computations disagree")
 
-    monkeypatch.setattr(cli, "cmd_embed", broken)
+    monkeypatch.setattr(kummer, "psi_eval", broken)
     code, out, err = run_cli(capsys, "embed", hex_config, "--point", "0,0")
     assert code == 3
     assert out == ""
@@ -320,7 +385,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch, hex_config, error):
         "error": {
             "type": error.__name__,
             "stage": "embed",
-            "message": "two computations disagree",
+            "message": str(error("two computations disagree")),
         }
     }
 

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from tropical_kummer import (
     tropicalize_series,
 )
 from tropical_kummer.sampling import random_point, rng_for
-from tropical_kummer.theta import char_vector
+from tropical_kummer.theta import char_vector, spectral_floor
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -125,6 +126,44 @@ def test_safe_cutoff_examples(hexagonal):
     assert safe_cutoff(hexagonal, CH(1, 1), F(0)) >= 1
 
 
+def _safe_cutoff_by_steps(surface, char, region_bound):
+    """`safe_cutoff` as it was first written: radius raised one at a time."""
+    bound = F(region_bound)
+    g = surface.gram
+    c = char_vector(surface, char)
+    reach = bound + c.sup_norm() / 2
+    weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
+    upper = weight * reach * reach
+    lam_low = spectral_floor(surface)
+    radius = 1
+    while True:
+        margin = radius + 1 - reach
+        if margin > 0 and lam_low * margin * margin > upper:
+            return radius
+        radius += 1
+
+
+def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal):
+    surfaces = (
+        hexagonal,
+        skew_hexagonal,
+        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+        make_surface([[1, 0], [0, 10**4]]),
+    )
+    bounds = [F(n) for n in range(0, 13)] + [
+        F(1, 3), F(1, 2), F(5, 7), F(7, 2), F(99, 10), F(101, 7), F(40, 3)
+    ]
+    for s in surfaces:
+        for char in CHARACTERISTICS:
+            for bound in bounds:
+                want = _safe_cutoff_by_steps(s, char, bound)
+                assert safe_cutoff(s, char, bound) == want, (s.gram, char, bound)
+    start = time.perf_counter()
+    huge = safe_cutoff(hexagonal, CH(1, 1), F(10**12))
+    assert time.perf_counter() - start < 0.05
+    assert huge > 10**12
+
+
 def test_safe_cutoff_doubling_stability(row_passes, hexagonal, skew_hexagonal):
     # 25 points: the row reads a quarter of the samples.
     row_passes(
@@ -152,6 +191,47 @@ def test_lift_consistency(row_passes, hexagonal, skew_hexagonal, hidden_product)
 def test_series_quasi_periodicity(row_passes, hexagonal):
     # 15 points: the row reads a quarter of the samples.
     row_passes("series-quasi-periodicity", hexagonal, samples=60, seed=71)
+
+
+@st.composite
+def rational_grams(draw):
+    """Positive definite 2x2 Grams with small rational entries."""
+    ratio = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+    a = draw(ratio.filter(lambda q: q > 0))
+    b = draw(ratio)
+    d = draw(ratio.filter(lambda q: q > 0 and a * q > b * b))
+    return make_surface([[a, b], [b, d]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational_grams(),
+    st.sampled_from(CHARACTERISTICS),
+    st.integers(min_value=0, max_value=6),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-5, max_value=5, max_denominator=11),
+            st.fractions(min_value=-5, max_value=5, max_denominator=11),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_closed_form_rows_match_fitted_rows(s, char, cutoff, points):
+    # The rows `build_series` writes against the rows fitted from its terms,
+    # which are built one by one from the box.
+    series = build_series(s, char, cutoff)
+    fitted = FormalThetaSeries(
+        surface=s,
+        support=series.support,
+        constant_shift=series.constant_shift,
+        char=char,
+        cutoff=cutoff,
+    )
+    assert series.n_terms == len(series.support) == (2 * cutoff + 1) ** 2
+    for x, y in points:
+        v = Vec2(x, y)
+        assert tropicalize_series(series, v) == tropicalize_series(fitted, v)
 
 
 def _scan(series, v):
