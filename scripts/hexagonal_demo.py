@@ -15,14 +15,13 @@ from tropical_kummer import (
     Vec2,
     build_quartic,
     classify,
-    fraction_decimal,
     lagrange_reduce,
     make_surface,
     psi_eval,
     theta_eval,
     voronoi_cell,
 )
-from tropical_kummer.kummer import _parallelogram_frame
+from tropical_kummer.kummer import quartic_off
 from tropical_kummer.theta import CHARACTERISTICS
 
 
@@ -58,16 +57,7 @@ def main() -> None:
     print(f"psi{fmt(sample)} = {fmt(psi_eval(surface, sample))}")
 
     out = Path("kummer_hexagonal.off")
-    digits = 12
-    lines = ["OFF", "8 6 12"]
-    for v in quartic.vertices:
-        lines.append(" ".join(fraction_decimal(c, digits) for c in v.as_tuple()))
-    for face in quartic.faces:
-        pts = [quartic.vertex(vid) for vid in face.vertex_ids]
-        base, e1, e2 = _parallelogram_frame(pts)
-        cycle = [base, base + e1, base + e1 + e2, base + e2]
-        lines.append("4 " + " ".join(str(quartic.vertices.index(p)) for p in cycle))
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(quartic_off(quartic, 12))
     print(f"wrote {out}")
 
 

@@ -16,7 +16,8 @@ independent computations disagreed, or a bug.  Errors emit one JSON object
 subcommand; never a traceback.
 
 ``series`` rejects a cutoff above `MAX_SERIES_CUTOFF`, whether given by
-``--cutoff`` or computed from the point, as an input error.
+``--cutoff`` or computed from the point, and ``surface --out off`` a
+``--precision`` outside [1, `MAX_OFF_PRECISION`], as input errors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 
 from . import kummer, nonarch, verify
 from .errors import InputError
-from .exact import Mat2, Vec2, fraction_decimal, to_fraction
+from .exact import Mat2, Vec2, to_fraction
 from .lattice import (
     PrincipallyPolarizedSurface,
     classify,
@@ -46,6 +47,11 @@ READ_ERRORS = (ValueError, TypeError, KeyError, OSError)
 # cost O(cutoff) time and memory: at this limit the whole command takes
 # about 0.5 s and 70 MB peak RSS on an x86-64 machine with Python 3.11.
 MAX_SERIES_CUTOFF = 10**5
+
+# The most OFF decimal digits `surface` accepts.  Python refuses to print an
+# integer of more than 4300 digits, and a rounded coordinate is printed as
+# one, so the bound stays well below that.
+MAX_OFF_PRECISION = 1000
 
 
 class _BadInput(Exception):
@@ -175,20 +181,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _face_cycle(quartic: kummer.KummerQuartic, face: kummer.FacePlane) -> list[int]:
-    """Vertex indices of a face in cyclic order (for valid mesh output)."""
-    ids = face.vertex_ids
-    points = [quartic.vertex(vid) for vid in ids]
-    base, e1, e2 = kummer._parallelogram_frame(points)
-    order = [base, base + e1, base + e1 + e2, base + e2]
-    return [quartic.vertices.index(p) for p in order]
-
-
 def cmd_surface(args) -> int:
     with _reading():
         surface = _surface_from_config(_load_config(args.file))
-        if args.out == "off" and args.precision < 1:
-            raise ValueError("precision must be positive")
+        if args.out == "off" and not 1 <= args.precision <= MAX_OFF_PRECISION:
+            raise ValueError(
+                f"precision {args.precision} is outside [1, {MAX_OFF_PRECISION}]"
+            )
     quartic = kummer.build_quartic(surface)
     if args.out == "json":
         faces = [
@@ -211,15 +210,7 @@ def cmd_surface(args) -> int:
             }
         )
         return 0
-    digits = args.precision
-    lines = ["OFF", "8 6 12"]
-    for v in quartic.vertices:
-        lines.append(
-            " ".join(fraction_decimal(c, digits) for c in v.as_tuple())
-        )
-    for face in quartic.faces:
-        lines.append("4 " + " ".join(str(i) for i in _face_cycle(quartic, face)))
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(kummer.quartic_off(quartic, args.precision))
     return 0
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotAffineOnCellError,
     ProductTypeError,
 )
-from .exact import Vec2, Vec3, is_unimodular, to_fraction
+from .exact import Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
 from .lattice import (
     Cell,
     HALF,
@@ -245,6 +245,23 @@ def build_quartic(surface: PrincipallyPolarizedSurface) -> KummerQuartic:
     faces = _face_table(th)
     _validate_quartic(vertices, faces)
     return KummerQuartic(vertices=vertices, faces=faces, theta_constants=th)
+
+
+def quartic_off(quartic: KummerQuartic, digits: int) -> str:
+    """The quartic as an OFF mesh, coordinates rounded to `digits` decimals.
+
+    Each face lists its vertex indices in cyclic order, as OFF requires.
+    """
+    lines = ["OFF", "8 6 12"]
+    for v in quartic.vertices:
+        lines.append(" ".join(fraction_decimal(c, digits) for c in v.as_tuple()))
+    for face in quartic.faces:
+        base, e1, e2 = _parallelogram_frame(
+            [quartic.vertex(vid) for vid in face.vertex_ids]
+        )
+        cycle = (base, base + e1, base + e1 + e2, base + e2)
+        lines.append("4 " + " ".join(str(quartic.vertices.index(p)) for p in cycle))
+    return "\n".join(lines) + "\n"
 
 
 def contains(quartic: KummerQuartic, p: Vec3) -> bool:

@@ -9,16 +9,15 @@ Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
 A series holds its valuations as integer numerators over one common
-denominator, grouped into rows by first exponent.  A row whose second
-exponents are evenly spaced and whose numerators have a constant second
-difference is stored as an integer quadratic and minimized in O(1); any
-other row is scanned term by term.  `build_series` writes each of its
-2N + 1 rows in closed form from the integer Gram, so a build is O(N) and
-makes no term; its `support` is built term by term only when read.  A
-series built by hand from a support is fitted into rows from its terms.
-Tropicalization reads ``G v`` from the surface's integer Gram and builds a
-single `Fraction` for the result.  `safe_cutoff` takes a few exact steps
-from an integer square root, whatever the bound.
+denominator.  `build_series` writes each of its 2N + 1 rows (one per first
+exponent) in closed form from the integer Gram, as an integer quadratic in
+the term's index along the row, so a build is O(N) and makes no term; its
+`support` is built term by term only when read.  The quadratic's leading
+coefficient is twice a diagonal Gram entry, so every row is convex and is
+minimized in O(1).  A series built by hand from a support keeps its terms
+and is scanned term by term.  Tropicalization reads ``G v`` from the
+surface's integer Gram and builds a single `Fraction` for the result.
+`safe_cutoff` is one `theta.certified_radius`, whatever the bound.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -32,7 +31,7 @@ from fractions import Fraction
 from .errors import EmptySupportError
 from .exact import Mat2, Vec2, gram_eval
 from .lattice import PrincipallyPolarizedSurface, numerators
-from .theta import ThetaCharacteristic, char_vector, spectral_floor
+from .theta import ThetaCharacteristic, certified_radius, char_vector
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,10 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
 class FormalThetaSeries:
     """Finite Fourier support with exact valuations, plus the lifting shift.
 
-    A series built from an explicit `support` is fitted into rows here (see
-    `_fit_rows`).  `build_series` passes its rows in closed form and no
-    support; `support` is then the terms of its cutoff box, built on first
-    read.
+    A series built from an explicit `support` keeps its terms, which
+    `tropicalize_series` scans.  `build_series` passes its rows in closed
+    form and no support; `support` is then the terms of its cutoff box,
+    built on first read.
     """
 
     def __init__(
@@ -87,16 +86,24 @@ class FormalThetaSeries:
         char: ThetaCharacteristic,
         cutoff: int,
         *,
-        rows: tuple[int, tuple, tuple] | None = None,
+        rows: tuple[int, tuple, tuple, tuple] | None = None,
     ):
         self.surface = surface
         self.constant_shift = constant_shift
         self.char = char
         self.cutoff = cutoff
         self._support = None if support is None else tuple(support)
-        # The support on one denominator `den`, one row per first exponent:
-        # (den, quadratic rows, scanned terms); see `_quadratic_row`.
-        self._rows = _fit_rows(self._support) if rows is None else rows
+        if rows is None:  # built by hand: no rows, every term scanned
+            ratios = [val.as_integer_ratio() for _, val in self._support]
+            den = math.lcm(*(q for _, q in ratios))
+            scanned = tuple(
+                (ex, ey, p * (den // q))
+                for ((ex, ey), _), (p, q) in zip(self._support, ratios)
+            )
+            rows = (den, (0, 0, 0), (), scanned)
+        # The numerators over one denominator `den`: (den, (e0, n, a), rows,
+        # scanned terms (ex, ey, num)); see `build_series` for the rows.
+        self._rows = rows
 
     @property
     def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -107,48 +114,8 @@ class FormalThetaSeries:
     @property
     def n_terms(self) -> int:
         """The number of terms, read off the rows."""
-        _, quadratic, scanned = self._rows
-        return sum(row[3] for row in quadratic) + len(scanned)
-
-
-def _fit_rows(support) -> tuple[int, tuple, tuple]:
-    ratios = [val.as_integer_ratio() for _, val in support]
-    den = math.lcm(*(q for _, q in ratios))
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for ((ex, ey), _), (p, q) in zip(support, ratios):
-        rows.setdefault(ex, []).append((ey, p * (den // q)))
-    quadratic, scanned = [], []
-    for ex, row in rows.items():
-        row.sort()
-        fit = _quadratic_row(row)
-        if fit is None:
-            scanned.extend((ex, ey, num) for ey, num in row)
-        else:
-            quadratic.append((ex, *fit))
-    return den, tuple(quadratic), tuple(scanned)
-
-
-def _quadratic_row(row: list[tuple[int, int]]):
-    """Fit a row sorted by second exponent: ``(e0, step, n, a, b, c)`` or None.
-
-    The fit exists when the n exponents are e0 + k*step with step > 0 and the
-    numerators have a constant second difference; then the k-th numerator is
-    (a k^2 + b k + c) / 2 with integer a, b, c.  Every row of `build_series`,
-    and any constant shift of one, fits.
-    """
-    n = len(row)
-    e0, v0 = row[0]
-    if n == 1:
-        return e0, 1, 1, 0, 0, 2 * v0
-    step = row[1][0] - e0
-    if step <= 0:
-        return None
-    a = row[2][1] - 2 * row[1][1] + v0 if n > 2 else 0
-    b, c = 2 * (row[1][1] - v0) - a, 2 * v0
-    for k, (ey, num) in enumerate(row):
-        if ey != e0 + k * step or 2 * num != (a * k + b) * k + c:
-            return None
-    return e0, step, n, a, b, c
+        _, (_, n, _), rows, scanned = self._rows
+        return n * len(rows) + len(scanned)
 
 
 def build_series(
@@ -161,16 +128,15 @@ def build_series(
     Term for u' = (i, j) in the box: exponent c + 2u' (dual coordinates of
     the class representative plus twice the lattice point), valuation
     Q(u', u') + Q(c, u') over the Gram's common denominator.  Row i is
-    written in closed form: with k = j + cutoff, twice the numerator is
-    a k^2 + b k + c_i, so the build is O(cutoff) and makes no term.
+    written in closed form as (ex, b, c): its k-th term, k = j + cutoff, has
+    exponent (ex, e0 + 2k) and twice its numerator is a k^2 + b k + c, where
+    the row length n, e0 and a = 2 * h22 are shared by every row.  The build
+    is O(cutoff) and makes no term.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
     h11, h12, h22 = surface.int_gram
-    n = 2 * cutoff + 1
-    e0 = cy - 2 * cutoff
-    a = 2 * h22
     rows = []
     for i in range(-cutoff, cutoff + 1):
         # The numerator is h22 j^2 + lin j + const, with j = k - cutoff.
@@ -178,7 +144,7 @@ def build_series(
         const = h11 * i * (i + cx) + h12 * cy * i
         b = 2 * (lin - 2 * h22 * cutoff)
         c = 2 * ((h22 * cutoff - lin) * cutoff + const)
-        rows.append((cx + 2 * i, e0, 2, n, a, b, c))
+        rows.append((cx + 2 * i, b, c))
     return FormalThetaSeries(
         surface=surface,
         support=None,
@@ -187,7 +153,12 @@ def build_series(
         ),
         char=char,
         cutoff=cutoff,
-        rows=(surface.gram_den, tuple(rows), ()),
+        rows=(
+            surface.gram_den,
+            (cy - 2 * cutoff, 2 * cutoff + 1, 2 * h22),
+            tuple(rows),
+            (),
+        ),
     )
 
 
@@ -212,13 +183,13 @@ def _box_terms(
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation).
 
-    Works on twice the terms' integer numerators: a fitted row is a quadratic
-    in the term's index along the row, minimized in O(1) at the clamped
-    vertex when convex and at an endpoint otherwise; other rows are scanned
-    term by term.
+    Works on twice the terms' integer numerators: a row of `build_series` is
+    a convex quadratic in the term's index along the row, minimized in O(1)
+    at the index nearest its vertex, clamped to the row; scanned terms are
+    evaluated one by one.
     """
-    val_den, quadratic, scanned = series._rows
-    if not quadratic and not scanned:
+    val_den, (e0, n, a), rows, scanned = series._rows
+    if not rows and not scanned:
         raise EmptySupportError("series has empty support")
     t0, t1, vden = numerators(v)
     h11, h12, h22 = series.surface.int_gram
@@ -227,15 +198,12 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     m, k = den // g_den, den // val_den
     gx, gy = (h11 * t0 + h12 * t1) * m, (h12 * t0 + h22 * t1) * m
     lows = [2 * (ex * gx + ey * gy + k * num) for ex, ey, num in scanned]
-    for ex, e0, step, n, a, b, c in quadratic:
-        # Twice the term at index i is (qa i + qb) i + qc.
-        qa, qb = k * a, 2 * step * gy + k * b
-        if qa > 0:  # convex: the index nearest the vertex, clamped
-            i = min(max((qa - qb) // (2 * qa), 0), n - 1)
-            low = (qa * i + qb) * i
-        else:  # concave or linear: an endpoint
-            low = min(0, (qa * (n - 1) + qb) * (n - 1))
-        lows.append(low + 2 * (ex * gx + e0 * gy) + k * c)
+    qa = k * a
+    for ex, b, c in rows:
+        # Twice the term at index i is (qa i + qb) i + qc, with qa > 0.
+        qb = 4 * gy + k * b
+        i = min(max((qa - qb) // (2 * qa), 0), n - 1)
+        lows.append((qa * i + qb) * i + 2 * (ex * gx + e0 * gy) + k * c)
     return series.constant_shift + Fraction(min(lows), 2 * den)
 
 
@@ -250,10 +218,8 @@ def safe_cutoff(
     M = (sum |G_ij|) * (bound + |c|_inf / 2)^2, while any u' outside the
     cutoff-R box keeps it above lam_low * (R + 1 - bound - |c|_inf / 2)^2
     with lam_low = `spectral_floor`; R is the smallest R >= 1 for which the
-    latter exceeds the former.  With reach = bound + |c|_inf / 2, that needs
-    R + 1 - reach > T = sqrt(M / lam_low), so the smallest R is
-    floor(T + reach): s + floor(reach) or one more, where
-    s = isqrt(floor(M / lam_low)) = floor(T).  The exact test picks which.
+    latter exceeds the former: `certified_radius` with reach
+    bound + |c|_inf / 2 and ceiling M.
     """
     bound = Fraction(region_bound)
     if bound < 0:
@@ -262,12 +228,4 @@ def safe_cutoff(
     c = char_vector(surface, char)
     reach = bound + c.sup_norm() / 2
     weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
-    upper = weight * reach * reach
-    lam_low = spectral_floor(surface)
-    ratio = upper / lam_low
-    radius = max(1, math.isqrt(ratio.numerator // ratio.denominator) + math.floor(reach))
-    while True:
-        margin = radius + 1 - reach
-        if margin > 0 and lam_low * margin * margin > upper:
-            return radius
-        radius += 1
+    return certified_radius(surface, reach, weight * reach * reach)

@@ -14,6 +14,7 @@ certificate, sharing no code with the descent, is provided alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,10 +90,32 @@ def theta_eval(
 def spectral_floor(surface: PrincipallyPolarizedSurface) -> Fraction:
     """lam_low = det(G) / (G11 + G22), so that Q(y, y) >= lam_low * ||y||_inf^2.
 
-    The box certificate of `theta_eval_bruteforce` and `nonarch.safe_cutoff`.
+    The box certificate of `theta_eval_bruteforce` and `certified_radius`.
     """
     h11, h12, h22 = surface.int_gram
     return Fraction(h11 * h22 - h12 * h12, surface.gram_den * (h11 + h22))
+
+
+def certified_radius(
+    surface: PrincipallyPolarizedSurface, reach: Fraction, ceiling: Fraction
+) -> int:
+    """Smallest R >= 1 with lam_low * (R + 1 - reach)^2 > ceiling, R + 1 > reach.
+
+    For a shift s with |s|_inf <= reach, every a outside the box |a_i| <= R
+    has |a + s|_inf >= R + 1 - reach, so Q(a + s, a + s) exceeds `ceiling`
+    (lam_low = `spectral_floor`).  For ceiling >= 0 the condition is
+    R + 1 - reach > T with T = sqrt(ceiling / lam_low), so the smallest R is
+    floor(T + reach), or 1 if that is smaller: q + floor(reach) or one more,
+    where q = isqrt(floor(ceiling / lam_low)) = floor(T).  The exact test
+    picks which.
+    """
+    lam_low = spectral_floor(surface)
+    ratio = ceiling / lam_low
+    radius = max(1, math.isqrt(ratio.numerator // ratio.denominator) + math.floor(reach))
+    margin = radius + 1 - reach
+    if margin > 0 and lam_low * margin * margin > ceiling:
+        return radius
+    return radius + 1
 
 
 def theta_eval_bruteforce(

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import kummer, nonarch, theta
-from .errors import InternalInconsistencyError, RadiusTooSmallError
+from .errors import InternalInconsistencyError
 from .exact import Mat2, Vec2, is_unimodular
 from .lattice import (
     HALF,
@@ -349,13 +349,19 @@ def _theta_concavity(s, rng):
 
 
 def _oracle_theta(surface, char, x) -> Fraction:
-    """Theta by the certified box of `theta_eval_bruteforce`, not the descent."""
-    radius = 1
-    while True:
-        try:
-            return theta_eval_bruteforce(surface, char, x, radius).value
-        except RadiusTooSmallError:
-            radius += 2
+    """Theta by the certified box of `theta_eval_bruteforce`, not the descent.
+
+    The box holds the nearest lattice shift a0 of s = x + c/2, so its minimum
+    is at most Q(s + a0); `certified_radius` makes the box certify that
+    ceiling, hence its own minimum, and one enumeration suffices.
+    """
+    s = x + HALF * theta.char_vector(surface, char)
+    a0 = Vec2(-round(s.x), -round(s.y))
+    radius = max(
+        theta.certified_radius(surface, s.sup_norm(), surface.norm(s + a0)),
+        int(a0.sup_norm()),
+    )
+    return theta_eval_bruteforce(surface, char, x, radius).value
 
 
 def _theta_oracle(s, seed, samples):

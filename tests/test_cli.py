@@ -210,6 +210,26 @@ def test_series_cutoff_is_bounded(capsys, hex_config):
         assert elapsed < 0.5, extra
 
 
+def test_off_precision_is_bounded(capsys, hex_config):
+    # 4400 digits used to reach Python's int-to-str limit inside the
+    # computation and exit 3.
+    for digits in ("4400", str(cli.MAX_OFF_PRECISION + 1), "0"):
+        code, out, err = run_cli(
+            capsys, "surface", hex_config, "--out", "off", "--precision", digits
+        )
+        assert code == 2, digits
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert (error["type"], error["stage"]) == ("ValueError", "surface")
+        assert "precision" in error["message"]
+    code, out, _ = run_cli(
+        capsys, "surface", hex_config, "--out", "off",
+        "--precision", str(cli.MAX_OFF_PRECISION),
+    )
+    assert code == 0
+    assert out.splitlines()[2].startswith("0.5000")
+
+
 def test_pinned_outputs(capsys, hex_config):
     code, out, _ = run_cli(capsys, "verify", hex_config, "--samples", "50")
     assert code == 0

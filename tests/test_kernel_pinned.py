@@ -22,10 +22,11 @@ from tropical_kummer import (
     relevant_vectors,
     theta_eval,
     theta_eval_bruteforce,
+    verify,
     voronoi_cell,
 )
 from tropical_kummer.sampling import random_integer_vector, rng_for
-from tropical_kummer.theta import char_vector
+from tropical_kummer.theta import certified_radius, char_vector, spectral_floor
 
 F = Fraction
 
@@ -143,3 +144,58 @@ def test_theta_matches_bruteforce_on_rational_grams():
                 s = x + F(1, 2) * char_vector(surface, char)
                 attained = surface.norm(fast.minimizer + s) - surface.norm(x)
                 assert attained == slow.value, (gram, x, char)
+
+
+ORACLE_GRAMS = (
+    ((2, -1), (-1, 2)),
+    ((2, -1), (-1, 3)),
+    ((F(1, 2), F(-1, 5)), (F(-1, 5), F(3, 7))),
+    ((1, 0), (0, 10**4)),
+)
+
+
+def test_verify_oracle_enumerates_one_box(monkeypatch):
+    radii = []
+
+    def recorded(surface, char, x, radius):
+        radii.append(radius)
+        return theta_eval_bruteforce(surface, char, x, radius)
+
+    monkeypatch.setattr(verify, "theta_eval_bruteforce", recorded)
+    for i, gram in enumerate(ORACLE_GRAMS):
+        surface = make_surface(gram)
+        # (1/3, 2/7) took 15 growing boxes on diag(1, 10^4) under char 00.
+        points = [Vec2(0, 0), Vec2(F(1, 3), F(2, 7))] + _sample_points(
+            i, count=8, bound=3
+        )
+        for x in points:
+            for char in CHARACTERISTICS:
+                radii.clear()
+                value = verify._oracle_theta(surface, char, x)
+                assert len(radii) == 1, (gram, x, char, radii)
+                assert value == _certified_theta(surface, char, x).value
+
+
+def _radius_by_steps(surface, reach, ceiling):
+    lam_low = spectral_floor(surface)
+    radius = 1
+    while True:
+        margin = radius + 1 - reach
+        if margin > 0 and lam_low * margin * margin > ceiling:
+            return radius
+        radius += 1
+
+
+def test_certified_radius_matches_stepping():
+    reaches = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1), F(7, 2), F(99, 10), F(40, 3)]
+    for gram in ORACLE_GRAMS:
+        surface = make_surface(gram)
+        lam_low = spectral_floor(surface)
+        for reach in reaches:
+            ceilings = [F(0), F(1, 7), F(3, 2), F(100, 3), F(10**4 + 1, 9)]
+            # Ceilings met with equality at some radius, where it must step.
+            ceilings += [lam_low * (r + 1 - reach) ** 2 for r in range(1, 20)]
+            for ceiling in ceilings:
+                want = _radius_by_steps(surface, reach, ceiling)
+                got = certified_radius(surface, reach, ceiling)
+                assert got == want, (gram, reach, ceiling)
