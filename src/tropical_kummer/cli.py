@@ -7,13 +7,14 @@ rational strings, no timestamps).  Only the OFF mesh export approximates,
 at a configurable number of decimal digits.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-error.  Exit 2 covers a failure while reading and validating the config and
-the arguments (the ``with _reading()`` block of each command) and the typed
-input errors of `errors` (`errors.InputError`, e.g. a product-type surface
-given to ``surface``).  Any other exception from the computation exits 3: two
+error.  Exit 2 covers an argument argparse rejects (an ``ArgumentError``), a
+failure while reading and validating the config and the arguments (the
+``with _reading()`` block of each command) and the typed input errors of
+`errors` (`errors.InputError`, e.g. a product-type surface given to
+``surface``).  Any other exception from the computation exits 3: two
 independent computations disagreed, or a bug.  Errors emit one JSON object
 ``{"error": {"type", "stage", "message"}}`` on stderr, where the stage is the
-subcommand; never a traceback.
+subcommand (``args`` if it is missing or unknown); never a traceback.
 
 ``series`` rejects a cutoff above `MAX_SERIES_CUTOFF`, whether given by
 ``--cutoff`` or computed from the point, and ``surface --out off`` a
@@ -269,8 +270,15 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argparse's errors (its subparsers' too) as input errors."""
+
+    def error(self, message):
+        raise _BadInput(argparse.ArgumentError(None, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tropical-kummer",
         description="Exact computations on tropical abelian surfaces and "
         "their Kummer quartics.",
@@ -319,12 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()  # `command` is set once the subcommand is read
     try:
-        return args.func(args)
+        return build_parser().parse_args(argv, args).func(args)
     except _BadInput as bad:
-        _emit_error(bad.exc, args.command)
+        _emit_error(bad.exc, args.command or "args")
         return 2
     except InputError as exc:
         _emit_error(exc, args.command)

@@ -407,10 +407,8 @@ def _primitive_normal(
     if g == 0:
         raise InternalInconsistencyError("linear part has rank < 2")
     n = tuple(c // g for c in n)
-    for c in n:
-        if c != 0:
-            return n if c > 0 else tuple(-x for x in n)
-    raise InternalInconsistencyError("zero normal")
+    first = next(c for c in n if c != 0)  # g > 0, so some entry is nonzero
+    return n if first > 0 else tuple(-x for x in n)
 
 
 def coplanarity_report(

@@ -8,12 +8,12 @@ a point v is then ``m . (G v)``, kept exact.
 Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
-A series holds its valuations as integer numerators over one common
+A series holds its valuations as integer numerators over the Gram's common
 denominator.  `build_series` writes each of its 2N + 1 rows (one per first
-exponent) in closed form from the integer Gram, as an integer quadratic in
-the term's index along the row, so a build is O(N) and makes no term; its
-`support` is built term by term only when read.  The quadratic's leading
-coefficient is twice a diagonal Gram entry, so every row is convex and is
+exponent) in closed form from the integer Gram as ``(ex, lin, const)``, the
+coefficients of the numerator ``h22 j^2 + lin j + const`` of the term with
+second index j, so a build is O(N) and makes no term; its `support` is built
+term by term only when read.  h22 > 0, so every row is convex and is
 minimized in O(1).  A series built by hand from a support keeps its terms
 and is scanned term by term.  Tropicalization reads ``G v`` from the
 surface's integer Gram and builds a single `Fraction` for the result.
@@ -73,9 +73,9 @@ class FormalThetaSeries:
     """Finite Fourier support with exact valuations, plus the lifting shift.
 
     A series built from an explicit `support` keeps its terms, which
-    `tropicalize_series` scans.  `build_series` passes its rows in closed
-    form and no support; `support` is then the terms of its cutoff box,
-    built on first read.
+    `tropicalize_series` scans.  `build_series` passes its rows
+    ``(ex, lin, const)`` and no support; `support` is then the terms of its
+    cutoff box, built on first read.
     """
 
     def __init__(
@@ -86,24 +86,14 @@ class FormalThetaSeries:
         char: ThetaCharacteristic,
         cutoff: int,
         *,
-        rows: tuple[int, tuple, tuple, tuple] | None = None,
+        rows: tuple[tuple[int, int, int], ...] | None = None,
     ):
         self.surface = surface
         self.constant_shift = constant_shift
         self.char = char
         self.cutoff = cutoff
         self._support = None if support is None else tuple(support)
-        if rows is None:  # built by hand: no rows, every term scanned
-            ratios = [val.as_integer_ratio() for _, val in self._support]
-            den = math.lcm(*(q for _, q in ratios))
-            scanned = tuple(
-                (ex, ey, p * (den // q))
-                for ((ex, ey), _), (p, q) in zip(self._support, ratios)
-            )
-            rows = (den, (0, 0, 0), (), scanned)
-        # The numerators over one denominator `den`: (den, (e0, n, a), rows,
-        # scanned terms (ex, ey, num)); see `build_series` for the rows.
-        self._rows = rows
+        self._rows = rows  # see `build_series`; None for a hand-built series
 
     @property
     def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -113,9 +103,10 @@ class FormalThetaSeries:
 
     @property
     def n_terms(self) -> int:
-        """The number of terms, read off the rows."""
-        _, (_, n, _), rows, scanned = self._rows
-        return n * len(rows) + len(scanned)
+        """The number of terms, read off the rows or the hand-built support."""
+        if self._rows is None:
+            return len(self._support)
+        return len(self._rows) * (2 * self.cutoff + 1)
 
 
 def build_series(
@@ -125,26 +116,21 @@ def build_series(
 ) -> FormalThetaSeries:
     """Truncate the theta series of a characteristic to a cutoff box.
 
-    Term for u' = (i, j) in the box: exponent c + 2u' (dual coordinates of
-    the class representative plus twice the lattice point), valuation
+    Term for u' = (i, j): exponent c + 2u' (dual coordinates of the class
+    representative plus twice the lattice point), valuation
     Q(u', u') + Q(c, u') over the Gram's common denominator.  Row i is
-    written in closed form as (ex, b, c): its k-th term, k = j + cutoff, has
-    exponent (ex, e0 + 2k) and twice its numerator is a k^2 + b k + c, where
-    the row length n, e0 and a = 2 * h22 are shared by every row.  The build
-    is O(cutoff) and makes no term.
+    written in closed form as (ex, lin, const) with ex = cx + 2i: its term j
+    in [-cutoff, cutoff] has exponent (ex, cy + 2j) and valuation numerator
+    h22 j^2 + lin j + const.  The build is O(cutoff) and makes no term.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
     h11, h12, h22 = surface.int_gram
-    rows = []
-    for i in range(-cutoff, cutoff + 1):
-        # The numerator is h22 j^2 + lin j + const, with j = k - cutoff.
-        lin = h12 * (2 * i + cx) + h22 * cy
-        const = h11 * i * (i + cx) + h12 * cy * i
-        b = 2 * (lin - 2 * h22 * cutoff)
-        c = 2 * ((h22 * cutoff - lin) * cutoff + const)
-        rows.append((cx + 2 * i, b, c))
+    rows = tuple(
+        (cx + 2 * i, h12 * (2 * i + cx) + h22 * cy, h11 * i * (i + cx) + h12 * cy * i)
+        for i in range(-cutoff, cutoff + 1)
+    )
     return FormalThetaSeries(
         surface=surface,
         support=None,
@@ -153,12 +139,7 @@ def build_series(
         ),
         char=char,
         cutoff=cutoff,
-        rows=(
-            surface.gram_den,
-            (cy - 2 * cutoff, 2 * cutoff + 1, 2 * h22),
-            tuple(rows),
-            (),
-        ),
+        rows=rows,
     )
 
 
@@ -183,28 +164,36 @@ def _box_terms(
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation).
 
-    Works on twice the terms' integer numerators: a row of `build_series` is
-    a convex quadratic in the term's index along the row, minimized in O(1)
-    at the index nearest its vertex, clamped to the row; scanned terms are
-    evaluated one by one.
+    With G v = (gx, gy) / (gram_den * den), term j of a `build_series` row
+    (ex, lin, const) is (A j^2 + B j + C) / (gram_den * den), A = den * h22 > 0,
+    B = den * lin + 2 gy, C = den * const + ex gx + cy gy: minimized at the
+    integer nearest the vertex, clamped to [-cutoff, cutoff].  A hand-built
+    series is scanned on numerators over gram_den * den * lcm(its denominators).
     """
-    val_den, (e0, n, a), rows, scanned = series._rows
-    if not rows and not scanned:
-        raise EmptySupportError("series has empty support")
-    t0, t1, vden = numerators(v)
-    h11, h12, h22 = series.surface.int_gram
-    g_den = series.surface.gram_den * vden  # G v = H t / g_den
-    den = math.lcm(g_den, val_den)
-    m, k = den // g_den, den // val_den
-    gx, gy = (h11 * t0 + h12 * t1) * m, (h12 * t0 + h22 * t1) * m
-    lows = [2 * (ex * gx + ey * gy + k * num) for ex, ey, num in scanned]
-    qa = k * a
-    for ex, b, c in rows:
-        # Twice the term at index i is (qa i + qb) i + qc, with qa > 0.
-        qb = 4 * gy + k * b
-        i = min(max((qa - qb) // (2 * qa), 0), n - 1)
-        lows.append((qa * i + qb) * i + 2 * (ex * gx + e0 * gy) + k * c)
-    return series.constant_shift + Fraction(min(lows), 2 * den)
+    surface = series.surface
+    t0, t1, den = numerators(v)
+    h11, h12, h22 = surface.int_gram
+    gx, gy = h11 * t0 + h12 * t1, h12 * t0 + h22 * t1
+    g_den = surface.gram_den * den
+    if series._rows is None:
+        terms = series.support
+        if not terms:
+            raise EmptySupportError("series has empty support")
+        q = math.lcm(*(val.denominator for _, val in terms))
+        low = min(
+            q * (ex * gx + ey * gy) + g_den * (q // val.denominator) * val.numerator
+            for (ex, ey), val in terms
+        )
+        return series.constant_shift + Fraction(low, g_den * q)
+    n = series.cutoff
+    cy = surface.char_vectors[series.char.j1 + 2 * series.char.j2][1]
+    a = den * h22
+    lows = []
+    for ex, lin, const in series._rows:
+        b = den * lin + 2 * gy
+        j = min(max((a - b) // (2 * a), -n), n)
+        lows.append((a * j + b) * j + den * const + ex * gx)
+    return series.constant_shift + Fraction(min(lows) + cy * gy, g_den)
 
 
 def safe_cutoff(

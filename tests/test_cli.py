@@ -379,6 +379,29 @@ def test_zero_denominator_exits_2(capsys, hex_config, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, stage, phrase",
+    [
+        (("surface", "HEX", "--precision", "abc"), "surface", "invalid int value"),
+        (("theta", "HEX", "--char", "00"), "theta", "--point"),
+        (("verify", "HEX", "--samples", "1.5"), "verify", "invalid int value"),
+        (("bogus", "HEX"), "args", "invalid choice"),
+        ((), "args", "required"),
+    ],
+)
+def test_argument_errors_exit_2(capsys, hex_config, argv, stage, phrase):
+    # argparse's own errors keep the one-JSON-line contract of exit 2.
+    argv = [hex_config if a == "HEX" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert (error["type"], error["stage"]) == ("ArgumentError", stage)
+    assert phrase in error["message"]
+
+
+@pytest.mark.parametrize(
     "error",
     [
         InternalInconsistencyError,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -242,6 +243,44 @@ def _scan(series, v):
     return series.constant_shift + min(
         ex * gx + ey * gy + val for (ex, ey), val in series.support
     )
+
+
+@st.composite
+def extreme_grams(draw):
+    """Positive definite Grams with entries up to 10^6, some nearly singular."""
+    a = draw(st.integers(min_value=1, max_value=10**6))
+    d = draw(st.integers(min_value=1, max_value=10**6))
+    top = min(math.isqrt(a * d - 1), 10**6)  # |b| <= top keeps a d - b^2 >= 1
+    b = draw(st.one_of(st.sampled_from((top, -top)), st.integers(-top, top)))
+    den = draw(st.sampled_from((1, 7, 1000)))
+    return make_surface([[F(a, den), F(b, den)], [F(b, den), F(d, den)]])
+
+
+huge_fractions = st.fractions(
+    min_value=-(10**30), max_value=10**30, max_denominator=10**30
+)
+
+# Seconds allowed for one build or one tropicalization at cutoff <= 6.
+SERIES_CALL_BUDGET_S = 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extreme_grams(),
+    st.sampled_from(CHARACTERISTICS),
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.tuples(huge_fractions, huge_fractions), min_size=1, max_size=4),
+)
+def test_series_rows_at_extreme_inputs(s, char, cutoff, points):
+    start = time.perf_counter()
+    series = build_series(s, char, cutoff)
+    assert time.perf_counter() - start < SERIES_CALL_BUDGET_S
+    for x, y in points:
+        v = Vec2(x, y)
+        start = time.perf_counter()
+        value = tropicalize_series(series, v)
+        assert time.perf_counter() - start < SERIES_CALL_BUDGET_S, (x, y)
+        assert value == _scan(series, v)
 
 
 def _support_variants(s, char, cutoff):
