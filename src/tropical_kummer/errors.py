@@ -21,10 +21,6 @@ class RadiusTooSmallError(InputError):
     """A brute-force box is too small to certify a global minimum."""
 
 
-class EmptySupportError(InputError):
-    """A formal series with no terms cannot be minimized."""
-
-
 class NotAffineOnCellError(RuntimeError):
     """The embedding failed an affineness cross-check on a subdivision cell."""
 

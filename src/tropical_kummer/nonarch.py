@@ -8,15 +8,14 @@ a point v is then ``m . (G v)``, kept exact.
 Only valuations are represented: for the even, symmetric normalization the
 coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
-A series holds its valuations as integer numerators over the Gram's common
-denominator.  `build_series` writes each of its 2N + 1 rows (one per first
-exponent) in closed form from the integer Gram as ``(ex, lin, const)``, the
-coefficients of the numerator ``h22 j^2 + lin j + const`` of the term with
-second index j, so a build is O(N) and makes no term; its `support` is built
-term by term only when read.  h22 > 0, so every row is convex and is
-minimized in O(1).  A series built by hand from a support keeps its terms
-and is scanned term by term.  Tropicalization reads ``G v`` from the
-surface's integer Gram and builds a single `Fraction` for the result.
+A series is its surface, characteristic and cutoff N, nothing more: its
+terms are closed forms in the surface's integer Gram, so `build_series` is
+O(1).  Tropicalization walks the 2N + 1 rows of the cutoff box, one per
+first exponent, on integer numerators over the Gram's common denominator.
+h22 > 0, so every row is a convex quadratic in the second index and is
+minimized in O(1); an evaluation takes O(N) time and O(1) memory, reads
+``G v`` from the integer Gram and builds a single `Fraction`, for the
+result.  `support` lists the terms one by one, only when read.
 `safe_cutoff` is one `theta.certified_radius`, whatever the bound.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
@@ -24,11 +23,10 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptySupportError
 from .exact import Mat2, Vec2, gram_eval
 from .lattice import PrincipallyPolarizedSurface, numerators
 from .theta import ThetaCharacteristic, certified_radius, char_vector
@@ -69,44 +67,55 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class FormalThetaSeries:
-    """Finite Fourier support with exact valuations, plus the lifting shift.
+    """The theta series of a characteristic, truncated to a cutoff box.
 
-    A series built from an explicit `support` keeps its terms, which
-    `tropicalize_series` scans.  `build_series` passes its rows
-    ``(ex, lin, const)`` and no support; `support` is then the terms of its
-    cutoff box, built on first read.
+    A series is exactly its inputs: its (2 cutoff + 1)^2 terms are closed
+    forms in the surface's integer Gram, so it stores none of them.  It is
+    frozen, so `constant_shift` and `support`, each computed once on first
+    read, always match its inputs.
     """
 
-    def __init__(
-        self,
-        surface: PrincipallyPolarizedSurface,
-        support: tuple[tuple[tuple[int, int], Fraction], ...] | None,
-        constant_shift: Fraction,
-        char: ThetaCharacteristic,
-        cutoff: int,
-        *,
-        rows: tuple[tuple[int, int, int], ...] | None = None,
-    ):
-        self.surface = surface
-        self.constant_shift = constant_shift
-        self.char = char
-        self.cutoff = cutoff
-        self._support = None if support is None else tuple(support)
-        self._rows = rows  # see `build_series`; None for a hand-built series
+    surface: PrincipallyPolarizedSurface
+    char: ThetaCharacteristic
+    cutoff: int
 
-    @property
-    def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        if self._support is None:
-            self._support = _box_terms(self.surface, self.char, self.cutoff)
-        return self._support
+    def __post_init__(self):
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
+
+    @functools.cached_property
+    def constant_shift(self) -> Fraction:
+        """The lifting constant Q(c, c) / 4 of the characteristic vector c."""
+        cx, cy = self.surface.char_vectors[self.char.j1 + 2 * self.char.j2]
+        h11, h12, h22 = self.surface.int_gram
+        return Fraction(
+            h11 * cx * cx + 2 * h12 * cx * cy + h22 * cy * cy,
+            4 * self.surface.gram_den,
+        )
 
     @property
     def n_terms(self) -> int:
-        """The number of terms, read off the rows or the hand-built support."""
-        if self._rows is None:
-            return len(self._support)
-        return len(self._rows) * (2 * self.cutoff + 1)
+        return (2 * self.cutoff + 1) ** 2
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """Every (exponent, valuation) term of the box, one `Fraction` each."""
+        surface, n = self.surface, self.cutoff
+        cx, cy = surface.char_vectors[self.char.j1 + 2 * self.char.j2]
+        h11, h12, h22 = surface.int_gram
+        terms = []
+        for i in range(-n, n + 1):
+            for j in range(-n, n + 1):
+                num = (
+                    h11 * i * (i + cx)
+                    + h12 * (2 * i * j + cx * j + cy * i)
+                    + h22 * j * (j + cy)
+                )
+                val = Fraction(num, surface.gram_den)
+                terms.append(((cx + 2 * i, cy + 2 * j), val))
+        return tuple(terms)
 
 
 def build_series(
@@ -116,84 +125,50 @@ def build_series(
 ) -> FormalThetaSeries:
     """Truncate the theta series of a characteristic to a cutoff box.
 
-    Term for u' = (i, j): exponent c + 2u' (dual coordinates of the class
-    representative plus twice the lattice point), valuation
-    Q(u', u') + Q(c, u') over the Gram's common denominator.  Row i is
-    written in closed form as (ex, lin, const) with ex = cx + 2i: its term j
-    in [-cutoff, cutoff] has exponent (ex, cy + 2j) and valuation numerator
-    h22 j^2 + lin j + const.  The build is O(cutoff) and makes no term.
+    Term for u' = (i, j), |i|, |j| <= cutoff: exponent c + 2u' (dual
+    coordinates of the class representative plus twice the lattice point),
+    valuation Q(u', u') + Q(c, u').  The build is O(1): the terms are read
+    off the integer Gram when the series is evaluated.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-    h11, h12, h22 = surface.int_gram
-    rows = tuple(
-        (cx + 2 * i, h12 * (2 * i + cx) + h22 * cy, h11 * i * (i + cx) + h12 * cy * i)
-        for i in range(-cutoff, cutoff + 1)
-    )
-    return FormalThetaSeries(
-        surface=surface,
-        support=None,
-        constant_shift=Fraction(
-            h11 * cx * cx + 2 * h12 * cx * cy + h22 * cy * cy, 4 * surface.gram_den
-        ),
-        char=char,
-        cutoff=cutoff,
-        rows=rows,
-    )
-
-
-def _box_terms(
-    surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, cutoff: int
-) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    """The terms of `build_series`, one `Fraction` each, term by term."""
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-    h11, h12, h22 = surface.int_gram
-    terms = []
-    for i in range(-cutoff, cutoff + 1):
-        for j in range(-cutoff, cutoff + 1):
-            num = (
-                h11 * i * (i + cx)
-                + h12 * (2 * i * j + cx * j + cy * i)
-                + h22 * j * (j + cy)
-            )
-            terms.append(((cx + 2 * i, cy + 2 * j), Fraction(num, surface.gram_den)))
-    return tuple(terms)
+    return FormalThetaSeries(surface, char, cutoff)
 
 
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation).
 
-    With G v = (gx, gy) / (gram_den * den), term j of a `build_series` row
-    (ex, lin, const) is (A j^2 + B j + C) / (gram_den * den), A = den * h22 > 0,
+    Row i of the box (first exponent ex = cx + 2i) is written in closed form
+    as (ex, lin, const) with lin = h12 (2i + cx) + h22 cy and
+    const = h11 i (i + cx) + h12 cy i: its term j has exponent (ex, cy + 2j)
+    and valuation numerator h22 j^2 + lin j + const over gram_den.  With
+    G v = (gx, gy) / (gram_den * den), term j of row i is
+    (A j^2 + B j + C) / (gram_den * den), A = den * h22 > 0,
     B = den * lin + 2 gy, C = den * const + ex gx + cy gy: minimized at the
-    integer nearest the vertex, clamped to [-cutoff, cutoff].  A hand-built
-    series is scanned on numerators over gram_den * den * lcm(its denominators).
+    integer nearest the vertex, clamped to [-cutoff, cutoff].  B grows by
+    2 den h12 from one row to the next.  An evaluation takes O(cutoff) time
+    and O(1) memory, and builds a single `Fraction`, for the result.
     """
     surface = series.surface
     t0, t1, den = numerators(v)
     h11, h12, h22 = surface.int_gram
     gx, gy = h11 * t0 + h12 * t1, h12 * t0 + h22 * t1
-    g_den = surface.gram_den * den
-    if series._rows is None:
-        terms = series.support
-        if not terms:
-            raise EmptySupportError("series has empty support")
-        q = math.lcm(*(val.denominator for _, val in terms))
-        low = min(
-            q * (ex * gx + ey * gy) + g_den * (q // val.denominator) * val.numerator
-            for (ex, ey), val in terms
-        )
-        return series.constant_shift + Fraction(low, g_den * q)
     n = series.cutoff
-    cy = surface.char_vectors[series.char.j1 + 2 * series.char.j2][1]
+    cx, cy = surface.char_vectors[series.char.j1 + 2 * series.char.j2]
     a = den * h22
-    lows = []
-    for ex, lin, const in series._rows:
-        b = den * lin + 2 * gy
-        j = min(max((a - b) // (2 * a), -n), n)
-        lows.append((a * j + b) * j + den * const + ex * gx)
-    return series.constant_shift + Fraction(min(lows) + cy * gy, g_den)
+    b = den * (h12 * (cx - 2 * n) + h22 * cy) + 2 * gy  # row i = -n
+    step = 2 * den * h12
+    p, q = den * h11, den * h12 * cy  # den * const = (p (i + cx) + q) i
+    low = None
+    for i in range(-n, n + 1):
+        j = (a - b) // (2 * a)
+        if j < -n:
+            j = -n
+        elif j > n:
+            j = n
+        row_low = (a * j + b) * j + (p * (i + cx) + q) * i + (cx + 2 * i) * gx
+        if low is None or row_low < low:
+            low = row_low
+        b += step
+    return series.constant_shift + Fraction(low + cy * gy, surface.gram_den * den)
 
 
 def safe_cutoff(

@@ -17,8 +17,9 @@ surface class it needs (if any) and an optional setup.
 * A surface outside the row's class is ``skip`` with 0 cases; nothing of
   the row runs.
 * ``setup(surface)`` is built once per run of the row, before its first
-  case, and dropped when the row ends.  It is not memoized on the surface:
-  the series tables and cutoff ladders would outlive the check.
+  case, and dropped when the row ends.  It is not memoized on the surface;
+  every setup in `CHECKS` is cheap to rebuild, as a series stores only its
+  surface, characteristic and cutoff.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report

@@ -73,6 +73,15 @@ def test_embed_output(capsys, hex_config):
     assert json.loads(out)["psi"] == ["-1/2", "0", "0"]
 
 
+def test_point_with_leading_minus(capsys, hex_config):
+    for cmd in (("theta", "--char", "11"), ("embed",), ("series", "--char", "11")):
+        argv = (cmd[0], hex_config, *cmd[1:])
+        joined = run_cli(capsys, *argv, "--point=-40,17/3")
+        separate = run_cli(capsys, *argv, "--point", "-40,17/3")
+        assert joined[0] == 0 and joined[1] != "", cmd
+        assert separate == joined, cmd
+
+
 def test_surface_json_output(capsys, hex_config):
     code, out, _ = run_cli(capsys, "surface", hex_config, "--out", "json")
     assert code == 0

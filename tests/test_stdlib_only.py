@@ -24,3 +24,12 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "tropical_kummer" and top not in sys.stdlib_module_names:
                     foreign.append((path.name, node.lineno, name))
     assert foreign == []
+
+
+def test_public_names_resolve_once():
+    names = tropical_kummer.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(tropical_kummer, n)] == []
+    namespace = {}
+    exec("from tropical_kummer import *", namespace)
+    assert set(names) <= set(namespace)
