@@ -16,6 +16,8 @@ independent computations disagreed, or a bug.  Errors emit one JSON object
 ``{"error": {"type", "stage", "message"}}`` on stderr, where the stage is the
 subcommand (``args`` if it is missing or unknown); never a traceback.
 
+An input rational with more than `_MAX_INPUT_DIGITS` digits in its numerator
+or denominator is an input error, so that every printed number can print.
 ``series`` rejects a cutoff above `MAX_SERIES_CUTOFF`, whether given by
 ``--cutoff`` or computed from the point, and ``surface --out off`` a
 ``--precision`` outside [1, `MAX_OFF_PRECISION`], as input errors.
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 from . import kummer, nonarch, verify
 from .errors import InputError
@@ -46,9 +50,19 @@ from .theta import ThetaCharacteristic, theta_eval
 # json.JSONDecodeError is a ValueError.
 READ_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
+# The most digits of an input rational's numerator or denominator.  With each
+# below H = 10^300, the integer Gram and its denominator are below H^3, and
+# every printed numerator and denominator below 128 H^10: a theta value at a
+# point below 20 H^8, a Voronoi vertex (a 2x2 integer solve) below 16 H^10, the
+# quartic's values there below 128 H^10.  That is under Python's 4300-digit
+# limit on printing an integer (measured: at most 5 * 300 digits), also with
+# OFF's 1000 decimals.  An exponent is checked first: Fraction builds 10^exp.
+_MAX_INPUT_DIGITS = 300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 # The largest series cutoff `series` accepts.  A build costs O(1) and an
 # evaluation O(cutoff) time and O(1) memory: at this limit the whole command
-# takes about 0.35 s and 21 MB peak RSS on an x86-64 machine with
+# takes about 0.25 s and 20 MB peak RSS on an x86-64 machine with
 # Python 3.11.
 MAX_SERIES_CUTOFF = 10**5
 
@@ -92,6 +106,16 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _rational(raw) -> Fraction:
+    """An exact input rational of at most `_MAX_INPUT_DIGITS` digits up and down."""
+    exponent = _EXPONENT.search(raw) if isinstance(raw, str) else None
+    if exponent is None or abs(int(exponent[1])) <= _MAX_INPUT_DIGITS + len(raw):
+        value = to_fraction(raw)
+        if max(abs(value.numerator), value.denominator) < 10**_MAX_INPUT_DIGITS:
+            return value
+    raise ValueError(f"a rational input has more than {_MAX_INPUT_DIGITS} digits")
+
+
 def _parse_gram(raw) -> Mat2:
     if (
         not isinstance(raw, list)
@@ -104,7 +128,7 @@ def _parse_gram(raw) -> Mat2:
         for cell in row:
             if isinstance(cell, float):
                 raise ValueError("gram entries must be exact: use strings like '1/2'")
-            entries.append(to_fraction(cell))
+            entries.append(_rational(cell))
     return Mat2(*entries)
 
 
@@ -116,7 +140,7 @@ def _parse_point(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x1,x2', got {text!r}")
-    return Vec2(parts[0].strip(), parts[1].strip())
+    return Vec2(_rational(parts[0]), _rational(parts[1]))
 
 
 def _vec_json(v) -> list[str]:

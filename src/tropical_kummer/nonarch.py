@@ -10,12 +10,11 @@ coefficient valuations are ``Q(u', u')`` and the lifting constant
 contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
 A series is its surface, characteristic and cutoff N, nothing more: its
 terms are closed forms in the surface's integer Gram, so `build_series` is
-O(1).  Tropicalization walks the 2N + 1 rows of the cutoff box, one per
-first exponent, on integer numerators over the Gram's common denominator.
-h22 > 0, so every row is a convex quadratic in the second index and is
-minimized in O(1); an evaluation takes O(N) time and O(1) memory, reads
-``G v`` from the integer Gram and builds a single `Fraction`, for the
-result.  `support` lists the terms one by one, only when read.
+O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
+<c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
+Q(v + c/2 + a) - Q(v): tropicalization is the box minimum of
+`theta._box_minimum`, the row walk of `theta_eval_bruteforce`, in O(N) time
+and O(1) memory.  `support` lists the terms one by one, only when read.
 `safe_cutoff` is one `theta.certified_radius`, whatever the bound.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
@@ -28,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat2, Vec2, gram_eval
-from .lattice import PrincipallyPolarizedSurface, numerators
-from .theta import ThetaCharacteristic, certified_radius, char_vector
+from .lattice import PrincipallyPolarizedSurface, _hq
+from .theta import ThetaCharacteristic, _box_minimum, certified_radius, char_vector
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,8 @@ class FormalThetaSeries:
     @functools.cached_property
     def constant_shift(self) -> Fraction:
         """The lifting constant Q(c, c) / 4 of the characteristic vector c."""
-        cx, cy = self.surface.char_vectors[self.char.j1 + 2 * self.char.j2]
-        h11, h12, h22 = self.surface.int_gram
-        return Fraction(
-            h11 * cx * cx + 2 * h12 * cx * cy + h22 * cy * cy,
-            4 * self.surface.gram_den,
-        )
+        c = self.surface.char_vectors[self.char.j1 + 2 * self.char.j2]
+        return Fraction(_hq(self.surface.int_gram, c, c), 4 * self.surface.gram_den)
 
     @property
     def n_terms(self) -> int:
@@ -104,15 +99,11 @@ class FormalThetaSeries:
         """Every (exponent, valuation) term of the box, one `Fraction` each."""
         surface, n = self.surface, self.cutoff
         cx, cy = surface.char_vectors[self.char.j1 + 2 * self.char.j2]
-        h11, h12, h22 = surface.int_gram
         terms = []
         for i in range(-n, n + 1):
             for j in range(-n, n + 1):
-                num = (
-                    h11 * i * (i + cx)
-                    + h12 * (2 * i * j + cx * j + cy * i)
-                    + h22 * j * (j + cy)
-                )
+                # Q(u', u') + Q(c, u') = Q(u' + c, u') for u' = (i, j).
+                num = _hq(surface.int_gram, (i + cx, j + cy), (i, j))
                 val = Fraction(num, surface.gram_den)
                 terms.append(((cx + 2 * i, cy + 2 * j), val))
         return tuple(terms)
@@ -136,39 +127,10 @@ def build_series(
 def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation).
 
-    Row i of the box (first exponent ex = cx + 2i) is written in closed form
-    as (ex, lin, const) with lin = h12 (2i + cx) + h22 cy and
-    const = h11 i (i + cx) + h12 cy i: its term j has exponent (ex, cy + 2j)
-    and valuation numerator h22 j^2 + lin j + const over gram_den.  With
-    G v = (gx, gy) / (gram_den * den), term j of row i is
-    (A j^2 + B j + C) / (gram_den * den), A = den * h22 > 0,
-    B = den * lin + 2 gy, C = den * const + ex gx + cy gy: minimized at the
-    integer nearest the vertex, clamped to [-cutoff, cutoff].  B grows by
-    2 den h12 from one row to the next.  An evaluation takes O(cutoff) time
-    and O(1) memory, and builds a single `Fraction`, for the result.
+    <c + 2a, G v> + Q(a) + Q(c, a) + Q(c)/4 = Q(v + c/2 + a) - Q(v), so this
+    is the minimum of `theta._box_minimum`, uncertified, over the cutoff box.
     """
-    surface = series.surface
-    t0, t1, den = numerators(v)
-    h11, h12, h22 = surface.int_gram
-    gx, gy = h11 * t0 + h12 * t1, h12 * t0 + h22 * t1
-    n = series.cutoff
-    cx, cy = surface.char_vectors[series.char.j1 + 2 * series.char.j2]
-    a = den * h22
-    b = den * (h12 * (cx - 2 * n) + h22 * cy) + 2 * gy  # row i = -n
-    step = 2 * den * h12
-    p, q = den * h11, den * h12 * cy  # den * const = (p (i + cx) + q) i
-    low = None
-    for i in range(-n, n + 1):
-        j = (a - b) // (2 * a)
-        if j < -n:
-            j = -n
-        elif j > n:
-            j = n
-        row_low = (a * j + b) * j + (p * (i + cx) + q) * i + (cx + 2 * i) * gx
-        if low is None or row_low < low:
-            low = row_low
-        b += step
-    return series.constant_shift + Fraction(low + cy * gy, surface.gram_den * den)
+    return _box_minimum(series.surface, series.char, v, series.cutoff)[0]
 
 
 def safe_cutoff(

@@ -8,8 +8,10 @@ the function value at x is
 
 The minimum is found by the closest-vector descent on integer numerators:
 for x = t/den, s is 2*t + den*c over 2*den, and one `Fraction` is built for
-the value.  A brute-force enumeration oracle with a global-minimum
-certificate, sharing no code with the descent, is provided alongside.
+the value.  A brute-force oracle with a global-minimum certificate, sharing
+no code with the descent, is provided alongside.  Its box walk also
+tropicalizes the truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4
+is Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
 """
 
 from __future__ import annotations
@@ -107,15 +109,46 @@ def certified_radius(
     R + 1 - reach > T with T = sqrt(ceiling / lam_low), so the smallest R is
     floor(T + reach), or 1 if that is smaller: q + floor(reach) or one more,
     where q = isqrt(floor(ceiling / lam_low)) = floor(T).  The exact test
-    picks which.
+    picks which, on integers: lam_low = det / scale, reach = r/p, ceiling = c/q.
     """
-    lam_low = spectral_floor(surface)
-    ratio = ceiling / lam_low
-    radius = max(1, math.isqrt(ratio.numerator // ratio.denominator) + math.floor(reach))
-    margin = radius + 1 - reach
-    if margin > 0 and lam_low * margin * margin > ceiling:
+    h11, h12, h22 = surface.int_gram
+    det, scale = h11 * h22 - h12 * h12, surface.gram_den * (h11 + h22)
+    r, p = reach.as_integer_ratio()
+    c, q = ceiling.as_integer_ratio()
+    radius = max(1, math.isqrt(c * scale // (q * det)) + r // p)
+    margin = p * (radius + 1) - r
+    if margin > 0 and det * q * margin * margin > c * scale * p * p:
         return radius
     return radius + 1
+
+
+def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int]]:
+    """min of Q(a + s) - Q(x) over |a_i| <= radius, and its first minimizer.
+
+    Rows a1 are walked on integer numerators, s = (s0, s1) / d with d = 2 den,
+    and y = d (a + s).  In a row, the numerator of Q(a + s) is a convex
+    quadratic A j^2 + B j + C in a2 = j, A = h22 d^2, B = 2 d (h12 y0 + h22 s1):
+    -((A + B) // (2A)), its vertex rounded half down and clamped to the box,
+    is the row's first minimizer.  A row wins only when strictly lower, so
+    ties keep the first (a1, a2) in lexicographic order, as a double loop
+    does: the 2-D case of Fincke-Pohst, O(radius) time and O(1) memory.
+    """
+    t0, t1, den = numerators(x)
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    s0, s1, d = 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den
+    h11, h12, h22 = surface.int_gram
+    a, lin, h12x2 = h22 * d, 2 * h22 * s1, 2 * h12  # A/d, B/d = a + h12x2 y0 + lin
+    best = best_a = None
+    for a1 in range(-radius, radius + 1):
+        y0 = d * a1 + s0
+        j = -((a + h12x2 * y0 + lin) // (2 * a))
+        j = -radius if j < -radius else radius if j > radius else j
+        y1 = d * j + s1
+        num = (h11 * y0 + h12x2 * y1) * y0 + h22 * y1 * y1
+        if best is None or num < best:
+            best, best_a = num, (a1, j)
+    q_x = 4 * _hq(surface.int_gram, (t0, t1), (t0, t1))  # Q(x) over gram_den d^2
+    return Fraction(best - q_x, surface.gram_den * d * d), best_a
 
 
 def theta_eval_bruteforce(
@@ -124,42 +157,22 @@ def theta_eval_bruteforce(
     x: Vec2,
     radius: int,
 ) -> ThetaValue:
-    """Enumerate the box |a_i| <= radius and certify the minimum is global.
+    """The `_box_minimum` walk, certified global by the bound `spectral_floor`.
 
-    The certificate uses the exact spectral lower bound of `spectral_floor`:
-    every lattice point outside the box must exceed the box minimum, else
+    Every lattice point outside the box must exceed the box minimum, else
     RadiusTooSmallError.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    value, (a1, a2) = _box_minimum(surface, char, x, radius)
     s = x + HALF * char_vector(surface, char)
-    too_small = RadiusTooSmallError(
-        f"radius {radius} cannot certify the minimum for shift {s.as_tuple()}"
-    )
     margin = radius + 1 - s.sup_norm()
-    if margin <= 0:  # the certificate fails whatever the box minimum
-        raise too_small
-    h11, h12, h22 = surface.int_gram
-    t0, t1, den = numerators(s)
-
-    best = None
-    best_a = (0, 0)
-    for a1 in range(-radius, radius + 1):
-        y0 = den * a1 + t0
-        for a2 in range(-radius, radius + 1):
-            y1 = den * a2 + t1
-            num = h11 * y0 * y0 + 2 * h12 * y0 * y1 + h22 * y1 * y1
-            if best is None or num < best:
-                best = num
-                best_a = (a1, a2)
-
-    box_min = Fraction(best, surface.gram_den * den * den)
-
-    if spectral_floor(surface) * margin * margin <= box_min:
-        raise too_small
-    return ThetaValue(
-        value=box_min - surface.norm(x), minimizer=Vec2(best_a[0], best_a[1])
-    )
+    box_min = value + surface.norm(x)
+    if margin <= 0 or spectral_floor(surface) * margin * margin <= box_min:
+        raise RadiusTooSmallError(
+            f"radius {radius} cannot certify the minimum for shift {s.as_tuple()}"
+        )
+    return ThetaValue(value=value, minimizer=Vec2(a1, a2))
 
 
 def theta_constants(

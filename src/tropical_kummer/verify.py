@@ -43,10 +43,12 @@ from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
+    _hq,
     classify,
     in_voronoi_cell,
     lagrange_reduce,
     make_surface,
+    numerators,
     reduce_point,
     relevant_vectors,
     subdivide,
@@ -228,11 +230,7 @@ def _reduction_invariants(s, seed, samples):
         and quv <= 0
         and 2 * abs(quv) <= quu
     )
-    detail = {
-        "u": _vec(rb.u),
-        "v": _vec(rb.v),
-        "norms": [str(q) for q in rb.norms],
-    }
+    detail = {"u": _vec(rb.u), "v": _vec(rb.v), "norms": [str(q) for q in rb.norms]}
     return (PASS if ok else FAIL), 1, (None if ok else detail), detail
 
 
@@ -352,16 +350,18 @@ def _theta_concavity(s, rng):
 def _oracle_theta(surface, char, x) -> Fraction:
     """Theta by the certified box of `theta_eval_bruteforce`, not the descent.
 
-    The box holds the nearest lattice shift a0 of s = x + c/2, so its minimum
-    is at most Q(s + a0); `certified_radius` makes the box certify that
-    ceiling, hence its own minimum, and one enumeration suffices.
+    With s = x + c/2 = (s0, s1) / 2den, the box holds a0 = -round(s), so its
+    minimum is at most Q(s + a0): the `certified_radius` of that ceiling
+    certifies the box minimum, and one box suffices.
     """
-    s = x + HALF * theta.char_vector(surface, char)
-    a0 = Vec2(-round(s.x), -round(s.y))
-    radius = max(
-        theta.certified_radius(surface, s.sup_norm(), surface.norm(s + a0)),
-        int(a0.sup_norm()),
-    )
+    t0, t1, den = numerators(x)
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    s = (2 * t0 + den * cx, 2 * t1 + den * cy)
+    near = [(si + den) // (2 * den) for si in s]  # -a0: s rounded half up
+    y = [si - 2 * den * ni for si, ni in zip(s, near)]  # 2den (s + a0)
+    ceiling = Fraction(_hq(surface.int_gram, y, y), surface.gram_den * 4 * den * den)
+    reach = Fraction(max(map(abs, s)), 2 * den)
+    radius = max(theta.certified_radius(surface, reach, ceiling), *map(abs, near))
     return theta_eval_bruteforce(surface, char, x, radius).value
 
 

@@ -263,6 +263,9 @@ VERIFY_SEED7_SAMPLES50_SHA256 = {
     # two of them by raising, so counterexamples and failing case counts
     # are pinned too.
     "skew-descent-cut": "d91f8e17a5de3be27c1c5a4de5393dc3facda337ce56e0e1354ca1b38eae4f53",
+    # Recorded with the brute-force oracle's box enumerated term by term,
+    # which took about 9 s on this ill-conditioned Gram.
+    "diag(10^6,1)": "fa3f9d5a35737d6f318988884536fe0da643cc864736a00e600b671e6bcce2f1",
 }
 
 
@@ -272,6 +275,7 @@ _PINNED_SURFACES = {
     "unit-square": make_surface([[1, 0], [0, 1]]),
     "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
     "skew-descent-cut": cut_descent(make_surface([[2, -1], [-1, 3]])),
+    "diag(10^6,1)": make_surface([[10**6, 0], [0, 1]]),
 }
 
 
@@ -323,6 +327,28 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(garbled))
     assert code == 2
     assert json.loads(err)["error"]["type"] == "JSONDecodeError"
+
+
+def test_huge_rationals_exit_2(capsys, hex_config, tmp_path):
+    # Each used to print an integer of more than 4300 digits, which Python
+    # refuses (exit 3); 1e99999999 is refused before 10^99999999 is built.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"gram": [["1e5000", "0"], ["0", "1"]]}))
+    slow = tmp_path / "slow.json"
+    slow.write_text(json.dumps({"gram": [["1e99999999", "0"], ["0", "1"]]}))
+    for argv in (
+        ["classify", str(huge)],
+        ["classify", str(slow)],
+        ["theta", hex_config, "--char", "00", "--point=1/3,1e-5000"],
+        ["series", hex_config, "--char", "11", "--point", "1/3,-1e-99999999"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "ValueError", argv
+    edge = tmp_path / "edge.json"  # 300 digits up and down still read
+    edge.write_text(json.dumps({"gram": [["9" * 300, "0"], ["0", "1/" + "9" * 300]]}))
+    assert run_cli(capsys, "classify", str(edge))[0] == 0
 
 
 def test_surface_rejects_product_type(capsys, product_config):
