@@ -136,6 +136,16 @@ def _surface_from_config(config: dict) -> PrincipallyPolarizedSurface:
     return make_surface(_parse_gram(config["gram"]))
 
 
+def _int_setting(args, config: dict, key: str, default: int) -> int:
+    """Option `key` if given, else the config's JSON integer or integer string."""
+    value = getattr(args, key)
+    if value is None:
+        value = config.get(key, default)
+        if isinstance(value, (bool, float)):  # int() would truncate or overflow
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_point(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -274,12 +284,8 @@ def cmd_verify(args) -> int:
     with _reading():
         config = _load_config(args.file)
         surface = _surface_from_config(config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        samples = (
-            args.samples
-            if args.samples is not None
-            else int(config.get("samples", 200))
-        )
+        seed = _int_setting(args, config, "seed", 0)
+        samples = _int_setting(args, config, "samples", 200)
         if samples < 1:
             raise ValueError("samples must be positive")
 

@@ -9,6 +9,12 @@ chart (x1,x2,x3) <-> (0 : x1 : x2 : x3), so
 The quartic's eight vertices are the orbit of the theta-constant point
 under the group generated by the double-transposition coordinate swaps and
 the min-plus Cremona involution x -> -x.
+
+Opposite faces are n.p = +-o with offsets t10 + t01 - t11 = -Q(u,v)/2,
+-t10 + t01 + t11 = -Q(v,w)/2 and t10 - t01 + t11 = -Q(u,w)/2, for the reduced
+basis u, v and w = -u - v, as th = (Q(u), Q(v), Q(w))/4.  They are never 0 on a
+hexagonal cell, whose superbase u, v, w is strictly obtuse, so the solid is
+centred at the origin and the quartic is where the gauge max_f (n_f.p)/o_f is 1.
 """
 
 from __future__ import annotations
@@ -213,21 +219,21 @@ def _validate_quartic(
     if len(set(vertices)) != 8:
         raise InternalInconsistencyError("vertex orbit is degenerate")
     vmap = dict(zip(VERTEX_LABELS, vertices))
+    # The gauge n.v / o of `contains`: defined, at most 1, and 1 on the face.
     for face in faces:
-        for vid in face.vertex_ids:
-            if face.evaluate(vmap[vid]) != face.offset:
+        if face.offset == 0:
+            raise InternalInconsistencyError(f"face {face.normal}=0 meets the centre")
+        for vid, v in vmap.items():
+            gauge = face.evaluate(v) / face.offset
+            if gauge > 1 or (gauge != 1 and vid in face.vertex_ids):
                 raise InternalInconsistencyError(
-                    f"vertex {vid} misses face {face.normal}={face.offset}"
+                    f"vertex {vid}: gauge {gauge} on face {face.normal}={face.offset}"
                 )
     # Parallelepiped: base tau_tilde_0 with edges to tau_3, tau_2, tau_1.
     base = vmap["tau_tilde_0"]
-    e1, e2, e3 = (vmap[f"tau_{i}"] - base for i in (3, 2, 1))
-    spanned = {
-        base + i * e1 + j * e2 + k * e3
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in (0, 1)
-    }
+    spanned = {base}
+    for i in (3, 2, 1):
+        spanned |= {c + vmap[f"tau_{i}"] - base for c in spanned}
     if spanned != set(vertices):
         raise InternalInconsistencyError("vertices do not span a parallelepiped")
 
@@ -265,41 +271,12 @@ def quartic_off(quartic: KummerQuartic, digits: int) -> str:
 
 
 def contains(quartic: KummerQuartic, p: Vec3) -> bool:
-    """Membership in the union of the six closed faces, exact."""
-    vmap = dict(zip(VERTEX_LABELS, quartic.vertices))
-    for face in quartic.faces:
-        if face.evaluate(p) != face.offset:
-            continue
-        base, edge1, edge2 = _parallelogram_frame(
-            [vmap[vid] for vid in face.vertex_ids]
-        )
-        coeffs = _solve_in_plane(p - base, edge1, edge2)
-        if coeffs is None:
-            continue
-        alpha, beta = coeffs
-        if 0 <= alpha <= 1 and 0 <= beta <= 1:
-            return True
-    return False
+    """Membership in the union of the six closed faces, exact.
 
-
-def _solve_in_plane(
-    target: Vec3, edge1: Vec3, edge2: Vec3
-) -> tuple[Fraction, Fraction] | None:
-    """Solve target = alpha*edge1 + beta*edge2 exactly, or None if insoluble."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    t = target.as_tuple()
-    e1 = edge1.as_tuple()
-    e2 = edge2.as_tuple()
-    for i, j in pairs:
-        det = e1[i] * e2[j] - e1[j] * e2[i]
-        if det == 0:
-            continue
-        alpha = (t[i] * e2[j] - t[j] * e2[i]) / det
-        beta = (e1[i] * t[j] - e1[j] * t[i]) / det
-        # Verify on the full 3-vector; the plane test alone is not enough.
-        recon = alpha * edge1 + beta * edge2
-        return (alpha, beta) if recon == target else None
-    return None
+    As o = -Q(u,v)/2, -Q(v,w)/2, -Q(u,w)/2 for opposite faces n.p = +-o is never
+    0, the solid is |n.p| <= |o| and its surface is where the gauge equals 1.
+    """
+    return max(face.evaluate(p) / face.offset for face in quartic.faces) == 1
 
 
 def injectivity_check(

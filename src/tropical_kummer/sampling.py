@@ -27,18 +27,18 @@ def rng_for(seed: int, *index) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def random_fraction(
-    rng: random.Random, bound: int, max_den: int = 12
-) -> Fraction:
-    den = rng.randint(1, max_den)
+_MAX_DEN = 12  # the largest denominator of a drawn fraction
+_UNIMODULAR_STEPS = 6  # elementary operations per random unimodular matrix
+
+
+def random_fraction(rng: random.Random, bound: int) -> Fraction:
+    den = rng.randint(1, _MAX_DEN)
     num = rng.randint(-bound * den, bound * den)
     return Fraction(num, den)
 
 
-def random_point(rng: random.Random, bound: int, max_den: int = 12) -> Vec2:
-    return Vec2(
-        random_fraction(rng, bound, max_den), random_fraction(rng, bound, max_den)
-    )
+def random_point(rng: random.Random, bound: int) -> Vec2:
+    return Vec2(random_fraction(rng, bound), random_fraction(rng, bound))
 
 
 def random_integer_vector(rng: random.Random, bound: int = 4) -> Vec2:
@@ -69,10 +69,10 @@ def random_irreducible_surface(
             return surface
 
 
-def random_unimodular(rng: random.Random, steps: int = 6) -> Mat2:
+def random_unimodular(rng: random.Random) -> Mat2:
     """A random element of GL_2(Z) built from elementary operations."""
     m = [[1, 0], [0, 1]]
-    for _ in range(steps):
+    for _ in range(_UNIMODULAR_STEPS):
         op = rng.randrange(3)
         if op == 0:
             m[0], m[1] = m[1], m[0]

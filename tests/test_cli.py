@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import pytest
 from conftest import cut_descent
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_kummer import cli, kummer, make_surface, verify
 from tropical_kummer.errors import InternalInconsistencyError, NotAffineOnCellError
@@ -492,3 +497,184 @@ def test_raising_check_is_recorded(capsys, monkeypatch, hex_config):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "ZeroDivisionError: boom" in err
+
+
+def test_verify_config_seed_and_samples_must_be_integers(capsys, tmp_path):
+    # A float or a bool used to be truncated (samples 1.9 and seed true ran
+    # as 1 and 1, and the report echoed them), and an infinite one to exit 3
+    # with an OverflowError.
+    gram = json.dumps(HEX_GRAM)
+    runs = (
+        ('"samples": 1.9, "seed": true', ()),
+        ('"seed": 1e400', ("--samples", "1")),
+        ('"seed": Infinity', ("--samples", "1")),
+        ('"seed": -Infinity', ("--samples", "1")),
+        ('"seed": 2.0', ("--samples", "1")),
+        ('"samples": Infinity', ("--seed", "1")),
+        ('"samples": true', ("--seed", "1")),
+    )
+    path = tmp_path / "config.json"
+    for entries, extra in runs:
+        path.write_text('{"gram": %s, %s}' % (gram, entries))
+        code, out, err = run_cli(capsys, "verify", str(path), *extra)
+        assert (code, out) == (2, ""), entries
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["type"], error["stage"]) == ("ValueError", "verify"), entries
+        assert "must be an integer" in error["message"], entries
+    # JSON integers and integer strings still read, as the options would.
+    reports = []
+    for entries in ('"seed": 8, "samples": 2', '"seed": "8", "samples": " 2 "'):
+        path.write_text('{"gram": %s, %s}' % (gram, entries))
+        reports.append(run_cli(capsys, "verify", str(path))[:2])
+    path.write_text('{"gram": %s}' % gram)
+    options = run_cli(capsys, "verify", str(path), "--seed", "8", "--samples", "2")
+    assert reports == [options[:2]] * 2
+    assert json.loads(options[1])["config"]["samples"] == 2
+
+
+# The CLI reading contract, fuzzed: on any input a command exits 0, 1 or 2,
+# and exit 2 prints one JSON line on stderr and nothing on stdout.
+_COMMANDS = ("classify", "voronoi", "theta", "embed", "surface", "series", "verify")
+_SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(str)
+# At the 300-digit limit of an input rational, so read.
+_HUGE = st.sampled_from(
+    ["9" * 300, "-1/" + "9" * 300, "7" * 300 + "/" + "3" * 299, "1e299", "-1e-299"]
+)
+# Past the limit, or not a rational at all: exit 2 before any computation.
+_REJECTED = st.sampled_from(
+    ["9" * 301, "1/" + "7" * 301, "1e5000", "-1e-400", "1e99999999"]
+    + ["", "abc", "1/0", "1//2", "nan", "inf", "1e", "0x10", "1/2/3", "\u00bd", " "]
+)
+# JSON values of the wrong type for a Gram entry.
+_JUNK = st.sampled_from([None, True, 2.5, [], {}, 10**400])
+_BAD_GRAMS = st.sampled_from(
+    [[["1", "0"]], [["1", "0"], ["0"]], [["1", "0", "0"]] * 3, "hex", 5, None, {}]
+)
+_BAD_CONFIGS = st.sampled_from(
+    ["[]", '"gram"', "3", "null", "{}", '{"gram": [["2", "-1"],', '{"Gram": 1}']
+)
+
+
+def _grams(entries):
+    """Symmetric 2x2 arrays of `entries`."""
+    return st.tuples(entries, entries, entries).map(
+        lambda e: [[e[0], e[1]], [e[1], e[2]]]
+    )
+
+
+@st.composite
+def _definite_grams(draw, bound):
+    """Positive definite integer Grams with entries up to `bound`."""
+    a, d = draw(st.integers(1, bound)), draw(st.integers(1, bound))
+    top = math.isqrt(a * d - 1)
+    entries = (a, draw(st.integers(-top, top)), d)
+    if draw(st.booleans()):
+        entries = tuple(map(str, entries))
+    return [[entries[0], entries[1]], [entries[1], entries[2]]]
+
+
+@st.composite
+def _invocations(draw):
+    """(argv after the config path, config text or None for a missing file).
+
+    `theta` and `embed` get integer Grams up to 10^3 and points up to 10^4,
+    and `verify` entries up to 9 and at most 3 samples: `descend` takes a
+    number of steps linear in the reduced coordinates (ROADMAP item 2).
+    """
+
+    def often(good, bad, odds=6):
+        """Draw from `good`, or from `bad` one time in `odds`."""
+        return draw(bad if draw(st.integers(1, odds)) == odds // 2 else good)
+
+    command = draw(st.sampled_from(_COMMANDS))
+    if command in ("theta", "embed"):
+        entry = st.integers(-(10**3), 10**3)
+        definite = _definite_grams(10**3)
+        fractions = st.fractions(-(10**4), 10**4, max_denominator=10**6)
+        coordinate = st.one_of(fractions.map(str), st.just("-1/" + "9" * 300))
+    elif command == "verify":
+        entry = st.fractions(-9, 9, max_denominator=3).map(str)
+        definite = _definite_grams(9)
+    else:
+        entry = st.one_of(_SMALL, _HUGE, st.integers(-(10**3), 10**3))
+        definite = st.one_of(_definite_grams(10**3), _grams(entry))
+        coordinate = st.one_of(_SMALL, _HUGE)
+    rejected = st.one_of(_REJECTED, _JUNK)
+    bad = st.one_of(_grams(entry), _grams(st.one_of(entry, rejected)), _BAD_GRAMS)
+    config = {"gram": often(definite, bad)}
+
+    argv = [command]
+    if command in ("theta", "series"):
+        chars = st.sampled_from(["00", "10", "01", "11"])
+        bad_chars = st.sampled_from([[], ["--char", "2"], ["--char", "011"]])
+        argv += often(chars.map(lambda c: ["--char", c]), bad_chars)
+    if command in ("theta", "embed", "series"):
+        coordinates = st.tuples(coordinate, coordinate)
+        bad = st.one_of(
+            st.tuples(coordinate, _REJECTED),
+            st.tuples(_REJECTED, coordinate),
+            st.sampled_from([("1",), ("1", "2", "3"), ("",), ("a", "b")]),
+        )
+        point = ",".join(often(coordinates, bad))
+        argv += draw(st.sampled_from([["--point", point], ["--point=" + point]]))
+    if command == "series":
+        cutoffs = st.sampled_from([[], ["--cutoff", "0"], ["--cutoff", "7"]])
+        too_far = str(cli.MAX_SERIES_CUTOFF + 1)
+        bad = st.sampled_from(["-1", too_far, "x"]).map(lambda c: ["--cutoff", c])
+        argv += often(cutoffs, bad)
+    if command == "surface":
+        outs = st.sampled_from([[], ["--out", "json"], ["--out", "off"]])
+        argv += often(outs, st.just(["--out", "xml"]))
+        precisions = st.integers(1, cli.MAX_OFF_PRECISION).map(str)
+        bad = st.sampled_from(["0", str(cli.MAX_OFF_PRECISION + 1), "x"])
+        if draw(st.booleans()):
+            argv += ["--precision", often(precisions, bad)]
+    if command == "verify":  # seed and samples each from the config or an option
+        wrong = [1.9, True, math.inf, -math.inf, None, "2.5", [], "9" * 5000]
+        values = {
+            "seed": [0, -3, 10**20, "5", *wrong],
+            "samples": [1, 3, " 2", 0, -1, *wrong],
+        }
+        options = {
+            "seed": ["-3", "0", "10000000000", "1.5"],
+            "samples": ["1", "2", "3", "0", "1.9"],
+        }
+        for key in ("seed", "samples"):
+            if draw(st.booleans()):
+                config[key] = draw(st.sampled_from(values[key]))
+            elif key == "samples" or draw(st.booleans()):
+                argv += ["--" + key, draw(st.sampled_from(options[key]))]
+    text = often(st.just(json.dumps(config)), st.one_of(_BAD_CONFIGS, st.none()))
+    return argv, text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_invocations())
+def test_cli_reading_contract(fuzz_dir, invocation):
+    rest, config = invocation
+    path = fuzz_dir / ("config.json" if config is not None else "missing.json")
+    if config is not None:
+        path.write_text(config)
+    argv = [rest[0], str(path), *rest[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, (argv, config, elapsed)
+    assert code in (0, 1, 2), (argv, config, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        (line,) = err.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        assert sorted(error) == ["message", "stage", "type"]
+        assert error["stage"] == rest[0]
+    else:
+        assert out.getvalue() != ""
+        assert code == 0 or rest[0] == "verify"

@@ -9,11 +9,15 @@ from tropical_kummer import (
     Distinct,
     EquivalentMinus,
     EquivalentPlus,
+    FacePlane,
+    InternalInconsistencyError,
     ProductTypeError,
+    SurfaceClass,
     Vec2,
     Vec3,
     affine_pieces,
     build_quartic,
+    classify,
     contains,
     coplanarity_report,
     g_action,
@@ -24,6 +28,11 @@ from tropical_kummer import (
     theta_constants,
     two_torsion_images,
     vertex_sign_diagnostics,
+)
+from tropical_kummer.kummer import (
+    VERTEX_LABELS,
+    _parallelogram_frame,
+    _validate_quartic,
 )
 from tropical_kummer.sampling import (
     random_integer_vector,
@@ -126,6 +135,127 @@ def test_contains_rejects_points_off_the_faces(hexagonal):
     quartic = build_quartic(hexagonal)
     # On the right plane but outside the face quadrilateral.
     assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
+
+
+def _contains_by_solving(quartic, p):
+    """Membership face by face: on the plane, then inside the parallelogram.
+
+    A reference for the gauge that shares none of its argument: each face's
+    parallelogram frame and an exact in-plane solve.
+    """
+    vmap = dict(zip(VERTEX_LABELS, quartic.vertices))
+    for face in quartic.faces:
+        if face.evaluate(p) != face.offset:
+            continue
+        base, edge1, edge2 = _parallelogram_frame(
+            [vmap[vid] for vid in face.vertex_ids]
+        )
+        coeffs = _solve_in_plane(p - base, edge1, edge2)
+        if coeffs is None:
+            continue
+        alpha, beta = coeffs
+        if 0 <= alpha <= 1 and 0 <= beta <= 1:
+            return True
+    return False
+
+
+def _solve_in_plane(target, edge1, edge2):
+    """Solve target = alpha*edge1 + beta*edge2 exactly, or None if insoluble."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    t = target.as_tuple()
+    e1 = edge1.as_tuple()
+    e2 = edge2.as_tuple()
+    for i, j in pairs:
+        det = e1[i] * e2[j] - e1[j] * e2[i]
+        if det == 0:
+            continue
+        alpha = (t[i] * e2[j] - t[j] * e2[i]) / det
+        beta = (e1[i] * t[j] - e1[j] * t[i]) / det
+        # Verify on the full 3-vector; the plane test alone is not enough.
+        recon = alpha * edge1 + beta * edge2
+        return (alpha, beta) if recon == target else None
+    return None
+
+
+def _random_rational_irreducible(rng):
+    """An irreducible surface with entries up to 9 over denominators up to 7."""
+    while True:
+        den = rng.randint(1, 7)
+        a, b, d = (F(rng.randint(lo * den, 9 * den), den) for lo in (1, -9, 1))
+        if a * d > b * b:
+            surface = make_surface([[a, b], [b, d]])
+            if classify(surface) is SurfaceClass.IRREDUCIBLE:
+                return surface
+
+
+def _gauge_probes(quartic, surface, rng):
+    """Vertices, points on and around the faces, interior, exterior, psi images.
+
+    A point is base + a e1 + b e2 + c e3 in the parallelepiped's own
+    coordinates; face points have one coordinate at 0 or 1 and the others in
+    [-1/4, 5/4], so they land on faces, on edges and beyond face edges.
+    """
+    base = quartic.vertex("tau_tilde_0")
+    edges = [quartic.vertex(f"tau_{i}") - base for i in (3, 2, 1)]
+
+    def at(coords):
+        return base + sum((c * e for c, e in zip(coords, edges)), Vec3(0, 0, 0))
+
+    grid = [F(k, 8) for k in range(-2, 11)]
+    probes = list(quartic.vertices)
+    for _ in range(8):
+        coords = [rng.choice(grid) for _ in range(3)]
+        coords[rng.randrange(3)] = F(rng.randint(0, 1))
+        probes.append(at(coords))
+    probes += [at([F(rng.randint(1, 7), 8) for _ in range(3)]) for _ in range(2)]
+    for _ in range(2):
+        coords = [rng.choice(grid) for _ in range(3)]
+        coords[rng.randrange(3)] = rng.choice((F(-1, 3), F(4, 3), F(7, 2)))
+        probes.append(at(coords))
+    probes += [psi_eval(surface, random_point(rng, 3)) for _ in range(3)]
+    return probes
+
+
+def test_contains_is_the_face_gauge(hexagonal, skew_hexagonal):
+    # The gauge against the face-by-face solve on 3 + 150 + 60 irreducible
+    # surfaces, 23 points each.
+    surfaces = [
+        hexagonal,
+        skew_hexagonal,
+        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+    ]
+    surfaces += [
+        random_irreducible_surface(rng_for(61, "gauge", k), max_entry=9)
+        for k in range(150)
+    ]
+    surfaces += [
+        _random_rational_irreducible(rng_for(61, "gauge-rational", k))
+        for k in range(60)
+    ]
+    on = off = 0
+    for k, surface in enumerate(surfaces):
+        quartic = build_quartic(surface)
+        for p in _gauge_probes(quartic, surface, rng_for(61, "probe", k)):
+            expected = _contains_by_solving(quartic, p)
+            assert contains(quartic, p) == expected, (surface.gram, p)
+            on, off = on + expected, off + (not expected)
+    assert on > 2000 and off > 1000, (on, off)
+
+
+def test_validate_quartic_guards_the_gauge(hexagonal):
+    quartic = build_quartic(hexagonal)
+    _validate_quartic(quartic.vertices, quartic.faces)
+    # The diagonal section through the centre holds its four vertices, but
+    # its offset is 0, so the gauge would divide by zero.
+    section = FacePlane(
+        (1, -1, 0), F(0), ("tau_tilde_0", "tau_3", "tau_tilde_3", "tau_0"), ()
+    )
+    with pytest.raises(InternalInconsistencyError, match="centre"):
+        _validate_quartic(quartic.vertices, (section,) + quartic.faces[1:])
+    # A plane through tau_0 and tau_3 alone, with tau_tilde_1 beyond it.
+    beyond = FacePlane((2, 0, -1), H, ("tau_0", "tau_3", "tau_0", "tau_3"), ())
+    with pytest.raises(InternalInconsistencyError, match="tau_tilde_1: gauge 2"):
+        _validate_quartic(quartic.vertices, (beyond,) + quartic.faces[1:])
 
 
 def test_surface_coverage(row_passes, hexagonal, skew_hexagonal):
