@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: classify, voronoi, theta, embed, surface, series, verify.
-Input is a JSON config file whose ``gram`` entry is a 2x2 array of rational
-strings ("p/q" or "n"); JSON output is deterministic (sorted keys, exact
-rational strings, no timestamps).  Only the OFF mesh export approximates,
-at a configurable number of decimal digits.
+Subcommands: classify, voronoi, theta, embed, surface, series, verify; only
+``verify`` imports the `verify` suite, on demand.  Input is a JSON config file
+whose ``gram`` entry is a 2x2 array of rational strings ("p/q" or "n"); JSON
+output is deterministic (sorted keys, exact rational strings, no timestamps).
+Only the OFF mesh export approximates, at a configurable number of decimals.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 error.  Exit 2 covers an argument argparse rejects (an ``ArgumentError``), a
@@ -34,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import kummer, nonarch, verify
+from . import kummer, nonarch
 from .errors import InputError
 from .exact import Mat2, Vec2, to_fraction
 from .lattice import (
@@ -281,6 +281,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # here, not at the top: the other commands never need it
     with _reading():
         config = _load_config(args.file)
         surface = _surface_from_config(config)

@@ -8,7 +8,7 @@ as ``"p/q"`` (or ``"n"`` for integers), which is exactly ``str(Fraction)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
@@ -34,6 +34,9 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+_set = object.__setattr__  # sets a field past a frozen value type's __setattr__
+
+
 def fraction_decimal(q: Fraction, digits: int) -> str:
     """Round q to `digits` fractional digits, exactly (no float round-trip)."""
     if digits < 1:
@@ -45,14 +48,72 @@ def fraction_decimal(q: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-@dataclass(frozen=True)
-class Vec2:
+class _ValueType(type):
+    """Builds a value type from its class body; see `Value`."""
+
+    def __new__(mcls, name, bases, ns, frozen: bool = True):
+        ns["_fields"] = fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {n: ns.pop(n) for n in fields if n in ns}
+        ns.setdefault("__slots__", fields)
+        if fields:  # every value type but the base
+            shown = ns.setdefault("_shown", fields)
+            get = operator.attrgetter(*shown)
+            ns["_key"] = staticmethod(get if len(shown) > 1 else lambda o: (get(o),))
+        if not frozen:
+            ns.update(__setattr__=_set, __delattr__=object.__delattr__, __hash__=None)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Value(metaclass=_ValueType):
+    """Base of the value types: their annotated fields are their ``__slots__``.
+
+    A field's value in the class body is its default (``list`` or ``dict``
+    there gives a fresh one).  The ``_shown`` fields (default: all) are
+    compared, hashed and shown by ``repr``.  Instances are frozen unless the
+    class is declared ``frozen=False`` (then unhashable).  The standard
+    library's decorator would generate these methods at 1 ms a class per import.
+    """
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):  # bind keywords, then defaults
+            values = dict(zip(names, args), **kwargs)
+            if len(values) < len(args) + len(kwargs) or not values.keys() <= set(names):
+                raise TypeError(f"{type(self).__qualname__}() takes {', '.join(names)}")
+            args = [values[n] if n in values else self._default(n) for n in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _default(self, name: str):
+        if name not in self._defaults:
+            raise TypeError(f"{type(self).__qualname__}() needs {name!r}")
+        default = self._defaults[name]
+        return default() if default in (list, dict) else default
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key(self) == other._key(other) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Vec2(Value):
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", to_fraction(self.x))
-        object.__setattr__(self, "y", to_fraction(self.y))
+    def __init__(self, x: RationalLike, y: RationalLike):
+        _set(self, "x", to_fraction(x))
+        _set(self, "y", to_fraction(y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -80,16 +141,14 @@ class Vec2:
 ZERO2 = Vec2(0, 0)
 
 
-@dataclass(frozen=True)
-class Vec3:
+class Vec3(Value):
     x: Fraction
     y: Fraction
     z: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", to_fraction(self.x))
-        object.__setattr__(self, "y", to_fraction(self.y))
-        object.__setattr__(self, "z", to_fraction(self.z))
+    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
+        for name, value in zip("xyz", (x, y, z)):
+            _set(self, name, to_fraction(value))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -108,8 +167,7 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Value):
     """2x2 rational matrix with rows (a b) and (c d)."""
 
     a: Fraction
@@ -117,9 +175,9 @@ class Mat2:
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(self, a, b, c, d):  # each a RationalLike
+        for name, value in zip("abcd", (a, b, c, d)):
+            _set(self, name, to_fraction(value))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "Mat2":

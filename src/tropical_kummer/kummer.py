@@ -20,7 +20,6 @@ centred at the origin and the quartic is where the gauge max_f (n_f.p)/o_f is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -29,7 +28,7 @@ from .errors import (
     NotAffineOnCellError,
     ProductTypeError,
 )
-from .exact import Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
+from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
 from .lattice import (
     Cell,
     HALF,
@@ -69,8 +68,7 @@ VERTEX_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class FacePlane:
+class FacePlane(Value):
     normal: tuple[int, int, int]
     offset: Fraction
     vertex_ids: tuple[str, str, str, str]
@@ -81,8 +79,7 @@ class FacePlane:
         return n[0] * p.x + n[1] * p.y + n[2] * p.z
 
 
-@dataclass(frozen=True)
-class KummerQuartic:
+class KummerQuartic(Value):
     vertices: tuple[Vec3, ...]  # ordered as VERTEX_LABELS
     faces: tuple[FacePlane, ...]
     theta_constants: tuple[Fraction, Fraction, Fraction]
@@ -91,26 +88,22 @@ class KummerQuartic:
         return self.vertices[VERTEX_LABELS.index(label)]
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(Value):
     cell: Cell
     linear_part: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     offset: Vec3
     unimodular: bool
 
 
-@dataclass(frozen=True)
-class EquivalentPlus:
+class EquivalentPlus(Value):
     shift: Vec2
 
 
-@dataclass(frozen=True)
-class EquivalentMinus:
+class EquivalentMinus(Value):
     shift: Vec2
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Value):
     witness: ThetaCharacteristic
 
 
@@ -295,9 +288,9 @@ def injectivity_check(
 
     verdict: Verdict
     if (yp - y).is_integral():
-        verdict = EquivalentPlus(shift=yp - y)
+        verdict = EquivalentPlus(yp - y)
     elif (yp + y).is_integral():
-        verdict = EquivalentMinus(shift=yp + y)
+        verdict = EquivalentMinus(yp + y)
     else:
         witness = None
         for char, a, b in zip(
@@ -311,7 +304,7 @@ def injectivity_check(
                 f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
                 f"the image {image_y.as_tuple()}"
             )
-        verdict = Distinct(witness=witness)
+        verdict = Distinct(witness)
 
     if isinstance(verdict, (EquivalentPlus, EquivalentMinus)) and image_y != image_yp:
         raise InternalInconsistencyError(

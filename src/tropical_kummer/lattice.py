@@ -30,11 +30,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
-from .exact import Mat2, Vec2, ZERO2, gram_eval, is_positive_definite
+from .exact import Mat2, Value, Vec2, ZERO2, gram_eval, is_positive_definite
 
 HALF = Fraction(1, 2)
 
@@ -49,20 +48,20 @@ class CellKind(enum.Enum):
     RECTANGLE = "rectangle"
 
 
-@dataclass(frozen=True)
-class PrincipallyPolarizedSurface:
+class PrincipallyPolarizedSurface(Value):
     """A polarized surface: the Gram matrix and its derived context."""
 
+    _shown = ("gram",)  # the rest derives from the Gram
     gram: Mat2
-    reduced: ReducedBasis = field(compare=False, repr=False)
-    int_gram: tuple[int, int, int] = field(compare=False, repr=False)  # gram_den * G
-    gram_den: int = field(compare=False, repr=False)
+    reduced: ReducedBasis
+    int_gram: tuple[int, int, int]  # gram_den * G
+    gram_den: int
     # (r, H r, r^T H r) for the relevant vectors r, in descent scan order.
-    descent: tuple = field(compare=False, repr=False)
+    descent: tuple
     # j1*u + j2*v for the characteristics 00, 10, 01, 11.
-    char_vectors: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    char_vectors: tuple[tuple[int, int], ...]
     # Geometric products built on first use; see `per_surface`.
-    lazy: dict = field(default_factory=dict, compare=False, repr=False)
+    lazy: dict = dict  # a fresh dict per surface
 
     @property
     def n_basis(self) -> Mat2:
@@ -76,8 +75,7 @@ class PrincipallyPolarizedSurface:
         return gram_eval(self.gram, x, x)
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
+class ReducedBasis(Value):
     u: Vec2
     v: Vec2
     norms: tuple[Fraction, Fraction, Fraction]  # (Q(u,u), Q(v,v), Q(u,v))
@@ -87,15 +85,13 @@ class ReducedBasis:
         return -(self.u + self.v)
 
 
-@dataclass(frozen=True)
-class VoronoiCell:
+class VoronoiCell(Value):
     kind: CellKind
     relevant_vectors: tuple[Vec2, ...]
     vertices: tuple[Vec2, ...]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Value):
     """One closed 2-cell of the hexagon subdivision."""
 
     kind: str  # "sigma" | "tau" | "rho"
@@ -122,8 +118,7 @@ class Cell:
         return abs(total) / 2
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(Value):
     cells: tuple[Cell, ...]
 
     def by_label(self, label: str) -> Cell:
@@ -153,14 +148,9 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
         for r in rel
     )
     norms = tuple(Fraction(_hq(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
-    return PrincipallyPolarizedSurface(
-        gram=g,
-        reduced=ReducedBasis(u=Vec2(*u), v=Vec2(*v), norms=norms),
-        int_gram=h,
-        gram_den=den,
-        descent=descent,
-        char_vectors=((0, 0), u, v, (u[0] + v[0], u[1] + v[1])),
-    )
+    reduced = ReducedBasis(Vec2(*u), Vec2(*v), norms)
+    char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
+    return PrincipallyPolarizedSurface(g, reduced, h, den, descent, char_vectors, {})
 
 
 def per_surface(build):

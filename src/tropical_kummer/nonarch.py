@@ -23,16 +23,14 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat2, Vec2, gram_eval
+from .exact import Mat2, Value, Vec2, gram_eval
 from .lattice import PrincipallyPolarizedSurface, _hq
 from .theta import ThetaCharacteristic, _box_minimum, certified_radius, char_vector
 
 
-@dataclass(frozen=True)
-class TropicalDescentDatum:
+class TropicalDescentDatum(Value):
     """A pair (lambda, gamma) satisfying the descent cocycle identity.
 
     `lambda_matrix` holds the dual-basis coordinates of the images of the
@@ -66,8 +64,7 @@ def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FormalThetaSeries:
+class FormalThetaSeries(Value):
     """The theta series of a characteristic, truncated to a cutoff box.
 
     A series is exactly its inputs: its (2 cutoff + 1)^2 terms are closed
@@ -76,13 +73,16 @@ class FormalThetaSeries:
     read, always match its inputs.
     """
 
+    __slots__ = ("surface", "char", "cutoff", "__dict__")  # __dict__: the cached reads
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
     surface: PrincipallyPolarizedSurface
     char: ThetaCharacteristic
     cutoff: int
 
-    def __post_init__(self):
-        if self.cutoff < 0:
+    def __init__(self, surface, char, cutoff: int):
+        if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
+        super().__init__(surface, char, cutoff)
 
     @functools.cached_property
     def constant_shift(self) -> Fraction:

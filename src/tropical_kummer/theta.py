@@ -17,11 +17,10 @@ is Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ProductTypeError, RadiusTooSmallError
-from .exact import Vec2
+from .exact import Value, Vec2, _set
 from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
@@ -34,14 +33,14 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class ThetaCharacteristic:
+class ThetaCharacteristic(Value):
     j1: int
     j2: int
 
-    def __post_init__(self):
-        if self.j1 not in (0, 1) or self.j2 not in (0, 1):
+    def __init__(self, j1: int, j2: int):
+        if j1 not in (0, 1) or j2 not in (0, 1):
             raise ValueError("characteristic indices must be 0 or 1")
+        super().__init__(j1, j2)
 
     @classmethod
     def parse(cls, text: str) -> "ThetaCharacteristic":
@@ -62,10 +61,13 @@ CHARACTERISTICS = (
 )
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(Value):
     value: Fraction
     minimizer: Vec2  # a lattice point attaining the minimum
+
+    def __init__(self, value: Fraction, minimizer: Vec2):
+        _set(self, "value", value)
+        _set(self, "minimizer", minimizer)
 
 
 def char_vector(

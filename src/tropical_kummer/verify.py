@@ -32,13 +32,12 @@ traceback is kept on the result, outside the payload.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import kummer, nonarch, theta
 from .errors import InternalInconsistencyError
-from .exact import Mat2, Vec2, is_unimodular
+from .exact import Mat2, Value, Vec2, is_unimodular
 from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
@@ -69,8 +68,7 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value, frozen=False):
     name: str
     status: str
     cases: int
@@ -89,13 +87,12 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value, frozen=False):
     gram: Mat2
     seed: int
     samples: int
     surface_class: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult] = list  # a fresh list per report
 
     @property
     def passed(self) -> bool:
@@ -127,8 +124,7 @@ def _n_matrices(samples: int) -> int:
     return max(2, min(20, samples // 10))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """One row of the invariant table; see the module docstring."""
 
     name: str

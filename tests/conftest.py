@@ -1,9 +1,8 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from tropical_kummer import make_surface, verify
+from tropical_kummer import PrincipallyPolarizedSurface, make_surface, verify
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +37,14 @@ def cut_descent(surface):
     """The surface with its descent scanning only +-u and +-v (a broken kernel)."""
     rb = surface.reduced
     keep = {r.as_tuple() for r in (rb.u, rb.v, -rb.u, -rb.v)}
-    descent = tuple(entry for entry in surface.descent if entry[0] in keep)
-    return dataclasses.replace(surface, descent=descent, lazy={})
+    return PrincipallyPolarizedSurface(
+        surface.gram,
+        surface.reduced,
+        surface.int_gram,
+        surface.gram_den,
+        tuple(entry for entry in surface.descent if entry[0] in keep),
+        surface.char_vectors,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -397,6 +397,54 @@ def test_cli_subprocess_entry_point(hex_config):
     assert json.loads(proc.stdout)["class"] == "irreducible"
 
 
+# Runs the CLI as `python -m tropical_kummer` does, then lists sys.modules.
+_MODULES_AFTER_RUN = """
+import runpy, sys
+try:
+    runpy.run_module("tropical_kummer", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\nMODULES " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+# What a spawn of any command but verify must not import: the verify suite,
+# its sampling (hashlib, random), and the record decorator's inspect machinery.
+NEVER_IMPORTED = (
+    "dataclasses",
+    "inspect",
+    "hashlib",
+    "random",
+    "tropical_kummer.verify",
+    "tropical_kummer.sampling",
+)
+
+
+def test_cli_spawn_imports_only_what_its_command_needs(hex_config):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    runs = (
+        (["classify", hex_config], 0),
+        (["theta", hex_config, "--char", "10", "--point", "1/2,0"], 0),
+        (["surface", hex_config, "--out", "json"], 0),
+        (["verify", hex_config, "--samples", "2"], 0),
+    )
+    imported = {}
+    for argv, code in runs:
+        # -S: no site module, whose .pth files may import random themselves.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _MODULES_AFTER_RUN, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        imported[argv[0]] = set(proc.stderr.rsplit("MODULES ", 1)[1].split())
+    for command in ("classify", "theta", "surface"):
+        assert "tropical_kummer.cli" in imported[command]
+        assert sorted(imported[command].intersection(NEVER_IMPORTED)) == []
+    assert "tropical_kummer.verify" in imported["verify"]
+
+
 def test_zero_denominator_exits_2(capsys, hex_config, tmp_path):
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"gram": [["1/0", "0"], ["0", "1"]]}))

@@ -7,10 +7,10 @@ import tropical_kummer
 PACKAGE = Path(tropical_kummer.__file__).resolve().parent
 
 
-def test_runtime_imports_only_the_standard_library():
+def _imports():
+    """(file, line, module) for every absolute import in the runtime package."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
-    foreign = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -20,10 +20,22 @@ def test_runtime_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                if top != "tropical_kummer" and top not in sys.stdlib_module_names:
-                    foreign.append((path.name, node.lineno, name))
+                yield path.name, node.lineno, name
+
+
+def test_runtime_imports_only_the_standard_library():
+    foreign = []
+    for path, lineno, name in _imports():
+        top = name.split(".")[0]
+        if top != "tropical_kummer" and top not in sys.stdlib_module_names:
+            foreign.append((path, lineno, name))
     assert foreign == []
+
+
+def test_runtime_does_not_import_dataclasses():
+    # Importing it pulls in inspect, ast, dis and tokenize, and each decorated
+    # class then execs its generated methods: about 1 ms a class per start.
+    assert [i for i in _imports() if i[2].split(".")[0] == "dataclasses"] == []
 
 
 def test_public_names_resolve_once():
