@@ -8,8 +8,8 @@ Only the OFF mesh export approximates, at a configurable number of decimals.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 error.  Exit 2 covers an argument argparse rejects (an ``ArgumentError``), a
-failure while reading and validating the config and the arguments (the
-``with _reading()`` block of each command) and the typed input errors of
+failure while reading the config into a surface (`main`'s ``with _reading()``
+block) or the command's own arguments (its block) and the typed input errors of
 `errors` (`errors.InputError`, e.g. a product-type surface given to
 ``surface``).  Any other exception from the computation exits 3: two
 independent computations disagreed, or a bug.  Errors emit one JSON object
@@ -132,10 +132,6 @@ def _parse_gram(raw) -> Mat2:
     return Mat2(*entries)
 
 
-def _surface_from_config(config: dict) -> PrincipallyPolarizedSurface:
-    return make_surface(_parse_gram(config["gram"]))
-
-
 def _int_setting(args, config: dict, key: str, default: int) -> int:
     """Option `key` if given, else the config's JSON integer or integer string."""
     value = getattr(args, key)
@@ -157,9 +153,7 @@ def _vec_json(v) -> list[str]:
     return [str(c) for c in v.as_tuple()]
 
 
-def cmd_classify(args) -> int:
-    with _reading():
-        surface = _surface_from_config(_load_config(args.file))
+def cmd_classify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     rb = lagrange_reduce(surface)
     _emit(
         {
@@ -175,9 +169,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_voronoi(args) -> int:
-    with _reading():
-        surface = _surface_from_config(_load_config(args.file))
+def cmd_voronoi(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     cell = voronoi_cell(surface)
     _emit(
         {
@@ -189,9 +181,8 @@ def cmd_voronoi(args) -> int:
     return 0
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
-        surface = _surface_from_config(_load_config(args.file))
         char = ThetaCharacteristic.parse(args.char)
         point = _parse_point(args.point)
     tv = theta_eval(surface, char, point)
@@ -206,9 +197,8 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
-        surface = _surface_from_config(_load_config(args.file))
         point = _parse_point(args.point)
     _emit(
         {
@@ -219,9 +209,8 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
-        surface = _surface_from_config(_load_config(args.file))
         if args.out == "off" and not 1 <= args.precision <= MAX_OFF_PRECISION:
             raise ValueError(
                 f"precision {args.precision} is outside [1, {MAX_OFF_PRECISION}]"
@@ -252,9 +241,8 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def cmd_series(args) -> int:
+def cmd_series(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
-        surface = _surface_from_config(_load_config(args.file))
         char = ThetaCharacteristic.parse(args.char)
         point = _parse_point(args.point)
     cutoff = args.cutoff
@@ -280,11 +268,9 @@ def cmd_series(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     from . import verify  # here, not at the top: the other commands never need it
     with _reading():
-        config = _load_config(args.file)
-        surface = _surface_from_config(config)
         seed = _int_setting(args, config, "seed", 0)
         samples = _int_setting(args, config, "samples", 200)
         if samples < 1:
@@ -371,7 +357,11 @@ def main(argv=None) -> int:
         k += 1
     args = argparse.Namespace()  # `command` is set once the subcommand is read
     try:
-        return build_parser().parse_args(argv, args).func(args)
+        build_parser().parse_args(argv, args)
+        with _reading():
+            config = _load_config(args.file)
+            surface = make_surface(_parse_gram(config["gram"]))
+        return args.func(args, config, surface)
     except _BadInput as bad:
         _emit_error(bad.exc, args.command or "args")
         return 2

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
 
 from .errors import NonSymmetricError
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def to_fraction(value: RationalLike) -> Fraction:

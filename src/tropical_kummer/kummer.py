@@ -20,8 +20,8 @@ centred at the origin and the quartic is where the gauge max_f (n_f.p)/o_f is 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import (
     InternalInconsistencyError,
@@ -107,7 +107,7 @@ class Distinct(Value):
     witness: ThetaCharacteristic
 
 
-Verdict = Union[EquivalentPlus, EquivalentMinus, Distinct]
+Verdict = EquivalentPlus | EquivalentMinus | Distinct
 
 
 def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
@@ -285,32 +285,21 @@ def injectivity_check(
         raise ProductTypeError("the injectivity criterion needs a hexagonal cell")
     image_y = psi_eval(surface, y)
     image_yp = psi_eval(surface, yp)
-
-    verdict: Verdict
-    if (yp - y).is_integral():
-        verdict = EquivalentPlus(yp - y)
-    elif (yp + y).is_integral():
-        verdict = EquivalentMinus(yp + y)
-    else:
-        witness = None
-        for char, a, b in zip(
-            CHARACTERISTICS[1:], image_y.as_tuple(), image_yp.as_tuple()
-        ):
-            if a != b:
-                witness = char
-                break
-        if witness is None:
+    plus, minus = yp - y, yp + y
+    if plus.is_integral() or minus.is_integral():
+        if image_y != image_yp:
             raise InternalInconsistencyError(
-                f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
-                f"the image {image_y.as_tuple()}"
+                f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
+                "have distinct images"
             )
-        verdict = Distinct(witness)
-
-    if isinstance(verdict, (EquivalentPlus, EquivalentMinus)) and image_y != image_yp:
-        raise InternalInconsistencyError(
-            f"equivalent points {y.as_tuple()}, {yp.as_tuple()} have distinct images"
-        )
-    return verdict
+        return EquivalentPlus(plus) if plus.is_integral() else EquivalentMinus(minus)
+    for char, a, b in zip(CHARACTERISTICS[1:], image_y.as_tuple(), image_yp.as_tuple()):
+        if a != b:
+            return Distinct(char)
+    raise InternalInconsistencyError(
+        f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
+        f"the image {image_y.as_tuple()}"
+    )
 
 
 @per_surface

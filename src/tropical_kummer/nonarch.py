@@ -12,9 +12,9 @@ A series is its surface, characteristic and cutoff N, nothing more: its
 terms are closed forms in the surface's integer Gram, so `build_series` is
 O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
 <c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
-Q(v + c/2 + a) - Q(v): tropicalization is the box minimum of
-`theta._box_minimum`, the row walk of `theta_eval_bruteforce`, in O(N) time
-and O(1) memory.  `support` lists the terms one by one, only when read.
+Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta._box_minimum`,
+the row walk that certifies its own minimum for `theta_eval_bruteforce`, in
+O(N) time and O(1) memory.  `support` lists the terms one by one, only when read.
 `safe_cutoff` is one `theta.certified_radius`, whatever the bound.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
@@ -128,7 +128,7 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation).
 
     <c + 2a, G v> + Q(a) + Q(c, a) + Q(c)/4 = Q(v + c/2 + a) - Q(v), so this
-    is the minimum of `theta._box_minimum`, uncertified, over the cutoff box.
+    is the value of the `theta._box_minimum` walk over the cutoff box.
     """
     return _box_minimum(series.surface, series.char, v, series.cutoff)[0]
 
@@ -143,7 +143,7 @@ def safe_cutoff(
     The minimized quadratic at u' = 0 is at most
     M = (sum |G_ij|) * (bound + |c|_inf / 2)^2, while any u' outside the
     cutoff-R box keeps it above lam_low * (R + 1 - bound - |c|_inf / 2)^2
-    with lam_low = `spectral_floor`; R is the smallest R >= 1 for which the
+    with lam_low = det(G) / (G11 + G22); R is the smallest R >= 1 for which the
     latter exceeds the former: `certified_radius` with reach
     bound + |c|_inf / 2 and ceiling M.
     """

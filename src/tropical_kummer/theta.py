@@ -8,10 +8,11 @@ the function value at x is
 
 The minimum is found by the closest-vector descent on integer numerators:
 for x = t/den, s is 2*t + den*c over 2*den, and one `Fraction` is built for
-the value.  A brute-force oracle with a global-minimum certificate, sharing
-no code with the descent, is provided alongside.  Its box walk also
-tropicalizes the truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4
-is Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
+the value.  A brute-force oracle sharing no code with the descent is
+provided alongside: a box walk on integer numerators that certifies its own
+minimum global on the same integers.  The walk also tropicalizes the
+truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is
+Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from .errors import ProductTypeError, RadiusTooSmallError
 from .exact import Value, Vec2, _set
 from .lattice import (
-    HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
     _hq,
@@ -91,24 +91,16 @@ def theta_eval(
     return ThetaValue(value=value, minimizer=minimizer)
 
 
-def spectral_floor(surface: PrincipallyPolarizedSurface) -> Fraction:
-    """lam_low = det(G) / (G11 + G22), so that Q(y, y) >= lam_low * ||y||_inf^2.
-
-    The box certificate of `theta_eval_bruteforce` and `certified_radius`.
-    """
-    h11, h12, h22 = surface.int_gram
-    return Fraction(h11 * h22 - h12 * h12, surface.gram_den * (h11 + h22))
-
-
 def certified_radius(
     surface: PrincipallyPolarizedSurface, reach: Fraction, ceiling: Fraction
 ) -> int:
     """Smallest R >= 1 with lam_low * (R + 1 - reach)^2 > ceiling, R + 1 > reach.
 
+    lam_low = det(G) / (G11 + G22) bounds Q(y, y) >= lam_low * |y|_inf^2.
     For a shift s with |s|_inf <= reach, every a outside the box |a_i| <= R
-    has |a + s|_inf >= R + 1 - reach, so Q(a + s, a + s) exceeds `ceiling`
-    (lam_low = `spectral_floor`).  For ceiling >= 0 the condition is
-    R + 1 - reach > T with T = sqrt(ceiling / lam_low), so the smallest R is
+    has |a + s|_inf >= R + 1 - reach, so Q(a + s, a + s) exceeds `ceiling`.
+    For ceiling >= 0 the condition is R + 1 - reach > T with
+    T = sqrt(ceiling / lam_low), so the smallest R is
     floor(T + reach), or 1 if that is smaller: q + floor(reach) or one more,
     where q = isqrt(floor(ceiling / lam_low)) = floor(T).  The exact test
     picks which, on integers: lam_low = det / scale, reach = r/p, ceiling = c/q.
@@ -124,8 +116,8 @@ def certified_radius(
     return radius + 1
 
 
-def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int]]:
-    """min of Q(a + s) - Q(x) over |a_i| <= radius, and its first minimizer.
+def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
+    """min of Q(a + s) - Q(x) over |a_i| <= radius, a first minimizer, certified.
 
     Rows a1 are walked on integer numerators, s = (s0, s1) / d with d = 2 den,
     and y = d (a + s).  In a row, the numerator of Q(a + s) is a convex
@@ -134,6 +126,10 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int]]:
     is the row's first minimizer.  A row wins only when strictly lower, so
     ties keep the first (a1, a2) in lexicographic order, as a double loop
     does: the 2-D case of Fincke-Pohst, O(radius) time and O(1) memory.
+    Outside the box |a + s|_inf >= m / d, m = d (radius + 1) - |(s0, s1)|_inf,
+    and Q(y, y) >= lam_low |y|_inf^2, lam_low = det(G) / (G11 + G22), so the
+    box's least Q(a + s), best / (gram_den d^2), is certified global if m > 0
+    and det(H) m^2 > best (h11 + h22).
     """
     t0, t1, den = numerators(x)
     cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
@@ -149,8 +145,10 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int]]:
         num = (h11 * y0 + h12x2 * y1) * y0 + h22 * y1 * y1
         if best is None or num < best:
             best, best_a = num, (a1, j)
+    m = d * (radius + 1) - max(abs(s0), abs(s1))
+    certified = m > 0 and (h11 * h22 - h12 * h12) * m * m > best * (h11 + h22)
     q_x = 4 * _hq(surface.int_gram, (t0, t1), (t0, t1))  # Q(x) over gram_den d^2
-    return Fraction(best - q_x, surface.gram_den * d * d), best_a
+    return Fraction(best - q_x, surface.gram_den * d * d), best_a, certified
 
 
 def theta_eval_bruteforce(
@@ -159,20 +157,15 @@ def theta_eval_bruteforce(
     x: Vec2,
     radius: int,
 ) -> ThetaValue:
-    """The `_box_minimum` walk, certified global by the bound `spectral_floor`.
-
-    Every lattice point outside the box must exceed the box minimum, else
-    RadiusTooSmallError.
-    """
+    """The `_box_minimum` walk; RadiusTooSmallError unless it is certified."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    value, (a1, a2) = _box_minimum(surface, char, x, radius)
-    s = x + HALF * char_vector(surface, char)
-    margin = radius + 1 - s.sup_norm()
-    box_min = value + surface.norm(x)
-    if margin <= 0 or spectral_floor(surface) * margin * margin <= box_min:
+    value, (a1, a2), certified = _box_minimum(surface, char, x, radius)
+    if not certified:
+        cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+        shift = (x.x + Fraction(cx, 2), x.y + Fraction(cy, 2))
         raise RadiusTooSmallError(
-            f"radius {radius} cannot certify the minimum for shift {s.as_tuple()}"
+            f"radius {radius} cannot certify the minimum for shift {shift}"
         )
     return ThetaValue(value=value, minimizer=Vec2(a1, a2))
 

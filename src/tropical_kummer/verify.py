@@ -32,8 +32,8 @@ traceback is kept on the result, outside the payload.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import kummer, nonarch, theta
 from .errors import InternalInconsistencyError
@@ -72,10 +72,10 @@ class CheckResult(Value, frozen=False):
     name: str
     status: str
     cases: int
-    counterexample: Optional[dict] = None
-    detail: Optional[dict] = None
+    counterexample: dict | None = None
+    detail: dict | None = None
     elapsed: float = 0.0
-    traceback: Optional[str] = None
+    traceback: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,10 +129,10 @@ class Check(Value):
 
     name: str
     fn: Callable
-    key: Optional[str] = None  # rng key of a per-case row; None: a whole check
+    key: str | None = None  # rng key of a per-case row; None: a whole check
     count: Callable[[int], int] = _all  # samples -> cases of a per-case row
-    needs: Optional[SurfaceClass] = None
-    setup: Optional[Callable] = None
+    needs: SurfaceClass | None = None
+    setup: Callable | None = None
 
 
 def run_check(
@@ -237,7 +237,7 @@ def _classify_congruence(s, rng, base_class):
         return {"U": _rows(u)}
 
 
-def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> Optional[str]:
+def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> str | None:
     cell = voronoi_cell(surface)
     rel = relevant_vectors(surface)
     verts = cell.vertices

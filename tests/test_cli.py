@@ -407,10 +407,12 @@ finally:
 """
 
 # What a spawn of any command but verify must not import: the verify suite,
-# its sampling (hashlib, random), and the record decorator's inspect machinery.
+# its sampling (hashlib, random), the record decorator's inspect machinery,
+# and typing, which annotations do not need.
 NEVER_IMPORTED = (
     "dataclasses",
     "inspect",
+    "typing",
     "hashlib",
     "random",
     "tropical_kummer.verify",

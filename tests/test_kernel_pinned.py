@@ -32,9 +32,18 @@ from tropical_kummer import (
     voronoi_cell,
 )
 from tropical_kummer.sampling import random_integer_vector, rng_for
-from tropical_kummer.theta import certified_radius, char_vector, spectral_floor
+from tropical_kummer.theta import certified_radius, char_vector
 
 F = Fraction
+
+
+def _lam_low(surface):
+    """det(G) / (G11 + G22), read off the Fraction Gram, not `int_gram`.
+
+    Q(y, y) >= lam_low * |y|_inf^2: the bound of every box certificate.
+    """
+    g = surface.gram
+    return g.det() / (g.a + g.d)
 
 
 def _sheared(rows, p):
@@ -156,7 +165,7 @@ def test_box_walk_matches_double_loop():
     """
     for i, gram in enumerate(GRAMS):
         surface = make_surface(gram)
-        lam_low = spectral_floor(surface)
+        lam_low = _lam_low(surface)
         rng = rng_for(20, "box-walk", i)
         points = [
             Vec2(F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q))
@@ -257,7 +266,7 @@ def test_oracle_rows_bounded_on_ill_conditioned_grams(row):
 
 
 def _radius_by_steps(surface, reach, ceiling):
-    lam_low = spectral_floor(surface)
+    lam_low = _lam_low(surface)
     radius = 1
     while True:
         margin = radius + 1 - reach
@@ -270,7 +279,7 @@ def test_certified_radius_matches_stepping():
     reaches = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1), F(7, 2), F(99, 10), F(40, 3)]
     for gram in ORACLE_GRAMS:
         surface = make_surface(gram)
-        lam_low = spectral_floor(surface)
+        lam_low = _lam_low(surface)
         for reach in reaches:
             ceilings = [F(0), F(1, 7), F(3, 2), F(100, 3), F(10**4 + 1, 9)]
             # Ceilings met with equality at some radius, where it must step.

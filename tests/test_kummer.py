@@ -29,6 +29,7 @@ from tropical_kummer import (
     two_torsion_images,
     vertex_sign_diagnostics,
 )
+from tropical_kummer import kummer
 from tropical_kummer.kummer import (
     VERTEX_LABELS,
     _parallelogram_frame,
@@ -275,6 +276,25 @@ def test_injectivity_examples(hexagonal):
 def test_injectivity_rejects_product(unit_square):
     with pytest.raises(ProductTypeError):
         injectivity_check(unit_square, Vec2(0, 0), Vec2(0, 0))
+
+
+def test_injectivity_check_raises_on_an_inconsistent_embedding(monkeypatch, hexagonal):
+    # psi_eval replaced by maps that break the criterion one way or the other.
+    y = Vec2(F(1, 5), 0)
+    monkeypatch.setattr(kummer, "psi_eval", lambda surface, x: Vec3(x.x, x.y, 0))
+    for yp in (y + Vec2(3, -2), -y):
+        with pytest.raises(InternalInconsistencyError) as raised:
+            injectivity_check(hexagonal, y, yp)
+        assert str(raised.value) == (
+            f"equivalent points {y.as_tuple()}, {yp.as_tuple()} have distinct images"
+        )
+    monkeypatch.setattr(kummer, "psi_eval", lambda surface, x: Vec3(1, 2, 3))
+    with pytest.raises(InternalInconsistencyError) as raised:
+        injectivity_check(hexagonal, y, Vec2(0, F(1, 5)))
+    assert str(raised.value) == (
+        f"{y.as_tuple()} and {Vec2(0, F(1, 5)).as_tuple()} are inequivalent but "
+        f"share the image {Vec3(1, 2, 3).as_tuple()}"
+    )
 
 
 def test_injectivity_biconditional_sampled(row_passes, hexagonal):

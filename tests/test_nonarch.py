@@ -5,12 +5,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropical_kummer import (
     CHARACTERISTICS,
     FormalThetaSeries,
+    RadiusTooSmallError,
     ThetaCharacteristic,
     Vec2,
     build_series,
@@ -18,10 +19,11 @@ from tropical_kummer import (
     make_surface,
     safe_cutoff,
     theta_eval,
+    theta_eval_bruteforce,
     tropicalize_series,
 )
 from tropical_kummer.sampling import random_point, rng_for
-from tropical_kummer.theta import char_vector, spectral_floor
+from tropical_kummer.theta import char_vector
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -133,7 +135,7 @@ def _safe_cutoff_by_steps(surface, char, region_bound):
     reach = bound + c.sup_norm() / 2
     weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
     upper = weight * reach * reach
-    lam_low = spectral_floor(surface)
+    lam_low = g.det() / (g.a + g.d)  # read off the Fraction Gram
     radius = 1
     while True:
         margin = radius + 1 - reach
@@ -272,6 +274,53 @@ def test_series_rows_at_extreme_inputs(s, char, cutoff, points):
         value = tropicalize_series(series, v)
         assert time.perf_counter() - start < SERIES_CALL_BUDGET_S, (x, y)
         assert value == _scan(series, v)
+
+
+# Points near the origin, where a box of radius <= 5 can certify its minimum.
+near_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=10**30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extreme_grams(),
+    st.sampled_from(CHARACTERISTICS),
+    st.integers(min_value=0, max_value=5),
+    st.lists(
+        st.tuples(
+            st.one_of(near_fractions, huge_fractions),
+            st.one_of(near_fractions, huge_fractions),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+# The bound met with equality: (1/3, 1/3) off the box corner, margin 2/3.
+@example(make_surface([[1, 0], [0, 1]]), CH(0, 0), 2, [(F(-7, 3), F(-7, 3))])
+# |s|_inf read off the second coordinate, s = (-3/2, -3).
+@example(make_surface([[2, -1], [-1, 2]]), CH(1, 0), 2, [(F(-2), F(-3))])
+def test_bruteforce_certificate_at_extreme_inputs(s, char, radius, points):
+    # The walk's certificate on integers against the bound on Fractions:
+    # lam_low (R + 1 - |s|_inf)^2 > box_min, lam_low read off the Gram.
+    g = s.gram
+    lam_low = g.det() / (g.a + g.d)
+    side = range(-radius, radius + 1)
+    box = [(a1, a2) for a1 in side for a2 in side]
+    for x, y in points:
+        v = Vec2(x, y)
+        shift = v + F(1, 2) * char_vector(s, char)
+        box_min, first = min((s.norm(Vec2(*a) + shift), a) for a in box)
+        margin = radius + 1 - shift.sup_norm()
+        if margin > 0 and lam_low * margin * margin > box_min:
+            tv = theta_eval_bruteforce(s, char, v, radius)
+            assert tv.value == box_min - s.norm(v), (x, y)
+            assert (tv.minimizer.x, tv.minimizer.y) == first, (x, y)
+        else:
+            with pytest.raises(RadiusTooSmallError) as raised:
+                theta_eval_bruteforce(s, char, v, radius)
+            assert str(raised.value) == (
+                f"radius {radius} cannot certify the minimum for shift "
+                f"{shift.as_tuple()}"
+            )
 
 
 def _variant_cases():
