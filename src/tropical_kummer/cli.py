@@ -60,10 +60,11 @@ READ_ERRORS = (ValueError, TypeError, KeyError, OSError)
 _MAX_INPUT_DIGITS = 300
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
-# The largest series cutoff `series` accepts.  A build costs O(1) and an
-# evaluation O(cutoff) time and O(1) memory: at this limit the whole command
-# takes about 0.25 s and 20 MB peak RSS on an x86-64 machine with
-# Python 3.11.
+# The largest series cutoff `series` accepts.  A build costs O(1); an
+# evaluation O(1) memory, and O(cutoff) time only when the box binds (a point
+# far outside it), as the walk prunes the other rows.  At this limit, box
+# binding, the command takes about 0.25 s and 20 MB peak RSS on an x86-64
+# machine with Python 3.11.
 MAX_SERIES_CUTOFF = 10**5
 
 # The most OFF decimal digits `surface` accepts.  Python refuses to print an

@@ -121,12 +121,6 @@ class Cell(Value):
 class CellComplex(Value):
     cells: tuple[Cell, ...]
 
-    def by_label(self, label: str) -> Cell:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell
-        raise KeyError(label)
-
 
 def make_surface(gram) -> PrincipallyPolarizedSurface:
     """Build a surface, and its context, from a symmetric positive-definite matrix."""

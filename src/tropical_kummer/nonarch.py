@@ -13,9 +13,11 @@ terms are closed forms in the surface's integer Gram, so `build_series` is
 O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
 <c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
 Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta._box_minimum`,
-the row walk that certifies its own minimum for `theta_eval_bruteforce`, in
-O(N) time and O(1) memory.  `support` lists the terms one by one, only when read.
-`safe_cutoff` is one `theta.certified_radius`, whatever the bound.
+the row walk that certifies its own minimum for `theta_eval_bruteforce`.  It
+prunes its rows, so its work is O(N) only where the box binds, and its memory
+O(1).  `support` lists the terms one by one, only when read.  `safe_cutoff`
+is the one box radius rule, a closed form on the integer Gram; `verify`'s
+brute-force oracle takes its boxes from it too.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -23,11 +25,12 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .exact import Mat2, Value, Vec2, gram_eval
 from .lattice import PrincipallyPolarizedSurface, _hq
-from .theta import ThetaCharacteristic, _box_minimum, certified_radius, char_vector
+from .theta import ThetaCharacteristic, _box_minimum
 
 
 class TropicalDescentDatum(Value):
@@ -140,18 +143,25 @@ def safe_cutoff(
 ) -> int:
     """Smallest certified cutoff for all evaluation points ``|v|_inf <= bound``.
 
-    The minimized quadratic at u' = 0 is at most
-    M = (sum |G_ij|) * (bound + |c|_inf / 2)^2, while any u' outside the
-    cutoff-R box keeps it above lam_low * (R + 1 - bound - |c|_inf / 2)^2
-    with lam_low = det(G) / (G11 + G22); R is the smallest R >= 1 for which the
-    latter exceeds the former: `certified_radius` with reach
-    bound + |c|_inf / 2 and ceiling M.
+    The shift v + c/2 has |.|_inf <= reach = bound + |c|_inf / 2, so the
+    minimized quadratic at u' = 0 is at most M = (sum |G_ij|) reach^2, and
+    any u' outside the cutoff-R box keeps it above lam_low (R + 1 - reach)^2,
+    lam_low = det(G) / (G11 + G22).  R is the smallest R >= 1 with
+    R + 1 - reach > T = sqrt(M / lam_low): floor(T + reach), or 1 if that is
+    smaller, which is isqrt(floor(T^2)) + floor(reach) or one more, as
+    floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G,
+    bound = b/q and reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
+    k / (p^2 det(H)), k = (h11 + 2|h12| + h22)(h11 + h22) r^2, and R passes
+    the exact test if p (R + 1) - r > 0 and det(H) (p (R + 1) - r)^2 > k.
     """
-    bound = Fraction(region_bound)
-    if bound < 0:
+    b, q = Fraction(region_bound).as_integer_ratio()
+    if b < 0:
         raise ValueError("region_bound must be nonnegative")
-    g = surface.gram
-    c = char_vector(surface, char)
-    reach = bound + c.sup_norm() / 2
-    weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
-    return certified_radius(surface, reach, weight * reach * reach)
+    h11, h12, h22 = surface.int_gram
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
+    det = h11 * h22 - h12 * h12
+    k = (h11 + 2 * abs(h12) + h22) * (h11 + h22) * r * r
+    radius = max(1, math.isqrt(k // (p * p * det)) + r // p)
+    margin = p * (radius + 1) - r
+    return radius if margin > 0 and det * margin * margin > k else radius + 1

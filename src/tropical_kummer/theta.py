@@ -9,9 +9,10 @@ the function value at x is
 The minimum is found by the closest-vector descent on integer numerators:
 for x = t/den, s is 2*t + den*c over 2*den, and one `Fraction` is built for
 the value.  A brute-force oracle sharing no code with the descent is
-provided alongside: a box walk on integer numerators that certifies its own
-minimum global on the same integers.  The walk also tropicalizes the
-truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is
+provided alongside: a box walk on integer numerators that prunes its own
+rows, so the box's size sets its work only where the box binds, and that
+certifies its minimum global on the same integers.  The walk also
+tropicalizes the truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is
 Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
 """
 
@@ -91,41 +92,23 @@ def theta_eval(
     return ThetaValue(value=value, minimizer=minimizer)
 
 
-def certified_radius(
-    surface: PrincipallyPolarizedSurface, reach: Fraction, ceiling: Fraction
-) -> int:
-    """Smallest R >= 1 with lam_low * (R + 1 - reach)^2 > ceiling, R + 1 > reach.
-
-    lam_low = det(G) / (G11 + G22) bounds Q(y, y) >= lam_low * |y|_inf^2.
-    For a shift s with |s|_inf <= reach, every a outside the box |a_i| <= R
-    has |a + s|_inf >= R + 1 - reach, so Q(a + s, a + s) exceeds `ceiling`.
-    For ceiling >= 0 the condition is R + 1 - reach > T with
-    T = sqrt(ceiling / lam_low), so the smallest R is
-    floor(T + reach), or 1 if that is smaller: q + floor(reach) or one more,
-    where q = isqrt(floor(ceiling / lam_low)) = floor(T).  The exact test
-    picks which, on integers: lam_low = det / scale, reach = r/p, ceiling = c/q.
-    """
-    h11, h12, h22 = surface.int_gram
-    det, scale = h11 * h22 - h12 * h12, surface.gram_den * (h11 + h22)
-    r, p = reach.as_integer_ratio()
-    c, q = ceiling.as_integer_ratio()
-    radius = max(1, math.isqrt(c * scale // (q * det)) + r // p)
-    margin = p * (radius + 1) - r
-    if margin > 0 and det * q * margin * margin > c * scale * p * p:
-        return radius
-    return radius + 1
-
-
 def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
     """min of Q(a + s) - Q(x) over |a_i| <= radius, a first minimizer, certified.
 
-    Rows a1 are walked on integer numerators, s = (s0, s1) / d with d = 2 den,
-    and y = d (a + s).  In a row, the numerator of Q(a + s) is a convex
-    quadratic A j^2 + B j + C in a2 = j, A = h22 d^2, B = 2 d (h12 y0 + h22 s1):
-    -((A + B) // (2A)), its vertex rounded half down and clamped to the box,
-    is the row's first minimizer.  A row wins only when strictly lower, so
-    ties keep the first (a1, a2) in lexicographic order, as a double loop
-    does: the 2-D case of Fincke-Pohst, O(radius) time and O(1) memory.
+    On integer numerators, s = (s0, s1) / d with d = 2 den and y = d (a + s),
+    rows run along the stiffer axis (the axes swap when h22 > h11; below, a1
+    is the walk's row index and j = a2 its inner one).  In row a1 the
+    numerator of Q(a + s) is A j^2 + B j + C, A = h22 d^2,
+    B = 2 d (h12 y0 + h22 s1): -((A + B) // (2A)), its vertex rounded half
+    down and clamped to the box, is the least j among the row's minimizers.
+    The row nearest -s goes first and its numerator `best` bounds the rest:
+    over real j a row's least numerator is det y0^2 / h22, so only rows with
+    |y0| <= isqrt(best h22 // det) can reach `best`, and only they are walked
+    (the 2-D case of Fincke-Pohst): at most 2 sqrt(best h22 / det) / d + 1
+    rows, which the radius bounds only when the box binds, in O(1) memory.
+    Every minimizer lies in a walked row, and rows win on (numerator,
+    (a1, a2)) in the original order, so the result is a double loop's first
+    minimizer in lexicographic order whatever order the rows are visited in.
     Outside the box |a + s|_inf >= m / d, m = d (radius + 1) - |(s0, s1)|_inf,
     and Q(y, y) >= lam_low |y|_inf^2, lam_low = det(G) / (G11 + G22), so the
     box's least Q(a + s), best / (gram_den d^2), is certified global if m > 0
@@ -135,19 +118,28 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
     cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
     s0, s1, d = 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den
     h11, h12, h22 = surface.int_gram
+    q_x = 4 * _hq(surface.int_gram, (t0, t1), (t0, t1))  # Q(x) over gram_den d^2
+    det, swap = h11 * h22 - h12 * h12, h22 > h11
+    if swap:
+        s0, s1, h11, h22 = s1, s0, h22, h11
     a, lin, h12x2 = h22 * d, 2 * h22 * s1, 2 * h12  # A/d, B/d = a + h12x2 y0 + lin
-    best = best_a = None
-    for a1 in range(-radius, radius + 1):
+
+    def row(a1):  # (numerator, (a1, a2)) at the row's first minimizer
         y0 = d * a1 + s0
-        j = -((a + h12x2 * y0 + lin) // (2 * a))
-        j = -radius if j < -radius else radius if j > radius else j
+        j = min(max(-((a + h12x2 * y0 + lin) // (2 * a)), -radius), radius)
         y1 = d * j + s1
         num = (h11 * y0 + h12x2 * y1) * y0 + h22 * y1 * y1
-        if best is None or num < best:
-            best, best_a = num, (a1, j)
+        return num, ((j, a1) if swap else (a1, j))
+
+    best, best_a = row(min(max(-((2 * s0 + d) // (2 * d)), -radius), radius))
+    reach = math.isqrt(best * h22 // det)  # only rows with |y0| <= reach can tie
+    lo, hi = max(-radius, -((reach + s0) // d)), min(radius, (reach - s0) // d)
+    for a1 in range(lo, hi + 1):
+        num, at = row(a1)
+        if num < best or num == best and at < best_a:
+            best, best_a = num, at
     m = d * (radius + 1) - max(abs(s0), abs(s1))
-    certified = m > 0 and (h11 * h22 - h12 * h12) * m * m > best * (h11 + h22)
-    q_x = 4 * _hq(surface.int_gram, (t0, t1), (t0, t1))  # Q(x) over gram_den d^2
+    certified = m > 0 and det * m * m > best * (h11 + h22)
     return Fraction(best - q_x, surface.gram_den * d * d), best_a, certified
 
 

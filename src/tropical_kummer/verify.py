@@ -42,12 +42,10 @@ from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
-    _hq,
     classify,
     in_voronoi_cell,
     lagrange_reduce,
     make_surface,
-    numerators,
     reduce_point,
     relevant_vectors,
     subdivide,
@@ -346,19 +344,11 @@ def _theta_concavity(s, rng):
 def _oracle_theta(surface, char, x) -> Fraction:
     """Theta by the certified box of `theta_eval_bruteforce`, not the descent.
 
-    With s = x + c/2 = (s0, s1) / 2den, the box holds a0 = -round(s), so its
-    minimum is at most Q(s + a0): the `certified_radius` of that ceiling
-    certifies the box minimum, and one box suffices.
+    The box is the series' `nonarch.safe_cutoff` for |x|_inf: it holds a = 0
+    and no a outside it comes below Q(x + c/2), so one box is certified.
     """
-    t0, t1, den = numerators(x)
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-    s = (2 * t0 + den * cx, 2 * t1 + den * cy)
-    near = [(si + den) // (2 * den) for si in s]  # -a0: s rounded half up
-    y = [si - 2 * den * ni for si, ni in zip(s, near)]  # 2den (s + a0)
-    ceiling = Fraction(_hq(surface.int_gram, y, y), surface.gram_den * 4 * den * den)
-    reach = Fraction(max(map(abs, s)), 2 * den)
-    radius = max(theta.certified_radius(surface, reach, ceiling), *map(abs, near))
-    return theta_eval_bruteforce(surface, char, x, radius).value
+    cutoff = nonarch.safe_cutoff(surface, char, x.sup_norm())
+    return theta_eval_bruteforce(surface, char, x, cutoff).value
 
 
 def _theta_oracle(s, seed, samples):

@@ -271,6 +271,10 @@ VERIFY_SEED7_SAMPLES50_SHA256 = {
     # Recorded with the brute-force oracle's box enumerated term by term,
     # which took about 9 s on this ill-conditioned Gram.
     "diag(10^6,1)": "fa3f9d5a35737d6f318988884536fe0da643cc864736a00e600b671e6bcce2f1",
+    # Recorded with the walk's rows pruned: walking every row of the box,
+    # the series checks did not finish in 40 s each.  Every other row
+    # matched that walk's report.
+    "diag(1,10^12)": "a5200eebc8da3e3d9193c730e54dad15a43cf01e447ee6c4dd7dd21717a0853e",
 }
 
 
@@ -281,6 +285,7 @@ _PINNED_SURFACES = {
     "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
     "skew-descent-cut": cut_descent(make_surface([[2, -1], [-1, 3]])),
     "diag(10^6,1)": make_surface([[10**6, 0], [0, 1]]),
+    "diag(1,10^12)": make_surface([[1, 0], [0, 10**12]]),
 }
 
 

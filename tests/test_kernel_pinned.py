@@ -32,7 +32,7 @@ from tropical_kummer import (
     voronoi_cell,
 )
 from tropical_kummer.sampling import random_integer_vector, rng_for
-from tropical_kummer.theta import certified_radius, char_vector
+from tropical_kummer.theta import char_vector
 
 F = Fraction
 
@@ -156,14 +156,21 @@ def _first_minimum(table, radius):
     return best
 
 
+# Both orientations of a stiff axis: the walk's rows run along a2 for the
+# first and along a1 for the second.
+WALK_GRAMS = GRAMS + (((1, 0), (0, 50)), ((50, 0), (0, 1)))
+
+
 def test_box_walk_matches_double_loop():
     """Both callers of the row walk against a double loop, ties included.
 
     On the grids (1/q)Z^2 many shifts s = x + c/2 are equidistant from
     several lattice points, so the box minimum is attained more than once
     and the walk must return the first minimizer in lexicographic order.
+    Points out to |x|_inf = 12 lie beyond the small boxes, so the walk's
+    first row is clamped to the box edge there.
     """
-    for i, gram in enumerate(GRAMS):
+    for i, gram in enumerate(WALK_GRAMS):
         surface = make_surface(gram)
         lam_low = _lam_low(surface)
         rng = rng_for(20, "box-walk", i)
@@ -171,6 +178,10 @@ def test_box_walk_matches_double_loop():
             Vec2(F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q))
             for q in (1, 2, 3, 4, 6)
             for _ in range(3)
+        ] + [
+            Vec2(F(rng.randint(-12 * q, 12 * q), q), F(rng.randint(-12 * q, 12 * q), q))
+            for q in (1, 2, 3)
+            for _ in range(2)
         ]
         box = list(itertools.product(range(-9, 10), repeat=2))
         quad = {a: surface.norm(Vec2(*a)) for a in box}
@@ -252,39 +263,27 @@ ILL_CONDITIONED_GRAMS = (
     ((1, 0), (0, 10**6)),
     ((10**6, 0), (0, 1)),
     ((10**6, -999999), (-999999, 10**6)),
+    ((1, 0), (0, 10**12)),
+    ((10**12, 0), (0, 1)),
 )
 
 
-@pytest.mark.parametrize("row", ["cvp-descent-oracle", "theta-bruteforce-oracle"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "cvp-descent-oracle",
+        "theta-bruteforce-oracle",
+        "series-lift-consistency",
+        "series-quasi-periodicity",
+        "series-cutoff-stability",
+    ],
+)
 def test_oracle_rows_bounded_on_ill_conditioned_grams(row):
-    # Each took 0.8-14 s with a box enumerated term by term; now 8-40 ms.
+    # With every row of the box walked, the series rows took more than 40 s
+    # each on diag(1, 10^12); with the rows pruned the slowest row here took
+    # 45 ms (x86-64, Python 3.11).
     (check,) = [c for c in verify.CHECKS if c.name == row]
     for gram in ILL_CONDITIONED_GRAMS:
         result = verify.run_check(check, make_surface(gram), 7, 50)
         assert result.status == verify.PASS, (gram, result)
         assert result.elapsed < 1.0, (gram, result.elapsed)
-
-
-def _radius_by_steps(surface, reach, ceiling):
-    lam_low = _lam_low(surface)
-    radius = 1
-    while True:
-        margin = radius + 1 - reach
-        if margin > 0 and lam_low * margin * margin > ceiling:
-            return radius
-        radius += 1
-
-
-def test_certified_radius_matches_stepping():
-    reaches = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1), F(7, 2), F(99, 10), F(40, 3)]
-    for gram in ORACLE_GRAMS:
-        surface = make_surface(gram)
-        lam_low = _lam_low(surface)
-        for reach in reaches:
-            ceilings = [F(0), F(1, 7), F(3, 2), F(100, 3), F(10**4 + 1, 9)]
-            # Ceilings met with equality at some radius, where it must step.
-            ceilings += [lam_low * (r + 1 - reach) ** 2 for r in range(1, 20)]
-            for ceiling in ceilings:
-                want = _radius_by_steps(surface, reach, ceiling)
-                got = certified_radius(surface, reach, ceiling)
-                assert got == want, (gram, reach, ceiling)

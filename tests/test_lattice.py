@@ -210,8 +210,7 @@ def test_reduce_point_matches_cvp_on_random_surfaces():
 
 
 def test_subdivide_sigma_cell(hexagonal):
-    complex_ = subdivide(hexagonal)
-    sigma = complex_.by_label("sigma1")
+    (sigma,) = [c for c in subdivide(hexagonal).cells if c.label == "sigma1"]
     assert set(p.as_tuple() for p in sigma.vertices) == {
         (F(0), F(0)),
         (F(-1, 6), F(-1, 3)),  # midpoint of the m2--m6 chord
@@ -250,8 +249,8 @@ def test_subdivision_quadrant_labels(hexagonal):
     )
     assert labels == expected
     # Antipodal quadrants carry antipodal cells.
+    by_label = {c.label: c for c in cells}
     for kind in ("sigma", "tau", "rho"):
         for q in (1, 2, 3):
-            a = subdivide(hexagonal).by_label(f"{kind}{q}")
-            b = subdivide(hexagonal).by_label(f"{kind}{q + 3}")
+            a, b = by_label[f"{kind}{q}"], by_label[f"{kind}{q + 3}"]
             assert tuple(-p for p in a.vertices) == b.vertices

@@ -144,12 +144,13 @@ def _safe_cutoff_by_steps(surface, char, region_bound):
         radius += 1
 
 
-def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal):
+def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
     surfaces = (
         hexagonal,
         skew_hexagonal,
         make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
         make_surface([[1, 0], [0, 10**4]]),
+        unit_square,
     )
     bounds = [F(n) for n in range(0, 13)] + [
         F(1, 3), F(1, 2), F(5, 7), F(7, 2), F(99, 10), F(101, 7), F(40, 3)
@@ -159,6 +160,17 @@ def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal):
             for bound in bounds:
                 want = _safe_cutoff_by_steps(s, char, bound)
                 assert safe_cutoff(s, char, bound) == want, (s.gram, char, bound)
+    # On diag(1, 1), lam_low = 1/2 and sum |G_ij| = 2, so a bound with
+    # reach = bound + |c|_inf / 2 = (R + 1) / 3 meets the certificate with
+    # equality at R, and the cutoff must step to R + 1.
+    for char in CHARACTERISTICS:
+        half_c = char_vector(unit_square, char).sup_norm() / 2
+        for r in range(1, 20):
+            bound = F(r + 1, 3) - half_c
+            if bound >= 0:
+                want = _safe_cutoff_by_steps(unit_square, char, bound)
+                assert safe_cutoff(unit_square, char, bound) == want == r + 1
+    assert safe_cutoff(unit_square, CH(1, 0), F(1, 2)) == 3  # equality at R = 2
     start = time.perf_counter()
     huge = safe_cutoff(hexagonal, CH(1, 1), F(10**12))
     assert time.perf_counter() - start < 0.05
