@@ -25,6 +25,7 @@ from tropical_kummer import (
     psi_eval,
     reduce_point,
     relevant_vectors,
+    safe_cutoff,
     theta_eval,
     theta_eval_bruteforce,
     tropicalize_series,
@@ -287,3 +288,45 @@ def test_oracle_rows_bounded_on_ill_conditioned_grams(row):
         result = verify.run_check(check, make_surface(gram), 7, 50)
         assert result.status == verify.PASS, (gram, result)
         assert result.elapsed < 1.0, (gram, result.elapsed)
+
+
+def _radius_by_steps(surface, reach, ceiling):
+    lam_low = _lam_low(surface)
+    radius = 1
+    while True:
+        margin = radius + 1 - reach
+        if margin > 0 and lam_low * margin * margin > ceiling:
+            return radius
+        radius += 1
+
+
+def test_certified_radius_matches_stepping():
+    """The oracle's box, `safe_cutoff` for |x|_inf, against the stepped bound.
+
+    The box for a shift with |s|_inf <= reach must keep every a outside it
+    above the ceiling (sum |G_ij|) reach^2 that a = 0 attains at most.
+    """
+    bounds = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1), F(7, 2), F(99, 10), F(40, 3)]
+    for gram in ORACLE_GRAMS:
+        surface = make_surface(gram)
+        g = surface.gram
+        weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
+        for char in CHARACTERISTICS:
+            reach_c = char_vector(surface, char).sup_norm() / 2
+            for bound in bounds:
+                reach = bound + reach_c
+                want = _radius_by_steps(surface, reach, weight * reach * reach)
+                got = safe_cutoff(surface, char, bound)
+                assert got == want, (gram, char, bound)
+    # On diag(1, 10^4), lam_low = 10^4 / 10001 and sum |G_ij| = 10001, so
+    # reach = 100 (R + 1) / 10101 meets the certificate with equality at R,
+    # where the radius must step to R + 1.
+    surface = make_surface(((1, 0), (0, 10**4)))
+    for char in CHARACTERISTICS:
+        reach_c = char_vector(surface, char).sup_norm() / 2
+        for r in range(1, 20):
+            reach = F(100 * (r + 1), 10101)
+            if reach >= reach_c:
+                want = _radius_by_steps(surface, reach, 10001 * reach * reach)
+                got = safe_cutoff(surface, char, reach - reach_c)
+                assert got == want == r + 1, (char, r)
