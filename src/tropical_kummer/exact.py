@@ -20,6 +20,8 @@ RationalLike = Fraction | int | str
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, a Fraction, or a "p/q" string to an exact Fraction."""
+    if type(value) is int:  # first: isinstance(int, Fraction) asks the ABC machinery
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -84,6 +86,14 @@ class Value(metaclass=_ValueType):
         for name, value in zip(names, args):
             _set(self, name, value)
 
+    @classmethod
+    def _of(cls, *values):
+        """The private constructor: the fields as given, with no coercion."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(self, name, value)
+        return self
+
     def _default(self, name: str):
         if name not in self._defaults:
             raise TypeError(f"{type(self).__qualname__}() needs {name!r}")
@@ -116,17 +126,17 @@ class Vec2(Value):
         _set(self, "y", to_fraction(y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return Vec2._of(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return Vec2._of(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return Vec2._of(-self.x, -self.y)
 
     def __rmul__(self, scalar) -> "Vec2":
         s = to_fraction(scalar)
-        return Vec2(s * self.x, s * self.y)
+        return Vec2._of(s * self.x, s * self.y)
 
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
@@ -151,17 +161,17 @@ class Vec3(Value):
             _set(self, name, to_fraction(value))
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        return Vec3._of(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        return Vec3._of(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        return Vec3._of(-self.x, -self.y, -self.z)
 
     def __rmul__(self, scalar) -> "Vec3":
         s = to_fraction(scalar)
-        return Vec3(s * self.x, s * self.y, s * self.z)
+        return Vec3._of(s * self.x, s * self.y, s * self.z)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
@@ -190,17 +200,14 @@ class Mat2(Value):
     def describe(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
-    def is_symmetric(self) -> bool:
-        return self.b == self.c
-
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def mul_vec(self, v: Vec2) -> Vec2:
-        return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
+        return Vec2._of(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     def mul_mat(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return Mat2._of(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -208,13 +215,13 @@ class Mat2(Value):
         )
 
     def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
+        return Mat2._of(self.a, self.c, self.b, self.d)
 
     def inverse(self) -> "Mat2":
         det = self.det()
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return Mat2._of(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
 def gram_eval(gram: Mat2, x: Vec2, y: Vec2) -> Fraction:
@@ -239,11 +246,24 @@ def gram_eval(gram: Mat2, x: Vec2, y: Vec2) -> Fraction:
     return Fraction(num, dm * dx * dy)
 
 
-def is_positive_definite(gram: Mat2) -> bool:
-    """Sylvester criterion for a symmetric 2x2 matrix, exact."""
-    if not gram.is_symmetric():
+def integer_gram(gram: Mat2) -> tuple[tuple[int, int, int], int]:
+    """(H, den): H = den * G as (h11, h12, h22), den the least common denominator."""
+    (a, da), (b, db) = gram.a.as_integer_ratio(), gram.b.as_integer_ratio()
+    d, dd = gram.d.as_integer_ratio()
+    if gram.c.as_integer_ratio() != (b, db):  # Fractions are in lowest terms
         raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
-    return gram.a > 0 and gram.det() > 0
+    den = math.lcm(da, db, dd)
+    return (a * (den // da), b * (den // db), d * (den // dd)), den
+
+
+def is_positive_form(h: tuple[int, int, int]) -> bool:
+    """Sylvester's criterion for the integer form (h11, h12, h22)."""
+    return h[0] > 0 and h[0] * h[2] - h[1] * h[1] > 0
+
+
+def is_positive_definite(gram: Mat2) -> bool:
+    """Sylvester's criterion on `integer_gram`: G is positive definite iff den G is."""
+    return is_positive_form(integer_gram(gram)[0])
 
 
 def is_unimodular(rows: Iterable[Sequence[int]]) -> bool:

@@ -118,16 +118,18 @@ def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
     into the Voronoi cell first, once.  With x0 = t/den, theta_c(x0) is
     (h(n_c) - 4 h(t)) / (gram_den * (2*den)^2), where n_c is the descent of
     2*t + den*c and h(y) = y^T H y; the h(t) terms cancel in the differences.
+    Characteristic 00 needs no descent: from 2t over 2 den, `descend` tests the
+    inequalities that stopped it at t over den, so n_00 = 2t, h(n_00) = 4 h(t).
     """
     t0, t1, den = numerators(x)
     t0, t1 = descend(surface, t0, t1, den)
-    h = surface.int_gram
-    norms = []
-    for cx, cy in surface.char_vectors:  # 00, 10, 01, 11
-        n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den)
-        norms.append(_hq(h, n, n))
-    scale = surface.gram_den * 4 * den * den
-    return Vec3(*(Fraction(n - norms[0], scale) for n in norms[1:]))
+    h, den2 = surface.int_gram, 2 * den
+    h00, scale = 4 * _hq(h, (t0, t1), (t0, t1)), surface.gram_den * den2 * den2
+    diffs = []
+    for cx, cy in surface.char_vectors[1:]:  # 10, 01, 11
+        n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, den2)
+        diffs.append(Fraction(_hq(h, n, n) - h00, scale))
+    return Vec3._of(*diffs)
 
 
 def g_action(

@@ -17,12 +17,12 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 lines of the i-th and (i+1)-st entries, so ``m_1`` lies on the facets
 defined by ``w`` and ``-v`` and ``m_{i+3} = -m_i``.
 
-`make_surface` derives each surface's context once and stores it on the
-surface: the reduced basis, the integer Gram ``H = gram_den * G``, the
-descent triples and the characteristic vectors.  The closest-vector descent
-(the relevant-vector slicer of Sommer-Feder-Shalvi) runs on integer
-numerators over a common denominator.  The Voronoi cell and its subdivision
-are memoized on the surface instance, so nothing outlives the surface.
+`make_surface` reads the Gram once, as the integer Gram ``H = gram_den * G``,
+and derives from H alone its positivity and the surface's context: the
+reduced basis, the descent triples and the characteristic vectors.  The
+closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
+runs on integer numerators over a common denominator.  The Voronoi cell and
+its subdivision are memoized on the surface instance, so nothing outlives it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
-from .exact import Mat2, Value, Vec2, ZERO2, gram_eval, is_positive_definite
+from .exact import Mat2, Value, Vec2, ZERO2, gram_eval, integer_gram, is_positive_form
 
 HALF = Fraction(1, 2)
 
@@ -123,16 +123,16 @@ class CellComplex(Value):
 
 
 def make_surface(gram) -> PrincipallyPolarizedSurface:
-    """Build a surface, and its context, from a symmetric positive-definite matrix."""
+    """Build a surface, and its context, from a symmetric positive-definite matrix.
+
+    All of it derives from H = gram_den * G, read once: scaling keeps Q's order.
+    """
     g = gram if isinstance(gram, Mat2) else Mat2.from_rows(gram)
-    if not is_positive_definite(g):  # raises NonSymmetricError when asymmetric
+    h, den = integer_gram(g)  # raises NonSymmetricError when asymmetric
+    if not is_positive_form(h):
         raise NotPositiveDefiniteError(
             f"matrix {g.describe()} is not positive-definite"
         )
-    # Comparisons of Q-norms are scale-invariant, so reduction and descent
-    # run on the integer multiple H = gram_den * G.
-    den = math.lcm(g.a.denominator, g.b.denominator, g.d.denominator)
-    h = (int(g.a * den), int(g.b * den), int(g.d * den))
     u, v = _lagrange_reduce(h)
     # The relevant vectors in descent scan order: u, v (, w), then negatives.
     half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if _hq(h, u, v) < 0 else (u, v)
@@ -142,7 +142,7 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
         for r in rel
     )
     norms = tuple(Fraction(_hq(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
-    reduced = ReducedBasis(Vec2(*u), Vec2(*v), norms)
+    reduced = ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
     char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
     return PrincipallyPolarizedSurface(g, reduced, h, den, descent, char_vectors, {})
 
@@ -290,7 +290,7 @@ def reduce_point(
     """
     t0, t1, den = numerators(x)
     t0, t1 = descend(surface, t0, t1, den)
-    x0 = Vec2(Fraction(t0, den), Fraction(t1, den))
+    x0 = Vec2._of(Fraction(t0, den), Fraction(t1, den))
     return x0, x - x0
 
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import ProductTypeError, RadiusTooSmallError
-from .exact import Value, Vec2, _set
+from .exact import Value, Vec2
 from .lattice import (
     PrincipallyPolarizedSurface,
     SurfaceClass,
@@ -66,10 +66,6 @@ class ThetaValue(Value):
     value: Fraction
     minimizer: Vec2  # a lattice point attaining the minimum
 
-    def __init__(self, value: Fraction, minimizer: Vec2):
-        _set(self, "value", value)
-        _set(self, "minimizer", minimizer)
-
 
 def char_vector(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic
@@ -88,8 +84,8 @@ def theta_eval(
     h, t = surface.int_gram, (t0, t1)
     value = Fraction(_hq(h, n, n) - 4 * _hq(h, t, t), surface.gram_den * 4 * den * den)
     # n - s is 2*den times the lattice point that attains the minimum.
-    minimizer = Vec2((n[0] - s0) // (2 * den), (n[1] - s1) // (2 * den))
-    return ThetaValue(value=value, minimizer=minimizer)
+    a = (Fraction((n[0] - s0) // (2 * den)), Fraction((n[1] - s1) // (2 * den)))
+    return ThetaValue._of(value, Vec2._of(*a))
 
 
 def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
@@ -159,7 +155,7 @@ def theta_eval_bruteforce(
         raise RadiusTooSmallError(
             f"radius {radius} cannot certify the minimum for shift {shift}"
         )
-    return ThetaValue(value=value, minimizer=Vec2(a1, a2))
+    return ThetaValue._of(value, Vec2._of(Fraction(a1), Fraction(a2)))
 
 
 def theta_constants(

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import cut_descent
-from test_kernel_pinned import GRAMS
+from test_kernel_pinned import GRAMS, _boundary_points, _sheared
 
 from tropical_kummer import (
+    CHARACTERISTICS,
     Distinct,
     EquivalentMinus,
     EquivalentPlus,
@@ -26,6 +27,7 @@ from tropical_kummer import (
     make_surface,
     psi_eval,
     theta_constants,
+    theta_eval,
     two_torsion_images,
     vertex_sign_diagnostics,
 )
@@ -58,6 +60,33 @@ def test_psi_is_lattice_periodic(hexagonal, skew_hexagonal, unit_square):
             x = random_point(rng, 3)
             shift = random_integer_vector(rng, 3)
             assert psi_eval(s, x) == psi_eval(s, x + shift)
+
+
+PSI_GRAMS = GRAMS + (
+    _sheared(((2, -1), (-1, 2)), 5),
+    _sheared(((5, 3), (3, 2)), -4),
+    _sheared(((F(7, 3), F(1, 2)), (F(1, 2), F(5, 11))), 9),
+)
+
+
+@pytest.mark.parametrize("index", range(len(PSI_GRAMS)))
+def test_psi_is_its_theta_differences(index):
+    # psi(x) = (th10 - th00, th01 - th00, th11 - th00)(x), each th from
+    # theta_eval at x itself, not at its reduction into the cell.
+    surface = make_surface(PSI_GRAMS[index])
+    rng = rng_for(47, "psi-definition", index)
+    points = _boundary_points(surface)
+    for bound in (1, 10, 10**3):
+        for _ in range(8):
+            den = rng.randint(1, 97)
+            points.append(
+                Vec2(*(F(rng.randint(-bound * den, bound * den), den) for _ in "xy"))
+            )
+    for x in points:
+        th00, th10, th01, th11 = (
+            theta_eval(surface, char, x).value for char in CHARACTERISTICS
+        )
+        assert psi_eval(surface, x) == Vec3(th10 - th00, th01 - th00, th11 - th00), x
 
 
 def test_psi_product_type_collapses(row_passes, unit_square):

@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from tropical_kummer import (
     CellKind,
+    Mat2,
     NonSymmetricError,
     NotPositiveDefiniteError,
     ProductTypeError,
@@ -12,6 +15,7 @@ from tropical_kummer import (
     classify,
     lagrange_reduce,
     make_surface,
+    ReducedBasis,
     reduce_point,
     relevant_vectors,
     subdivide,
@@ -40,6 +44,148 @@ def test_make_surface_rejects_bad_input():
         make_surface([[1, 2], [2, 1]])
     with pytest.raises(NonSymmetricError):
         make_surface([[1, 2], [3, 1]])
+
+
+def _reference_surface(rows):
+    """make_surface's fields, computed from the Gram's Fraction entries alone.
+
+    Positivity is the sign of a and of the determinant, norms are x^T G y in
+    Fractions, and the Lagrange iteration is the library's rule (round-half-up
+    multiplier, fixed swap, sign normalization) on Fraction norms.
+    """
+    a, b, c, d = (F(e) for row in rows for e in row)
+    gram = Mat2(a, b, c, d)
+    if b != c:
+        raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
+    if not (a > 0 and a * d - b * c > 0):
+        raise NotPositiveDefiniteError(
+            f"matrix {gram.describe()} is not positive-definite"
+        )
+
+    def q(s, t):
+        return s[0] * (a * t[0] + b * t[1]) + s[1] * (b * t[0] + d * t[1])
+
+    def neg(r):
+        return (-r[0], -r[1])
+
+    def lexpos(r):
+        return neg(r) if r[0] < 0 or (r[0] == 0 and r[1] < 0) else r
+
+    u, v = (1, 0), (0, 1)
+    if q(u, u) > q(v, v):
+        u, v = v, u
+    while True:
+        k = math.floor(q(u, v) / q(u, u) + F(1, 2))
+        vk = (v[0] - k * u[0], v[1] - k * u[1])
+        if q(vk, vk) >= q(u, u):
+            v = vk
+            break
+        u, v = vk, u
+    if q(u, v) > 0:
+        v = neg(v)
+    if q(u, v) == 0:
+        u, v = lexpos(u), lexpos(v)
+    elif u != lexpos(u):
+        u, v = neg(u), neg(v)
+    # gram_den: the least n > 0 with n G integral.
+    den = math.lcm(a.denominator, b.denominator, d.denominator)
+    half = [u, v] + ([neg((u[0] + v[0], u[1] + v[1]))] if q(u, v) < 0 else [])
+    descent = tuple(
+        (r, (den * (a * r[0] + b * r[1]), den * (b * r[0] + d * r[1])), den * q(r, r))
+        for r in half + [neg(r) for r in half]
+    )
+    reduced = ReducedBasis(Vec2(*u), Vec2(*v), (q(u, u), q(v, v), q(u, v)))
+    chars = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
+    return {
+        "gram": gram,
+        "reduced": reduced,
+        "int_gram": (den * a, den * b, den * d),
+        "gram_den": den,
+        "descent": descent,
+        "char_vectors": chars,
+    }
+
+
+def _reference_grams():
+    """Seeded Grams from five families, as rows of Fractions."""
+    rng = random.Random(1717)
+    grams = []
+    for _ in range(40):  # integer entries up to 10^6
+        a, d = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        b = rng.randint(-math.isqrt(a * d - 1), math.isqrt(a * d - 1))
+        grams.append(((a, b), (b, d)))
+    for _ in range(40):  # rational entries, denominators up to 10^6
+        a = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        d = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        b = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        while b * b >= a * d:
+            b /= 2
+        grams.append(((a, b), (b, d)))
+    for _ in range(20):  # 300-digit entries
+        a, d = rng.randint(10**299, 10**300 - 1), rng.randint(10**299, 10**300 - 1)
+        b = rng.choice((-1, 1)) * rng.randint(0, math.isqrt(a * d - 1))
+        grams.append(((a, b), (b, d)))
+    for _ in range(40):  # nearly singular: det(G) = ad - isqrt(ad - 1)^2
+        a, d = rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 10**6)
+        b = rng.choice((-1, 1)) * math.isqrt(a * d - 1)
+        grams.append(((a, b), (b, d)))
+    for i in range(40):  # U^T G U, U = [[1, p], [0, q]], q = +-1
+        a, d = rng.randint(1, 50), rng.randint(1, 50)
+        b = F(rng.randint(-math.isqrt(a * d - 1), math.isqrt(a * d - 1)), i % 3 + 1)
+        p, sq = rng.randint(-10 ** (i % 7), 10 ** (i % 7)), rng.choice((-1, 1))
+        c = a * p + b * sq
+        grams.append(((a, c), (c, a * p * p + 2 * b * p * sq + d)))
+    return grams
+
+
+def test_make_surface_matches_fraction_reference():
+    fields = ("gram", "reduced", "int_gram", "gram_den", "descent", "char_vectors")
+    for rows in _reference_grams():
+        s, ref = make_surface(rows), _reference_surface(rows)
+        for name in fields:
+            assert getattr(s, name) == ref[name], (rows, name)
+        assert all(type(e) is int for e in (*s.int_gram, s.gram_den)), rows
+
+
+NPD, NOT_PD = NotPositiveDefiniteError, "is not positive-definite"
+NOT_SYM = "is not symmetric"
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[1, 2], [3, 1]], NonSymmetricError, "matrix [[1, 2], [3, 1]] " + NOT_SYM),
+        ([[1, 2], [2, 1]], NPD, "matrix [[1, 2], [2, 1]] " + NOT_PD),
+        ([[2, 4], [4, 8]], NPD, "matrix [[2, 4], [4, 8]] " + NOT_PD),
+        ([[-2, 1], [1, -2]], NPD, "matrix [[-2, 1], [1, -2]] " + NOT_PD),
+        ([[0, 0], [0, 1]], NPD, "matrix [[0, 0], [0, 1]] " + NOT_PD),
+        (
+            [[F(1, 2), 1], [2, F(1, 3)]],
+            NonSymmetricError,
+            "matrix [[1/2, 1], [2, 1/3]] " + NOT_SYM,
+        ),
+        ([[True, 0], [0, 1]], TypeError, "booleans are not rationals"),
+        ([[1, 0], [0, 0.5]], TypeError, "cannot interpret 0.5 as an exact rational"),
+    ],
+    ids=[
+        "asymmetric",
+        "indefinite",
+        "singular",
+        "negative-definite",
+        "zero-corner",
+        "asymmetric-and-indefinite",
+        "bool",
+        "float",
+    ],
+)
+def test_make_surface_rejects_like_the_reference(rows, error, message):
+    with pytest.raises(error) as raised:
+        make_surface(rows)
+    assert str(raised.value) == message
+    if error is not TypeError:  # the reference reads any entry F() takes
+        with pytest.raises(error, match=r"^matrix .* is not") as expected:
+            _reference_surface(rows)
+        assert str(expected.value) == message
 
 
 def test_dual_basis_pairing_is_kronecker(row_passes, hexagonal, skew_hexagonal):

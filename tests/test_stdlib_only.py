@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib
 import sys
 from pathlib import Path
 
@@ -48,3 +50,21 @@ def test_public_names_resolve_once():
     namespace = {}
     exec("from tropical_kummer import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_no_module_level_caches():
+    # The README's "no module-level caches", which perfbench's fresh state per
+    # batch also assumes: memos live on a surface (`lazy`) or an instance.
+    # Class attributes count too; `__main__` is skipped, it runs the CLI.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"tropical_kummer.{path.stem}")
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                cache = isinstance(value, functools._lru_cache_wrapper)
+                if cache or hasattr(value, "cache_clear"):
+                    found.append((path.stem, getattr(owner, "__name__", ""), name))
+    assert found == []

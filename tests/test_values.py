@@ -24,8 +24,10 @@ from tropical_kummer import (
     injectivity_check,
     lagrange_reduce,
     make_surface,
+    psi_eval,
     subdivide,
     theta_eval,
+    theta_eval_bruteforce,
     voronoi_cell,
 )
 from tropical_kummer import verify
@@ -125,6 +127,50 @@ def test_reprs_are_unchanged():
         "PrincipallyPolarizedSurface(gram=Mat2(a=Fraction(2, 1), "
         "b=Fraction(-1, 1), c=Fraction(-1, 1), d=Fraction(2, 1)))"
     )
+
+
+def _same_as_public(obj):
+    """obj, rebuilt by its public (coercing) constructor, is indistinguishable."""
+    values = tuple(getattr(obj, n) for n in FIELDS[type(obj).__name__])
+    public = type(obj)(*values)
+    assert obj == public and hash(obj) == hash(public) and repr(obj) == repr(public)
+    if isinstance(obj, (Vec2, Vec3, Mat2)):  # what `to_fraction` would have made
+        assert all(type(e) is F for e in values), repr(obj)
+
+
+def test_arithmetic_builds_what_the_public_constructors_build():
+    # Arithmetic and the kernels build values through the private `_of`, which
+    # does not coerce: the fields must already be what the public one makes.
+    skew = make_surface([[2, -1], [-1, 3]])
+    u, v = Vec2(F(1, 3), -2), Vec2(5, F(-7, 4))
+    p, q = Vec3(F(1, 3), -2, 0), Vec3(5, F(-7, 4), F(2, 9))
+    m = Mat2(2, F(1, 2), -1, 3)
+    for obj in (u + v, u - v, -u, 3 * u, F(-2, 5) * v, m.mul_vec(u)):
+        _same_as_public(obj)
+    for obj in (p + q, p - q, -q, 4 * p, F(3, 7) * q):
+        _same_as_public(obj)
+    for obj in (m.mul_mat(HEX.gram), m.transpose(), m.inverse()):
+        _same_as_public(obj)
+    for surface in (HEX, skew):
+        for char in (ThetaCharacteristic(0, 0), ThetaCharacteristic(1, 1)):
+            for x in (Vec2(0, 0), Vec2(F(1, 2), 0), Vec2(F(-13, 3), F(22, 7))):
+                for value in (
+                    theta_eval(surface, char, x),
+                    theta_eval_bruteforce(surface, char, x, 12),
+                ):
+                    _same_as_public(value)
+                    _same_as_public(value.minimizer)
+                _same_as_public(psi_eval(surface, x))
+        _same_as_public(lagrange_reduce(surface))
+        _same_as_public(lagrange_reduce(surface).u)
+        _same_as_public(lagrange_reduce(surface).v)
+
+
+def test_public_constructors_still_coerce_and_reject():
+    assert Vec2(1, "1/2").as_tuple() == (F(1), F(1, 2))
+    for build, args in ((Vec2, (True, 0)), (Vec3, (0.5, 0, 0)), (Mat2, (1.0, 0, 0, 1))):
+        with pytest.raises(TypeError):
+            build(*args)
 
 
 def test_equality_stays_within_a_class():
