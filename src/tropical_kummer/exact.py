@@ -1,4 +1,4 @@
-"""Exact rational vectors, 2x2 matrices, and integer-matrix predicates.
+"""Exact rational vectors, 2x2 matrices, and the integer layer beneath them.
 
 Every quantity in this package is a ``fractions.Fraction``; floats appear
 only in the decimal formatting used for mesh export.  Rationals serialize
@@ -224,24 +224,24 @@ class Mat2(Value):
         return Mat2._of(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
 
+def numerators(x: Vec2) -> tuple[int, int, int]:
+    """(t0, t1, den) with x = (t0, t1) / den over the least common denominator."""
+    (a, b), (c, d) = x.x.as_integer_ratio(), x.y.as_integer_ratio()
+    den = math.lcm(b, d)
+    return a * (den // b), c * (den // d), den
+
+
 def gram_eval(gram: Mat2, x: Vec2, y: Vec2) -> Fraction:
     """The bilinear form value x^T (gram) y, for any 2x2 matrix.
 
     Runs on integer numerators over the least common denominators of the
     matrix, x and y, and builds one `Fraction` for the value.
     """
-    a, da = gram.a.as_integer_ratio()
-    b, db = gram.b.as_integer_ratio()
-    c, dc = gram.c.as_integer_ratio()
-    d, dd = gram.d.as_integer_ratio()
-    x0, dx0 = x.x.as_integer_ratio()
-    x1, dx1 = x.y.as_integer_ratio()
-    y0, dy0 = y.x.as_integer_ratio()
-    y1, dy1 = y.y.as_integer_ratio()
-    dm, dx, dy = math.lcm(da, db, dc, dd), math.lcm(dx0, dx1), math.lcm(dy0, dy1)
+    (a, da), (b, db) = gram.a.as_integer_ratio(), gram.b.as_integer_ratio()
+    (c, dc), (d, dd) = gram.c.as_integer_ratio(), gram.d.as_integer_ratio()
+    dm = math.lcm(da, db, dc, dd)
     a, b, c, d = a * (dm // da), b * (dm // db), c * (dm // dc), d * (dm // dd)
-    x0, x1 = x0 * (dx // dx0), x1 * (dx // dx1)
-    y0, y1 = y0 * (dy // dy0), y1 * (dy // dy1)
+    (x0, x1, dx), (y0, y1, dy) = numerators(x), numerators(y)
     num = x0 * (a * y0 + b * y1) + x1 * (c * y0 + d * y1)
     return Fraction(num, dm * dx * dy)
 
@@ -254,6 +254,11 @@ def integer_gram(gram: Mat2) -> tuple[tuple[int, int, int], int]:
         raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
     den = math.lcm(da, db, dd)
     return (a * (den // da), b * (den // db), d * (den // dd)), den
+
+
+def form(h: tuple[int, int, int], s: tuple[int, int], t: tuple[int, int]) -> int:
+    """s^T H t for the integer Gram H = (h11, h12, h22)."""
+    return h[0] * s[0] * t[0] + h[1] * (s[0] * t[1] + s[1] * t[0]) + h[2] * s[1] * t[1]
 
 
 def is_positive_form(h: tuple[int, int, int]) -> bool:

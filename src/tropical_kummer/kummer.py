@@ -29,15 +29,14 @@ from .errors import (
     ProductTypeError,
 )
 from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
+from .exact import form, numerators  # integer layer
 from .lattice import (
     Cell,
     HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
-    _hq,
     classify,
     descend,
-    numerators,
     per_surface,
     subdivide,
 )
@@ -124,11 +123,11 @@ def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
     t0, t1, den = numerators(x)
     t0, t1 = descend(surface, t0, t1, den)
     h, den2 = surface.int_gram, 2 * den
-    h00, scale = 4 * _hq(h, (t0, t1), (t0, t1)), surface.gram_den * den2 * den2
+    h00, scale = 4 * form(h, (t0, t1), (t0, t1)), surface.gram_den * den2 * den2
     diffs = []
     for cx, cy in surface.char_vectors[1:]:  # 10, 01, 11
         n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, den2)
-        diffs.append(Fraction(_hq(h, n, n) - h00, scale))
+        diffs.append(Fraction(form(h, n, n) - h00, scale))
     return Vec3._of(*diffs)
 
 
@@ -333,12 +332,12 @@ def affine_pieces(
             shifts.append((2 * int(a.x) + cx, 2 * int(a.y) + cy))
         s0 = shifts[0]
         rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
-        gaps = [_hq(h, s, s) - _hq(h, s0, s0) for s in shifts[1:]]
+        gaps = [form(h, s, s) - form(h, s0, s0) for s in shifts[1:]]
         halfway = (HALF * (c + v) for v in cell.vertices[:3])
         for p in (c, *halfway, *cell.vertices):
             t0, t1, den = numerators(p)
             piece = (
-                Fraction(4 * _hq(h, r, (t0, t1)) + den * gap, den4 * den)
+                Fraction(4 * form(h, r, (t0, t1)) + den * gap, den4 * den)
                 for r, gap in zip(rows, gaps)
             )
             if Vec3(*piece) != psi_eval(surface, p):

@@ -17,11 +17,11 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 lines of the i-th and (i+1)-st entries, so ``m_1`` lies on the facets
 defined by ``w`` and ``-v`` and ``m_{i+3} = -m_i``.
 
-`make_surface` reads the Gram once, as the integer Gram ``H = gram_den * G``,
+`make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
 and derives from H alone its positivity and the surface's context: the
 reduced basis, the descent triples and the characteristic vectors.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
-runs on integer numerators over a common denominator.  The Voronoi cell and
+runs on `exact.numerators` over any common denominator.  The Voronoi cell and
 its subdivision are memoized on the surface instance, so nothing outlives it.
 """
 
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
-from .exact import Mat2, Value, Vec2, ZERO2, gram_eval, integer_gram, is_positive_form
+from .exact import Mat2, Value, Vec2, ZERO2, gram_eval
+from .exact import form, integer_gram, is_positive_form, numerators  # integer layer
 
 HALF = Fraction(1, 2)
 
@@ -135,13 +135,13 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
         )
     u, v = _lagrange_reduce(h)
     # The relevant vectors in descent scan order: u, v (, w), then negatives.
-    half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if _hq(h, u, v) < 0 else (u, v)
+    half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if form(h, u, v) < 0 else (u, v)
     rel = half + tuple((-x, -y) for x, y in half)
     descent = tuple(
-        (r, (h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]), _hq(h, r, r))
+        (r, (h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]), form(h, r, r))
         for r in rel
     )
-    norms = tuple(Fraction(_hq(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
+    norms = tuple(Fraction(form(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
     reduced = ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
     char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
     return PrincipallyPolarizedSurface(g, reduced, h, den, descent, char_vectors, {})
@@ -157,11 +157,6 @@ def per_surface(build):
         return surface.lazy[build]
 
     return get
-
-
-def _hq(h: tuple[int, int, int], s: tuple[int, int], t: tuple[int, int]) -> int:
-    """s^T H t for the integer Gram H = (h11, h12, h22)."""
-    return h[0] * s[0] * t[0] + h[1] * (s[0] * t[1] + s[1] * t[0]) + h[2] * s[1] * t[1]
 
 
 def _lexpos(vec: tuple[int, int]) -> tuple[int, int]:
@@ -180,7 +175,7 @@ def _lagrange_reduce(h: tuple[int, int, int]):
     leading nonzero coordinate of u is positive (of both u and v when
     Q(u,v) = 0, where the signs decouple).
     """
-    q = functools.partial(_hq, h)
+    q = functools.partial(form, h)
     u, v = (1, 0), (0, 1)
     if q(u, u) > q(v, v):
         u, v = v, u
@@ -274,13 +269,6 @@ def descend(
     return t0, t1
 
 
-def numerators(x: Vec2) -> tuple[int, int, int]:
-    """(t0, t1, den) with x = (t0, t1) / den over the least common denominator."""
-    (a, b), (c, d) = x.x.as_integer_ratio(), x.y.as_integer_ratio()
-    den = math.lcm(b, d)
-    return a * (den // b), c * (den // d), den
-
-
 def reduce_point(
     surface: PrincipallyPolarizedSurface, x: Vec2
 ) -> tuple[Vec2, Vec2]:
@@ -304,13 +292,12 @@ def _quadrant_frames(surface: PrincipallyPolarizedSurface):
     rb = lagrange_reduce(surface)
     u, v, w = rb.u, rb.v, rb.w
     m = voronoi_cell(surface).vertices
-    half = Fraction(1, 2)
-    a = (half * w, half * -v, half * u)
-    b = (half * -v, half * u, half * -w)
+    a = (HALF * w, HALF * -v, HALF * u)
+    b = (HALF * -v, HALF * u, HALF * -w)
     n = (
-        half * (m[1] + m[5]),  # midpoint of m2, m6
-        half * (m[0] + m[2]),  # midpoint of m1, m3
-        half * (m[1] + m[3]),  # midpoint of m2, m4
+        HALF * (m[1] + m[5]),  # midpoint of m2, m6
+        HALF * (m[0] + m[2]),  # midpoint of m1, m3
+        HALF * (m[1] + m[3]),  # midpoint of m2, m4
     )
     return a, b, m, n
 

@@ -28,9 +28,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Mat2, Value, Vec2, gram_eval
-from .lattice import PrincipallyPolarizedSurface, _hq
-from .theta import ThetaCharacteristic, _box_minimum
+from .exact import Mat2, Value, Vec2, form, gram_eval
+from .lattice import PrincipallyPolarizedSurface
+from .theta import ThetaCharacteristic, _box_minimum, _certifies
 
 
 class TropicalDescentDatum(Value):
@@ -91,7 +91,7 @@ class FormalThetaSeries(Value):
     def constant_shift(self) -> Fraction:
         """The lifting constant Q(c, c) / 4 of the characteristic vector c."""
         c = self.surface.char_vectors[self.char.j1 + 2 * self.char.j2]
-        return Fraction(_hq(self.surface.int_gram, c, c), 4 * self.surface.gram_den)
+        return Fraction(form(self.surface.int_gram, c, c), 4 * self.surface.gram_den)
 
     @property
     def n_terms(self) -> int:
@@ -106,7 +106,7 @@ class FormalThetaSeries(Value):
         for i in range(-n, n + 1):
             for j in range(-n, n + 1):
                 # Q(u', u') + Q(c, u') = Q(u' + c, u') for u' = (i, j).
-                num = _hq(surface.int_gram, (i + cx, j + cy), (i, j))
+                num = form(surface.int_gram, (i + cx, j + cy), (i, j))
                 val = Fraction(num, surface.gram_den)
                 terms.append(((cx + 2 * i, cy + 2 * j), val))
         return tuple(terms)
@@ -151,17 +151,16 @@ def safe_cutoff(
     smaller, which is isqrt(floor(T^2)) + floor(reach) or one more, as
     floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G,
     bound = b/q and reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
-    k / (p^2 det(H)), k = (h11 + 2|h12| + h22)(h11 + h22) r^2, and R passes
-    the exact test if p (R + 1) - r > 0 and det(H) (p (R + 1) - r)^2 > k.
+    k (h11 + h22) / (p^2 det(H)), k = (h11 + 2|h12| + h22) r^2, and R passes the
+    walk's own certificate, the exact test `theta._certifies(H, p (R + 1) - r, k)`.
     """
     b, q = Fraction(region_bound).as_integer_ratio()
     if b < 0:
         raise ValueError("region_bound must be nonnegative")
-    h11, h12, h22 = surface.int_gram
+    h11, h12, h22 = h = surface.int_gram
     cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
     r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
     det = h11 * h22 - h12 * h12
-    k = (h11 + 2 * abs(h12) + h22) * (h11 + h22) * r * r
-    radius = max(1, math.isqrt(k // (p * p * det)) + r // p)
-    margin = p * (radius + 1) - r
-    return radius if margin > 0 and det * margin * margin > k else radius + 1
+    k = (h11 + 2 * abs(h12) + h22) * r * r
+    radius = max(1, math.isqrt(k * (h11 + h22) // (p * p * det)) + r // p)
+    return radius if _certifies(h, p * (radius + 1) - r, k) else radius + 1

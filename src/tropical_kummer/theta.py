@@ -7,13 +7,13 @@ the function value at x is
     with the shift  s = x + (j1*u + j2*v)/2.
 
 The minimum is found by the closest-vector descent on integer numerators:
-for x = t/den, s is 2*t + den*c over 2*den, and one `Fraction` is built for
-the value.  A brute-force oracle sharing no code with the descent is
-provided alongside: a box walk on integer numerators that prunes its own
-rows, so the box's size sets its work only where the box binds, and that
-certifies its minimum global on the same integers.  The walk also
-tropicalizes the truncated series: <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is
-Q(x + c/2 + a) - Q(x), so both take the same minimum over the same box.
+`_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and one `Fraction`
+is built for the value.  A brute-force oracle sharing only `_shift` with the
+descent is provided alongside: a box walk that prunes its own rows, so the
+box's size sets its work only where the box binds, and that certifies its
+minimum global on the same integers (`_certifies`, `safe_cutoff`'s test too).
+The walk also tropicalizes the truncated series: <c + 2a, G x> + Q(a) +
+Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both take the same minimum.
 """
 
 from __future__ import annotations
@@ -22,16 +22,8 @@ import math
 from fractions import Fraction
 
 from .errors import ProductTypeError, RadiusTooSmallError
-from .exact import Value, Vec2
-from .lattice import (
-    PrincipallyPolarizedSurface,
-    SurfaceClass,
-    _hq,
-    classify,
-    descend,
-    lagrange_reduce,
-    numerators,
-)
+from .exact import Value, Vec2, form, numerators
+from .lattice import PrincipallyPolarizedSurface, SurfaceClass, classify, descend
 
 
 class ThetaCharacteristic(Value):
@@ -74,24 +66,35 @@ def char_vector(
     return Vec2(*surface.char_vectors[char.j1 + 2 * char.j2])
 
 
+def _shift(surface, char, x) -> tuple[int, int, int, int]:
+    """(s0, s1, d, q_x) with x + c/2 = (s0, s1) / d, Q(x) = q_x / (gram_den d^2)."""
+    t0, t1, den = numerators(x)
+    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    q_x = 4 * form(surface.int_gram, (t0, t1), (t0, t1))
+    return 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den, q_x
+
+
+def _certifies(h: tuple[int, int, int], m: int, bound: int) -> bool:
+    """y^T H y > bound wherever |y|_inf >= m, as Q(y) >= lam_low |y|_inf^2 with
+    lam_low = det(G) / (G11 + G22): m > 0 and det(H) m^2 > bound (h11 + h22)."""
+    return m > 0 and (h[0] * h[2] - h[1] * h[1]) * m * m > bound * (h[0] + h[2])
+
+
 def theta_eval(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, x: Vec2
 ) -> ThetaValue:
-    t0, t1, den = numerators(x)
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-    s0, s1 = 2 * t0 + den * cx, 2 * t1 + den * cy
-    n = descend(surface, s0, s1, 2 * den)
-    h, t = surface.int_gram, (t0, t1)
-    value = Fraction(_hq(h, n, n) - 4 * _hq(h, t, t), surface.gram_den * 4 * den * den)
-    # n - s is 2*den times the lattice point that attains the minimum.
-    a = (Fraction((n[0] - s0) // (2 * den)), Fraction((n[1] - s1) // (2 * den)))
+    s0, s1, d, q_x = _shift(surface, char, x)
+    n = descend(surface, s0, s1, d)
+    value = Fraction(form(surface.int_gram, n, n) - q_x, surface.gram_den * d * d)
+    # n - s is d times the lattice point that attains the minimum.
+    a = (Fraction((n[0] - s0) // d), Fraction((n[1] - s1) // d))
     return ThetaValue._of(value, Vec2._of(*a))
 
 
 def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
     """min of Q(a + s) - Q(x) over |a_i| <= radius, a first minimizer, certified.
 
-    On integer numerators, s = (s0, s1) / d with d = 2 den and y = d (a + s),
+    On the integer numerators of `_shift`, s = (s0, s1) / d and y = d (a + s),
     rows run along the stiffer axis (the axes swap when h22 > h11; below, a1
     is the walk's row index and j = a2 its inner one).  In row a1 the
     numerator of Q(a + s) is A j^2 + B j + C, A = h22 d^2,
@@ -107,14 +110,11 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
     minimizer in lexicographic order whatever order the rows are visited in.
     Outside the box |a + s|_inf >= m / d, m = d (radius + 1) - |(s0, s1)|_inf,
     and Q(y, y) >= lam_low |y|_inf^2, lam_low = det(G) / (G11 + G22), so the
-    box's least Q(a + s), best / (gram_den d^2), is certified global if m > 0
-    and det(H) m^2 > best (h11 + h22).
+    box's least Q(a + s), best / (gram_den d^2), is certified global if
+    `_certifies(H, m, best)`.
     """
-    t0, t1, den = numerators(x)
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-    s0, s1, d = 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den
+    s0, s1, d, q_x = _shift(surface, char, x)
     h11, h12, h22 = surface.int_gram
-    q_x = 4 * _hq(surface.int_gram, (t0, t1), (t0, t1))  # Q(x) over gram_den d^2
     det, swap = h11 * h22 - h12 * h12, h22 > h11
     if swap:
         s0, s1, h11, h22 = s1, s0, h22, h11
@@ -135,7 +135,7 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
         if num < best or num == best and at < best_a:
             best, best_a = num, at
     m = d * (radius + 1) - max(abs(s0), abs(s1))
-    certified = m > 0 and det * m * m > best * (h11 + h22)
+    certified = _certifies(surface.int_gram, m, best)
     return Fraction(best - q_x, surface.gram_den * d * d), best_a, certified
 
 
@@ -150,8 +150,8 @@ def theta_eval_bruteforce(
         raise ValueError("radius must be nonnegative")
     value, (a1, a2), certified = _box_minimum(surface, char, x, radius)
     if not certified:
-        cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
-        shift = (x.x + Fraction(cx, 2), x.y + Fraction(cy, 2))
+        s0, s1, d, _ = _shift(surface, char, x)
+        shift = (Fraction(s0, d), Fraction(s1, d))
         raise RadiusTooSmallError(
             f"radius {radius} cannot certify the minimum for shift {shift}"
         )
@@ -161,10 +161,8 @@ def theta_eval_bruteforce(
 def theta_constants(
     surface: PrincipallyPolarizedSurface,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4."""
+    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, u + v = -w."""
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("theta constants are defined for hexagonal cells only")
-    rb = lagrange_reduce(surface)
-    quu, qvv, _ = rb.norms
-    qww = surface.norm(rb.w)
-    return (quu / 4, qvv / 4, qww / 4)
+    h, den = surface.int_gram, surface.gram_den
+    return tuple(Fraction(form(h, c, c), 4 * den) for c in surface.char_vectors[1:])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tropical_kummer import (
     is_unimodular,
     to_fraction,
 )
+from tropical_kummer.exact import form, integer_gram, numerators
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -107,6 +109,32 @@ def test_gram_eval_matches_fraction_formula(entries, coordinates):
     value = gram_eval(Mat2(a, b, c, d), Vec2(x1, x2), Vec2(y1, y2))
     assert type(value) is Fraction
     assert value == x1 * (a * y1 + b * y2) + x2 * (c * y1 + d * y2)
+
+
+# Denominators up to 10^6, numerators up to 300 digits.
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**300) + 1, max_value=10**300 - 1),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[wide_rationals] * 3), st.tuples(*[wide_rationals] * 4))
+def test_integer_layer_matches_fractions(entries, coordinates):
+    a, b, d = entries
+    x1, x2, y1, y2 = coordinates
+    x, y = Vec2(x1, x2), Vec2(y1, y2)
+    for p in (x, y):
+        t0, t1, den = numerators(p)
+        assert den == math.lcm(p.x.denominator, p.y.denominator)
+        assert (Fraction(t0, den), Fraction(t1, den)) == p.as_tuple()
+    g = Mat2(a, b, b, d)
+    h, den = integer_gram(g)
+    (x0, x1n, dx), (y0, y1n, dy) = numerators(x), numerators(y)
+    value = Fraction(form(h, (x0, x1n), (y0, y1n)), den * dx * dy)
+    assert value == gram_eval(g, x, y)
+    assert value == x1 * (a * y1 + b * y2) + x2 * (b * y1 + d * y2)
 
 
 @settings(max_examples=60, deadline=None)

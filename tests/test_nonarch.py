@@ -319,6 +319,8 @@ def test_bruteforce_certificate_at_extreme_inputs(s, char, radius, points):
     box = [(a1, a2) for a1 in side for a2 in side]
     for x, y in points:
         v = Vec2(x, y)
+        # The oracle's premise: the safe box certifies, or the walk raises.
+        theta_eval_bruteforce(s, char, v, safe_cutoff(s, char, v.sup_norm()))
         shift = v + F(1, 2) * char_vector(s, char)
         box_min, first = min((s.norm(Vec2(*a) + shift), a) for a in box)
         margin = radius + 1 - shift.sup_norm()

@@ -9,20 +9,27 @@ import tropical_kummer
 PACKAGE = Path(tropical_kummer.__file__).resolve().parent
 
 
-def _imports():
-    """(file, line, module) for every absolute import in the runtime package."""
+def _import_nodes():
+    """(file, node) for every import statement in the runtime package."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                yield path.name, node.lineno, name
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, node
+
+
+def _imports():
+    """(file, line, module) for every absolute import in the runtime package."""
+    for path, node in _import_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield path, node.lineno, name
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -41,6 +48,23 @@ def test_runtime_does_not_import_dataclasses():
     # (`from __future__ import annotations`).
     slow = ("dataclasses", "typing")
     assert [i for i in _imports() if i[2].split(".")[0] in slow] == []
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    # The integer layer (`numerators`, `form`) is public in `exact`.  Only the
+    # box walk and its certificate cross, from `theta` to `nonarch.safe_cutoff`
+    # and `tropicalize_series`, so the oracle's premise is one inequality.
+    crossing = {
+        (path, f"{node.module}.{alias.name}")
+        for path, node in _import_nodes()
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert crossing == {
+        ("nonarch.py", "theta._box_minimum"),
+        ("nonarch.py", "theta._certifies"),
+    }
 
 
 def test_public_names_resolve_once():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,9 @@ from tropical_kummer import (
     theta_eval,
     theta_eval_bruteforce,
 )
+from tropical_kummer.exact import form
+from tropical_kummer.sampling import random_irreducible_surface, rng_for
+from tropical_kummer.theta import _certifies
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -37,6 +41,21 @@ def test_bruteforce_radius_certificate(hexagonal):
         theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(4, 4), 0)
 
 
+def test_certificate_is_sound_on_small_forms():
+    # `_certifies(H, m, bound)` promises y^T H y > bound wherever |y|_inf >= m,
+    # checked here up to |y|_inf = |m| + 4.  For m <= 0 that region holds
+    # y = 0, so it must never certify there, whatever det(H) m^2 is.
+    forms = ((1, 0, 1), (2, -1, 2), (2, -1, 3), (5, 3, 2), (1, 0, 7), (3, -1, 1))
+    certified = 0
+    for h, m, bound in product(forms, range(-3, 5), range(40)):
+        if _certifies(h, m, bound):
+            certified += 1
+            side = range(-abs(m) - 4, abs(m) + 5)
+            shell = [y for y in product(side, side) if max(map(abs, y)) >= m]
+            assert min(form(h, y, y) for y in shell) > bound, (h, m, bound)
+    assert certified > 100
+
+
 def test_minimizer_is_attained(row_passes, hexagonal, skew_hexagonal):
     row_passes(
         "theta-minimizer-attained", hexagonal, skew_hexagonal, samples=40, seed=3
@@ -50,6 +69,22 @@ def test_theta_constants_examples(hexagonal, skew_hexagonal):
 
     doubled = make_surface([[4, -2], [-2, 4]])
     assert theta_constants(doubled) == (1, 1, 1)
+    # Seeded rational Grams and their shears S^T G S, S = [[1, k], [0, 1]],
+    # against the reduced basis's norms through the Fraction `gram_eval`.
+    for i in range(40):
+        rng = rng_for(18, i)
+        g = random_irreducible_surface(rng, 60).gram
+        den, k = rng.randint(1, 1000), rng.randint(-(10**3), 10**3)
+        a, b, d = g.a / den, g.b / den, g.d / den
+        sheared = [[a, a * k + b], [a * k + b, a * k * k + 2 * b * k + d]]
+        found = []
+        for gram in ([[a, b], [b, d]], sheared):
+            s = make_surface(gram)
+            rb = s.reduced
+            want = tuple(s.norm(r) / 4 for r in (rb.u, rb.v, rb.w))
+            assert theta_constants(s) == want, gram
+            found.append(sorted(want))
+        assert found[0] == found[1]  # the obtuse superbase's norms are invariant
 
 
 def test_theta_constants_equal_values_at_zero(hexagonal, skew_hexagonal):
