@@ -125,6 +125,13 @@ class Vec2(Value):
         _set(self, "x", to_fraction(x))
         _set(self, "y", to_fraction(y))
 
+    @classmethod
+    def _of(cls, x, y):  # unrolled `Value._of`: vectors are built on every request
+        self = object.__new__(cls)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        return self
+
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2._of(self.x + other.x, self.y + other.y)
 
@@ -159,6 +166,14 @@ class Vec3(Value):
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
         for name, value in zip("xyz", (x, y, z)):
             _set(self, name, to_fraction(value))
+
+    @classmethod
+    def _of(cls, x, y, z):  # unrolled, as `Vec2._of`
+        self = object.__new__(cls)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        return self
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3._of(self.x + other.x, self.y + other.y, self.z + other.z)

@@ -278,22 +278,30 @@ def injectivity_check(
 ) -> Verdict:
     """Decide yp = +-y modulo Z^2 and cross-check against the embedding.
 
-    The verdict and the equality of all four theta differences are computed
-    independently; a mismatch between the two would falsify the injectivity
-    criterion and raises InternalInconsistencyError.
+    The verdict is read off numerators: a `Fraction` is in lowest terms, so
+    yp -+ y is integral only when yp and y have the same denominators
+    (b, d), and then exactly when b and d divide the numerators' differences
+    (sums).  Plus wins when both hold, at 2-torsion points.  The verdict and
+    the equality of all four theta differences are computed independently; a
+    mismatch between the two would falsify the injectivity criterion and
+    raises InternalInconsistencyError.
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("the injectivity criterion needs a hexagonal cell")
     image_y = psi_eval(surface, y)
     image_yp = psi_eval(surface, yp)
-    plus, minus = yp - y, yp + y
-    if plus.is_integral() or minus.is_integral():
-        if image_y != image_yp:
-            raise InternalInconsistencyError(
-                f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
-                "have distinct images"
-            )
-        return EquivalentPlus(plus) if plus.is_integral() else EquivalentMinus(minus)
+    (a, b), (c, d) = y.x.as_integer_ratio(), y.y.as_integer_ratio()
+    (e, f), (g, k) = yp.x.as_integer_ratio(), yp.y.as_integer_ratio()
+    if b == f and d == k:
+        for verdict, sign in ((EquivalentPlus, -1), (EquivalentMinus, 1)):
+            p0, p1 = e + sign * a, g + sign * c  # the numerators of yp -+ y
+            if p0 % b == 0 and p1 % d == 0:
+                if image_y != image_yp:
+                    raise InternalInconsistencyError(
+                        f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
+                        "have distinct images"
+                    )
+                return verdict._of(Vec2._of(Fraction(p0 // b), Fraction(p1 // d)))
     for char, a, b in zip(CHARACTERISTICS[1:], image_y.as_tuple(), image_yp.as_tuple()):
         if a != b:
             return Distinct(char)

@@ -18,11 +18,13 @@ lines of the i-th and (i+1)-st entries, so ``m_1`` lies on the facets
 defined by ``w`` and ``-v`` and ``m_{i+3} = -m_i``.
 
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
-and derives from H alone its positivity and the surface's context: the
-reduced basis, the descent triples and the characteristic vectors.  The
+and derives from H alone its positivity and the surface's integer context:
+the descent triples and the characteristic vectors, whose 10 and 01 entries
+are the reduced basis u, v.  `classify` reads the sign of u^T H v.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
-runs on `exact.numerators` over any common denominator.  The Voronoi cell and
-its subdivision are memoized on the surface instance, so nothing outlives it.
+runs on `exact.numerators` over any common denominator.  The rational reduced
+basis, the Voronoi cell and its subdivision are built on first read and
+memoized on the surface instance, so nothing outlives it.
 """
 
 from __future__ import annotations
@@ -53,12 +55,11 @@ class PrincipallyPolarizedSurface(Value):
 
     _shown = ("gram",)  # the rest derives from the Gram
     gram: Mat2
-    reduced: ReducedBasis
     int_gram: tuple[int, int, int]  # gram_den * G
     gram_den: int
     # (r, H r, r^T H r) for the relevant vectors r, in descent scan order.
     descent: tuple
-    # j1*u + j2*v for the characteristics 00, 10, 01, 11.
+    # j1*u + j2*v for the characteristics 00, 10, 01, 11; u, v is reduced.
     char_vectors: tuple[tuple[int, int], ...]
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
@@ -141,10 +142,8 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
         (r, (h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]), form(h, r, r))
         for r in rel
     )
-    norms = tuple(Fraction(form(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
-    reduced = ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
     char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
-    return PrincipallyPolarizedSurface(g, reduced, h, den, descent, char_vectors, {})
+    return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, {})
 
 
 def per_surface(build):
@@ -197,14 +196,18 @@ def _lagrange_reduce(h: tuple[int, int, int]):
     return u, v
 
 
+@per_surface
 def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
-    """The surface's Lagrange-reduced basis, computed by `make_surface`."""
-    return surface.reduced
+    """The Lagrange-reduced basis that `make_surface` found, in Fractions."""
+    h, den = surface.int_gram, surface.gram_den
+    u, v = surface.char_vectors[1:3]
+    norms = tuple(Fraction(form(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
+    return ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
 
 
 def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
     """Irreducible iff the Voronoi cell is a hexagon, i.e. Q(u,v) < 0."""
-    if lagrange_reduce(surface).norms[2] < 0:
+    if form(surface.int_gram, *surface.char_vectors[1:3]) < 0:
         return SurfaceClass.IRREDUCIBLE
     return SurfaceClass.PRODUCT_TYPE
 

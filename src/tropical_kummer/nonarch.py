@@ -90,7 +90,7 @@ class FormalThetaSeries(Value):
     @functools.cached_property
     def constant_shift(self) -> Fraction:
         """The lifting constant Q(c, c) / 4 of the characteristic vector c."""
-        c = self.surface.char_vectors[self.char.j1 + 2 * self.char.j2]
+        c = self.char.vector(self.surface)
         return Fraction(form(self.surface.int_gram, c, c), 4 * self.surface.gram_den)
 
     @property
@@ -101,7 +101,7 @@ class FormalThetaSeries(Value):
     def support(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         """Every (exponent, valuation) term of the box, one `Fraction` each."""
         surface, n = self.surface, self.cutoff
-        cx, cy = surface.char_vectors[self.char.j1 + 2 * self.char.j2]
+        cx, cy = self.char.vector(surface)
         terms = []
         for i in range(-n, n + 1):
             for j in range(-n, n + 1):
@@ -158,7 +158,7 @@ def safe_cutoff(
     if b < 0:
         raise ValueError("region_bound must be nonnegative")
     h11, h12, h22 = h = surface.int_gram
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    cx, cy = char.vector(surface)
     r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
     det = h11 * h22 - h12 * h12
     k = (h11 + 2 * abs(h12) + h22) * r * r

@@ -44,6 +44,10 @@ class ThetaCharacteristic(Value):
     def __str__(self) -> str:
         return f"{self.j1}{self.j2}"
 
+    def vector(self, surface: PrincipallyPolarizedSurface) -> tuple[int, int]:
+        """The integer vector j1*u + j2*v in the surface's reduced basis."""
+        return surface.char_vectors[self.j1 + 2 * self.j2]
+
 
 # Fixed numbering b0..b3 of the four second-order characteristics.
 CHARACTERISTICS = (
@@ -62,14 +66,14 @@ class ThetaValue(Value):
 def char_vector(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic
 ) -> Vec2:
-    """The integer vector j1*u + j2*v in the reduced basis."""
-    return Vec2(*surface.char_vectors[char.j1 + 2 * char.j2])
+    """The integer vector j1*u + j2*v in the reduced basis, as a `Vec2`."""
+    return Vec2(*char.vector(surface))
 
 
 def _shift(surface, char, x) -> tuple[int, int, int, int]:
     """(s0, s1, d, q_x) with x + c/2 = (s0, s1) / d, Q(x) = q_x / (gram_den d^2)."""
     t0, t1, den = numerators(x)
-    cx, cy = surface.char_vectors[char.j1 + 2 * char.j2]
+    cx, cy = char.vector(surface)
     q_x = 4 * form(surface.int_gram, (t0, t1), (t0, t1))
     return 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den, q_x
 

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tropical_kummer import PrincipallyPolarizedSurface, make_surface, verify
+from tropical_kummer import (
+    PrincipallyPolarizedSurface,
+    lagrange_reduce,
+    make_surface,
+    verify,
+)
 
 
 @pytest.fixture(scope="session")
@@ -35,11 +40,10 @@ def frac(text) -> Fraction:
 
 def cut_descent(surface):
     """The surface with its descent scanning only +-u and +-v (a broken kernel)."""
-    rb = surface.reduced
+    rb = lagrange_reduce(surface)
     keep = {r.as_tuple() for r in (rb.u, rb.v, -rb.u, -rb.v)}
     return PrincipallyPolarizedSurface(
         surface.gram,
-        surface.reduced,
         surface.int_gram,
         surface.gram_den,
         tuple(entry for entry in surface.descent if entry[0] in keep),

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import cut_descent
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernel_pinned import GRAMS, _boundary_points, _sheared
 
 from tropical_kummer import (
@@ -324,6 +326,75 @@ def test_injectivity_check_raises_on_an_inconsistent_embedding(monkeypatch, hexa
         f"{y.as_tuple()} and {Vec2(0, F(1, 5)).as_tuple()} are inequivalent but "
         f"share the image {Vec3(1, 2, 3).as_tuple()}"
     )
+
+
+def _reference_verdict(y, yp):
+    """The verdict read off Fraction sums: plus first, as at 2-torsion points."""
+    plus, minus = yp - y, yp + y
+    if plus.is_integral():
+        return EquivalentPlus(plus)
+    if minus.is_integral():
+        return EquivalentMinus(minus)
+    return None
+
+
+# Coordinates up to |10|, over denominators small or up to 10^29, so
+# numerators reach 10^30 while psi_eval's descent stays short.
+_dens = st.one_of(st.integers(1, 12), st.integers(1, 10**29))
+_coords = _dens.flatmap(
+    lambda d: st.builds(F, st.integers(-10 * d, 10 * d), st.just(d))
+)
+_lattice = st.builds(Vec2, st.integers(-3, 3), st.integers(-3, 3))
+_EQUIVALENCE_SURFACES = (
+    make_surface([[2, -1], [-1, 3]]),
+    make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+)
+
+
+@st.composite
+def _pairs(draw):
+    y = Vec2(draw(_coords), draw(_coords))
+    mode = draw(st.sampled_from(("plus", "minus", "torsion", "same-den", "free")))
+    if mode == "torsion":  # y = -y mod Z^2: both sums are integral
+        y = Vec2(*(F(draw(st.integers(-5, 5)), 2) for _ in range(2)))
+    if mode in ("plus", "torsion"):
+        return y, y + draw(_lattice)
+    if mode == "minus":
+        return y, -y + draw(_lattice)
+    if mode == "same-den":  # y's denominators, other numerators
+        dens = (y.x.denominator, y.y.denominator)
+        return y, Vec2(*(F(draw(st.integers(-10 * d, 10 * d)), d) for d in dens))
+    return y, Vec2(draw(_coords), draw(_coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_EQUIVALENCE_SURFACES), _pairs())
+def test_injectivity_numerator_rule_matches_fraction_sums(surface, pair):
+    y, yp = pair
+    verdict, want = injectivity_check(surface, y, yp), _reference_verdict(y, yp)
+    if want is None:
+        assert isinstance(verdict, Distinct)
+    else:
+        assert verdict == want
+        shift = verdict.shift.as_tuple()
+        assert all(type(c) is F and c.denominator == 1 for c in shift)
+
+
+def test_injectivity_numerator_rule_examples(hexagonal):
+    big = 10**30
+    for y in (Vec2(H, 0), Vec2(0, -H), Vec2(H, H), Vec2(0, 0), Vec2(F(-7, 2), 1)):
+        for shift in (Vec2(0, 0), Vec2(3, -2)):
+            assert injectivity_check(hexagonal, y, y + shift) == EquivalentPlus(shift)
+    y = Vec2(F(big - 1, big), F(-big - 3, big))  # both in lowest terms over 10^30
+    assert injectivity_check(hexagonal, y, -y + Vec2(2, 1)) == EquivalentMinus(
+        Vec2(2, 1)
+    )
+    assert injectivity_check(hexagonal, y, y + Vec2(-1, 3)) == EquivalentPlus(
+        Vec2(-1, 3)
+    )
+    # Unequal denominators: never equivalent, whatever the numerators.
+    for yp in (Vec2(F(big - 1, 2 * big), y.y), Vec2(y.x, F(1, 3)), Vec2(F(1, 2), 0)):
+        assert isinstance(injectivity_check(hexagonal, y, yp), Distinct)
 
 
 def test_injectivity_biconditional_sampled(row_passes, hexagonal):

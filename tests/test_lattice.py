@@ -21,7 +21,11 @@ from tropical_kummer import (
     subdivide,
     voronoi_cell,
 )
+from tropical_kummer.exact import form, integer_gram
+from tropical_kummer.kummer import injectivity_check, psi_eval
+from tropical_kummer.lattice import _lagrange_reduce
 from tropical_kummer.sampling import (
+    random_gram,
     random_point,
     random_surface,
     random_unimodular,
@@ -139,11 +143,12 @@ def _reference_grams():
 
 
 def test_make_surface_matches_fraction_reference():
-    fields = ("gram", "reduced", "int_gram", "gram_den", "descent", "char_vectors")
+    fields = ("gram", "int_gram", "gram_den", "descent", "char_vectors")
     for rows in _reference_grams():
         s, ref = make_surface(rows), _reference_surface(rows)
         for name in fields:
             assert getattr(s, name) == ref[name], (rows, name)
+        assert lagrange_reduce(s) == ref["reduced"], rows
         assert all(type(e) is int for e in (*s.int_gram, s.gram_den)), rows
 
 
@@ -230,6 +235,57 @@ def test_reduction_invariants_on_random_matrices():
         assert quu <= qvv
         assert quv <= 0
         assert 2 * abs(quv) <= quu
+
+
+def _seeded_grams():
+    """About 200 seeded Grams: integer, rational, and product type in disguise."""
+    grams = []
+    for k in range(70):
+        grams.append(random_gram(rng_for(19, "integer", k), 50))
+    for k in range(70):
+        rng = rng_for(19, "rational", k)
+        den = rng.randint(2, 1000)
+        g = random_gram(rng, 200)
+        grams.append(Mat2(g.a / den, g.b / den, g.c / den, g.d / den))
+    for k in range(60):  # U^T diag(a, d) U: product type, not diagonal at sight
+        rng = rng_for(19, "product", k)
+        u = random_unimodular(rng)
+        diag = Mat2(rng.randint(1, 30), 0, 0, F(rng.randint(1, 30), rng.randint(1, 7)))
+        grams.append(u.transpose().mul_mat(diag).mul_mat(u))
+    return grams
+
+
+def test_reduced_basis_is_built_on_first_read():
+    # lagrange_reduce, built from the integer context on first read, equals the
+    # basis make_surface used to build eagerly; classify's integer rule is its
+    # norms[2] < 0; and the surface memoizes it.
+    kinds = set()
+    for g in _seeded_grams():
+        s = make_surface(g)
+        h, den = integer_gram(g)
+        u, v = _lagrange_reduce(h)
+        norms = tuple(F(form(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
+        assert s.lazy == {}
+        rb = lagrange_reduce(s)
+        assert rb == ReducedBasis(Vec2(*u), Vec2(*v), norms), g
+        assert all(type(c) is F for c in (*rb.u.as_tuple(), *rb.v.as_tuple()))
+        irreducible = classify(s) is SurfaceClass.IRREDUCIBLE
+        assert irreducible == (norms[2] < 0), g
+        assert lagrange_reduce(s) is rb
+        kinds.add((irreducible, den > 1))
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_embed_request_builds_no_lazy_data(hexagonal, skew_hexagonal):
+    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    y, yp = Vec2(F(1, 3), F(-2, 7)), Vec2(F(-7, 3), F(16, 7))
+    for shared in (hexagonal, skew_hexagonal, rational):
+        s = make_surface(shared.gram)
+        assert classify(s) is SurfaceClass.IRREDUCIBLE
+        for pair in ((y, yp), (y, -yp), (y, y + Vec2(1, -2)), (y, Vec2(F(1, 2), 0))):
+            injectivity_check(s, *pair)
+        psi_eval(s, Vec2(F(-9, 4), F(5, 3)))
+        assert s.lazy == {}, s.gram
 
 
 def test_classify_examples(hexagonal, unit_square, hidden_product):

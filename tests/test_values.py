@@ -186,7 +186,6 @@ def test_equality_stays_within_a_class():
 def test_surface_compares_and_shows_only_its_gram():
     rebuilt = PrincipallyPolarizedSurface(
         HEX.gram,
-        HEX.reduced,
         HEX.int_gram,
         HEX.gram_den,
         HEX.descent[:2],
@@ -197,7 +196,6 @@ def test_surface_compares_and_shows_only_its_gram():
     assert rebuilt.lazy == {} and rebuilt.lazy is not HEX.lazy
     keyword = PrincipallyPolarizedSurface(
         gram=HEX.gram,
-        reduced=HEX.reduced,
         int_gram=HEX.int_gram,
         gram_den=HEX.gram_den,
         descent=HEX.descent,
