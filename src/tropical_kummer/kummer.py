@@ -268,9 +268,23 @@ def contains(quartic: KummerQuartic, p: Vec3) -> bool:
     """Membership in the union of the six closed faces, exact.
 
     As o = -Q(u,v)/2, -Q(v,w)/2, -Q(u,w)/2 for opposite faces n.p = +-o is never
-    0, the solid is |n.p| <= |o| and its surface is where the gauge equals 1.
+    0, the solid is |n.p| <= |o| and its surface is where the gauge
+    max_f (n_f.p)/o_f equals 1.  With p = P/D and o = on/od, a face's gauge is
+    the ratio of integers (n.P) od / (D on), compared with 1 exactly.
     """
-    return max(face.evaluate(p) / face.offset for face in quartic.faces) == 1
+    ratios = [c.as_integer_ratio() for c in p.as_tuple()]
+    d = math.lcm(*(b for _, b in ratios))
+    x, y, z = (a * (d // b) for a, b in ratios)
+    on_face = False
+    for face in quartic.faces:
+        (n0, n1, n2), (on, od) = face.normal, face.offset.as_integer_ratio()
+        if on == 0:  # only on a hand-built quartic
+            raise ZeroDivisionError(f"face {face.normal} has offset 0")
+        num, scale = (n0 * x + n1 * y + n2 * z) * od, d * on
+        if (num - scale) * scale > 0:  # the gauge num / scale exceeds 1
+            return False
+        on_face = on_face or num == scale
+    return on_face
 
 
 def injectivity_check(
@@ -327,7 +341,10 @@ def affine_pieces(
     where h(s) = s^T H s.  The linear part in dual coordinates G x is the
     integer row s_c - s_00.  Each piece is checked against `psi_eval` at the
     centroid, at (centroid + v)/2 for the first three vertices v, and at
-    every vertex.
+    every vertex.  At x = t/den the piece is
+    (4 (s_c - s_00)^T H t + den (h(s_c) - h(s_00))) / (4 gram_den den), and
+    each `psi_eval` coordinate is compared with it by cross-multiplying
+    integers.
     """
     complex_ = subdivide(surface)  # raises ProductTypeError on rectangles
     h, den4 = surface.int_gram, 4 * surface.gram_den
@@ -344,12 +361,11 @@ def affine_pieces(
         halfway = (HALF * (c + v) for v in cell.vertices[:3])
         for p in (c, *halfway, *cell.vertices):
             t0, t1, den = numerators(p)
-            piece = (
-                Fraction(4 * form(h, r, (t0, t1)) + den * gap, den4 * den)
-                for r, gap in zip(rows, gaps)
-            )
-            if Vec3(*piece) != psi_eval(surface, p):
-                raise NotAffineOnCellError(f"cell {cell.label} is not affine")
+            image = psi_eval(surface, p).as_tuple()
+            for r, gap, q in zip(rows, gaps, image):
+                qn, qd = q.as_integer_ratio()
+                if (4 * form(h, r, (t0, t1)) + den * gap) * qd != qn * den4 * den:
+                    raise NotAffineOnCellError(f"cell {cell.label} is not affine")
         pieces.append(
             AffinePiece(
                 cell=cell,

@@ -22,9 +22,12 @@ and derives from H alone its positivity and the surface's integer context:
 the descent triples and the characteristic vectors, whose 10 and 01 entries
 are the reduced basis u, v.  `classify` reads the sign of u^T H v.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
-runs on `exact.numerators` over any common denominator.  The rational reduced
-basis, the Voronoi cell and its subdivision are built on first read and
-memoized on the surface instance, so nothing outlives it.
+runs on `exact.numerators` over any common denominator.  The cell geometry
+runs on H as well: the Voronoi vertices solve the facet lines of the integer
+relevant vectors with one `Fraction` per coordinate, and `in_voronoi_cell`
+compares integers.  The rational reduced basis, the Voronoi cell and its
+subdivision are built on first read and memoized on the surface instance, so
+nothing outlives it.
 """
 
 from __future__ import annotations
@@ -216,27 +219,34 @@ def relevant_vectors(surface: PrincipallyPolarizedSurface) -> tuple[Vec2, ...]:
     return voronoi_cell(surface).relevant_vectors
 
 
-def _facet_vertex(surface: PrincipallyPolarizedSurface, q1: Vec2, q2: Vec2) -> Vec2:
-    """Intersection of the facet lines Q(m, q_i) = Q(q_i, q_i)/2, exact."""
-    g = surface.gram
-    r1, r2 = g.mul_vec(q1), g.mul_vec(q2)
-    c1, c2 = surface.norm(q1) / 2, surface.norm(q2) / 2
-    det = r1.x * r2.y - r1.y * r2.x
-    return Vec2((c1 * r2.y - c2 * r1.y) / det, (r1.x * c2 - r2.x * c1) / det)
+def _facet_vertex(
+    surface: PrincipallyPolarizedSurface, a: tuple[int, int], b: tuple[int, int]
+) -> Vec2:
+    """Intersection of the facet lines Q(m, r) = Q(r, r)/2 for r = a, b, exact.
+
+    On H = gram_den G the lines read (H r).m = h(r)/2 with h(r) = r^T H r;
+    gram_den cancels, so each coordinate is one `Fraction` of integers.
+    """
+    h11, h12, h22 = surface.int_gram
+    r1x, r1y = h11 * a[0] + h12 * a[1], h12 * a[0] + h22 * a[1]
+    r2x, r2y = h11 * b[0] + h12 * b[1], h12 * b[0] + h22 * b[1]
+    c1, c2 = a[0] * r1x + a[1] * r1y, b[0] * r2x + b[1] * r2y
+    det2 = 2 * (r1x * r2y - r1y * r2x)
+    return Vec2._of(
+        Fraction(c1 * r2y - c2 * r1y, det2), Fraction(r1x * c2 - r2x * c1, det2)
+    )
 
 
 @per_surface
 def voronoi_cell(surface: PrincipallyPolarizedSurface) -> VoronoiCell:
-    rb = lagrange_reduce(surface)
-    u, v = rb.u, rb.v
+    u, v = surface.char_vectors[1:3]
     rel = tuple(Vec2(*r) for r, _, _ in surface.descent)
     if classify(surface) is SurfaceClass.IRREDUCIBLE:
-        w = rb.w
-        facet_cycle = (w, -v, u, -w, v, -u)
-        kind = CellKind.HEXAGON
+        w = (-u[0] - v[0], -u[1] - v[1])
+        half, kind = (w, (-v[0], -v[1]), u), CellKind.HEXAGON
     else:
-        facet_cycle = (-v, u, v, -u)
-        kind = CellKind.RECTANGLE
+        half, kind = ((-v[0], -v[1]), u), CellKind.RECTANGLE
+    facet_cycle = half + tuple((-x, -y) for x, y in half)
     verts = tuple(
         _facet_vertex(surface, facet_cycle[i], facet_cycle[(i + 1) % len(facet_cycle)])
         for i in range(len(facet_cycle))
@@ -245,10 +255,19 @@ def voronoi_cell(surface: PrincipallyPolarizedSurface) -> VoronoiCell:
 
 
 def in_voronoi_cell(surface: PrincipallyPolarizedSurface, y: Vec2) -> bool:
-    """Membership in the closed cell: 2 Q(y, r) <= Q(r, r) for relevant r."""
-    return all(
-        2 * surface.q(y, r) <= surface.norm(r) for r in relevant_vectors(surface)
-    )
+    """Membership in the closed cell: 2 Q(y, r) <= Q(r, r) for relevant r.
+
+    With y = t/den this is 2 t^T H r <= den r^T H r, on integers.  H r and
+    r^T H r are recomputed from `int_gram`, not read off the descent triples
+    that `descend` steps on, so the test shares no stored data with it.
+    """
+    t0, t1, den = numerators(y)
+    h11, h12, h22 = surface.int_gram
+    for (rx, ry), _, _ in surface.descent:
+        hx, hy = h11 * rx + h12 * ry, h12 * rx + h22 * ry
+        if 2 * (t0 * hx + t1 * hy) > den * (rx * hx + ry * hy):
+            return False
+    return True
 
 
 def descend(

@@ -14,6 +14,8 @@ from tropical_kummer import (
     EquivalentPlus,
     FacePlane,
     InternalInconsistencyError,
+    KummerQuartic,
+    NotAffineOnCellError,
     ProductTypeError,
     SurfaceClass,
     Vec2,
@@ -28,6 +30,7 @@ from tropical_kummer import (
     lagrange_reduce,
     make_surface,
     psi_eval,
+    subdivide,
     theta_constants,
     theta_eval,
     two_torsion_images,
@@ -274,6 +277,16 @@ def test_contains_is_the_face_gauge(hexagonal, skew_hexagonal):
     assert on > 2000 and off > 1000, (on, off)
 
 
+def test_contains_raises_on_a_zero_offset(hexagonal):
+    # Only a hand-built quartic has one; the gauge would divide by zero.
+    quartic = build_quartic(hexagonal)
+    section = FacePlane((1, -1, 0), F(0), quartic.faces[0].vertex_ids, ())
+    faces = (section,) + quartic.faces[1:]
+    hand_built = KummerQuartic(quartic.vertices, faces, quartic.theta_constants)
+    with pytest.raises(ZeroDivisionError):
+        contains(hand_built, Vec3(0, 0, 0))
+
+
 def test_validate_quartic_guards_the_gauge(hexagonal):
     quartic = build_quartic(hexagonal)
     _validate_quartic(quartic.vertices, quartic.faces)
@@ -427,6 +440,27 @@ def test_affine_pieces_offset_reproduces_values(hexagonal):
                 rows[2][0] * dual.x + rows[2][1] * dual.y + piece.offset.z,
             )
             assert image == psi_eval(hexagonal, p)
+
+
+@pytest.mark.parametrize("coordinate", range(3))
+def test_affine_check_fires_on_every_coordinate(monkeypatch, coordinate):
+    # psi off by 10^-12 in one coordinate at the hexagon vertex m_i, which
+    # lies on the cell tau_i alone.
+    exact_psi, label = kummer.psi_eval, f"tau{coordinate + 1}"
+    for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
+        (cell,) = [c for c in subdivide(make_surface(gram)).cells if c.label == label]
+        vertex = cell.vertices[2]
+
+        def bent_psi(surface, x):
+            image = list(exact_psi(surface, x).as_tuple())
+            if x == vertex:
+                image[coordinate] += F(1, 10**12)
+            return Vec3(*image)
+
+        monkeypatch.setattr(kummer, "psi_eval", bent_psi)
+        with pytest.raises(NotAffineOnCellError, match=f"^cell {label} is not affine$"):
+            affine_pieces(make_surface(gram))
+        monkeypatch.undo()
 
 
 def test_unimodularity_on_seeded_irreducible_surfaces(row_passes, hexagonal):

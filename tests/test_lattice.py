@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import cut_descent
 
 from tropical_kummer import (
     CellKind,
@@ -13,6 +14,7 @@ from tropical_kummer import (
     SurfaceClass,
     Vec2,
     classify,
+    in_voronoi_cell,
     lagrange_reduce,
     make_surface,
     ReducedBasis,
@@ -334,6 +336,71 @@ def test_voronoi_rectangle(unit_square):
 def test_voronoi_relevant_norms(skew_hexagonal):
     rel = relevant_vectors(skew_hexagonal)
     assert [skew_hexagonal.norm(r) for r in rel[:3]] == [2, 3, 3]
+
+
+def _facet_vertex_reference(s, q1, q2):
+    """The facet-line intersection solved in Fractions, through G and Q."""
+    r1, r2 = s.gram.mul_vec(q1), s.gram.mul_vec(q2)
+    c1, c2 = s.norm(q1) / 2, s.norm(q2) / 2
+    det = r1.x * r2.y - r1.y * r2.x
+    return Vec2((c1 * r2.y - c2 * r1.y) / det, (r1.x * c2 - r2.x * c1) / det)
+
+
+def test_facet_vertices_match_fraction_solve(hexagonal, skew_hexagonal, unit_square):
+    # The integer solve on H against the Fraction solve on G, on about 200
+    # seeded integer, rational and product-type Grams.
+    kinds = set()
+    for g in [hexagonal.gram, skew_hexagonal.gram, unit_square.gram, *_seeded_grams()]:
+        s = make_surface(g)
+        rb = lagrange_reduce(s)
+        u, v, w = rb.u, rb.v, rb.w
+        if classify(s) is SurfaceClass.IRREDUCIBLE:
+            cycle = (w, -v, u, -w, v, -u)
+        else:
+            cycle = (-v, u, v, -u)
+        n = len(cycle)
+        expected = tuple(
+            _facet_vertex_reference(s, cycle[i], cycle[(i + 1) % n]) for i in range(n)
+        )
+        cell = voronoi_cell(s)
+        assert cell.vertices == expected, g
+        assert all(type(c) is F for m in cell.vertices for c in m.as_tuple()), g
+        kinds.add((cell.kind, s.gram_den > 1))
+    assert len(kinds) == 4, kinds
+
+
+def _in_cell_reference(s, y):
+    """Membership by the Fraction rule, over the cell's relevant vectors."""
+    return all(2 * s.q(y, r) <= s.norm(r) for r in relevant_vectors(s))
+
+
+def _cell_probes(s, rng):
+    """Vertices, facet midpoints r/2, subdivision vertices, reduced points."""
+    cell = voronoi_cell(s)
+    probes = {*cell.vertices, *(F(1, 2) * r for r in cell.relevant_vectors)}
+    if classify(s) is SurfaceClass.IRREDUCIBLE:
+        probes.update(p for c in subdivide(s).cells for p in c.vertices)
+    probes.update(reduce_point(s, random_point(rng, 5))[0] for _ in range(6))
+    return probes
+
+
+def test_in_voronoi_cell_matches_fraction_reference(hexagonal, skew_hexagonal):
+    # Seeded integer, rational and product-type Grams; every fourth also with
+    # its descent cut to +-u, +-v, whose cell test reads the cut vectors only.
+    eps = F(1, 10**9)
+    moves = (Vec2(0, 0), Vec2(eps, 0), Vec2(-eps, 0), Vec2(0, eps), Vec2(0, -eps))
+    grams = [hexagonal.gram, skew_hexagonal.gram, *_seeded_grams()]
+    inside = outside = 0
+    for k, g in enumerate(grams):
+        s = make_surface(g)
+        for surface in (s, cut_descent(s)) if k % 4 == 0 else (s,):
+            for p in _cell_probes(surface, rng_for(29, "cell-probe", k)):
+                for move in moves:
+                    y = p + move
+                    expected = _in_cell_reference(surface, y)
+                    assert in_voronoi_cell(surface, y) == expected, (g, y)
+                    inside, outside = inside + expected, outside + (not expected)
+    assert inside > 5000 and outside > 5000, (inside, outside)
 
 
 def test_voronoi_geometry_on_seeded_matrices(row_passes, hexagonal):
