@@ -276,6 +276,11 @@ def form(h: tuple[int, int, int], s: tuple[int, int], t: tuple[int, int]) -> int
     return h[0] * s[0] * t[0] + h[1] * (s[0] * t[1] + s[1] * t[0]) + h[2] * s[1] * t[1]
 
 
+def mul_vec(h: tuple[int, int, int], r: tuple[int, int]) -> tuple[int, int]:
+    """H r for the integer Gram H = (h11, h12, h22): `Mat2.mul_vec` on integers."""
+    return h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]
+
+
 def is_positive_form(h: tuple[int, int, int]) -> bool:
     """Sylvester's criterion for the integer form (h11, h12, h22)."""
     return h[0] > 0 and h[0] * h[2] - h[1] * h[1] > 0

@@ -13,9 +13,8 @@ Coordinate conventions, fixed once for the whole package:
   Voronoi relevant vector.
 
 Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
-``w, -v, u, -w, v, -u``: vertex ``m_i`` is the intersection of the facet
-lines of the i-th and (i+1)-st entries, so ``m_1`` lies on the facets
-defined by ``w`` and ``-v`` and ``m_{i+3} = -m_i``.
+``w, -v, u, -w, v, -u`` of `_facet_cycle`: ``m_0`` lies on the facets of
+``w`` and ``-v``, and ``m_{i+3} = -m_i`` (see `voronoi_cell`).
 
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
 and derives from H alone its positivity and the surface's integer context:
@@ -23,11 +22,12 @@ the descent triples and the characteristic vectors, whose 10 and 01 entries
 are the reduced basis u, v.  `classify` reads the sign of u^T H v.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
 runs on `exact.numerators` over any common denominator.  The cell geometry
-runs on H as well: the Voronoi vertices solve the facet lines of the integer
-relevant vectors with one `Fraction` per coordinate, and `in_voronoi_cell`
+runs on H as well: the Voronoi vertices solve consecutive facet lines of
+`_facet_cycle` with one `Fraction` per coordinate, `subdivide` reads its 18
+cells off that cycle and those vertices in one loop, and `in_voronoi_cell`
 compares integers.  The rational reduced basis, the Voronoi cell and its
-subdivision are built on first read and memoized on the surface instance, so
-nothing outlives it.
+subdivision are built on first read and memoized on the surface, so nothing
+outlives it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
 from .exact import Mat2, Value, Vec2, ZERO2, gram_eval
-from .exact import form, integer_gram, is_positive_form, numerators  # integer layer
+from .exact import form, integer_gram, is_positive_form, mul_vec, numerators
 
 HALF = Fraction(1, 2)
 
@@ -141,10 +141,7 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
     # The relevant vectors in descent scan order: u, v (, w), then negatives.
     half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if form(h, u, v) < 0 else (u, v)
     rel = half + tuple((-x, -y) for x, y in half)
-    descent = tuple(
-        (r, (h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]), form(h, r, r))
-        for r in rel
-    )
+    descent = tuple((r, mul_vec(h, r), form(h, r, r)) for r in rel)
     char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
     return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, {})
 
@@ -227,9 +224,7 @@ def _facet_vertex(
     On H = gram_den G the lines read (H r).m = h(r)/2 with h(r) = r^T H r;
     gram_den cancels, so each coordinate is one `Fraction` of integers.
     """
-    h11, h12, h22 = surface.int_gram
-    r1x, r1y = h11 * a[0] + h12 * a[1], h12 * a[0] + h22 * a[1]
-    r2x, r2y = h11 * b[0] + h12 * b[1], h12 * b[0] + h22 * b[1]
+    (r1x, r1y), (r2x, r2y) = mul_vec(surface.int_gram, a), mul_vec(surface.int_gram, b)
     c1, c2 = a[0] * r1x + a[1] * r1y, b[0] * r2x + b[1] * r2y
     det2 = 2 * (r1x * r2y - r1y * r2x)
     return Vec2._of(
@@ -237,20 +232,25 @@ def _facet_vertex(
     )
 
 
+def _facet_cycle(surface: PrincipallyPolarizedSurface) -> tuple[tuple[int, int], ...]:
+    """Relevant vectors in facet order: w, -v, u, -w, v, -u, or -v, u, v, -u."""
+    _, u, (vx, vy), (sx, sy) = surface.char_vectors
+    w, nv = (-sx, -sy), (-vx, -vy)
+    half = (w, nv, u) if classify(surface) is SurfaceClass.IRREDUCIBLE else (nv, u)
+    return half + tuple((-x, -y) for x, y in half)
+
+
 @per_surface
 def voronoi_cell(surface: PrincipallyPolarizedSurface) -> VoronoiCell:
-    u, v = surface.char_vectors[1:3]
+    """The cell: vertex m_i is where facets cycle[i] and cycle[i+1] meet.
+
+    `_facet_cycle`'s second half negates its first, so m_{i+3} = -m_i.
+    """
+    cycle = _facet_cycle(surface)
+    pairs = zip(cycle, cycle[1:] + cycle[:1])
+    verts = tuple(_facet_vertex(surface, a, b) for a, b in pairs)
+    kind = CellKind.HEXAGON if len(cycle) == 6 else CellKind.RECTANGLE
     rel = tuple(Vec2(*r) for r, _, _ in surface.descent)
-    if classify(surface) is SurfaceClass.IRREDUCIBLE:
-        w = (-u[0] - v[0], -u[1] - v[1])
-        half, kind = (w, (-v[0], -v[1]), u), CellKind.HEXAGON
-    else:
-        half, kind = ((-v[0], -v[1]), u), CellKind.RECTANGLE
-    facet_cycle = half + tuple((-x, -y) for x, y in half)
-    verts = tuple(
-        _facet_vertex(surface, facet_cycle[i], facet_cycle[(i + 1) % len(facet_cycle)])
-        for i in range(len(facet_cycle))
-    )
     return VoronoiCell(kind=kind, relevant_vectors=rel, vertices=verts)
 
 
@@ -262,10 +262,9 @@ def in_voronoi_cell(surface: PrincipallyPolarizedSurface, y: Vec2) -> bool:
     that `descend` steps on, so the test shares no stored data with it.
     """
     t0, t1, den = numerators(y)
-    h11, h12, h22 = surface.int_gram
-    for (rx, ry), _, _ in surface.descent:
-        hx, hy = h11 * rx + h12 * ry, h12 * rx + h22 * ry
-        if 2 * (t0 * hx + t1 * hy) > den * (rx * hx + ry * hy):
+    for r, _, _ in surface.descent:
+        hx, hy = mul_vec(surface.int_gram, r)
+        if 2 * (t0 * hx + t1 * hy) > den * (r[0] * hx + r[1] * hy):
             return False
     return True
 
@@ -304,50 +303,23 @@ def reduce_point(
     return x0, x - x0
 
 
-def _quadrant_frames(surface: PrincipallyPolarizedSurface):
-    """Per-quadrilateral data (a_i, b_i, m_i, n_i) for quadrants 1..3.
-
-    Quadrilateral i is spanned by 0, a_i, m_i, b_i where a_i and b_i are the
-    half relevant vectors on its two bounding rays; n_i is the midpoint of
-    the chord joining the two hexagon vertices adjacent to m_i.
-    """
-    rb = lagrange_reduce(surface)
-    u, v, w = rb.u, rb.v, rb.w
-    m = voronoi_cell(surface).vertices
-    a = (HALF * w, HALF * -v, HALF * u)
-    b = (HALF * -v, HALF * u, HALF * -w)
-    n = (
-        HALF * (m[1] + m[5]),  # midpoint of m2, m6
-        HALF * (m[0] + m[2]),  # midpoint of m1, m3
-        HALF * (m[1] + m[3]),  # midpoint of m2, m4
-    )
-    return a, b, m, n
-
-
 @per_surface
 def subdivide(surface: PrincipallyPolarizedSurface) -> CellComplex:
-    """The 18-cell subdivision of the hexagonal Voronoi cell.
+    """The 18-cell subdivision of the hexagonal Voronoi cell, in one loop.
 
-    Each quadrilateral Q_i = (0, a_i, m_i, b_i) splits into the triangle
-    sigma = (0, n_i, a_i), the quadrilateral tau = (n_i, a_i, m_i, b_i), and
-    the triangle rho = (0, n_i, b_i); quadrants 4..6 are the antipodes of
-    quadrants 1..3.
+    Quadrilateral i + 1 is (0, a, m_i, b) with a, b = cycle[i]/2, cycle[i+1]/2
+    for `_facet_cycle`.  It splits into sigma = (0, n, a), tau = (n, a, m_i, b)
+    and rho = (0, n, b), with n = (m_{i-1} + m_{i+1})/2.  Quadrants 4..6 are
+    the exact negations of 1..3, as the cycle and the vertices are.
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("rectangular Voronoi cells are not subdivided")
-    a, b, m, n = _quadrant_frames(surface)
+    halves = [HALF * Vec2(*r) for r in _facet_cycle(surface)]
+    m = voronoi_cell(surface).vertices
     cells: list[Cell] = []
-    for i in range(3):
-        quad = i + 1
-        sigma = (ZERO2, n[i], a[i])
-        tau = (n[i], a[i], m[i], b[i])
-        rho = (ZERO2, n[i], b[i])
-        cells.append(Cell("sigma", quad, sigma))
-        cells.append(Cell("tau", quad, tau))
-        cells.append(Cell("rho", quad, rho))
-    for i in range(9):
-        src = cells[i]
-        cells.append(
-            Cell(src.kind, src.quadrilateral + 3, tuple(-p for p in src.vertices))
-        )
+    for i in range(6):
+        a, b, n = halves[i], halves[(i + 1) % 6], HALF * (m[i - 1] + m[(i + 1) % 6])
+        cells.append(Cell("sigma", i + 1, (ZERO2, n, a)))
+        cells.append(Cell("tau", i + 1, (n, a, m[i], b)))
+        cells.append(Cell("rho", i + 1, (ZERO2, n, b)))
     return CellComplex(cells=tuple(cells))

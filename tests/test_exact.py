@@ -15,7 +15,7 @@ from tropical_kummer import (
     is_unimodular,
     to_fraction,
 )
-from tropical_kummer.exact import form, integer_gram, numerators
+from tropical_kummer.exact import form, integer_gram, mul_vec, numerators
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -135,6 +135,8 @@ def test_integer_layer_matches_fractions(entries, coordinates):
     value = Fraction(form(h, (x0, x1n), (y0, y1n)), den * dx * dy)
     assert value == gram_eval(g, x, y)
     assert value == x1 * (a * y1 + b * y2) + x2 * (b * y1 + d * y2)
+    hx, hy = mul_vec(h, (x0, x1n))  # H t = den dx G x
+    assert (Fraction(hx, den * dx), Fraction(hy, den * dx)) == g.mul_vec(x).as_tuple()
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,6 +35,7 @@ from tropical_kummer.sampling import (
 )
 
 F = Fraction
+RATIONAL_HEX = [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]  # irreducible, gram_den 70
 
 
 def test_make_surface_examples(hexagonal, unit_square):
@@ -279,7 +280,7 @@ def test_reduced_basis_is_built_on_first_read():
 
 
 def test_embed_request_builds_no_lazy_data(hexagonal, skew_hexagonal):
-    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    rational = make_surface(RATIONAL_HEX)
     y, yp = Vec2(F(1, 3), F(-2, 7)), Vec2(F(-7, 3), F(16, 7))
     for shared in (hexagonal, skew_hexagonal, rational):
         s = make_surface(shared.gram)
@@ -288,6 +289,15 @@ def test_embed_request_builds_no_lazy_data(hexagonal, skew_hexagonal):
             injectivity_check(s, *pair)
         psi_eval(s, Vec2(F(-9, 4), F(5, 3)))
         assert s.lazy == {}, s.gram
+
+
+def test_subdivide_builds_no_reduced_basis(hexagonal, skew_hexagonal):
+    # The subdivision reads the facet cycle off the integer context: it memoizes
+    # the Voronoi cell and itself, and never the rational reduced basis.
+    for shared in (hexagonal, skew_hexagonal, make_surface(RATIONAL_HEX)):
+        s = make_surface(shared.gram)
+        subdivide(s)
+        assert {build.__name__ for build in s.lazy} == {"voronoi_cell", "subdivide"}
 
 
 def test_classify_examples(hexagonal, unit_square, hidden_product):
@@ -510,16 +520,16 @@ def test_first_quadrilateral_translates_into_cell(
     row_passes("subdivision-geometry", hexagonal, skew_hexagonal, samples=1, seed=0)
 
 
-def test_subdivision_quadrant_labels(hexagonal):
-    cells = subdivide(hexagonal).cells
-    labels = sorted(c.label for c in cells)
+def test_subdivision_quadrant_labels(hexagonal, skew_hexagonal):
     expected = sorted(
         f"{kind}{q}" for kind in ("sigma", "tau", "rho") for q in range(1, 7)
     )
-    assert labels == expected
-    # Antipodal quadrants carry antipodal cells.
-    by_label = {c.label: c for c in cells}
-    for kind in ("sigma", "tau", "rho"):
-        for q in (1, 2, 3):
-            a, b = by_label[f"{kind}{q}"], by_label[f"{kind}{q + 3}"]
-            assert tuple(-p for p in a.vertices) == b.vertices
+    for s in (hexagonal, skew_hexagonal, make_surface(RATIONAL_HEX)):
+        cells = subdivide(s).cells
+        assert sorted(c.label for c in cells) == expected
+        # Antipodal quadrants carry antipodal cells, though each is built alone.
+        by_label = {c.label: c for c in cells}
+        for kind in ("sigma", "tau", "rho"):
+            for q in (1, 2, 3):
+                a, b = by_label[f"{kind}{q}"], by_label[f"{kind}{q + 3}"]
+                assert tuple(-p for p in a.vertices) == b.vertices, s.gram
