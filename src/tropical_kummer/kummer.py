@@ -154,6 +154,10 @@ def g_action(
 def _face_table(
     th: tuple[Fraction, Fraction, Fraction]
 ) -> tuple[FacePlane, ...]:
+    # Consumers read two facts off this table.  Each face lists two opposite
+    # corners first, so its corners 0, 2, 1, 3 are a cycle: as tau_tilde_j =
+    # -tau_j, the span check of `_validate_quartic` puts tau_j opposite
+    # tau_tilde_j.  The source cells partition the 18 cells of `subdivide`.
     t10, t01, t11 = th
     return (
         FacePlane(
@@ -193,18 +197,6 @@ def _face_table(
             ("tau3", "tau6"),
         ),
     )
-
-
-def _parallelogram_frame(points: Sequence[Vec3]) -> tuple[Vec3, Vec3, Vec3]:
-    """Identify (base, edge1, edge2) among four parallelogram vertices."""
-    a = points[0]
-    rest = list(points[1:])
-    for i in range(3):
-        opposite = rest[i]
-        others = [rest[j] for j in range(3) if j != i]
-        if a + opposite == others[0] + others[1]:
-            return a, others[0] - a, others[1] - a
-    raise InternalInconsistencyError(f"points {points} do not form a parallelogram")
 
 
 def _validate_quartic(
@@ -250,17 +242,15 @@ def build_quartic(surface: PrincipallyPolarizedSurface) -> KummerQuartic:
 def quartic_off(quartic: KummerQuartic, digits: int) -> str:
     """The quartic as an OFF mesh, coordinates rounded to `digits` decimals.
 
-    Each face lists its vertex indices in cyclic order, as OFF requires.
+    Each face lists its vertex indices in cyclic order, as OFF requires: its
+    table corners 0, 2, 1, 3, since corners 0 and 1 are opposite.
     """
     lines = ["OFF", "8 6 12"]
     for v in quartic.vertices:
         lines.append(" ".join(fraction_decimal(c, digits) for c in v.as_tuple()))
     for face in quartic.faces:
-        base, e1, e2 = _parallelogram_frame(
-            [quartic.vertex(vid) for vid in face.vertex_ids]
-        )
-        cycle = (base, base + e1, base + e1 + e2, base + e2)
-        lines.append("4 " + " ".join(str(quartic.vertices.index(p)) for p in cycle))
+        ids = [VERTEX_LABELS.index(vid) for vid in face.vertex_ids]
+        lines.append("4 " + " ".join(str(ids[k]) for k in (0, 2, 1, 3)))
     return "\n".join(lines) + "\n"
 
 
@@ -398,39 +388,28 @@ def _primitive_normal(
 def coplanarity_report(
     surface: PrincipallyPolarizedSurface,
 ) -> dict[FacePlane, tuple[str, ...]]:
-    """Group the 18 affine-piece images into the six face planes.
+    """Check the 18 affine-piece images on the faces; map face -> sorted cells.
 
-    The grouping computed from the affine pieces must reproduce the faces'
-    (normal, offset, source-cell) table exactly.
+    The piece of each cell in a face's `source_cells` must have the face's
+    normal, with its offset on the face: a rank-2 piece lies in one plane.
+    A cell named twice or on no face raises too.
     """
     quartic = build_quartic(surface)
-    groups: dict[tuple[tuple[int, int, int], Fraction], list[str]] = {}
-    for piece in affine_pieces(surface):
-        normal = _primitive_normal(piece.linear_part)
-        offset = (
-            normal[0] * piece.offset.x
-            + normal[1] * piece.offset.y
-            + normal[2] * piece.offset.z
-        )
-        groups.setdefault((normal, offset), []).append(piece.cell.label)
-
-    report: dict[FacePlane, tuple[str, ...]] = {}
+    pieces = {piece.cell.label: piece for piece in affine_pieces(surface)}
     for face in quartic.faces:
-        key = (face.normal, face.offset)
-        if key not in groups:
-            raise InternalInconsistencyError(
-                f"no affine piece lands on face {face.normal}={face.offset}"
-            )
-        cells = tuple(sorted(groups.pop(key)))
-        if cells != tuple(sorted(face.source_cells)):
-            raise InternalInconsistencyError(
-                f"face {face.normal}={face.offset}: cells {cells} != "
-                f"{tuple(sorted(face.source_cells))}"
-            )
-        report[face] = cells
-    if groups:
-        raise InternalInconsistencyError(f"extra image planes: {sorted(groups)}")
-    return report
+        for label in face.source_cells:
+            piece = pieces.pop(label, None)
+            if (
+                piece is None
+                or _primitive_normal(piece.linear_part) != face.normal
+                or face.evaluate(piece.offset) != face.offset
+            ):
+                raise InternalInconsistencyError(
+                    f"cell {label}: no affine piece on face {face.normal}={face.offset}"
+                )
+    if pieces:
+        raise InternalInconsistencyError(f"cells {sorted(pieces)} are on no face")
+    return {face: tuple(sorted(face.source_cells)) for face in quartic.faces}
 
 
 def two_torsion_images(

@@ -194,7 +194,7 @@ def _unimodular_invariance(s, rng):
     u = random_unimodular(rng)
     transformed = []
     for r in rows:
-        rv = u.mul_vec(Vec2(r[0], r[1]))  # right multiplication by U
+        rv = u.mul_vec(Vec2(r[0], r[1]))  # r -> U r: the rows go to M U^T
         transformed.append((int(rv.x), int(rv.y)))
     if is_unimodular(permuted) != base or is_unimodular(transformed) != base:
         return {"rows": rows, "unimodular": base}
@@ -517,13 +517,9 @@ def _affine_unimodularity(s, seed, samples):
                 "bad_cells": [p.cell.label for p in bad],
             }
             return FAIL, cases, counterexample, None
-        for piece in pieces:
-            antipode = next(
-                q
-                for q in pieces
-                if q.cell.kind == piece.cell.kind
-                and q.cell.quadrilateral == ((piece.cell.quadrilateral + 2) % 6) + 1
-            )
+        # `subdivide` emits sigma, tau, rho for quadrilaterals 1..6, and
+        # quadrilateral i + 3 negates i: piece j's antipode is piece j + 9.
+        for piece, antipode in zip(pieces, pieces[9:] + pieces[:9]):
             negated = tuple((-r[0], -r[1]) for r in piece.linear_part)
             if antipode.linear_part != negated:
                 return FAIL, cases, {"cell": piece.cell.label}, None

@@ -119,12 +119,45 @@ def test_surface_off_round_trip(capsys, hex_config):
         truth = [F(part) for part in exact[label]]
         assert all(abs(a - t) < tolerance for a, t in zip(approx, truth))
 
+    v = [[F(part) for part in exact[label]] for label in VERTEX_LABELS]
     for line in face_lines:
         parts = line.split()
         assert parts[0] == "4"
         indices = [int(p) for p in parts[1:]]
         assert len(set(indices)) == 4
         assert all(0 <= i < 8 for i in indices)
+        # A cycle round a parallelogram: its diagonals share their midpoint.
+        i0, i1, i2, i3 = indices
+        assert [a + c for a, c in zip(v[i0], v[i2])] == [
+            b + d for b, d in zip(v[i1], v[i3])
+        ]
+
+
+# SHA-256 of `surface --out off --precision 12`, recorded while each face's
+# cycle was searched for among its corners.
+SURFACE_OFF_PRECISION12_SHA256 = {
+    "hex": "26e20dab0aa6e59fbd968c3f646c7dd1cc2ba90b3b90734eb4fada6b8349a0aa",
+    "skew": "81cc021ae8c389926d315cd534834639643b9649979dc902e8832c62fd675af2",
+    "rational": "70c3d9d9a81fd0c1fb300f97fd0c10446c72e1c4c844f199f61c28f10071853b",
+}
+_OFF_GRAMS = {
+    "hex": HEX_GRAM,
+    "skew": [["2", "-1"], ["-1", "3"]],
+    "rational": [["1/2", "-1/5"], ["-1/5", "3/7"]],
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_GRAMS))
+def test_surface_off_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"gram": _OFF_GRAMS[name]}))
+    code, out, _ = run_cli(
+        capsys, "surface", str(path), "--out", "off", "--precision", "12"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        SURFACE_OFF_PRECISION12_SHA256[name]
+    )
 
 
 def test_series_output(capsys, hex_config):

@@ -1,4 +1,5 @@
 import hashlib
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from tropical_kummer import (
 from tropical_kummer import kummer
 from tropical_kummer.kummer import (
     VERTEX_LABELS,
-    _parallelogram_frame,
+    AffinePiece,
     _validate_quartic,
 )
 from tropical_kummer.sampling import (
@@ -170,6 +171,18 @@ def test_contains_rejects_points_off_the_faces(hexagonal):
     quartic = build_quartic(hexagonal)
     # On the right plane but outside the face quadrilateral.
     assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
+
+
+def _parallelogram_frame(points: Sequence[Vec3]) -> tuple[Vec3, Vec3, Vec3]:
+    """Identify (base, edge1, edge2) among four parallelogram vertices."""
+    a = points[0]
+    rest = list(points[1:])
+    for i in range(3):
+        opposite = rest[i]
+        others = [rest[j] for j in range(3) if j != i]
+        if a + opposite == others[0] + others[1]:
+            return a, others[0] - a, others[1] - a
+    raise InternalInconsistencyError(f"points {points} do not form a parallelogram")
 
 
 def _contains_by_solving(quartic, p):
@@ -491,6 +504,76 @@ def test_coplanarity_report_skew(skew_hexagonal):
         (face.normal, face.offset): cells for face, cells in report.items()
     }
     assert by_key[((1, -1, -1), F(1))] == ("tau1", "tau4")
+
+
+def _retable(monkeypatch, edit):
+    """Make `build_quartic` pass the faces' source-cell lists through `edit`."""
+    face_table = kummer._face_table
+
+    def edited(th):
+        faces = face_table(th)
+        cells = edit([list(face.source_cells) for face in faces])
+        return tuple(
+            FacePlane(face.normal, face.offset, face.vertex_ids, tuple(c))
+            for face, c in zip(faces, cells)
+        )
+
+    monkeypatch.setattr(kummer, "_face_table", edited)
+
+
+def _moved(label, source, target):
+    def edit(cells):
+        cells[source].remove(label)
+        cells[target].append(label)
+        return cells
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # To the opposite face: the normal agrees, the offset does not.
+        (_moved("sigma1", 0, 1), "^cell sigma1: no affine piece on face"),
+        # To a face with another normal.
+        (_moved("tau2", 1, 4), "^cell tau2: no affine piece on face"),
+        # Named on two faces.
+        (lambda cells: cells[:5] + [cells[5] + ["rho2"]], "^cell rho2: no affine"),
+        # Named on none.
+        (
+            lambda cells: [cells[0][1:]] + cells[1:],
+            r"^cells \['sigma1'\] are on no face$",
+        ),
+    ],
+)
+def test_coplanarity_report_raises_on_a_wrong_table(monkeypatch, edit, message):
+    _retable(monkeypatch, edit)
+    # A fresh surface: `build_quartic` is memoized on the surface.
+    with pytest.raises(InternalInconsistencyError, match=message):
+        coplanarity_report(make_surface([[2, -1], [-1, 3]]))
+
+
+@pytest.mark.parametrize("bent", ["offset", "linear part"])
+def test_coplanarity_report_raises_on_a_bent_piece(monkeypatch, skew_hexagonal, bent):
+    # Each piece in turn, its offset moved by 10^-12 off its face's plane, or
+    # its linear part taken from a piece on a face with another normal.
+    exact = affine_pieces(skew_hexagonal)
+    faces = build_quartic(skew_hexagonal).faces
+    normal = {cell: face.normal for face in faces for cell in face.source_cells}
+    for k, piece in enumerate(exact):
+        label = piece.cell.label
+        offset, linear_part = piece.offset, piece.linear_part
+        if bent == "offset":
+            offset += Vec3(F(1, 10**12), 0, 0)
+        else:
+            linear_part = next(
+                q.linear_part for q in exact if normal[q.cell.label] != normal[label]
+            )
+        pieces = list(exact)
+        pieces[k] = AffinePiece(piece.cell, linear_part, offset, piece.unimodular)
+        monkeypatch.setattr(kummer, "affine_pieces", lambda surface: tuple(pieces))
+        with pytest.raises(InternalInconsistencyError, match=f"^cell {label}: "):
+            coplanarity_report(skew_hexagonal)
 
 
 def _pieces_text(surface):
