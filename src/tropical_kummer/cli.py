@@ -20,7 +20,9 @@ An input rational with more than `_MAX_INPUT_DIGITS` digits in its numerator
 or denominator is an input error, so that every printed number can print.
 ``series`` rejects a cutoff above `MAX_SERIES_CUTOFF`, whether given by
 ``--cutoff`` or computed from the point, and ``surface --out off`` a
-``--precision`` outside [1, `MAX_OFF_PRECISION`], as input errors.
+``--precision`` outside [1, `MAX_OFF_PRECISION`], and ``verify`` a sample
+count outside [1, `MAX_VERIFY_SAMPLES`], given by ``--samples`` or by the
+config's ``samples``, as input errors.
 A ``--point`` value may start with a minus, given either as
 ``--point -1/2,0`` or as ``--point=-1/2,0``.
 """
@@ -66,6 +68,11 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # binding, the command takes about 0.25 s and 20 MB peak RSS on an x86-64
 # machine with Python 3.11.
 MAX_SERIES_CUTOFF = 10**5
+
+# The largest sample count `verify` accepts.  A report's work is linear in the
+# count; at this limit the hexagonal example takes 11-13 s and 19 MB peak RSS
+# through the CLI on a 2-vCPU x86-64 machine with Python 3.11.
+MAX_VERIFY_SAMPLES = 10**4
 
 # The most OFF decimal digits `surface` accepts.  Python refuses to print an
 # integer of more than 4300 digits, and a rounded coordinate is printed as
@@ -274,8 +281,10 @@ def cmd_verify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
         seed = _int_setting(args, config, "seed", 0)
         samples = _int_setting(args, config, "samples", 200)
-        if samples < 1:
-            raise ValueError("samples must be positive")
+        if not 1 <= samples <= MAX_VERIFY_SAMPLES:
+            raise ValueError(
+                f"samples {samples} is outside [1, {MAX_VERIFY_SAMPLES}]"
+            )
 
     def progress(check):
         sys.stderr.write(

@@ -334,10 +334,13 @@ def affine_pieces(
     every vertex.  At x = t/den the piece is
     (4 (s_c - s_00)^T H t + den (h(s_c) - h(s_00))) / (4 gram_den den), and
     each `psi_eval` coordinate is compared with it by cross-multiplying
-    integers.
+    integers.  The midpoints are built on numerators, and `psi_eval` runs
+    once per distinct point: the cells share their vertices, so the 132
+    checks read 91 evaluations, kept for this call only.
     """
     complex_ = subdivide(surface)  # raises ProductTypeError on rectangles
     h, den4 = surface.int_gram, 4 * surface.gram_den
+    images = {}  # numerators(p) -> psi(p) as integer ratios
     pieces = []
     for cell in complex_.cells:
         c = cell.centroid()
@@ -348,12 +351,15 @@ def affine_pieces(
         s0 = shifts[0]
         rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
         gaps = [form(h, s, s) - form(h, s0, s0) for s in shifts[1:]]
-        halfway = (HALF * (c + v) for v in cell.vertices[:3])
-        for p in (c, *halfway, *cell.vertices):
-            t0, t1, den = numerators(p)
-            image = psi_eval(surface, p).as_tuple()
-            for r, gap, q in zip(rows, gaps, image):
-                qn, qd = q.as_integer_ratio()
+        ts = [numerators(p) for p in (c, *cell.vertices)]
+        halfway = [_halfway(ts[0], t) for t in ts[1:4]]
+        for key in (ts[0], *halfway, *ts[1:]):
+            t0, t1, den = key
+            if key not in images:
+                x = Vec2._of(Fraction(t0, den), Fraction(t1, den))
+                image = psi_eval(surface, x).as_tuple()
+                images[key] = [q.as_integer_ratio() for q in image]
+            for r, gap, (qn, qd) in zip(rows, gaps, images[key]):
                 if (4 * form(h, r, (t0, t1)) + den * gap) * qd != qn * den4 * den:
                     raise NotAffineOnCellError(f"cell {cell.label} is not affine")
         pieces.append(
@@ -365,6 +371,14 @@ def affine_pieces(
             )
         )
     return tuple(pieces)
+
+
+def _halfway(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The midpoint of two `numerators` triples, as `numerators` writes it."""
+    (a0, a1, ad), (b0, b1, bd) = a, b
+    s0, s1, den = a0 * bd + b0 * ad, a1 * bd + b1 * ad, 2 * ad * bd
+    g = math.gcd(s0, s1, den)  # lowest terms: den is the lcm of the denominators
+    return s0 // g, s1 // g, den // g
 
 
 def _primitive_normal(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
@@ -107,10 +108,13 @@ class Cell(Value):
         return f"{self.kind}{self.quadrilateral}"
 
     def centroid(self) -> Vec2:
-        n = len(self.vertices)
-        sx = sum(p.x for p in self.vertices)
-        sy = sum(p.y for p in self.vertices)
-        return Vec2(Fraction(sx, n), Fraction(sy, n))
+        """The vertex mean, summed as numerators over one common denominator."""
+        ts = [numerators(p) for p in self.vertices]
+        den = math.lcm(*(d for _, _, d in ts))
+        sx = sum(t0 * (den // d) for t0, _, d in ts)
+        sy = sum(t1 * (den // d) for _, t1, d in ts)
+        den *= len(ts)
+        return Vec2._of(Fraction(sx, den), Fraction(sy, den))
 
     def area(self) -> Fraction:
         """Shoelace area; vertices are stored in cyclic order."""

@@ -38,7 +38,7 @@ def random_fraction(rng: random.Random, bound: int) -> Fraction:
 
 
 def random_point(rng: random.Random, bound: int) -> Vec2:
-    return Vec2(random_fraction(rng, bound), random_fraction(rng, bound))
+    return Vec2._of(random_fraction(rng, bound), random_fraction(rng, bound))
 
 
 def random_integer_vector(rng: random.Random, bound: int = 4) -> Vec2:

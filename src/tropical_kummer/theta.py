@@ -62,6 +62,13 @@ class ThetaValue(Value):
     value: Fraction
     minimizer: Vec2  # a lattice point attaining the minimum
 
+    @classmethod
+    def _of(cls, value, minimizer):  # unrolled, as `Vec2._of`: one per evaluation
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "minimizer", minimizer)
+        return self
+
 
 def char_vector(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic

@@ -277,6 +277,46 @@ def test_off_precision_is_bounded(capsys, hex_config):
     assert out.splitlines()[2].startswith("0.5000")
 
 
+def test_verify_samples_are_bounded(capsys, monkeypatch, tmp_path):
+    # A report's work is linear in the sample count, so a count above the
+    # limit is an input error, found before any check runs.
+    gram = json.dumps(HEX_GRAM)
+    path = tmp_path / "config.json"
+    too_many = str(cli.MAX_VERIFY_SAMPLES + 1)
+    runs = (
+        ('"samples": %s' % too_many, ()),
+        ('"samples": "%s"' % too_many, ()),
+        ('"samples": 0', ()),
+        ('"samples": 2', ("--samples", too_many)),
+        ('"samples": 2', ("--samples", "10000000000")),
+        ('"samples": 2', ("--samples", "-1")),
+    )
+    for entries, extra in runs:
+        path.write_text('{"gram": %s, %s}' % (gram, entries))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path), *extra)
+        assert (code, out) == (2, ""), (entries, extra)
+        assert time.perf_counter() - start < 0.5, (entries, extra)
+        (line,) = err.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["type"], error["stage"]) == ("ValueError", "verify")
+        assert "samples" in error["message"]
+    # The limit itself is accepted, from either place, and reaches the suite.
+    seen = []
+
+    def stub(surface, seed, samples, progress):
+        seen.append(samples)
+        return verify.VerificationReport(surface.gram, seed, samples, "irreducible")
+
+    monkeypatch.setattr(verify, "run_verification", stub)
+    limit = str(cli.MAX_VERIFY_SAMPLES)
+    path.write_text('{"gram": %s, "samples": %s}' % (gram, limit))
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    path.write_text('{"gram": %s}' % gram)
+    assert run_cli(capsys, "verify", str(path), "--samples", limit)[0] == 0
+    assert seen == [cli.MAX_VERIFY_SAMPLES] * 2
+
+
 def test_pinned_outputs(capsys, hex_config):
     code, out, _ = run_cli(capsys, "verify", hex_config, "--samples", "50")
     assert code == 0
@@ -288,6 +328,31 @@ def test_pinned_outputs(capsys, hex_config):
     )
     assert code == 0
     assert out == HEX_SERIES_11_OUTPUT
+
+
+# SHA-256 of `verify --samples 200` as the CLI prints it, on the two
+# end-to-end configurations of the roadmap, recorded before the rows read
+# their per-surface and per-point quantities once.
+@pytest.mark.parametrize(
+    "gram, seed, digest",
+    [
+        (HEX_GRAM, 7, "d86e365e6030584abd06f74b10e965e0a7a8608c95fdb42cead1e536f7ecb477"),
+        (
+            [["5", "3"], ["3", "2"]],
+            3,
+            "6880df9f75c9b1eb1f8a3204754ac694bc3d9a4642f52b463d9522fabf557298",
+        ),
+    ],
+    ids=["hex", "5-3-3-2"],
+)
+def test_verify_200_samples_pinned(capsys, tmp_path, gram, seed, digest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gram": gram}))
+    code, out, _ = run_cli(
+        capsys, "verify", str(path), "--seed", str(seed), "--samples", "200"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # SHA-256 of `verify` reports at seed 7 and 50 samples, serialized as the

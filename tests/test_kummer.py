@@ -38,9 +38,11 @@ from tropical_kummer import (
     vertex_sign_diagnostics,
 )
 from tropical_kummer import kummer
+from tropical_kummer.exact import numerators
 from tropical_kummer.kummer import (
     VERTEX_LABELS,
     AffinePiece,
+    _halfway,
     _validate_quartic,
 )
 from tropical_kummer.sampling import (
@@ -474,6 +476,49 @@ def test_affine_check_fires_on_every_coordinate(monkeypatch, coordinate):
         with pytest.raises(NotAffineOnCellError, match=f"^cell {label} is not affine$"):
             affine_pieces(make_surface(gram))
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [((2, -1), (-1, 2)), ((2, -1), (-1, 3)), ((F(1, 2), F(-1, 5)), (F(-1, 5), F(3, 7)))],
+    ids=["hex", "skew", "rational"],
+)
+def test_affine_pieces_evaluate_each_point_once(monkeypatch, gram):
+    # 18 cells check 132 points (a centroid, three midpoints and three or four
+    # vertices each), but the cells share their 19 vertices: 91 are distinct.
+    exact_psi, points = kummer.psi_eval, []
+
+    def counted(surface, x):
+        points.append(x)
+        return exact_psi(surface, x)
+
+    monkeypatch.setattr(kummer, "psi_eval", counted)
+    affine_pieces(make_surface(gram))  # fresh: the pieces are memoized
+    assert len(points) == len(set(points)) == 91
+
+
+def test_halfway_writes_the_midpoint_as_numerators_does():
+    # Its triples key the psi values, so equal points must give equal triples.
+    rng = rng_for(0, "halfway")
+    points = [random_point(rng, 3) for _ in range(300)] + [Vec2(0, 0), Vec2(H, -H)]
+    for a, b in zip(points, points[1:] + points[:1]):
+        got = _halfway(numerators(a), numerators(b))
+        assert got == numerators(H * (a + b)), (a, b)
+
+
+def test_affine_check_fires_at_a_shared_vertex(monkeypatch):
+    # The origin is a vertex of all 12 sigma and rho cells; psi off by 10^-12
+    # there is evaluated once and caught on the first cell, sigma1.
+    exact_psi = kummer.psi_eval
+
+    def bent_psi(surface, x):
+        image = exact_psi(surface, x)
+        return image + Vec3(F(1, 10**12), 0, 0) if x == Vec2(0, 0) else image
+
+    monkeypatch.setattr(kummer, "psi_eval", bent_psi)
+    for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
+        with pytest.raises(NotAffineOnCellError, match="^cell sigma1 is not affine$"):
+            affine_pieces(make_surface(gram))
 
 
 def test_unimodularity_on_seeded_irreducible_surfaces(row_passes, hexagonal):
