@@ -150,6 +150,11 @@ def _int_setting(args, config: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _within(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} is outside [{lo}, {hi}]")
+
+
 def _parse_point(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -219,10 +224,8 @@ def cmd_embed(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
 
 def cmd_surface(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
-        if args.out == "off" and not 1 <= args.precision <= MAX_OFF_PRECISION:
-            raise ValueError(
-                f"precision {args.precision} is outside [1, {MAX_OFF_PRECISION}]"
-            )
+        if args.out == "off":
+            _within("precision", args.precision, 1, MAX_OFF_PRECISION)
     quartic = kummer.build_quartic(surface)
     if args.out == "json":
         faces = [
@@ -257,10 +260,7 @@ def cmd_series(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     if cutoff is None:
         cutoff = nonarch.safe_cutoff(surface, char, point.sup_norm())
     with _reading():  # the cutoff is an argument, given or derived from the point
-        if not 0 <= cutoff <= MAX_SERIES_CUTOFF:
-            raise ValueError(
-                f"cutoff {cutoff} is outside [0, {MAX_SERIES_CUTOFF}]"
-            )
+        _within("cutoff", cutoff, 0, MAX_SERIES_CUTOFF)
     series = nonarch.build_series(surface, char, cutoff)
     value = nonarch.tropicalize_series(series, point)
     _emit(
@@ -281,10 +281,7 @@ def cmd_verify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     with _reading():
         seed = _int_setting(args, config, "seed", 0)
         samples = _int_setting(args, config, "samples", 200)
-        if not 1 <= samples <= MAX_VERIFY_SAMPLES:
-            raise ValueError(
-                f"samples {samples} is outside [1, {MAX_VERIFY_SAMPLES}]"
-            )
+        _within("samples", samples, 1, MAX_VERIFY_SAMPLES)
 
     def progress(check):
         sys.stderr.write(

@@ -286,20 +286,18 @@ def is_positive_form(h: tuple[int, int, int]) -> bool:
     return h[0] > 0 and h[0] * h[2] - h[1] * h[1] > 0
 
 
-def is_positive_definite(gram: Mat2) -> bool:
-    """Sylvester's criterion on `integer_gram`: G is positive definite iff den G is."""
-    return is_positive_form(integer_gram(gram)[0])
-
-
 def is_unimodular(rows: Iterable[Sequence[int]]) -> bool:
     """True iff the m x 2 integer matrix has rank 2 and a torsion-free cokernel.
 
-    Equivalently: the gcd of all 2x2 minors is 1.
+    Equivalently: the gcd of all 2x2 minors is 1.  An entry that is neither an
+    int nor a `Fraction` with denominator 1 raises `ValueError`.
     """
-    mat = [tuple(int(e) for e in r) for r in rows]
-    if any(len(r) != 2 for r in mat) or len(mat) < 2:
+    mat = [tuple(r) for r in rows]
+    if len(mat) < 2 or any(len(r) != 2 for r in mat) or not all(
+        isinstance(e, (int, Fraction)) and e.denominator == 1 for r in mat for e in r
+    ):
         raise ValueError("expected an m x 2 integer matrix with m >= 2")
     g = 0
     for (p, q), (r, s) in combinations(mat, 2):
-        g = math.gcd(g, abs(p * s - q * r))
+        g = math.gcd(g, int(p * s - q * r))
     return g == 1

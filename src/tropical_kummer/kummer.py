@@ -338,11 +338,11 @@ def affine_pieces(
     once per distinct point: the cells share their vertices, so the 132
     checks read 91 evaluations, kept for this call only.
     """
-    complex_ = subdivide(surface)  # raises ProductTypeError on rectangles
+    cells = subdivide(surface)  # raises ProductTypeError on rectangles
     h, den4 = surface.int_gram, 4 * surface.gram_den
     images = {}  # numerators(p) -> psi(p) as integer ratios
     pieces = []
-    for cell in complex_.cells:
+    for cell in cells:
         c = cell.centroid()
         shifts = []
         for char, (cx, cy) in zip(CHARACTERISTICS, surface.char_vectors):

@@ -68,11 +68,6 @@ class PrincipallyPolarizedSurface(Value):
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
 
-    @property
-    def n_basis(self) -> Mat2:
-        """The dual basis G^{-1}, as columns."""
-        return self.gram.inverse()
-
     def q(self, x: Vec2, y: Vec2) -> Fraction:
         return gram_eval(self.gram, x, y)
 
@@ -124,10 +119,6 @@ class Cell(Value):
             q = pts[(i + 1) % len(pts)]
             total += p.x * q.y - q.x * p.y
         return abs(total) / 2
-
-
-class CellComplex(Value):
-    cells: tuple[Cell, ...]
 
 
 def make_surface(gram) -> PrincipallyPolarizedSurface:
@@ -214,10 +205,6 @@ def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
     if form(surface.int_gram, *surface.char_vectors[1:3]) < 0:
         return SurfaceClass.IRREDUCIBLE
     return SurfaceClass.PRODUCT_TYPE
-
-
-def relevant_vectors(surface: PrincipallyPolarizedSurface) -> tuple[Vec2, ...]:
-    return voronoi_cell(surface).relevant_vectors
 
 
 def _facet_vertex(
@@ -308,8 +295,8 @@ def reduce_point(
 
 
 @per_surface
-def subdivide(surface: PrincipallyPolarizedSurface) -> CellComplex:
-    """The 18-cell subdivision of the hexagonal Voronoi cell, in one loop.
+def subdivide(surface: PrincipallyPolarizedSurface) -> tuple[Cell, ...]:
+    """The 18 cells subdividing the hexagonal Voronoi cell, built in one loop.
 
     Quadrilateral i + 1 is (0, a, m_i, b) with a, b = cycle[i]/2, cycle[i+1]/2
     for `_facet_cycle`.  It splits into sigma = (0, n, a), tau = (n, a, m_i, b)
@@ -326,4 +313,4 @@ def subdivide(surface: PrincipallyPolarizedSurface) -> CellComplex:
         cells.append(Cell("sigma", i + 1, (ZERO2, n, a)))
         cells.append(Cell("tau", i + 1, (n, a, m[i], b)))
         cells.append(Cell("rho", i + 1, (ZERO2, n, b)))
-    return CellComplex(cells=tuple(cells))
+    return tuple(cells)

@@ -70,13 +70,6 @@ class ThetaValue(Value):
         return self
 
 
-def char_vector(
-    surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic
-) -> Vec2:
-    """The integer vector j1*u + j2*v in the reduced basis, as a `Vec2`."""
-    return Vec2(*char.vector(surface))
-
-
 def _shift(surface, char, x) -> tuple[int, int, int, int]:
     """(s0, s1, d, q_x) with x + c/2 = (s0, s1) / d, Q(x) = q_x / (gram_den d^2)."""
     t0, t1, den = numerators(x)

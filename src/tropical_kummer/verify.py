@@ -40,7 +40,7 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import kummer, nonarch, theta
+from . import kummer, nonarch
 from .errors import InternalInconsistencyError
 from .exact import Mat2, Value, Vec2, is_unimodular
 from .lattice import (
@@ -52,7 +52,6 @@ from .lattice import (
     lagrange_reduce,
     make_surface,
     reduce_point,
-    relevant_vectors,
     subdivide,
     voronoi_cell,
 )
@@ -206,7 +205,7 @@ def _unimodular_invariance(s, rng):
 
 def _dual_basis_integrality(s, seed, samples):
     basis = (Vec2(1, 0), Vec2(0, 1))
-    nb = s.n_basis
+    nb = s.gram.inverse()
     duals = (Vec2(nb.a, nb.c), Vec2(nb.b, nb.d))  # columns of G^{-1}
     for i, f in enumerate(basis):
         for j, n in enumerate(duals):
@@ -241,7 +240,7 @@ def _classify_congruence(s, rng, base_class):
 
 def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> str | None:
     cell = voronoi_cell(surface)
-    rel = relevant_vectors(surface)
+    rel = cell.relevant_vectors
     norms = [surface.norm(r) for r in rel]
     verts = cell.vertices
     n = len(verts)
@@ -397,7 +396,7 @@ def _theta_minimizer(s, rng):
     x = random_point(rng, 4)
     char = CHARACTERISTICS[rng.randrange(4)]
     tv = theta_eval(s, char, x)
-    shift = x + HALF * theta.char_vector(s, char)
+    shift = x + HALF * Vec2(*char.vector(s))
     attained = s.norm(tv.minimizer + shift) - s.norm(x)
     if attained != tv.value or not tv.minimizer.is_integral():
         return {"x": _vec(x), "char": str(char)}
@@ -553,17 +552,17 @@ def _coplanarity_table(s, seed, samples):
 
 
 def _subdivision_geometry(s, seed, samples):
-    complex_ = subdivide(s)
-    total = sum(cell.area() for cell in complex_.cells)
+    cells = subdivide(s)
+    total = sum(cell.area() for cell in cells)
     if total != 1:
         return FAIL, 1, {"total_area": str(total)}, None
-    for cell in complex_.cells:
+    for cell in cells:
         for p in cell.vertices:
             if not in_voronoi_cell(s, p):
                 return FAIL, 1, {"cell": cell.label, "vertex": _vec(p)}, None
     rb = lagrange_reduce(s)
     shifts = (HALF * rb.v, HALF * -rb.w)
-    for cell in complex_.cells:
+    for cell in cells:
         if cell.quadrilateral != 1:
             continue
         for shift in shifts:
@@ -575,7 +574,7 @@ def _subdivision_geometry(s, seed, samples):
                         "shift": _vec(shift),
                     }
                     return FAIL, 1, counterexample, None
-    return PASS, len(complex_.cells), None, None
+    return PASS, len(cells), None, None
 
 
 _IRREDUCIBLE = SurfaceClass.IRREDUCIBLE

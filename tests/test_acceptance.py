@@ -41,7 +41,6 @@ from tropical_kummer.sampling import (
     random_surface,
     rng_for,
 )
-from tropical_kummer.theta import char_vector
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -91,7 +90,7 @@ def test_criterion_03_zero_on_voronoi():
 
 
 def _oracle(surface, char, x):
-    shift = x + F(1, 2) * char_vector(surface, char)
+    shift = x + F(1, 2) * Vec2(*char.vector(surface))
     radius = int(shift.sup_norm()) + 2
     while True:
         try:

@@ -572,6 +572,25 @@ def test_zero_denominator_exits_2(capsys, hex_config, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("theta", "HEX", "--char", "2", "--point", "0,0"),
+         "characteristic must be two bits, got '2'"),
+        (("series", "HEX", "--char", "012", "--point", "0,0"),
+         "characteristic must be two bits, got '012'"),
+        (("embed", "HEX", "--point", "1,2,3"), "point must be 'x1,x2', got '1,2,3'"),
+    ],
+    ids=["theta-char", "series-char", "embed-point"],
+)
+def test_bad_characteristic_or_point_exits_2(capsys, hex_config, argv, message):
+    code, out, err = run_cli(capsys, *[hex_config if a == "HEX" else a for a in argv])
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error == {"type": "ValueError", "stage": argv[0], "message": message}
+
+
+@pytest.mark.parametrize(
     "argv, stage, phrase",
     [
         (("surface", "HEX", "--precision", "abc"), "surface", "invalid int value"),

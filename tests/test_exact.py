@@ -11,11 +11,11 @@ from tropical_kummer import (
     Vec2,
     fraction_decimal,
     gram_eval,
-    is_positive_definite,
     is_unimodular,
     to_fraction,
 )
-from tropical_kummer.exact import form, integer_gram, mul_vec, numerators
+from tropical_kummer.exact import form, integer_gram, is_positive_form, mul_vec
+from tropical_kummer.exact import numerators
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -56,17 +56,24 @@ def test_fraction_decimal_is_exactly_rounded():
     val = Fraction(22, 7)
     printed = Fraction(fraction_decimal(val, 9).replace(".", "")) / 10**9
     assert abs(printed - val) < Fraction(1, 10**8)
+    with pytest.raises(ValueError, match="digits must be positive"):
+        fraction_decimal(val, 0)
+
+
+def test_singular_inverse_raises():
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        Mat2(1, 2, 2, 4).inverse()
 
 
 def test_positive_definite_examples():
-    assert is_positive_definite(Mat2.from_rows([[2, -1], [-1, 2]]))
-    assert is_positive_definite(Mat2.from_rows([[1, 0], [0, 1]]))
-    assert not is_positive_definite(Mat2.from_rows([[1, 2], [2, 1]]))
+    assert is_positive_form(integer_gram(Mat2.from_rows([[2, -1], [-1, 2]]))[0])
+    assert is_positive_form(integer_gram(Mat2.from_rows([[1, 0], [0, 1]]))[0])
+    assert not is_positive_form(integer_gram(Mat2.from_rows([[1, 2], [2, 1]]))[0])
 
 
 def test_positive_definite_rejects_asymmetric():
     with pytest.raises(NonSymmetricError):
-        is_positive_definite(Mat2.from_rows([[1, 2], [3, 1]]))
+        is_positive_form(integer_gram(Mat2.from_rows([[1, 2], [3, 1]]))[0])
 
 
 def test_gram_eval_examples():
@@ -90,6 +97,15 @@ def test_unimodular_rejects_malformed():
     # A generator is consumed once; the shape check must still see its rows.
     with pytest.raises(ValueError):
         is_unimodular(r for r in [(1, 0, 5), (0, 1, 7)])
+    # A non-integral entry is refused, not truncated or parsed.
+    for rows in (
+        [(Fraction(3, 2), 0), (0, 1)],
+        [(1.9, 0), (0, 1)],
+        [("1", "0"), ("0", "1")],
+    ):
+        with pytest.raises(ValueError):
+            is_unimodular(rows)
+    assert is_unimodular([(Fraction(2, 2), 0), (0, 1)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,7 +165,7 @@ def test_integer_layer_matches_fractions(entries, coordinates):
 )
 def test_positive_definite_forms_are_positive(a, d, b, x1, x2):
     g = Mat2(a, b, b, d)
-    if not is_positive_definite(g):
+    if not is_positive_form(integer_gram(g)[0]):
         return
     x = Vec2(x1, x2)
     if x != Vec2(0, 0):

@@ -24,7 +24,6 @@ from tropical_kummer import (
     make_surface,
     psi_eval,
     reduce_point,
-    relevant_vectors,
     safe_cutoff,
     theta_eval,
     theta_eval_bruteforce,
@@ -33,7 +32,6 @@ from tropical_kummer import (
     voronoi_cell,
 )
 from tropical_kummer.sampling import random_integer_vector, rng_for
-from tropical_kummer.theta import char_vector
 
 F = Fraction
 
@@ -75,7 +73,7 @@ def _boundary_points(surface):
     """Voronoi vertices and facet midpoints, as given and shifted by a period."""
     half = F(1, 2)
     base = list(voronoi_cell(surface).vertices)
-    base += [half * r for r in relevant_vectors(surface)]
+    base += [half * r for r in voronoi_cell(surface).relevant_vectors]
     shifts = (Vec2(0, 0), Vec2(1, 0), Vec2(-2, 3), Vec2(7, -5))
     return [p + t for p in base for t in shifts]
 
@@ -187,7 +185,7 @@ def test_box_walk_matches_double_loop():
         box = list(itertools.product(range(-9, 10), repeat=2))
         quad = {a: surface.norm(Vec2(*a)) for a in box}
         for x, char in itertools.product(points, CHARACTERISTICS):
-            s = x + F(1, 2) * char_vector(surface, char)
+            s = x + F(1, 2) * Vec2(*char.vector(surface))
             # Q(a + s) - Q(x) = Q(a) + 2 Q(a, s) + Q(s) - Q(x), over one
             # denominator `den` for every a in the largest box.
             lin = (2 * surface.q(Vec2(1, 0), s), 2 * surface.q(Vec2(0, 1), s))
@@ -225,7 +223,7 @@ def test_theta_matches_bruteforce_on_rational_grams():
                 slow = _certified_theta(surface, char, x)
                 assert fast.value == slow.value, (gram, x, char)
                 # The descent's minimizer attains the certified minimum.
-                s = x + F(1, 2) * char_vector(surface, char)
+                s = x + F(1, 2) * Vec2(*char.vector(surface))
                 attained = surface.norm(fast.minimizer + s) - surface.norm(x)
                 assert attained == slow.value, (gram, x, char)
 
@@ -312,7 +310,7 @@ def test_certified_radius_matches_stepping():
         g = surface.gram
         weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
         for char in CHARACTERISTICS:
-            reach_c = char_vector(surface, char).sup_norm() / 2
+            reach_c = Vec2(*char.vector(surface)).sup_norm() / 2
             for bound in bounds:
                 reach = bound + reach_c
                 want = _radius_by_steps(surface, reach, weight * reach * reach)
@@ -323,7 +321,7 @@ def test_certified_radius_matches_stepping():
     # where the radius must step to R + 1.
     surface = make_surface(((1, 0), (0, 10**4)))
     for char in CHARACTERISTICS:
-        reach_c = char_vector(surface, char).sup_norm() / 2
+        reach_c = Vec2(*char.vector(surface)).sup_norm() / 2
         for r in range(1, 20):
             reach = F(100 * (r + 1), 10101)
             if reach >= reach_c:

@@ -463,7 +463,7 @@ def test_affine_check_fires_on_every_coordinate(monkeypatch, coordinate):
     # lies on the cell tau_i alone.
     exact_psi, label = kummer.psi_eval, f"tau{coordinate + 1}"
     for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
-        (cell,) = [c for c in subdivide(make_surface(gram)).cells if c.label == label]
+        (cell,) = [c for c in subdivide(make_surface(gram)) if c.label == label]
         vertex = cell.vertices[2]
 
         def bent_psi(surface, x):
@@ -666,6 +666,11 @@ def test_two_torsion_images(hexagonal):
     assert rows[0][1] == Vec3(H, H, H)
     assert rows[1][1] == Vec3(-H, 0, 0)
     assert all(flag for _, _, flag in rows)
+
+
+def test_two_torsion_images_reject_product_type(unit_square):
+    with pytest.raises(ProductTypeError):
+        two_torsion_images(unit_square)
 
 
 def test_orbit_matches_closed_form_display(hexagonal, skew_hexagonal):

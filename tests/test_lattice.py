@@ -19,7 +19,6 @@ from tropical_kummer import (
     make_surface,
     ReducedBasis,
     reduce_point,
-    relevant_vectors,
     subdivide,
     voronoi_cell,
 )
@@ -39,11 +38,11 @@ RATIONAL_HEX = [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]  # irreducible, gram_d
 
 
 def test_make_surface_examples(hexagonal, unit_square):
-    assert hexagonal.n_basis.rows() == (
+    assert hexagonal.gram.inverse().rows() == (
         (F(2, 3), F(1, 3)),
         (F(1, 3), F(2, 3)),
     )
-    assert unit_square.n_basis.rows() == ((1, 0), (0, 1))
+    assert unit_square.gram.inverse().rows() == ((1, 0), (0, 1))
 
 
 def test_make_surface_rejects_bad_input():
@@ -344,7 +343,7 @@ def test_voronoi_rectangle(unit_square):
 
 
 def test_voronoi_relevant_norms(skew_hexagonal):
-    rel = relevant_vectors(skew_hexagonal)
+    rel = voronoi_cell(skew_hexagonal).relevant_vectors
     assert [skew_hexagonal.norm(r) for r in rel[:3]] == [2, 3, 3]
 
 
@@ -381,7 +380,8 @@ def test_facet_vertices_match_fraction_solve(hexagonal, skew_hexagonal, unit_squ
 
 def _in_cell_reference(s, y):
     """Membership by the Fraction rule, over the cell's relevant vectors."""
-    return all(2 * s.q(y, r) <= s.norm(r) for r in relevant_vectors(s))
+    rel = voronoi_cell(s).relevant_vectors
+    return all(2 * s.q(y, r) <= s.norm(r) for r in rel)
 
 
 def _cell_probes(s, rng):
@@ -389,7 +389,7 @@ def _cell_probes(s, rng):
     cell = voronoi_cell(s)
     probes = {*cell.vertices, *(F(1, 2) * r for r in cell.relevant_vectors)}
     if classify(s) is SurfaceClass.IRREDUCIBLE:
-        probes.update(p for c in subdivide(s).cells for p in c.vertices)
+        probes.update(p for c in subdivide(s) for p in c.vertices)
     probes.update(reduce_point(s, random_point(rng, 5))[0] for _ in range(6))
     return probes
 
@@ -430,7 +430,7 @@ def test_reduce_point_examples(hexagonal):
     assert (x0, p) == (tiny, Vec2(0, 0))
     assert all(
         hexagonal.norm(tiny - r) > hexagonal.norm(tiny)
-        for r in relevant_vectors(hexagonal)
+        for r in voronoi_cell(hexagonal).relevant_vectors
     )
 
 
@@ -489,7 +489,7 @@ def test_reduce_point_matches_cvp_on_random_surfaces():
 
 
 def test_subdivide_sigma_cell(hexagonal):
-    (sigma,) = [c for c in subdivide(hexagonal).cells if c.label == "sigma1"]
+    (sigma,) = [c for c in subdivide(hexagonal) if c.label == "sigma1"]
     assert set(p.as_tuple() for p in sigma.vertices) == {
         (F(0), F(0)),
         (F(-1, 6), F(-1, 3)),  # midpoint of the m2--m6 chord
@@ -499,7 +499,7 @@ def test_subdivide_sigma_cell(hexagonal):
 
 def test_subdivide_area_adds_to_covolume(hexagonal, skew_hexagonal):
     for s in (hexagonal, skew_hexagonal):
-        cells = subdivide(s).cells
+        cells = subdivide(s)
         assert len(cells) == 18
         assert sum(c.area() for c in cells) == 1
 
@@ -525,7 +525,7 @@ def test_subdivision_quadrant_labels(hexagonal, skew_hexagonal):
         f"{kind}{q}" for kind in ("sigma", "tau", "rho") for q in range(1, 7)
     )
     for s in (hexagonal, skew_hexagonal, make_surface(RATIONAL_HEX)):
-        cells = subdivide(s).cells
+        cells = subdivide(s)
         assert sorted(c.label for c in cells) == expected
         # Antipodal quadrants carry antipodal cells, though each is built alone.
         by_label = {c.label: c for c in cells}

@@ -23,7 +23,6 @@ from tropical_kummer import (
     tropicalize_series,
 )
 from tropical_kummer.sampling import random_point, rng_for
-from tropical_kummer.theta import char_vector
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -110,7 +109,7 @@ def test_tropicalize_examples(hexagonal):
 def test_integer_series_on_rational_gram():
     s = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
     for char in CHARACTERISTICS:
-        c = char_vector(s, char)
+        c = Vec2(*char.vector(s))
         for (ex, ey), val in build_series(s, char, 3).support:
             up = Vec2(F(ex - c.x, 2), F(ey - c.y, 2))
             assert up.is_integral()
@@ -125,13 +124,15 @@ def test_safe_cutoff_examples(hexagonal):
     r = safe_cutoff(hexagonal, CH(0, 0), F(1))
     assert 1 <= r <= 10
     assert safe_cutoff(hexagonal, CH(1, 1), F(0)) >= 1
+    with pytest.raises(ValueError, match="region_bound must be nonnegative"):
+        safe_cutoff(hexagonal, CH(0, 0), F(-1))
 
 
 def _safe_cutoff_by_steps(surface, char, region_bound):
     """`safe_cutoff` as it was first written: radius raised one at a time."""
     bound = F(region_bound)
     g = surface.gram
-    c = char_vector(surface, char)
+    c = Vec2(*char.vector(surface))
     reach = bound + c.sup_norm() / 2
     weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
     upper = weight * reach * reach
@@ -164,7 +165,7 @@ def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
     # reach = bound + |c|_inf / 2 = (R + 1) / 3 meets the certificate with
     # equality at R, and the cutoff must step to R + 1.
     for char in CHARACTERISTICS:
-        half_c = char_vector(unit_square, char).sup_norm() / 2
+        half_c = Vec2(*char.vector(unit_square)).sup_norm() / 2
         for r in range(1, 20):
             bound = F(r + 1, 3) - half_c
             if bound >= 0:
@@ -222,7 +223,7 @@ def _scan(series, v):
     g = s.gram
     gx = g.a * v.x + g.b * v.y
     gy = g.c * v.x + g.d * v.y
-    shift = s.norm(char_vector(s, series.char)) / 4
+    shift = s.norm(Vec2(*series.char.vector(s))) / 4
     return shift + min(ex * gx + ey * gy + val for (ex, ey), val in series.support)
 
 
@@ -321,7 +322,7 @@ def test_bruteforce_certificate_at_extreme_inputs(s, char, radius, points):
         v = Vec2(x, y)
         # The oracle's premise: the safe box certifies, or the walk raises.
         theta_eval_bruteforce(s, char, v, safe_cutoff(s, char, v.sup_norm()))
-        shift = v + F(1, 2) * char_vector(s, char)
+        shift = v + F(1, 2) * Vec2(*char.vector(s))
         box_min, first = min((s.norm(Vec2(*a) + shift), a) for a in box)
         margin = radius + 1 - shift.sup_norm()
         if margin > 0 and lam_low * margin * margin > box_min:

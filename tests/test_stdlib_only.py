@@ -76,6 +76,21 @@ def test_public_names_resolve_once():
     assert set(names) <= set(namespace)
 
 
+def test_public_names_are_read_by_the_program():
+    # A public name earns its place when the package or a script reads it;
+    # the tests alone do not keep one.  `__init__` only re-exports.
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [n for n in tropical_kummer.__all__ if n not in read] == []
+
+
 def test_no_module_level_caches():
     # The README's "no module-level caches", which perfbench's fresh state per
     # batch also assumes: memos live on a surface (`lazy`) or an instance.

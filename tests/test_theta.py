@@ -40,6 +40,13 @@ def test_bruteforce_radius_certificate(hexagonal):
     assert theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(0, 0), 1).value == 0
     with pytest.raises(RadiusTooSmallError):
         theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(4, 4), 0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(0, 0), -1)
+
+
+def test_characteristic_indices_are_bits():
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        CH(2, 0)
 
 
 def test_certificate_is_sound_on_small_forms():

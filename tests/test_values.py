@@ -44,7 +44,6 @@ FIELDS = {
     "ReducedBasis": ("u", "v", "norms"),
     "VoronoiCell": ("kind", "relevant_vectors", "vertices"),
     "Cell": ("kind", "quadrilateral", "vertices"),
-    "CellComplex": ("cells",),
     "ThetaCharacteristic": ("j1", "j2"),
     "ThetaValue": ("value", "minimizer"),
     "FacePlane": ("normal", "offset", "vertex_ids", "source_cells"),
@@ -66,8 +65,7 @@ def _instances():
         HEX.gram,
         lagrange_reduce(HEX),
         voronoi_cell(HEX),
-        subdivide(HEX).cells[0],
-        subdivide(HEX),
+        subdivide(HEX)[0],
         ThetaCharacteristic(1, 0),
         theta_eval(HEX, ThetaCharacteristic(1, 0), Vec2(F(1, 2), 0)),
         quartic.faces[0],
