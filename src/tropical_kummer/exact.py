@@ -281,6 +281,25 @@ def mul_vec(h: tuple[int, int, int], r: tuple[int, int]) -> tuple[int, int]:
     return h[0] * r[0] + h[1] * r[1], h[1] * r[0] + h[2] * r[1]
 
 
+def lex_positive(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Whichever of vec, -vec has a positive first nonzero entry (vec if zero)."""
+    for c in vec:  # a plain loop: this runs in every `make_surface`
+        if c:
+            return vec if c > 0 else tuple([-x for x in vec])
+    return vec
+
+
+def mean(ts: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The mean of `numerators` triples, over their lcm, in lowest terms as
+    `numerators` writes it: equal points give equal triples."""
+    den = math.lcm(*(d for _, _, d in ts))
+    s0 = sum(t0 * (den // d) for t0, _, d in ts)
+    s1 = sum(t1 * (den // d) for _, t1, d in ts)
+    den *= len(ts)
+    g = math.gcd(s0, s1, den)
+    return s0 // g, s1 // g, den // g
+
+
 def is_positive_form(h: tuple[int, int, int]) -> bool:
     """Sylvester's criterion for the integer form (h11, h12, h22)."""
     return h[0] > 0 and h[0] * h[2] - h[1] * h[1] > 0

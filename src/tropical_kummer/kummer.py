@@ -29,7 +29,7 @@ from .errors import (
     ProductTypeError,
 )
 from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
-from .exact import form, numerators  # integer layer
+from .exact import form, lex_positive, mean, numerators  # integer layer
 from .lattice import (
     Cell,
     HALF,
@@ -334,16 +334,20 @@ def affine_pieces(
     every vertex.  At x = t/den the piece is
     (4 (s_c - s_00)^T H t + den (h(s_c) - h(s_00))) / (4 gram_den den), and
     each `psi_eval` coordinate is compared with it by cross-multiplying
-    integers.  The midpoints are built on numerators, and `psi_eval` runs
-    once per distinct point: the cells share their vertices, so the 132
-    checks read 91 evaluations, kept for this call only.
+    integers.  The centroid and the midpoints are one numerator mean,
+    `exact.mean`, of the vertices' `numerators` triples; only the centroid
+    becomes a `Vec2`, for `theta_eval`.  `psi_eval` runs once per distinct
+    point: the cells share their vertices, so the 132 checks read 91
+    evaluations, kept for this call only.
     """
     cells = subdivide(surface)  # raises ProductTypeError on rectangles
     h, den4 = surface.int_gram, 4 * surface.gram_den
     images = {}  # numerators(p) -> psi(p) as integer ratios
     pieces = []
     for cell in cells:
-        c = cell.centroid()
+        ts = [numerators(p) for p in cell.vertices]
+        mid = mean(ts)
+        c = Vec2._of(Fraction(mid[0], mid[2]), Fraction(mid[1], mid[2]))
         shifts = []
         for char, (cx, cy) in zip(CHARACTERISTICS, surface.char_vectors):
             a = theta_eval(surface, char, c).minimizer
@@ -351,9 +355,7 @@ def affine_pieces(
         s0 = shifts[0]
         rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
         gaps = [form(h, s, s) - form(h, s0, s0) for s in shifts[1:]]
-        ts = [numerators(p) for p in (c, *cell.vertices)]
-        halfway = [_halfway(ts[0], t) for t in ts[1:4]]
-        for key in (ts[0], *halfway, *ts[1:]):
+        for key in (mid, *[mean((mid, t)) for t in ts[:3]], *ts):
             t0, t1, den = key
             if key not in images:
                 x = Vec2._of(Fraction(t0, den), Fraction(t1, den))
@@ -373,30 +375,14 @@ def affine_pieces(
     return tuple(pieces)
 
 
-def _halfway(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The midpoint of two `numerators` triples, as `numerators` writes it."""
-    (a0, a1, ad), (b0, b1, bd) = a, b
-    s0, s1, den = a0 * bd + b0 * ad, a1 * bd + b1 * ad, 2 * ad * bd
-    g = math.gcd(s0, s1, den)  # lowest terms: den is the lcm of the denominators
-    return s0 // g, s1 // g, den // g
-
-
-def _primitive_normal(
-    rows: Sequence[tuple[int, int]]
-) -> tuple[int, int, int]:
+def _primitive_normal(rows: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
     """Integer normal to the column space of a rank-2 3x2 integer matrix."""
     (a1, b1), (a2, b2), (a3, b3) = rows
-    n = (
-        a2 * b3 - a3 * b2,
-        a3 * b1 - a1 * b3,
-        a1 * b2 - a2 * b1,
-    )
-    g = math.gcd(math.gcd(abs(n[0]), abs(n[1])), abs(n[2]))
+    n = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    g = math.gcd(*n)
     if g == 0:
         raise InternalInconsistencyError("linear part has rank < 2")
-    n = tuple(c // g for c in n)
-    first = next(c for c in n if c != 0)  # g > 0, so some entry is nonzero
-    return n if first > 0 else tuple(-x for x in n)
+    return lex_positive(tuple(c // g for c in n))
 
 
 def coplanarity_report(

@@ -19,27 +19,26 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
 and derives from H alone its positivity and the surface's integer context:
 the descent triples and the characteristic vectors, whose 10 and 01 entries
-are the reduced basis u, v.  `classify` reads the sign of u^T H v.  The
-closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi)
-runs on `exact.numerators` over any common denominator.  The cell geometry
-runs on H as well: the Voronoi vertices solve consecutive facet lines of
-`_facet_cycle` with one `Fraction` per coordinate, `subdivide` reads its 18
-cells off that cycle and those vertices in one loop, and `in_voronoi_cell`
-compares integers.  The rational reduced basis, the Voronoi cell and its
-subdivision are built on first read and memoized on the surface, so nothing
-outlives it.
+are the reduced basis u, v.  `q` and `norm` read H and gram_den as stored,
+and `classify` reads the sign of u^T H v.  The closest-vector descent (the
+relevant-vector slicer of Sommer-Feder-Shalvi) runs on `exact.numerators`
+over any common denominator.  The cell geometry runs on H as well: the
+Voronoi vertices solve consecutive facet lines of `_facet_cycle` with one
+`Fraction` per coordinate, `subdivide` reads its 18 cells off that cycle and
+those vertices in one loop, and `in_voronoi_cell` compares integers.  The
+rational reduced basis, the Voronoi cell and its subdivision are built on
+first read and memoized on the surface, so nothing outlives it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from fractions import Fraction
 
 from .errors import NotPositiveDefiniteError, ProductTypeError
-from .exact import Mat2, Value, Vec2, ZERO2, gram_eval
-from .exact import form, integer_gram, is_positive_form, mul_vec, numerators
+from .exact import Mat2, Value, Vec2, ZERO2, form, integer_gram
+from .exact import is_positive_form, lex_positive, mul_vec, numerators
 
 HALF = Fraction(1, 2)
 
@@ -68,11 +67,13 @@ class PrincipallyPolarizedSurface(Value):
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
 
-    def q(self, x: Vec2, y: Vec2) -> Fraction:
-        return gram_eval(self.gram, x, y)
+    def q(self, x: Vec2, y: Vec2) -> Fraction:  # x^T H y / gram_den on numerators
+        (x0, x1, dx), (y0, y1, dy) = numerators(x), numerators(y)
+        num = form(self.int_gram, (x0, x1), (y0, y1))
+        return Fraction(num, self.gram_den * dx * dy)
 
     def norm(self, x: Vec2) -> Fraction:
-        return gram_eval(self.gram, x, x)
+        return self.q(x, x)
 
 
 class ReducedBasis(Value):
@@ -101,15 +102,6 @@ class Cell(Value):
     @property
     def label(self) -> str:
         return f"{self.kind}{self.quadrilateral}"
-
-    def centroid(self) -> Vec2:
-        """The vertex mean, summed as numerators over one common denominator."""
-        ts = [numerators(p) for p in self.vertices]
-        den = math.lcm(*(d for _, _, d in ts))
-        sx = sum(t0 * (den // d) for t0, _, d in ts)
-        sy = sum(t1 * (den // d) for _, t1, d in ts)
-        den *= len(ts)
-        return Vec2._of(Fraction(sx, den), Fraction(sy, den))
 
     def area(self) -> Fraction:
         """Shoelace area; vertices are stored in cyclic order."""
@@ -153,14 +145,6 @@ def per_surface(build):
     return get
 
 
-def _lexpos(vec: tuple[int, int]) -> tuple[int, int]:
-    """The representative of {vec, -vec} whose first nonzero entry is > 0."""
-    x, y = vec
-    if x < 0 or (x == 0 and y < 0):
-        return (-x, -y)
-    return (x, y)
-
-
 def _lagrange_reduce(h: tuple[int, int, int]):
     """Lagrange-Gauss reduction of the period basis under the integer Gram h.
 
@@ -185,8 +169,8 @@ def _lagrange_reduce(h: tuple[int, int, int]):
     if q(u, v) > 0:
         v = (-v[0], -v[1])
     if q(u, v) == 0:
-        u, v = _lexpos(u), _lexpos(v)
-    elif u != _lexpos(u):
+        u, v = lex_positive(u), lex_positive(v)
+    elif u != lex_positive(u):
         u, v = (-u[0], -u[1]), (-v[0], -v[1])
     return u, v
 

@@ -28,7 +28,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Mat2, Value, Vec2, form, gram_eval
+from .exact import Mat2, Value, Vec2, form, gram_eval, to_fraction
 from .lattice import PrincipallyPolarizedSurface
 from .theta import ThetaCharacteristic, _box_minimum, _certifies
 
@@ -83,6 +83,8 @@ class FormalThetaSeries(Value):
     cutoff: int
 
     def __init__(self, surface, char, cutoff: int):
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool):
+            raise ValueError(f"cutoff must be an int, got {cutoff!r}")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         super().__init__(surface, char, cutoff)
@@ -154,7 +156,7 @@ def safe_cutoff(
     k (h11 + h22) / (p^2 det(H)), k = (h11 + 2|h12| + h22) r^2, and R passes the
     walk's own certificate, the exact test `theta._certifies(H, p (R + 1) - r, k)`.
     """
-    b, q = Fraction(region_bound).as_integer_ratio()
+    b, q = to_fraction(region_bound).as_integer_ratio()
     if b < 0:
         raise ValueError("region_bound must be nonnegative")
     h11, h12, h22 = h = surface.int_gram

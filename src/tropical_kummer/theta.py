@@ -150,6 +150,8 @@ def theta_eval_bruteforce(
     radius: int,
 ) -> ThetaValue:
     """The `_box_minimum` walk; RadiusTooSmallError unless it is certified."""
+    if not isinstance(radius, int) or isinstance(radius, bool):
+        raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     value, (a1, a2), certified = _box_minimum(surface, char, x, radius)

@@ -126,6 +126,11 @@ def _n_matrices(samples: int) -> int:
     return max(2, min(20, samples // 10))
 
 
+def _sweep(s, seed, key, n, draw=random_surface) -> list[PrincipallyPolarizedSurface]:
+    """The configured surface s, then n surfaces drawn from (seed, key, k)."""
+    return [s] + [draw(rng_for(seed, key, k)) for k in range(n)]
+
+
 class Check(Value):
     """One row of the invariant table; see the module docstring."""
 
@@ -269,16 +274,13 @@ def _voronoi_geometry_ok(surface: PrincipallyPolarizedSurface) -> str | None:
 
 
 def _voronoi_geometry(s, seed, samples):
-    problem = _voronoi_geometry_ok(s)
-    if problem:
-        return FAIL, 1, {"surface": "configured", "problem": problem}, None
-    n = _n_matrices(samples)
-    for k in range(n):
-        surface = random_surface(rng_for(seed, "voronoi-geometry", k))
+    surfaces = _sweep(s, seed, "voronoi-geometry", _n_matrices(samples))
+    for k, surface in enumerate(surfaces):
         problem = _voronoi_geometry_ok(surface)
         if problem:
-            return FAIL, k + 2, {"gram": _rows(surface.gram), "problem": problem}, None
-    return PASS, n + 1, None, None
+            where = {"gram": _rows(surface.gram)} if k else {"surface": "configured"}
+            return FAIL, k + 1, {**where, "problem": problem}, None
+    return PASS, len(surfaces), None, None
 
 
 def _cvp_oracle(s, rng):
@@ -367,9 +369,7 @@ def _oracle_theta(surface, char, x) -> Fraction:
 
 
 def _theta_oracle(s, seed, samples):
-    surfaces = [s]
-    for k in range(_n_matrices(samples)):
-        surfaces.append(random_surface(rng_for(seed, "theta-oracle-gram", k)))
+    surfaces = _sweep(s, seed, "theta-oracle-gram", _n_matrices(samples))
     cases = 0
     per_surface = max(1, samples // len(surfaces))
     for si, surface in enumerate(surfaces):
@@ -517,13 +517,9 @@ def _psi_product_collapse(s, rng, rb):
 
 
 def _affine_unimodularity(s, seed, samples):
-    surfaces = [s]
-    for k in range(max(2, _n_matrices(samples) // 2)):
-        surfaces.append(
-            random_irreducible_surface(rng_for(seed, "affine-unimodularity-gram", k))
-        )
+    n, key = max(2, _n_matrices(samples) // 2), "affine-unimodularity-gram"
     cases = 0
-    for surface in surfaces:
+    for surface in _sweep(s, seed, key, n, random_irreducible_surface):
         pieces = kummer.affine_pieces(surface)
         cases += len(pieces)
         bad = [p for p in pieces if not p.unimodular]

@@ -1,3 +1,4 @@
+import enum
 import math
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from tropical_kummer import (
     is_unimodular,
     to_fraction,
 )
-from tropical_kummer.exact import form, integer_gram, is_positive_form, mul_vec
-from tropical_kummer.exact import numerators
+from tropical_kummer.exact import form, integer_gram, is_positive_form, lex_positive
+from tropical_kummer.exact import mul_vec, numerators
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -38,6 +39,35 @@ def test_rational_rejects_junk():
         to_fraction(0.5)
     with pytest.raises(TypeError):
         to_fraction(True)
+
+
+def test_rational_reads_an_int_subclass_but_not_a_bool():
+    class Level(enum.IntEnum):
+        HIGH = 7
+
+    assert to_fraction(Level.HIGH) == Fraction(7)
+    assert type(to_fraction(Level.HIGH)) is Fraction
+    with pytest.raises(TypeError, match="booleans"):
+        to_fraction(True)
+
+
+def test_lex_positive_picks_the_sign_with_a_positive_leading_entry():
+    cases = {
+        (3, -1): (3, -1),
+        (-3, 1): (3, -1),
+        (0, -2): (0, 2),
+        (0, 2): (0, 2),
+        (0, 0): (0, 0),
+        (-1, 2, 3): (1, -2, -3),
+        (0, -1, 2): (0, 1, -2),
+        (0, 0, -5): (0, 0, 5),
+        (0, 0, 5): (0, 0, 5),
+        (0, 0, 0): (0, 0, 0),
+    }
+    for vec, want in cases.items():
+        assert lex_positive(vec) == want, vec
+        assert lex_positive(tuple(-c for c in vec)) == want, vec
+        assert type(lex_positive(vec)) is tuple
 
 
 def test_rational_rejects_zero_denominator():

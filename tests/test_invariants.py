@@ -6,9 +6,31 @@ the others.  The seed differs from the pinned reports' seed 7, so these
 runs draw other cases.
 """
 
+import ast
+import itertools
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from tropical_kummer import SurfaceClass, verify
+from tropical_kummer import (
+    AffinePiece,
+    KummerQuartic,
+    PrincipallyPolarizedSurface,
+    ReducedBasis,
+    SurfaceClass,
+    ThetaValue,
+    Vec2,
+    Vec3,
+    VoronoiCell,
+    kummer,
+    make_surface,
+    subdivide,
+    verify,
+)
+
+F = Fraction
+H = F(1, 2)
 
 SEED = 1
 SAMPLES = 50
@@ -31,3 +53,263 @@ def test_row(request, check, fixture):
     else:
         assert result.status == verify.PASS, result
         assert result.cases > 0
+
+
+def test_report_rows_are_the_benchmark_rows():
+    # perfbench reports one time per row under the names in its own table; a
+    # renamed row would silently drop its metric.  The table is read, not run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (names,) = [
+        node.value
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CHECK_NAMES"]
+    ]
+    assert ast.literal_eval(names) == tuple(c.name for c in verify.CHECKS)
+
+
+# Each failure return of a row, reached by a fault injected through the
+# module binding the row reads.  An injector takes (monkeypatch, surface).
+HEX = ((2, -1), (-1, 2))
+SQUARE = ((1, 0), (0, 1))
+
+
+def _counter(step=1):
+    """A function returning 0, step, 2 step, ...: no two calls agree."""
+    values = itertools.count(0, step)
+    return lambda *args: next(values)
+
+
+def _counting(target, name, step=1):
+    return lambda mp, s: mp.setattr(target, name, _counter(step))
+
+
+def _cell(transform):
+    """Patch `verify.voronoi_cell` to a transform of the true cell."""
+
+    def inject(mp, s):
+        cell = verify.voronoi_cell(s)
+        fake = VoronoiCell(cell.kind, *transform(cell.relevant_vectors, cell.vertices))
+        mp.setattr(verify, "voronoi_cell", lambda surface: fake)
+
+    return inject
+
+
+def _doubled_cell(mp, s):
+    # The cell and the reduced basis scaled by 2 keep every incidence, but u, v
+    # then span an index-4 sublattice.
+    _cell(lambda rel, verts: ([2 * r for r in rel], [2 * m for m in verts]))(mp, s)
+    rb = verify.lagrange_reduce(s)
+    doubled = ReducedBasis(2 * rb.u, 2 * rb.v, rb.norms)
+    mp.setattr(verify, "lagrange_reduce", lambda surface: doubled)
+
+
+def _random_surface_fails(mp, s):
+    ok = verify._voronoi_geometry_ok
+
+    def problem(t):
+        return ok(t) if t is s else "injected"
+
+    mp.setattr(verify, "_voronoi_geometry_ok", problem)
+
+
+def _theta_value_off(mp, s):
+    exact = verify.theta_eval
+
+    def off(surface, char, x):
+        tv = exact(surface, char, x)
+        return ThetaValue(tv.value + 1, tv.minimizer)
+
+    mp.setattr(verify, "theta_eval", off)
+
+
+def _datum(defect, gamma=None):
+    def inject(mp, s):
+        datum = verify.nonarch.TropicalDescentDatum
+        mp.setattr(datum, "cocycle_defect", lambda *args: defect)
+        if gamma is not None:
+            mp.setattr(datum, "gamma", gamma(s))
+
+    return inject
+
+
+def _quartic_moved(mp, s):
+    quartic = kummer.build_quartic(s)
+    moved = (quartic.vertices[0] + Vec3(1, 0, 0),) + quartic.vertices[1:]
+    fake = KummerQuartic(moved, quartic.faces, quartic.theta_constants)
+    mp.setattr(kummer, "build_quartic", lambda surface: fake)
+
+
+def _pieces(j, linear_part_of, unimodular):
+    """Patch `kummer.affine_pieces`: piece j takes piece `linear_part_of`'s
+    linear part and the given unimodular flag."""
+
+    def inject(mp, s):
+        pieces = list(kummer.affine_pieces(s))
+        p = pieces[j]
+        rows = pieces[linear_part_of].linear_part
+        pieces[j] = AffinePiece(p.cell, rows, p.offset, unimodular)
+        mp.setattr(kummer, "affine_pieces", lambda surface: tuple(pieces))
+
+    return inject
+
+
+def _shifts_leave_the_cell(mp, s):
+    # The shifted corners are corners of other cells, so only a membership
+    # test that fails once every corner is checked reaches the last return.
+    corners, calls = sum(len(c.vertices) for c in subdivide(s)), itertools.count()
+    mp.setattr(verify, "in_voronoi_cell", lambda surface, p: next(calls) < corners)
+
+
+def _attr(target, name, value):
+    return lambda mp, s: mp.setattr(target, name, value)
+
+
+FAULTS = {
+    # id: (row, gram, injector, cases, counterexample keys, text in it)
+    "gram-symmetry": (
+        "gram-symmetry", HEX, _counting(PrincipallyPolarizedSurface, "q"),
+        1, {"x", "y"}, "",
+    ),
+    "gram-positivity": (
+        "gram-positivity", HEX,
+        _attr(PrincipallyPolarizedSurface, "norm", lambda self, x: 0),
+        1, {"x", "q"}, "'q': '0'",
+    ),
+    "unimodular-invariance": (
+        "unimodular-invariance", HEX, _counting(verify, "is_unimodular"),
+        1, {"rows", "unimodular"}, "",
+    ),
+    "dual-basis-integrality": (
+        "dual-basis-integrality", HEX,
+        _attr(PrincipallyPolarizedSurface, "q", lambda self, x, y: 2),
+        4, {"i", "j", "q"}, "'i': 0, 'j': 0",
+    ),
+    "classify-congruence-invariance": (
+        "classify-congruence-invariance", HEX,
+        _attr(verify, "classify", lambda surface: None),
+        1, {"U"}, "",
+    ),
+    "voronoi-supports": (
+        "voronoi-geometry", HEX,
+        _cell(lambda rel, verts: (rel, [H * m for m in verts])),
+        1, {"surface", "problem"}, "supports 0 facets",
+    ),
+    "voronoi-escapes": (
+        "voronoi-geometry", HEX, _cell(lambda rel, verts: ((*rel, verts[0]), verts)),
+        1, {"surface", "problem"}, "escapes the cell",
+    ),
+    "voronoi-antipodal": (
+        "voronoi-geometry", HEX,
+        _cell(lambda rel, verts: (rel, (verts[1], verts[0], *verts[2:]))),
+        1, {"surface", "problem"}, "vertices 1 and 4 are not antipodal",
+    ),
+    "voronoi-facet-midpoint": (
+        "voronoi-geometry", HEX, _cell(lambda rel, verts: (rel, verts[1:] + verts[:1])),
+        1, {"surface", "problem"}, "facet 0 midpoint identity fails",
+    ),
+    "voronoi-basis": (
+        "voronoi-geometry", HEX, _doubled_cell,
+        1, {"surface", "problem"}, "is not a lattice basis",
+    ),
+    "voronoi-random-surface": (
+        "voronoi-geometry", HEX, _random_surface_fails,
+        2, {"gram", "problem"}, "injected",
+    ),
+    "cvp-descent-oracle": (
+        "cvp-descent-oracle", HEX,
+        _attr(verify, "reduce_point", lambda s, x: (x, Vec2(H, 0))),
+        1, {"x", "problem"}, "bad decomposition",
+    ),
+    "reduce-idempotence-moves": (
+        "reduce-idempotence", HEX,
+        _attr(verify, "reduce_point", lambda s, x: (x, Vec2(1, 0))),
+        1, {"x0", "x1"}, "",
+    ),
+    "reduce-idempotence-cell": (
+        "reduce-idempotence", HEX, _attr(verify, "in_voronoi_cell", lambda s, x: False),
+        1, {"x0", "problem"}, "not in cell",
+    ),
+    "theta-zero-on-cell": (
+        "theta-zero-on-cell", HEX, _theta_value_off,
+        1, {"x0", "value"}, "'value': '1'",
+    ),
+    "theta-minimizer-attained": (
+        "theta-minimizer-attained", HEX, _theta_value_off,
+        1, {"x", "char"}, "",
+    ),
+    "descent-cocycle-defect": (
+        "descent-datum-cocycle", HEX, _datum(1),
+        1, {"u1", "u2"}, "",
+    ),
+    "descent-cocycle-even": (
+        "descent-datum-cocycle", HEX, _datum(0, lambda s: _counter()),
+        1, {"u1", "problem"}, "gamma not even",
+    ),
+    "descent-cocycle-norm": (
+        "descent-datum-cocycle", HEX, _datum(0, lambda s: lambda d, u: s.norm(u) + 1),
+        1, {"u1", "problem"}, "gamma != Q(u,u)",
+    ),
+    "series-quasi-periodicity": (
+        "series-quasi-periodicity", HEX,
+        _counting(verify.nonarch, "tropicalize_series", F(1, 10**9)),
+        1, {"v", "shift"}, "",
+    ),
+    "series-cutoff-rises": (
+        "series-cutoff-stability", HEX,
+        _counting(verify.nonarch, "tropicalize_series"),
+        1, {"v", "char"}, "'char': '00'",
+    ),
+    "series-cutoff-unstable": (
+        "series-cutoff-stability", HEX,
+        _counting(verify.nonarch, "tropicalize_series", -1),
+        1, {"v", "char", "problem"}, "not stabilized",
+    ),
+    "quartic-antipodes": (
+        "quartic-structure", HEX, _quartic_moved,
+        1, {"problem"}, "not antipodally stable",
+    ),
+    "quartic-reading": (
+        "quartic-structure", HEX,
+        _attr(kummer, "vertex_sign_diagnostics", lambda s: {"consistent_reading": "+"}),
+        1, {"display_reading", "two_torsion_on_vertices", "theta_constants"}, "'+'",
+    ),
+    "psi-product-collapse": (
+        "psi-product-collapse", SQUARE, _counting(kummer, "psi_eval"),
+        1, {"x"}, "",
+    ),
+    "affine-not-unimodular": (
+        "affine-unimodularity", HEX, _pieces(0, 0, False),
+        18, {"gram", "bad_cells"}, "['sigma1']",
+    ),
+    "affine-antipode": (
+        "affine-unimodularity", HEX, _pieces(9, 0, True),  # 9 is 0's antipode
+        18, {"cell"}, "sigma1",
+    ),
+    "subdivision-area": (
+        "subdivision-geometry", HEX,
+        _attr(verify, "subdivide", lambda s, cells=subdivide: cells(s)[1:]),
+        1, {"total_area"}, "'total_area': '",
+    ),
+    "subdivision-vertex": (
+        "subdivision-geometry", HEX,
+        _attr(verify, "in_voronoi_cell", lambda s, p: False),
+        1, {"cell", "vertex"}, "sigma1",
+    ),
+    "subdivision-shift": (
+        "subdivision-geometry", HEX, _shifts_leave_the_cell,
+        1, {"cell", "vertex", "shift"}, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_row_failure_branch(monkeypatch, fault):
+    name, gram, inject, cases, keys, text = FAULTS[fault]
+    (check,) = [c for c in verify.CHECKS if c.name == name]
+    surface = make_surface(gram)  # fresh: nothing memoized leaks between cases
+    inject(monkeypatch, surface)
+    result = verify.run_check(check, surface, SEED, SAMPLES)
+    assert (result.status, result.cases, result.traceback) == (verify.FAIL, cases, None)
+    assert set(result.counterexample) == keys
+    assert text in repr(result.counterexample)

@@ -38,11 +38,10 @@ from tropical_kummer import (
     vertex_sign_diagnostics,
 )
 from tropical_kummer import kummer
-from tropical_kummer.exact import numerators
+from tropical_kummer.exact import mean, numerators
 from tropical_kummer.kummer import (
     VERTEX_LABELS,
     AffinePiece,
-    _halfway,
     _validate_quartic,
 )
 from tropical_kummer.sampling import (
@@ -502,8 +501,16 @@ def test_halfway_writes_the_midpoint_as_numerators_does():
     rng = rng_for(0, "halfway")
     points = [random_point(rng, 3) for _ in range(300)] + [Vec2(0, 0), Vec2(H, -H)]
     for a, b in zip(points, points[1:] + points[:1]):
-        got = _halfway(numerators(a), numerators(b))
+        got = mean((numerators(a), numerators(b)))
         assert got == numerators(H * (a + b)), (a, b)
+    # The centroid too: the mean of 1 to 4 points is the Fraction mean, and a
+    # point given twice or in another order gives the same triple.
+    for k in range(len(points) - 4):
+        group = points[k : k + 1 + k % 4]
+        want = F(1, len(group)) * sum(group[1:], group[0])
+        assert mean([numerators(p) for p in group]) == numerators(want), group
+        doubled = [numerators(p) for p in group + group[::-1]]
+        assert mean(doubled) == numerators(want), group
 
 
 def test_affine_check_fires_at_a_shared_vertex(monkeypatch):

@@ -90,6 +90,28 @@ def test_series_costs_constant_memory(hexagonal):
             FormalThetaSeries(hexagonal, CH(1, 1), bad)
 
 
+def test_series_rejects_a_cutoff_that_is_not_an_int(hexagonal):
+    # A float cutoff used to build a series with n_terms 36.0 whose evaluation,
+    # where the box binds, raised an unclassified TypeError.
+    for bad in (2.5, F(5, 2), F(2), True, "2"):
+        with pytest.raises(ValueError, match="^cutoff must be an int"):
+            build_series(hexagonal, CH(0, 0), bad)
+        with pytest.raises(ValueError, match="^cutoff must be an int"):
+            FormalThetaSeries(hexagonal, CH(0, 0), bad)
+    assert build_series(hexagonal, CH(0, 0), 2).n_terms == 25
+
+
+def test_safe_cutoff_rejects_a_float_or_bool_bound(hexagonal):
+    # Both used to be accepted: 0.1 through its binary expansion, True as 1.
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(TypeError):
+            safe_cutoff(hexagonal, CH(1, 0), bad)
+    assert safe_cutoff(hexagonal, CH(1, 0), 1) == safe_cutoff(hexagonal, CH(1, 0), F(1))
+    assert safe_cutoff(hexagonal, CH(1, 0), "1/10") == safe_cutoff(
+        hexagonal, CH(1, 0), F(1, 10)
+    )
+
+
 def test_series_exponents_distinct(hexagonal, skew_hexagonal):
     for s in (hexagonal, skew_hexagonal):
         for char in CHARACTERISTICS:

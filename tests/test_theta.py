@@ -44,6 +44,17 @@ def test_bruteforce_radius_certificate(hexagonal):
         theta_eval_bruteforce(hexagonal, CH(0, 0), Vec2(0, 0), -1)
 
 
+def test_bruteforce_rejects_a_radius_that_is_not_an_int(hexagonal):
+    # A fractional radius used to return a minimum certified on a fractional box.
+    x = Vec2(7, F(1, 3))
+    for bad in (7.5, F(15, 2), F(7), True):
+        with pytest.raises(ValueError, match="^radius must be an int"):
+            theta_eval_bruteforce(hexagonal, CH(0, 0), x, bad)
+    assert theta_eval_bruteforce(hexagonal, CH(0, 0), x, 7) == theta_eval(
+        hexagonal, CH(0, 0), x
+    )
+
+
 def test_characteristic_indices_are_bits():
     with pytest.raises(ValueError, match="must be 0 or 1"):
         CH(2, 0)
