@@ -10,11 +10,12 @@ The quartic's eight vertices are the orbit of the theta-constant point
 under the group generated by the double-transposition coordinate swaps and
 the min-plus Cremona involution x -> -x.
 
-Opposite faces are n.p = +-o with offsets t10 + t01 - t11 = -Q(u,v)/2,
--t10 + t01 + t11 = -Q(v,w)/2 and t10 - t01 + t11 = -Q(u,w)/2, for the reduced
-basis u, v and w = -u - v, as th = (Q(u), Q(v), Q(w))/4.  They are never 0 on a
-hexagonal cell, whose superbase u, v, w is strictly obtuse, so the solid is
-centred at the origin and the quartic is where the gauge max_f (n_f.p)/o_f is 1.
+Opposite faces are n.p = +-o with offsets p_uv/2, p_vw/2 and p_uw/2 for the
+normals (1, 1, -1), (1, -1, -1) and (1, -1, 1), read off the surface's stored
+conorms p_uv = -Q(u,v), p_vw = -Q(v,w) and p_uw = -Q(u,w) of the reduced basis
+u, v and w = -u - v.  They are never 0 on a hexagonal cell, whose superbase
+u, v, w is strictly obtuse, so the solid is centred at the origin and the
+quartic is where the gauge max_f (n_f.p)/o_f is 1.
 """
 
 from __future__ import annotations
@@ -151,48 +152,47 @@ def g_action(
     return Vec3(moved[1] - moved[0], moved[2] - moved[0], moved[3] - moved[0])
 
 
-def _face_table(
-    th: tuple[Fraction, Fraction, Fraction]
-) -> tuple[FacePlane, ...]:
-    # Consumers read two facts off this table.  Each face lists two opposite
-    # corners first, so its corners 0, 2, 1, 3 are a cycle: as tau_tilde_j =
-    # -tau_j, the span check of `_validate_quartic` puts tau_j opposite
-    # tau_tilde_j.  The source cells partition the 18 cells of `subdivide`.
-    t10, t01, t11 = th
+def _face_table(surface: PrincipallyPolarizedSurface) -> tuple[FacePlane, ...]:
+    # The offsets are +-p/2 of the stored conorms.  Consumers read two facts off
+    # this table.  Each face lists two opposite corners first, so its corners
+    # 0, 2, 1, 3 are a cycle: as tau_tilde_j = -tau_j, the span check of
+    # `_validate_quartic` puts tau_j opposite tau_tilde_j.  The source cells
+    # partition the 18 cells of `subdivide`.
+    o_uv, o_vw, o_uw = (Fraction(p, 2 * surface.gram_den) for p in surface.conorms)
     return (
         FacePlane(
             (1, 1, -1),
-            t10 + t01 - t11,
+            o_uv,
             ("tau_0", "tau_3", "tau_tilde_1", "tau_tilde_2"),
             ("sigma1", "rho3", "sigma4", "rho6"),
         ),
         FacePlane(
             (1, 1, -1),
-            -t10 - t01 + t11,
+            -o_uv,
             ("tau_1", "tau_2", "tau_tilde_0", "tau_tilde_3"),
             ("tau2", "tau5"),
         ),
         FacePlane(
             (1, -1, -1),
-            -t10 + t01 + t11,
+            o_vw,
             ("tau_2", "tau_3", "tau_tilde_0", "tau_tilde_1"),
             ("tau1", "tau4"),
         ),
         FacePlane(
             (1, -1, -1),
-            t10 - t01 - t11,
+            -o_vw,
             ("tau_0", "tau_1", "tau_tilde_2", "tau_tilde_3"),
             ("rho2", "sigma3", "rho5", "sigma6"),
         ),
         FacePlane(
             (1, -1, 1),
-            t10 - t01 + t11,
+            o_uw,
             ("tau_0", "tau_2", "tau_tilde_1", "tau_tilde_3"),
             ("rho1", "sigma2", "rho4", "sigma5"),
         ),
         FacePlane(
             (1, -1, 1),
-            -t10 + t01 - t11,
+            -o_uw,
             ("tau_1", "tau_3", "tau_tilde_0", "tau_tilde_2"),
             ("tau3", "tau6"),
         ),
@@ -234,7 +234,7 @@ def build_quartic(surface: PrincipallyPolarizedSurface) -> KummerQuartic:
     orbit = [g_action((perm, False), p0) for perm in V4]
     orbit += [g_action((perm, True), p0) for perm in V4]
     vertices = tuple(orbit)
-    faces = _face_table(th)
+    faces = _face_table(surface)
     _validate_quartic(vertices, faces)
     return KummerQuartic(vertices=vertices, faces=faces, theta_constants=th)
 
@@ -257,8 +257,8 @@ def quartic_off(quartic: KummerQuartic, digits: int) -> str:
 def contains(quartic: KummerQuartic, p: Vec3) -> bool:
     """Membership in the union of the six closed faces, exact.
 
-    As o = -Q(u,v)/2, -Q(v,w)/2, -Q(u,w)/2 for opposite faces n.p = +-o is never
-    0, the solid is |n.p| <= |o| and its surface is where the gauge
+    As the offsets o = p_uv/2, p_vw/2, p_uw/2 of opposite faces n.p = +-o are
+    never 0, the solid is |n.p| <= |o| and its surface is where the gauge
     max_f (n_f.p)/o_f equals 1.  With p = P/D and o = on/od, a face's gauge is
     the ratio of integers (n.P) od / (D on), compared with 1 exactly.
     """

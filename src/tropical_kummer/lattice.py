@@ -17,17 +17,17 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 ``w`` and ``-v``, and ``m_{i+3} = -m_i`` (see `voronoi_cell`).
 
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
-and derives from H alone its positivity and the surface's integer context:
-the descent triples and the characteristic vectors, whose 10 and 01 entries
-are the reduced basis u, v.  `q` and `norm` read H and gram_den as stored,
-and `classify` reads the sign of u^T H v.  The closest-vector descent (the
-relevant-vector slicer of Sommer-Feder-Shalvi) runs on `exact.numerators`
-over any common denominator.  The cell geometry runs on H as well: the
-Voronoi vertices solve consecutive facet lines of `_facet_cycle` with one
-`Fraction` per coordinate, `subdivide` reads its 18 cells off that cycle and
-those vertices in one loop, and `in_voronoi_cell` compares integers.  The
-rational reduced basis, the Voronoi cell and its subdivision are built on
-first read and memoized on the surface, so nothing outlives it.
+and derives from H alone its positivity and its integer context: the
+characteristic vectors (10 and 01 are the reduced basis u, v), the descent
+triples and the conorms p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which
+give the class (p_uv > 0), the norms h(u) = p_uv + p_uw, ... and the face
+offsets +-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
+closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi) runs
+on `exact.numerators` over any common denominator.  The cell geometry runs on H
+too: the Voronoi vertices solve consecutive facet lines of `_facet_cycle`,
+`subdivide` reads its 18 cells off that cycle and those vertices in one loop,
+and `in_voronoi_cell` compares integers.  The rational reduced basis, the cell
+and its subdivision are memoized on the surface on first read.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class PrincipallyPolarizedSurface(Value):
     descent: tuple
     # j1*u + j2*v for the characteristics 00, 10, 01, 11; u, v is reduced.
     char_vectors: tuple[tuple[int, int], ...]
+    conorms: tuple[int, int, int]  # (p_uv, p_vw, p_uw) = -(u^T H v, v^T H w, u^T H w)
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
 
@@ -125,12 +126,14 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
             f"matrix {g.describe()} is not positive-definite"
         )
     u, v = _lagrange_reduce(h)
-    # The relevant vectors in descent scan order: u, v (, w), then negatives.
-    half = (u, v, (-u[0] - v[0], -u[1] - v[1])) if form(h, u, v) < 0 else (u, v)
-    rel = half + tuple((-x, -y) for x, y in half)
-    descent = tuple((r, mul_vec(h, r), form(h, r, r)) for r in rel)
-    char_vectors = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
-    return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, {})
+    w = (-u[0] - v[0], -u[1] - v[1])
+    p_uv, p_vw, p_uw = conorms = (-form(h, u, v), -form(h, v, w), -form(h, u, w))
+    # (r, r^T H r) in descent scan order: u, v (, w), then the negatives.
+    half = ((u, p_uv + p_uw), (v, p_uv + p_vw), (w, p_uw + p_vw))[: 3 if p_uv else 2]
+    half += tuple(((-x, -y), n) for (x, y), n in half)
+    descent = tuple((r, mul_vec(h, r), n) for r, n in half)
+    char_vectors = ((0, 0), u, v, (-w[0], -w[1]))
+    return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, conorms, {})
 
 
 def per_surface(build):
@@ -178,15 +181,15 @@ def _lagrange_reduce(h: tuple[int, int, int]):
 @per_surface
 def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
     """The Lagrange-reduced basis that `make_surface` found, in Fractions."""
-    h, den = surface.int_gram, surface.gram_den
+    (p_uv, p_vw, p_uw), den = surface.conorms, surface.gram_den
+    norms = tuple(Fraction(n, den) for n in (p_uv + p_uw, p_uv + p_vw, -p_uv))
     u, v = surface.char_vectors[1:3]
-    norms = tuple(Fraction(form(h, a, b), den) for a, b in ((u, u), (v, v), (u, v)))
     return ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
 
 
 def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
-    """Irreducible iff the Voronoi cell is a hexagon, i.e. Q(u,v) < 0."""
-    if form(surface.int_gram, *surface.char_vectors[1:3]) < 0:
+    """Irreducible iff the Voronoi cell is a hexagon, i.e. p_uv = -Q(u,v) > 0."""
+    if surface.conorms[0] > 0:
         return SurfaceClass.IRREDUCIBLE
     return SurfaceClass.PRODUCT_TYPE
 

@@ -91,9 +91,10 @@ class FormalThetaSeries(Value):
 
     @functools.cached_property
     def constant_shift(self) -> Fraction:
-        """The lifting constant Q(c, c) / 4 of the characteristic vector c."""
-        c = self.char.vector(self.surface)
-        return Fraction(form(self.surface.int_gram, c, c), 4 * self.surface.gram_den)
+        """The lifting constant Q(c, c) / 4 of c = 0, u, v or -w, by conorms."""
+        (p_uv, p_vw, p_uw), j = self.surface.conorms, self.char.j1 + 2 * self.char.j2
+        h_c = (0, p_uv + p_uw, p_uv + p_vw, p_uw + p_vw)[j]
+        return Fraction(h_c, 4 * self.surface.gram_den)
 
     @property
     def n_terms(self) -> int:

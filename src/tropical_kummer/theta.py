@@ -167,8 +167,8 @@ def theta_eval_bruteforce(
 def theta_constants(
     surface: PrincipallyPolarizedSurface,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, u + v = -w."""
+    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, by conorms."""
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("theta constants are defined for hexagonal cells only")
-    h, den = surface.int_gram, surface.gram_den
-    return tuple(Fraction(form(h, c, c), 4 * den) for c in surface.char_vectors[1:])
+    (p_uv, p_vw, p_uw), den4 = surface.conorms, 4 * surface.gram_den
+    return tuple(Fraction(n, den4) for n in (p_uv + p_uw, p_uv + p_vw, p_uw + p_vw))

@@ -221,11 +221,11 @@ def _dual_basis_integrality(s, seed, samples):
 
 
 def _reduction_invariants(s, seed, samples):
-    rb = lagrange_reduce(s)
-    quu, qvv, quv = rb.norms
-    det = rb.u.x * rb.v.y - rb.u.y * rb.v.x
+    rb = lagrange_reduce(s)  # rb.norms read the conorms; q recomputes them from H
+    quu, qvv, quv = s.norm(rb.u), s.norm(rb.v), s.q(rb.u, rb.v)
     ok = (
-        abs(det) == 1
+        rb.norms == (quu, qvv, quv)
+        and abs(rb.u.x * rb.v.y - rb.u.y * rb.v.x) == 1
         and rb.u.is_integral()
         and rb.v.is_integral()
         and quu <= qvv

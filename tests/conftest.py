@@ -48,6 +48,7 @@ def cut_descent(surface):
         surface.gram_den,
         tuple(entry for entry in surface.descent if entry[0] in keep),
         surface.char_vectors,
+        surface.conorms,
     )
 
 

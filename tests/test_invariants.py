@@ -71,6 +71,7 @@ def test_report_rows_are_the_benchmark_rows():
 # Each failure return of a row, reached by a fault injected through the
 # module binding the row reads.  An injector takes (monkeypatch, surface).
 HEX = ((2, -1), (-1, 2))
+SKEW = ((2, -1), (-1, 3))  # conorms (1, 2, 1)
 SQUARE = ((1, 0), (0, 1))
 
 
@@ -102,6 +103,15 @@ def _doubled_cell(mp, s):
     rb = verify.lagrange_reduce(s)
     doubled = ReducedBasis(2 * rb.u, 2 * rb.v, rb.norms)
     mp.setattr(verify, "lagrange_reduce", lambda surface: doubled)
+
+
+def _conorms_swapped(mp, s):
+    # u, v stay the reduced basis; the norms come from swapped stored conorms.
+    p_uv, p_vw, p_uw = s.conorms
+    fields = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors)
+    swapped = PrincipallyPolarizedSurface(*fields, (p_vw, p_uv, p_uw))
+    wrong = verify.lagrange_reduce(swapped)
+    mp.setattr(verify, "lagrange_reduce", lambda surface: wrong)
 
 
 def _random_surface_fails(mp, s):
@@ -184,6 +194,10 @@ FAULTS = {
         "dual-basis-integrality", HEX,
         _attr(PrincipallyPolarizedSurface, "q", lambda self, x, y: 2),
         4, {"i", "j", "q"}, "'i': 0, 'j': 0",
+    ),
+    "reduction-invariants": (
+        "reduction-invariants", SKEW, _conorms_swapped,
+        1, {"u", "v", "norms"}, "'norms': ['3', '3', '-2']",
     ),
     "classify-congruence-invariance": (
         "classify-congruence-invariance", HEX,

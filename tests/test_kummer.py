@@ -17,6 +17,7 @@ from tropical_kummer import (
     InternalInconsistencyError,
     KummerQuartic,
     NotAffineOnCellError,
+    PrincipallyPolarizedSurface,
     ProductTypeError,
     SurfaceClass,
     Vec2,
@@ -562,8 +563,8 @@ def _retable(monkeypatch, edit):
     """Make `build_quartic` pass the faces' source-cell lists through `edit`."""
     face_table = kummer._face_table
 
-    def edited(th):
-        faces = face_table(th)
+    def edited(surface):
+        faces = face_table(surface)
         cells = edit([list(face.source_cells) for face in faces])
         return tuple(
             FacePlane(face.normal, face.offset, face.vertex_ids, tuple(c))
@@ -626,6 +627,26 @@ def test_coplanarity_report_raises_on_a_bent_piece(monkeypatch, skew_hexagonal, 
         monkeypatch.setattr(kummer, "affine_pieces", lambda surface: tuple(pieces))
         with pytest.raises(InternalInconsistencyError, match=f"^cell {label}: "):
             coplanarity_report(skew_hexagonal)
+
+
+@pytest.mark.parametrize(
+    "conorms, message",
+    [
+        ((1, 1, 2), r"^cell tau1: no affine piece on face \(1, -1, -1\)=1/2$"),
+        ((2, 1, 1), r"^cell sigma1: no affine piece on face \(1, 1, -1\)=1$"),
+    ],
+)
+def test_coplanarity_report_raises_on_permuted_conorms(
+    skew_hexagonal, conorms, message
+):
+    # The skew hexagon's conorms are (1, 2, 1).  Permuted, they still give a
+    # consistent quartic, but the pieces' offsets come from `form` on the
+    # minimizers, so a wrong stored conorm cannot pass silently.
+    s = skew_hexagonal
+    assert s.conorms == (1, 2, 1)
+    args = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors, conorms)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        coplanarity_report(PrincipallyPolarizedSurface(*args))
 
 
 def _pieces_text(surface):

@@ -102,6 +102,7 @@ def _reference_surface(rows):
     )
     reduced = ReducedBasis(Vec2(*u), Vec2(*v), (q(u, u), q(v, v), q(u, v)))
     chars = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
+    w = neg(chars[3])
     return {
         "gram": gram,
         "reduced": reduced,
@@ -109,6 +110,7 @@ def _reference_surface(rows):
         "gram_den": den,
         "descent": descent,
         "char_vectors": chars,
+        "conorms": (-den * q(u, v), -den * q(v, w), -den * q(u, w)),
     }
 
 
@@ -145,13 +147,22 @@ def _reference_grams():
 
 
 def test_make_surface_matches_fraction_reference():
-    fields = ("gram", "int_gram", "gram_den", "descent", "char_vectors")
+    fields = ("gram", "int_gram", "gram_den", "descent", "char_vectors", "conorms")
+    kinds = set()
     for rows in _reference_grams():
         s, ref = make_surface(rows), _reference_surface(rows)
         for name in fields:
             assert getattr(s, name) == ref[name], (rows, name)
         assert lagrange_reduce(s) == ref["reduced"], rows
-        assert all(type(e) is int for e in (*s.int_gram, s.gram_den)), rows
+        assert all(type(e) is int for e in (*s.int_gram, s.gram_den, *s.conorms)), rows
+        # Selling: the cell is a hexagon exactly when all three conorms are
+        # positive; otherwise u and v are orthogonal.
+        kind = classify(s)
+        kinds.add(kind)
+        irreducible = kind is SurfaceClass.IRREDUCIBLE
+        assert all(p > 0 for p in s.conorms) == irreducible, rows
+        assert irreducible or s.conorms[0] == 0, rows
+    assert kinds == set(SurfaceClass)  # the families hold both kinds
 
 
 NPD, NOT_PD = NotPositiveDefiniteError, "is not positive-definite"

@@ -65,6 +65,18 @@ def test_build_series_examples(hexagonal):
     assert terms[(2, 0)] == 2
 
 
+def test_constant_shift_is_a_quarter_of_the_characteristic_norm(
+    hexagonal, skew_hexagonal, hidden_product
+):
+    # It reads the stored conorms; Q(c, c) is recomputed from the Gram.  On
+    # the skew hexagon Q(u) != Q(v), and on a product type p_uv = 0.
+    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    for s in (hexagonal, skew_hexagonal, hidden_product, rational):
+        for char in CHARACTERISTICS:
+            want = s.norm(Vec2(*char.vector(s))) / 4
+            assert build_series(s, char, 0).constant_shift == want, (s, char)
+
+
 def _peak_bytes(fn):
     """The peak of the memory `fn()` allocates, traced by `tracemalloc`."""
     tracemalloc.start()

@@ -188,6 +188,7 @@ def test_surface_compares_and_shows_only_its_gram():
         HEX.gram_den,
         HEX.descent[:2],
         HEX.char_vectors,
+        HEX.conorms,
     )
     assert rebuilt == HEX and hash(rebuilt) == hash((HEX.gram,))
     assert repr(rebuilt) == repr(HEX)
@@ -198,6 +199,7 @@ def test_surface_compares_and_shows_only_its_gram():
         gram_den=HEX.gram_den,
         descent=HEX.descent,
         char_vectors=HEX.char_vectors,
+        conorms=HEX.conorms,
     )
     assert keyword.lazy == {} and keyword.lazy is not rebuilt.lazy
     assert make_surface([[2, -1], [-1, 3]]) != HEX
