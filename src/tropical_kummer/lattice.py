@@ -36,7 +36,8 @@ import enum
 import functools
 from fractions import Fraction
 
-from .errors import NotPositiveDefiniteError, ProductTypeError
+from .errors import InternalInconsistencyError, NotPositiveDefiniteError
+from .errors import ProductTypeError
 from .exact import Mat2, Value, Vec2, ZERO2, form, integer_gram
 from .exact import is_positive_form, lex_positive, mul_vec, numerators
 
@@ -252,13 +253,18 @@ def descend(
 ) -> tuple[int, int]:
     """Relevant-vector descent of t/den into the cell, on integer numerators.
 
-    Unit steps in the fixed scan order of `surface.descent` while the Q-norm
-    strictly drops, so it terminates.  Scaling (t, den) by k scales the
-    result by k, so callers may pick any common denominator.
+    Unit steps in the fixed scan order of `surface.descent`, each lowering the
+    integer t^T H t >= 0, so it terminates; from the third pass on, a pass that
+    does not lower it means the stored r^T H r are wrong, and raises.
+    Scaling (t, den) by k scales the result by k: any common denominator works.
     """
-    changed = True
+    changed, passes, last = True, 0, None
     while changed:
-        changed = False
+        changed, passes = False, passes + 1
+        if passes > 2:
+            last, prev = form(surface.int_gram, (t0, t1), (t0, t1)), last
+            if prev is not None and last >= prev:
+                raise InternalInconsistencyError("a descent pass did not lower t^T H t")
         for (rx, ry), (hr0, hr1), qr in surface.descent:
             # Q(t/den - r) < Q(t/den) iff 2 <t, H r> > den * r^T H r.
             while 2 * (t0 * hr0 + t1 * hr1) > den * qr:

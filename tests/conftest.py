@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from tropical_kummer import (
@@ -32,10 +30,6 @@ def unit_square():
 def hidden_product():
     """Product type that needs a nontrivial reduction step."""
     return make_surface([[5, 3], [3, 2]])
-
-
-def frac(text) -> Fraction:
-    return Fraction(text)
 
 
 def cut_descent(surface):

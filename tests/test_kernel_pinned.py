@@ -8,10 +8,10 @@ has ties to break.
 
 import hashlib
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
+import reference
 
 from tropical_kummer import (
     CHARACTERISTICS,
@@ -34,15 +34,6 @@ from tropical_kummer import (
 from tropical_kummer.sampling import random_integer_vector, rng_for
 
 F = Fraction
-
-
-def _lam_low(surface):
-    """det(G) / (G11 + G22), read off the Fraction Gram, not `int_gram`.
-
-    Q(y, y) >= lam_low * |y|_inf^2: the bound of every box certificate.
-    """
-    g = surface.gram
-    return g.det() / (g.a + g.d)
 
 
 def _sheared(rows, p):
@@ -135,26 +126,6 @@ def test_kernel_outputs_pinned():
     assert h.hexdigest() == KERNEL_SHA256
 
 
-def _certified_theta(surface, char, x):
-    """The certified box minimum, grown until its certificate holds."""
-    radius = 1
-    while True:
-        try:
-            return theta_eval_bruteforce(surface, char, x, radius)
-        except RadiusTooSmallError:
-            radius += 2
-
-
-def _first_minimum(table, radius):
-    """(value, minimizer): the box minimum of `table`, first in lexicographic order."""
-    best = None
-    for a1 in range(-radius, radius + 1):
-        for a2 in range(-radius, radius + 1):
-            if best is None or table[a1, a2] < best[0]:
-                best = (table[a1, a2], (a1, a2))
-    return best
-
-
 # Both orientations of a stiff axis: the walk's rows run along a2 for the
 # first and along a1 for the second.
 WALK_GRAMS = GRAMS + (((1, 0), (0, 50)), ((50, 0), (0, 1)))
@@ -171,7 +142,6 @@ def test_box_walk_matches_double_loop():
     """
     for i, gram in enumerate(WALK_GRAMS):
         surface = make_surface(gram)
-        lam_low = _lam_low(surface)
         rng = rng_for(20, "box-walk", i)
         points = [
             Vec2(F(rng.randint(-2 * q, 2 * q), q), F(rng.randint(-2 * q, 2 * q), q))
@@ -182,31 +152,18 @@ def test_box_walk_matches_double_loop():
             for q in (1, 2, 3)
             for _ in range(2)
         ]
-        box = list(itertools.product(range(-9, 10), repeat=2))
-        quad = {a: surface.norm(Vec2(*a)) for a in box}
         for x, char in itertools.product(points, CHARACTERISTICS):
             s = x + F(1, 2) * Vec2(*char.vector(surface))
-            # Q(a + s) - Q(x) = Q(a) + 2 Q(a, s) + Q(s) - Q(x), over one
-            # denominator `den` for every a in the largest box.
-            lin = (2 * surface.q(Vec2(1, 0), s), 2 * surface.q(Vec2(0, 1), s))
-            const = surface.norm(s) - surface.norm(x)
-            parts = [*quad.values(), *lin, const]
-            den = math.lcm(*(q.denominator for q in parts))
-            lin0, lin1, c = (int(q * den) for q in (*lin, const))
-            table = {
-                a: int(quad[a] * den) + a[0] * lin0 + a[1] * lin1 + c for a in box
-            }
+            q_x = reference.q(gram, x, x)
             for radius in range(10):
-                value, minimizer = _first_minimum(table, radius)
-                value = F(value, den)
-                margin = radius + 1 - s.sup_norm()
-                box_min = value + surface.norm(x)
-                certified = margin > 0 and lam_low * margin * margin > box_min
+                box_min, minimizer = reference.box_minimum(gram, s, radius)
+                value = box_min - q_x
                 try:
                     tv = theta_eval_bruteforce(surface, char, x, radius)
                     got = (True, tv.value, (tv.minimizer.x, tv.minimizer.y))
                 except RadiusTooSmallError:
                     got = (False,)
+                certified = reference.certifies(gram, s.sup_norm(), radius, box_min)
                 want = (True, value, minimizer) if certified else (False,)
                 assert got == want, (gram, x, char, radius)
                 series = build_series(surface, char, radius)
@@ -220,12 +177,12 @@ def test_theta_matches_bruteforce_on_rational_grams():
         for x in points:
             for char in CHARACTERISTICS:
                 fast = theta_eval(surface, char, x)
-                slow = _certified_theta(surface, char, x)
-                assert fast.value == slow.value, (gram, x, char)
-                # The descent's minimizer attains the certified minimum.
                 s = x + F(1, 2) * Vec2(*char.vector(surface))
-                attained = surface.norm(fast.minimizer + s) - surface.norm(x)
-                assert attained == slow.value, (gram, x, char)
+                least, _ = reference.certified_minimum(gram, s)
+                assert fast.value == least - reference.q(gram, x, x), (gram, x, char)
+                # The descent's minimizer attains the certified minimum.
+                y = fast.minimizer + s
+                assert reference.q(gram, y, y) == least, (gram, x, char)
 
 
 ORACLE_GRAMS = (
@@ -255,7 +212,9 @@ def test_verify_oracle_enumerates_one_box(monkeypatch):
                 radii.clear()
                 value = verify._oracle_theta(surface, char, x)
                 assert len(radii) == 1, (gram, x, char, radii)
-                assert value == _certified_theta(surface, char, x).value
+                s = x + F(1, 2) * Vec2(*char.vector(surface))
+                least, _ = reference.certified_minimum(gram, s)
+                assert value == least - reference.q(gram, x, x), (gram, x, char)
 
 
 ILL_CONDITIONED_GRAMS = (
@@ -288,16 +247,6 @@ def test_oracle_rows_bounded_on_ill_conditioned_grams(row):
         assert result.elapsed < 1.0, (gram, result.elapsed)
 
 
-def _radius_by_steps(surface, reach, ceiling):
-    lam_low = _lam_low(surface)
-    radius = 1
-    while True:
-        margin = radius + 1 - reach
-        if margin > 0 and lam_low * margin * margin > ceiling:
-            return radius
-        radius += 1
-
-
 def test_certified_radius_matches_stepping():
     """The oracle's box, `safe_cutoff` for |x|_inf, against the stepped bound.
 
@@ -307,24 +256,23 @@ def test_certified_radius_matches_stepping():
     bounds = [F(0), F(1, 3), F(1, 2), F(5, 7), F(1), F(7, 2), F(99, 10), F(40, 3)]
     for gram in ORACLE_GRAMS:
         surface = make_surface(gram)
-        g = surface.gram
-        weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
         for char in CHARACTERISTICS:
             reach_c = Vec2(*char.vector(surface)).sup_norm() / 2
             for bound in bounds:
                 reach = bound + reach_c
-                want = _radius_by_steps(surface, reach, weight * reach * reach)
+                want = reference.radius_by_steps(gram, reach)
                 got = safe_cutoff(surface, char, bound)
                 assert got == want, (gram, char, bound)
     # On diag(1, 10^4), lam_low = 10^4 / 10001 and sum |G_ij| = 10001, so
     # reach = 100 (R + 1) / 10101 meets the certificate with equality at R,
     # where the radius must step to R + 1.
-    surface = make_surface(((1, 0), (0, 10**4)))
+    gram = ((1, 0), (0, 10**4))
+    surface = make_surface(gram)
     for char in CHARACTERISTICS:
         reach_c = Vec2(*char.vector(surface)).sup_norm() / 2
         for r in range(1, 20):
             reach = F(100 * (r + 1), 10101)
             if reach >= reach_c:
-                want = _radius_by_steps(surface, reach, 10001 * reach * reach)
+                want = reference.radius_by_steps(gram, reach)
                 got = safe_cutoff(surface, char, reach - reach_c)
                 assert got == want == r + 1, (char, r)

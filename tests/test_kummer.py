@@ -1,8 +1,8 @@
 import hashlib
-from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
+import reference
 from conftest import cut_descent
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,11 +40,7 @@ from tropical_kummer import (
 )
 from tropical_kummer import kummer
 from tropical_kummer.exact import mean, numerators
-from tropical_kummer.kummer import (
-    VERTEX_LABELS,
-    AffinePiece,
-    _validate_quartic,
-)
+from tropical_kummer.kummer import AffinePiece, _validate_quartic
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,
@@ -175,58 +171,6 @@ def test_contains_rejects_points_off_the_faces(hexagonal):
     assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
 
 
-def _parallelogram_frame(points: Sequence[Vec3]) -> tuple[Vec3, Vec3, Vec3]:
-    """Identify (base, edge1, edge2) among four parallelogram vertices."""
-    a = points[0]
-    rest = list(points[1:])
-    for i in range(3):
-        opposite = rest[i]
-        others = [rest[j] for j in range(3) if j != i]
-        if a + opposite == others[0] + others[1]:
-            return a, others[0] - a, others[1] - a
-    raise InternalInconsistencyError(f"points {points} do not form a parallelogram")
-
-
-def _contains_by_solving(quartic, p):
-    """Membership face by face: on the plane, then inside the parallelogram.
-
-    A reference for the gauge that shares none of its argument: each face's
-    parallelogram frame and an exact in-plane solve.
-    """
-    vmap = dict(zip(VERTEX_LABELS, quartic.vertices))
-    for face in quartic.faces:
-        if face.evaluate(p) != face.offset:
-            continue
-        base, edge1, edge2 = _parallelogram_frame(
-            [vmap[vid] for vid in face.vertex_ids]
-        )
-        coeffs = _solve_in_plane(p - base, edge1, edge2)
-        if coeffs is None:
-            continue
-        alpha, beta = coeffs
-        if 0 <= alpha <= 1 and 0 <= beta <= 1:
-            return True
-    return False
-
-
-def _solve_in_plane(target, edge1, edge2):
-    """Solve target = alpha*edge1 + beta*edge2 exactly, or None if insoluble."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    t = target.as_tuple()
-    e1 = edge1.as_tuple()
-    e2 = edge2.as_tuple()
-    for i, j in pairs:
-        det = e1[i] * e2[j] - e1[j] * e2[i]
-        if det == 0:
-            continue
-        alpha = (t[i] * e2[j] - t[j] * e2[i]) / det
-        beta = (e1[i] * t[j] - e1[j] * t[i]) / det
-        # Verify on the full 3-vector; the plane test alone is not enough.
-        recon = alpha * edge1 + beta * edge2
-        return (alpha, beta) if recon == target else None
-    return None
-
-
 def _random_rational_irreducible(rng):
     """An irreducible surface with entries up to 9 over denominators up to 7."""
     while True:
@@ -285,8 +229,12 @@ def test_contains_is_the_face_gauge(hexagonal, skew_hexagonal):
     on = off = 0
     for k, surface in enumerate(surfaces):
         quartic = build_quartic(surface)
+        faces = [
+            (f.normal, f.offset, [quartic.vertex(i) for i in f.vertex_ids])
+            for f in quartic.faces
+        ]
         for p in _gauge_probes(quartic, surface, rng_for(61, "probe", k)):
-            expected = _contains_by_solving(quartic, p)
+            expected = reference.contains_by_solving(faces, p)
             assert contains(quartic, p) == expected, (surface.gram, p)
             on, off = on + expected, off + (not expected)
     assert on > 2000 and off > 1000, (on, off)
@@ -356,16 +304,6 @@ def test_injectivity_check_raises_on_an_inconsistent_embedding(monkeypatch, hexa
     )
 
 
-def _reference_verdict(y, yp):
-    """The verdict read off Fraction sums: plus first, as at 2-torsion points."""
-    plus, minus = yp - y, yp + y
-    if plus.is_integral():
-        return EquivalentPlus(plus)
-    if minus.is_integral():
-        return EquivalentMinus(minus)
-    return None
-
-
 # Coordinates up to |10|, over denominators small or up to 10^29, so
 # numerators reach 10^30 while psi_eval's descent stays short.
 _dens = st.one_of(st.integers(1, 12), st.integers(1, 10**29))
@@ -399,11 +337,12 @@ def _pairs(draw):
 @given(st.sampled_from(_EQUIVALENCE_SURFACES), _pairs())
 def test_injectivity_numerator_rule_matches_fraction_sums(surface, pair):
     y, yp = pair
-    verdict, want = injectivity_check(surface, y, yp), _reference_verdict(y, yp)
+    verdict, want = injectivity_check(surface, y, yp), reference.verdict(y, yp)
     if want is None:
         assert isinstance(verdict, Distinct)
     else:
-        assert verdict == want
+        kind = EquivalentPlus if want[0] == 1 else EquivalentMinus
+        assert verdict == kind(want[1])
         shift = verdict.shift.as_tuple()
         assert all(type(c) is F and c.denominator == 1 for c in shift)
 

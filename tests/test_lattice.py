@@ -1,15 +1,19 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import reference
 from conftest import cut_descent
 
 from tropical_kummer import (
     CellKind,
+    InternalInconsistencyError,
     Mat2,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    PrincipallyPolarizedSurface,
     ProductTypeError,
     SurfaceClass,
     Vec2,
@@ -52,68 +56,6 @@ def test_make_surface_rejects_bad_input():
         make_surface([[1, 2], [3, 1]])
 
 
-def _reference_surface(rows):
-    """make_surface's fields, computed from the Gram's Fraction entries alone.
-
-    Positivity is the sign of a and of the determinant, norms are x^T G y in
-    Fractions, and the Lagrange iteration is the library's rule (round-half-up
-    multiplier, fixed swap, sign normalization) on Fraction norms.
-    """
-    a, b, c, d = (F(e) for row in rows for e in row)
-    gram = Mat2(a, b, c, d)
-    if b != c:
-        raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
-    if not (a > 0 and a * d - b * c > 0):
-        raise NotPositiveDefiniteError(
-            f"matrix {gram.describe()} is not positive-definite"
-        )
-
-    def q(s, t):
-        return s[0] * (a * t[0] + b * t[1]) + s[1] * (b * t[0] + d * t[1])
-
-    def neg(r):
-        return (-r[0], -r[1])
-
-    def lexpos(r):
-        return neg(r) if r[0] < 0 or (r[0] == 0 and r[1] < 0) else r
-
-    u, v = (1, 0), (0, 1)
-    if q(u, u) > q(v, v):
-        u, v = v, u
-    while True:
-        k = math.floor(q(u, v) / q(u, u) + F(1, 2))
-        vk = (v[0] - k * u[0], v[1] - k * u[1])
-        if q(vk, vk) >= q(u, u):
-            v = vk
-            break
-        u, v = vk, u
-    if q(u, v) > 0:
-        v = neg(v)
-    if q(u, v) == 0:
-        u, v = lexpos(u), lexpos(v)
-    elif u != lexpos(u):
-        u, v = neg(u), neg(v)
-    # gram_den: the least n > 0 with n G integral.
-    den = math.lcm(a.denominator, b.denominator, d.denominator)
-    half = [u, v] + ([neg((u[0] + v[0], u[1] + v[1]))] if q(u, v) < 0 else [])
-    descent = tuple(
-        (r, (den * (a * r[0] + b * r[1]), den * (b * r[0] + d * r[1])), den * q(r, r))
-        for r in half + [neg(r) for r in half]
-    )
-    reduced = ReducedBasis(Vec2(*u), Vec2(*v), (q(u, u), q(v, v), q(u, v)))
-    chars = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
-    w = neg(chars[3])
-    return {
-        "gram": gram,
-        "reduced": reduced,
-        "int_gram": (den * a, den * b, den * d),
-        "gram_den": den,
-        "descent": descent,
-        "char_vectors": chars,
-        "conorms": (-den * q(u, v), -den * q(v, w), -den * q(u, w)),
-    }
-
-
 def _reference_grams():
     """Seeded Grams from five families, as rows of Fractions."""
     rng = random.Random(1717)
@@ -150,10 +92,11 @@ def test_make_surface_matches_fraction_reference():
     fields = ("gram", "int_gram", "gram_den", "descent", "char_vectors", "conorms")
     kinds = set()
     for rows in _reference_grams():
-        s, ref = make_surface(rows), _reference_surface(rows)
+        s, ref = make_surface(rows), reference.surface_fields(rows)
         for name in fields:
             assert getattr(s, name) == ref[name], (rows, name)
-        assert lagrange_reduce(s) == ref["reduced"], rows
+        rb = lagrange_reduce(s)
+        assert (rb.u.as_tuple(), rb.v.as_tuple(), rb.norms) == ref["reduced"], rows
         assert all(type(e) is int for e in (*s.int_gram, s.gram_den, *s.conorms)), rows
         # Selling: the cell is a hexagon exactly when all three conorms are
         # positive; otherwise u and v are orthogonal.
@@ -202,7 +145,7 @@ def test_make_surface_rejects_like_the_reference(rows, error, message):
     assert str(raised.value) == message
     if error is not TypeError:  # the reference reads any entry F() takes
         with pytest.raises(error, match=r"^matrix .* is not") as expected:
-            _reference_surface(rows)
+            reference.surface_fields(rows)
         assert str(expected.value) == message
 
 
@@ -358,41 +301,25 @@ def test_voronoi_relevant_norms(skew_hexagonal):
     assert [skew_hexagonal.norm(r) for r in rel[:3]] == [2, 3, 3]
 
 
-def _facet_vertex_reference(s, q1, q2):
-    """The facet-line intersection solved in Fractions, through G and Q."""
-    r1, r2 = s.gram.mul_vec(q1), s.gram.mul_vec(q2)
-    c1, c2 = s.norm(q1) / 2, s.norm(q2) / 2
-    det = r1.x * r2.y - r1.y * r2.x
-    return Vec2((c1 * r2.y - c2 * r1.y) / det, (r1.x * c2 - r2.x * c1) / det)
-
-
 def test_facet_vertices_match_fraction_solve(hexagonal, skew_hexagonal, unit_square):
     # The integer solve on H against the Fraction solve on G, on about 200
     # seeded integer, rational and product-type Grams.
     kinds = set()
     for g in [hexagonal.gram, skew_hexagonal.gram, unit_square.gram, *_seeded_grams()]:
-        s = make_surface(g)
-        rb = lagrange_reduce(s)
-        u, v, w = rb.u, rb.v, rb.w
-        if classify(s) is SurfaceClass.IRREDUCIBLE:
-            cycle = (w, -v, u, -w, v, -u)
-        else:
-            cycle = (-v, u, v, -u)
+        u, v, (_, _, quv) = reference.surface_fields(g)["reduced"]
+        u, v = Vec2(*u), Vec2(*v)
+        w = -(u + v)
+        cycle = (w, -v, u, -w, v, -u) if quv < 0 else (-v, u, v, -u)
         n = len(cycle)
         expected = tuple(
-            _facet_vertex_reference(s, cycle[i], cycle[(i + 1) % n]) for i in range(n)
+            reference.facet_vertex(g, cycle[i], cycle[(i + 1) % n]) for i in range(n)
         )
+        s = make_surface(g)
         cell = voronoi_cell(s)
         assert cell.vertices == expected, g
         assert all(type(c) is F for m in cell.vertices for c in m.as_tuple()), g
         kinds.add((cell.kind, s.gram_den > 1))
     assert len(kinds) == 4, kinds
-
-
-def _in_cell_reference(s, y):
-    """Membership by the Fraction rule, over the cell's relevant vectors."""
-    rel = voronoi_cell(s).relevant_vectors
-    return all(2 * s.q(y, r) <= s.norm(r) for r in rel)
 
 
 def _cell_probes(s, rng):
@@ -413,12 +340,15 @@ def test_in_voronoi_cell_matches_fraction_reference(hexagonal, skew_hexagonal):
     grams = [hexagonal.gram, skew_hexagonal.gram, *_seeded_grams()]
     inside = outside = 0
     for k, g in enumerate(grams):
-        s = make_surface(g)
-        for surface in (s, cut_descent(s)) if k % 4 == 0 else (s,):
+        s, ref = make_surface(g), reference.surface_fields(g)
+        rel = [Vec2(*r) for r, _, _ in ref["descent"]]
+        cut = rel[:2] + [-r for r in rel[:2]]  # +-u, +-v: the descent starts u, v
+        cases = ((s, rel), (cut_descent(s), cut)) if k % 4 == 0 else ((s, rel),)
+        for surface, vectors in cases:
             for p in _cell_probes(surface, rng_for(29, "cell-probe", k)):
                 for move in moves:
                     y = p + move
-                    expected = _in_cell_reference(surface, y)
+                    expected = reference.in_cell(g, y, vectors)
                     assert in_voronoi_cell(surface, y) == expected, (g, y)
                     inside, outside = inside + expected, outside + (not expected)
     assert inside > 5000 and outside > 5000, (inside, outside)
@@ -451,42 +381,11 @@ def test_reduce_point_idempotent(row_passes, hexagonal, hidden_product):
         row_passes(name, hexagonal, hidden_product, samples=50, seed=2)
 
 
-def _cvp_oracle(s, x):
-    """Independent exact closest-vector oracle: certified box enumeration.
-
-    Deliberately avoids the library's reduction and integer-lift helpers;
-    the only shared ingredient is the Gram matrix itself.
-    """
-    import math
-
-    g = s.gram
-    lam_low = g.det() / (g.a + g.d)
-    bound = s.norm(x)  # the lattice point 0 is within this distance
-    radius = 1
-    while True:
-        margin = radius + 1 - x.sup_norm()
-        if margin > 0 and lam_low * margin * margin > bound:
-            break
-        radius += 1
-    den_g = math.lcm(g.a.denominator, g.b.denominator, g.d.denominator)
-    h11, h12, h22 = int(g.a * den_g), int(g.b * den_g), int(g.d * den_g)
-    den_x = math.lcm(x.x.denominator, x.y.denominator)
-    tx, ty = int(x.x * den_x), int(x.y * den_x)
-    best = None
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            y0, y1 = tx - den_x * a, ty - den_x * b
-            q = h11 * y0 * y0 + 2 * h12 * y0 * y1 + h22 * y1 * y1
-            if best is None or q < best:
-                best = q
-    return F(best, den_g * den_x * den_x)
-
-
 def test_reduce_point_matches_brute_force_cvp(hexagonal):
     for k in range(1000):
         x = random_point(rng_for(31, "cvp", k), 5)
         x0, _ = reduce_point(hexagonal, x)
-        assert hexagonal.norm(x0) == _cvp_oracle(hexagonal, x)
+        assert hexagonal.norm(x0) == reference.certified_minimum(hexagonal.gram, -x)[0]
 
 
 def test_reduce_point_matches_cvp_on_random_surfaces():
@@ -496,7 +395,23 @@ def test_reduce_point_matches_cvp_on_random_surfaces():
         for j in range(12):
             x = random_point(rng_for(37, "cvp-point", k, j), 5)
             x0, _ = reduce_point(s, x)
-            assert s.norm(x0) == _cvp_oracle(s, x)
+            assert s.norm(x0) == reference.certified_minimum(s.gram, -x)[0]
+
+
+def test_descend_raises_on_swapped_descent_norms(skew_hexagonal):
+    # descend ends because each step lowers the integer t^T H t >= 0: Q drops
+    # strictly over a discrete set.  With the stored r^T H r of u = (1, 0) and
+    # v = (0, 1) swapped, (-1, -7/2) cycled without end; now a pass raises.
+    s = skew_hexagonal
+    swapped = {(1, 0): 3, (-1, 0): 3, (0, 1): 2, (0, -1): 2}  # 2 and 3 in H
+    descent = tuple((r, hr, swapped.get(r, n)) for r, hr, n in s.descent)
+    bad = PrincipallyPolarizedSurface(
+        s.gram, s.int_gram, s.gram_den, descent, s.char_vectors, s.conorms
+    )
+    start = time.perf_counter()
+    with pytest.raises(InternalInconsistencyError, match="did not lower t"):
+        reduce_point(bad, Vec2(-1, F(-7, 2)))
+    assert time.perf_counter() - start < 1
 
 
 def test_subdivide_sigma_cell(hexagonal):

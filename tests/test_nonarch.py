@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -162,23 +163,6 @@ def test_safe_cutoff_examples(hexagonal):
         safe_cutoff(hexagonal, CH(0, 0), F(-1))
 
 
-def _safe_cutoff_by_steps(surface, char, region_bound):
-    """`safe_cutoff` as it was first written: radius raised one at a time."""
-    bound = F(region_bound)
-    g = surface.gram
-    c = Vec2(*char.vector(surface))
-    reach = bound + c.sup_norm() / 2
-    weight = abs(g.a) + abs(g.b) + abs(g.c) + abs(g.d)
-    upper = weight * reach * reach
-    lam_low = g.det() / (g.a + g.d)  # read off the Fraction Gram
-    radius = 1
-    while True:
-        margin = radius + 1 - reach
-        if margin > 0 and lam_low * margin * margin > upper:
-            return radius
-        radius += 1
-
-
 def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
     surfaces = (
         hexagonal,
@@ -192,8 +176,10 @@ def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
     ]
     for s in surfaces:
         for char in CHARACTERISTICS:
+            half_c = Vec2(*char.vector(s)).sup_norm() / 2
             for bound in bounds:
-                want = _safe_cutoff_by_steps(s, char, bound)
+                reach = bound + half_c
+                want = reference.radius_by_steps(s.gram, reach)
                 assert safe_cutoff(s, char, bound) == want, (s.gram, char, bound)
     # On diag(1, 1), lam_low = 1/2 and sum |G_ij| = 2, so a bound with
     # reach = bound + |c|_inf / 2 = (R + 1) / 3 meets the certificate with
@@ -203,7 +189,7 @@ def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
         for r in range(1, 20):
             bound = F(r + 1, 3) - half_c
             if bound >= 0:
-                want = _safe_cutoff_by_steps(unit_square, char, bound)
+                want = reference.radius_by_steps(unit_square.gram, bound + half_c)
                 assert safe_cutoff(unit_square, char, bound) == want == r + 1
     assert safe_cutoff(unit_square, CH(1, 0), F(1, 2)) == 3  # equality at R = 2
     start = time.perf_counter()
@@ -251,16 +237,6 @@ def rational_grams(draw):
     return make_surface([[a, b], [b, d]])
 
 
-def _scan(series, v):
-    """The definition of tropicalization, term by term on Fractions."""
-    s = series.surface
-    g = s.gram
-    gx = g.a * v.x + g.b * v.y
-    gy = g.c * v.x + g.d * v.y
-    shift = s.norm(Vec2(*series.char.vector(s))) / 4
-    return shift + min(ex * gx + ey * gy + val for (ex, ey), val in series.support)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     rational_grams(),
@@ -277,12 +253,13 @@ def _scan(series, v):
 )
 def test_closed_form_rows_match_term_scan(s, char, cutoff, points):
     # The rows `tropicalize_series` writes in closed form against the terms
-    # of `support`, which are built one by one from the box.
+    # that `reference.series_scan` writes one by one from the box.
     series = build_series(s, char, cutoff)
     assert series.n_terms == len(series.support) == (2 * cutoff + 1) ** 2
     for x, y in points:
         v = Vec2(x, y)
-        assert tropicalize_series(series, v) == _scan(series, v)
+        want = reference.series_scan(s.gram, char.vector(s), cutoff, v)
+        assert tropicalize_series(series, v) == want
 
 
 @st.composite
@@ -320,7 +297,7 @@ def test_series_rows_at_extreme_inputs(s, char, cutoff, points):
         start = time.perf_counter()
         value = tropicalize_series(series, v)
         assert time.perf_counter() - start < SERIES_CALL_BUDGET_S, (x, y)
-        assert value == _scan(series, v)
+        assert value == reference.series_scan(s.gram, char.vector(s), cutoff, v)
 
 
 # Points near the origin, where a box of radius <= 5 can certify its minimum.
@@ -348,20 +325,15 @@ near_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=10**30)
 def test_bruteforce_certificate_at_extreme_inputs(s, char, radius, points):
     # The walk's certificate on integers against the bound on Fractions:
     # lam_low (R + 1 - |s|_inf)^2 > box_min, lam_low read off the Gram.
-    g = s.gram
-    lam_low = g.det() / (g.a + g.d)
-    side = range(-radius, radius + 1)
-    box = [(a1, a2) for a1 in side for a2 in side]
     for x, y in points:
         v = Vec2(x, y)
         # The oracle's premise: the safe box certifies, or the walk raises.
         theta_eval_bruteforce(s, char, v, safe_cutoff(s, char, v.sup_norm()))
         shift = v + F(1, 2) * Vec2(*char.vector(s))
-        box_min, first = min((s.norm(Vec2(*a) + shift), a) for a in box)
-        margin = radius + 1 - shift.sup_norm()
-        if margin > 0 and lam_low * margin * margin > box_min:
+        box_min, first = reference.box_minimum(s.gram, shift, radius)
+        if reference.certifies(s.gram, shift.sup_norm(), radius, box_min):
             tv = theta_eval_bruteforce(s, char, v, radius)
-            assert tv.value == box_min - s.norm(v), (x, y)
+            assert tv.value == box_min - reference.q(s.gram, v, v), (x, y)
             assert (tv.minimizer.x, tv.minimizer.y) == first, (x, y)
         else:
             with pytest.raises(RadiusTooSmallError) as raised:
@@ -394,7 +366,9 @@ def _variant_cases():
 
 def test_tropicalize_matches_scan():
     for key, series, v in _variant_cases():
-        assert tropicalize_series(series, v) == _scan(series, v), key
+        s, c = series.surface, series.char.vector(series.surface)
+        want = reference.series_scan(s.gram, c, series.cutoff, v)
+        assert tropicalize_series(series, v) == want, key
 
 
 # SHA-256 of every `_variant_cases` value, recorded with the earlier

@@ -2,9 +2,15 @@ import ast
 import functools
 import importlib
 import sys
+from fractions import Fraction as F
+from inspect import isfunction, signature
 from pathlib import Path
 
+import reference
+
 import tropical_kummer
+from tropical_kummer import FormalThetaSeries, Vec2, Vec3
+from tropical_kummer import kummer, lattice, nonarch, theta, verify
 
 PACKAGE = Path(tropical_kummer.__file__).resolve().parent
 
@@ -107,3 +113,49 @@ def test_no_module_level_caches():
                 if cache or hasattr(value, "cache_clear"):
                     found.append((path.stem, getattr(owner, "__name__", ""), name))
     assert found == []
+
+
+def test_reference_imports_only_value_types_and_errors():
+    # tests/reference.py states the paper's definitions apart from the fast
+    # paths: from the package it takes `exact`'s value types and the errors.
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text("utf-8"))
+    values = {f"tropical_kummer.exact.{name}" for name in ("Vec2", "Vec3", "Mat2")}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    assert [
+        name
+        for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and name not in values
+        and not name.startswith("tropical_kummer.errors.")
+    ] == []
+
+
+def test_reference_runs_without_the_fast_paths(monkeypatch):
+    # With the descent, the box walk, the cutoff rule and the series terms
+    # made to raise, every reference function still returns, called with the
+    # arguments its parameter names ask for.
+    def fast_path(*args):
+        raise AssertionError("the reference reached a fast path")
+
+    for module in (tropical_kummer, lattice, theta, nonarch, kummer, verify):
+        for name in ("descend", "_box_minimum", "theta_eval_bruteforce", "safe_cutoff"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fast_path)
+    monkeypatch.setattr(FormalThetaSeries, "support", property(fast_path))
+    square = [Vec3(0, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)]
+    x = Vec2(F(1, 3), F(-2, 7))
+    given = dict(x=x, y=x, s=x, v=x, yp=Vec2(1, 0) - x, reach=2, radius=2, cutoff=2)
+    given.update(ceiling=5, c=(1, 1), faces=[((0, 0, 1), 0, square)])
+    given["p"] = Vec3(F(1, 2), F(1, 3), 0)
+    public = [f for n, f in vars(reference).items() if isfunction(f) and n[0] != "_"]
+    for gram in ([[2, -1], [-1, 2]], [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]):
+        rel = [Vec2(*r) for r, _, _ in reference.surface_fields(gram)["descent"]]
+        given.update(gram=gram, rows=gram, r1=rel[0], r2=rel[1], vectors=rel)
+        for f in public:
+            f(*(given[name] for name in signature(f).parameters))
