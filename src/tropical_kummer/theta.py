@@ -7,10 +7,12 @@ the function value at x is
     with the shift  s = x + (j1*u + j2*v)/2.
 
 The minimum is found by the closest-vector descent on integer numerators:
-`_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and one `Fraction`
-is built for the value.  A brute-force oracle sharing only `_shift` with the
-descent is provided alongside: a box walk that prunes its own rows, so the
-box's size sets its work only where the box binds, and that certifies its
+`_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and `theta_step`
+returns the value's numerator over gram_den (2 den)^2 for any common
+denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
+oracle sharing only `_shift` with the descent is provided alongside: a box
+walk that prunes its own rows, so the box's size sets its work only where the
+box binds, and that certifies its
 minimum global on the same integers (`_certifies`, `safe_cutoff`'s test too).
 The walk also tropicalizes the truncated series: <c + 2a, G x> + Q(a) +
 Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both take the same minimum.
@@ -70,9 +72,9 @@ class ThetaValue(Value):
         return self
 
 
-def _shift(surface, char, x) -> tuple[int, int, int, int]:
-    """(s0, s1, d, q_x) with x + c/2 = (s0, s1) / d, Q(x) = q_x / (gram_den d^2)."""
-    t0, t1, den = numerators(x)
+def _shift(surface, char, t0, t1, den) -> tuple[int, int, int, int]:
+    """(s0, s1, d, q_x) with x + c/2 = (s0, s1) / d, Q(x) = q_x / (gram_den d^2),
+    for x = (t0, t1) / den."""
     cx, cy = char.vector(surface)
     q_x = 4 * form(surface.int_gram, (t0, t1), (t0, t1))
     return 2 * t0 + den * cx, 2 * t1 + den * cy, 2 * den, q_x
@@ -84,15 +86,31 @@ def _certifies(h: tuple[int, int, int], m: int, bound: int) -> bool:
     return m > 0 and (h[0] * h[2] - h[1] * h[1]) * m * m > bound * (h[0] + h[2])
 
 
+def theta_step(
+    surface: PrincipallyPolarizedSurface,
+    char: ThetaCharacteristic,
+    t0: int,
+    t1: int,
+    den: int,
+) -> tuple[int, tuple[int, int]]:
+    """(num, a): theta_char(t/den) = num / (gram_den (2 den)^2), attained at a.
+
+    num = h(n) - 4 h(t) with h(y) = y^T H y and n = descend(2t + den c, 2 den).
+    Any common denominator works: (k t, k den) gives k^2 num and the same a.
+    """
+    s0, s1, d, q_x = _shift(surface, char, t0, t1, den)
+    n = descend(surface, s0, s1, d)
+    # n - s is d times the lattice point that attains the minimum.
+    return form(surface.int_gram, n, n) - q_x, ((n[0] - s0) // d, (n[1] - s1) // d)
+
+
 def theta_eval(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, x: Vec2
 ) -> ThetaValue:
-    s0, s1, d, q_x = _shift(surface, char, x)
-    n = descend(surface, s0, s1, d)
-    value = Fraction(form(surface.int_gram, n, n) - q_x, surface.gram_den * d * d)
-    # n - s is d times the lattice point that attains the minimum.
-    a = (Fraction((n[0] - s0) // d), Fraction((n[1] - s1) // d))
-    return ThetaValue._of(value, Vec2._of(*a))
+    t0, t1, den = numerators(x)
+    num, (a0, a1) = theta_step(surface, char, t0, t1, den)
+    value = Fraction(num, 4 * surface.gram_den * den * den)
+    return ThetaValue._of(value, Vec2._of(Fraction(a0), Fraction(a1)))
 
 
 def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
@@ -117,7 +135,7 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
     box's least Q(a + s), best / (gram_den d^2), is certified global if
     `_certifies(H, m, best)`.
     """
-    s0, s1, d, q_x = _shift(surface, char, x)
+    s0, s1, d, q_x = _shift(surface, char, *numerators(x))
     h11, h12, h22 = surface.int_gram
     det, swap = h11 * h22 - h12 * h12, h22 > h11
     if swap:
@@ -156,7 +174,7 @@ def theta_eval_bruteforce(
         raise ValueError("radius must be nonnegative")
     value, (a1, a2), certified = _box_minimum(surface, char, x, radius)
     if not certified:
-        s0, s1, d, _ = _shift(surface, char, x)
+        s0, s1, d, _ = _shift(surface, char, *numerators(x))
         shift = (Fraction(s0, d), Fraction(s1, d))
         raise RadiusTooSmallError(
             f"radius {radius} cannot certify the minimum for shift {shift}"

@@ -21,10 +21,14 @@ surface class it needs (if any) and an optional setup.
   would otherwise recompute.  It is not memoized on the surface; every
   setup in `CHECKS` is cheap to rebuild: a series stores only its surface,
   characteristic and cutoff, and the translation row's table is three
-  half-periods and quarter norms read off the memoized reduced basis.
+  integer periods and their norms read off the surface.
 
 A case computes each of its own quantities once, such as a shifted point
-and its anomaly, however many characteristics it checks.
+and its anomaly, however many characteristics it checks.  The four theta
+identity rows (evenness, quasi-periodicity, translation, concavity) read
+each point's numerators once and compare integers over one common
+denominator per case, the numerators of `theta.theta_step`; their
+counterexamples are still rendered from the `Fraction` point.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report
@@ -36,13 +40,14 @@ traceback is kept on the result, outside the payload.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from fractions import Fraction
 
 from . import kummer, nonarch
 from .errors import InternalInconsistencyError
-from .exact import Mat2, Value, Vec2, is_unimodular
+from .exact import Mat2, Value, Vec2, form, is_unimodular, numerators
 from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
@@ -63,7 +68,7 @@ from .sampling import (
     random_unimodular,
     rng_for,
 )
-from .theta import CHARACTERISTICS, theta_eval, theta_eval_bruteforce
+from .theta import CHARACTERISTICS, theta_eval, theta_eval_bruteforce, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -311,50 +316,63 @@ def _theta_zero_on_cell(s, rng):
 
 def _theta_evenness(s, rng):
     x = random_point(rng, 4)
-    nx = -x
+    t0, t1, den = numerators(x)
     for char in CHARACTERISTICS:
-        if theta_eval(s, char, x).value != theta_eval(s, char, nx).value:
+        if theta_step(s, char, t0, t1, den)[0] != theta_step(s, char, -t0, -t1, den)[0]:
             return {"x": _vec(x), "char": str(char)}
 
 
 def _theta_quasi_periodicity(s, rng):
     x = random_point(rng, 3)
     up = random_integer_vector(rng, 3)
-    shifted, anomaly = x + up, 2 * s.q(x, up) + s.norm(up)
+    (t0, t1, den), (u0, u1, _) = numerators(x), numerators(up)
+    # Over gram_den (2 den)^2, x + up is (t + den up) / den and the anomaly
+    # 2 Q(x, up) + Q(up) is 4 (2 den t^T H up + den^2 up^T H up).
+    h, u = s.int_gram, (u0, u1)
+    anomaly = 4 * den * (2 * form(h, (t0, t1), u) + den * form(h, u, u))
     for char in CHARACTERISTICS:
-        lhs = theta_eval(s, char, shifted).value
-        if lhs != theta_eval(s, char, x).value - anomaly:
+        lhs = theta_step(s, char, t0 + den * u0, t1 + den * u1, den)[0]
+        if lhs != theta_step(s, char, t0, t1, den)[0] - anomaly:
             return {"x": _vec(x), "shift": _vec(up), "char": str(char)}
 
 
 def _translation_table(s):
-    """Setup: (char, vec, vec/2, Q(vec)/4) for 10, 01, 11 and vec = u, v, w."""
-    rb = lagrange_reduce(s)
+    """Setup: (char, vec, vec^T H vec) for 10, 01, 11 and vec = u, v, w."""
+    _, u, v, (sx, sy) = s.char_vectors  # the last is u + v = -w
     return [
-        (char, vec, HALF * vec, s.norm(vec) / 4)
-        for char, vec in zip(CHARACTERISTICS[1:], (rb.u, rb.v, rb.w))
+        (char, vec, form(s.int_gram, vec, vec))
+        for char, vec in zip(CHARACTERISTICS[1:], (u, v, (-sx, -sy)))
     ]
 
 
 def _theta_translation(s, rng, table):
     char00 = CHARACTERISTICS[0]
     x = random_point(rng, 3)
-    for char, vec, half, quarter in table:
-        lhs = theta_eval(s, char, x).value
-        q = s.q(x, vec)
-        plus = theta_eval(s, char00, x + half).value + q + quarter
-        minus = theta_eval(s, char00, x - half).value - q + quarter
-        if lhs != plus or lhs != minus:
+    t0, t1, den = numerators(x)
+    for char, (v0, v1), h_vec in table:
+        # theta_c(x) = theta_00(x +- vec/2) +- Q(x, vec) + Q(vec)/4 over
+        # gram_den (4 den)^2, with x +- vec/2 = (2t +- den vec) / (2 den).
+        lhs = 4 * theta_step(s, char, t0, t1, den)[0]
+        q = 16 * den * form(s.int_gram, (t0, t1), (v0, v1))
+        quarter = 4 * den * den * h_vec
+        e0, e1 = den * v0, den * v1
+        plus = theta_step(s, char00, 2 * t0 + e0, 2 * t1 + e1, 2 * den)[0] + q
+        minus = theta_step(s, char00, 2 * t0 - e0, 2 * t1 - e1, 2 * den)[0] - q
+        if lhs != plus + quarter or lhs != minus + quarter:
             return {"x": _vec(x), "char": str(char)}
 
 
 def _theta_concavity(s, rng):
     x, y = random_point(rng, 3), random_point(rng, 3)
-    mid = HALF * (x + y)
+    (a0, a1, dx), (b0, b1, dy) = numerators(x), numerators(y)
+    d = math.lcm(dx, dy)
+    a0, a1, b0, b1 = a0 * (d // dx), a1 * (d // dx), b0 * (d // dy), b1 * (d // dy)
     for char in CHARACTERISTICS:
-        lhs = theta_eval(s, char, mid).value
-        rhs = (theta_eval(s, char, x).value + theta_eval(s, char, y).value) / 2
-        if lhs < rhs:
+        # Over gram_den (4d)^2, theta(x) and theta(y) read 4 times their step
+        # numerators and theta((x + y)/2) = theta((a + b) / 2d) its own.
+        mid = theta_step(s, char, a0 + b0, a1 + b1, 2 * d)[0]
+        ends = theta_step(s, char, a0, a1, d)[0] + theta_step(s, char, b0, b1, d)[0]
+        if mid < 2 * ends:
             return {"x": _vec(x), "y": _vec(y)}
 
 

@@ -133,6 +133,19 @@ def _theta_value_off(mp, s):
     mp.setattr(verify, "theta_eval", off)
 
 
+def _step_drifting(mp, s):
+    # The four identity rows read `verify.theta_step`; each call's numerator is
+    # raised 10^9 more than the last, so no two calls agree and every
+    # midpoint falls below its chord.
+    exact, drift = verify.theta_step, itertools.count(0, 10**9)
+
+    def drifting(*args):
+        num, a = exact(*args)
+        return num + next(drift), a
+
+    mp.setattr(verify, "theta_step", drifting)
+
+
 def _datum(defect, gamma=None):
     def inject(mp, s):
         datum = verify.nonarch.TropicalDescentDatum
@@ -247,6 +260,22 @@ FAULTS = {
     "theta-zero-on-cell": (
         "theta-zero-on-cell", HEX, _theta_value_off,
         1, {"x0", "value"}, "'value': '1'",
+    ),
+    "theta-evenness": (
+        "theta-evenness", HEX, _step_drifting,
+        1, {"x", "char"}, "'char': '00'",
+    ),
+    "theta-quasi-periodicity": (
+        "theta-quasi-periodicity", HEX, _step_drifting,
+        1, {"x", "shift", "char"}, "'char': '00'",
+    ),
+    "theta-translation-identities": (
+        "theta-translation-identities", HEX, _step_drifting,
+        1, {"x", "char"}, "'char': '10'",
+    ),
+    "theta-concavity": (
+        "theta-concavity", HEX, _step_drifting,
+        1, {"x", "y"}, "",
     ),
     "theta-minimizer-attained": (
         "theta-minimizer-attained", HEX, _theta_value_off,

@@ -159,3 +159,17 @@ def test_reference_runs_without_the_fast_paths(monkeypatch):
         given.update(gram=gram, rows=gram, r1=rel[0], r2=rel[1], vectors=rel)
         for f in public:
             f(*(given[name] for name in signature(f).parameters))
+
+
+def test_verify_does_not_descend():
+    # `verify` evaluates theta through `theta.theta_step` and `theta_eval`: the
+    # shift, descent and value formula is stated once, in `theta`.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "theta_step" in names
+    assert "descend" not in names

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import cut_descent
 
 from tropical_kummer import (
     ProductTypeError,
@@ -9,13 +10,21 @@ from tropical_kummer import (
     ThetaCharacteristic,
     Vec2,
     lagrange_reduce,
+    make_surface,
     theta_constants,
     theta_eval,
     theta_eval_bruteforce,
+    verify,
 )
-from tropical_kummer.exact import form
-from tropical_kummer.sampling import random_irreducible_surface, rng_for
-from tropical_kummer.theta import _certifies
+from tropical_kummer.exact import form, numerators
+from tropical_kummer.lattice import HALF
+from tropical_kummer.sampling import (
+    random_integer_vector,
+    random_irreducible_surface,
+    random_point,
+    rng_for,
+)
+from tropical_kummer.theta import CHARACTERISTICS, _certifies, theta_step
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -149,3 +158,112 @@ def test_concavity(row_passes, hexagonal):
 def test_oracle_equivalence_on_random_surfaces(row_passes, hexagonal):
     # The hexagon and 15 random surfaces, 10 points each.
     row_passes("theta-bruteforce-oracle", hexagonal, samples=160, seed=29)
+
+
+# The Fraction statement of each identity that `verify`'s four theta rows
+# check on integer numerators: a row and its statement draw the same case
+# from the same rng and must return the same thing (None or the same dict).
+def _vec(v):
+    return [str(c) for c in v.as_tuple()]
+
+
+def _evenness(s, rng):
+    x = random_point(rng, 4)
+    for char in CHARACTERISTICS:
+        if theta_eval(s, char, x).value != theta_eval(s, char, -x).value:
+            return {"x": _vec(x), "char": str(char)}
+
+
+def _quasi_periodicity(s, rng):
+    x = random_point(rng, 3)
+    up = random_integer_vector(rng, 3)
+    anomaly = 2 * s.q(x, up) + s.norm(up)
+    for char in CHARACTERISTICS:
+        lhs = theta_eval(s, char, x + up).value
+        if lhs != theta_eval(s, char, x).value - anomaly:
+            return {"x": _vec(x), "shift": _vec(up), "char": str(char)}
+
+
+def _translation(s, rng):
+    # theta_c(x) = theta_00(x +- vec/2) +- Q(x, vec) + Q(vec)/4 for
+    # c, vec = 10, u; 01, v; 11, w.
+    rb = lagrange_reduce(s)
+    x = random_point(rng, 3)
+    for char, vec in zip(CHARACTERISTICS[1:], (rb.u, rb.v, rb.w)):
+        lhs = theta_eval(s, char, x).value
+        q, quarter = s.q(x, vec), s.norm(vec) / 4
+        plus = theta_eval(s, CHARACTERISTICS[0], x + HALF * vec).value + q + quarter
+        minus = theta_eval(s, CHARACTERISTICS[0], x - HALF * vec).value - q + quarter
+        if lhs != plus or lhs != minus:
+            return {"x": _vec(x), "char": str(char)}
+
+
+def _concavity(s, rng):
+    x, y = random_point(rng, 3), random_point(rng, 3)
+    for char in CHARACTERISTICS:
+        lhs = theta_eval(s, char, HALF * (x + y)).value
+        rhs = (theta_eval(s, char, x).value + theta_eval(s, char, y).value) / 2
+        if lhs < rhs:
+            return {"x": _vec(x), "y": _vec(y)}
+
+
+FRACTION_STATEMENTS = {
+    "theta-evenness": _evenness,
+    "theta-quasi-periodicity": _quasi_periodicity,
+    "theta-translation-identities": _translation,
+    "theta-concavity": _concavity,
+}
+
+SKEW = make_surface([[2, -1], [-1, 3]])
+TWIN_SURFACES = {
+    "hexagonal": make_surface([[2, -1], [-1, 2]]),
+    "skew": SKEW,
+    "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+    "hidden-product": make_surface([[5, 3], [3, 2]]),
+    "skew-descent-cut": cut_descent(SKEW),  # some cases fail: dicts compared
+}
+
+
+@pytest.mark.parametrize("name", FRACTION_STATEMENTS)
+def test_integer_rows_match_their_fraction_statement(name):
+    statement = FRACTION_STATEMENTS[name]
+    (check,) = [c for c in verify.CHECKS if c.name == name]
+    returned = set()
+    for s in TWIN_SURFACES.values():
+        extra = () if check.setup is None else (check.setup(s),)
+        for seed, k in product((7, 8), range(50)):
+            want = statement(s, rng_for(seed, check.key, k))
+            got = check.fn(s, rng_for(seed, check.key, k), *extra)
+            assert got == want, (s.gram.describe(), seed, k)
+            returned.add(got is None)
+    assert returned == {True, False}  # both the holding and the failing returns
+
+
+def test_theta_step_is_theta_eval_over_any_common_denominator():
+    # num / (gram_den (2 den)^2) is theta_eval's value and a its minimizer, for
+    # every characteristic; (k t, k den) gives k^2 num and the same a.
+    g = 10**6
+    grams = [
+        [[2, -1], [-1, 2]],
+        [[2, -1], [-1, 3]],
+        [[5, 3], [3, 2]],
+        [[1, 0], [0, 1]],
+        [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]],
+        [[F(7, 3), F(5, 4)], [F(5, 4), F(9, 5)]],
+        [[g, 1 - g], [1 - g, g]],
+        [[g, 3 * g - 1], [3 * g - 1, 9 * g - 5]],
+    ]
+    for i, gram in enumerate(grams):
+        s = make_surface(gram)
+        for j in range(25):
+            rng = rng_for(28, i, j)
+            x = random_point(rng, 5)
+            t0, t1, den = numerators(x)
+            k = rng.randint(2, 7)
+            for char in CHARACTERISTICS:
+                tv = theta_eval(s, char, x)
+                num, a = theta_step(s, char, t0, t1, den)
+                assert F(num, s.gram_den * (2 * den) ** 2) == tv.value, (gram, x, char)
+                assert Vec2(*a) == tv.minimizer
+                scaled = theta_step(s, char, k * t0, k * t1, k * den)
+                assert scaled == (k * k * num, a), (gram, x, char, k)
