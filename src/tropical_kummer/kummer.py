@@ -45,7 +45,7 @@ from .theta import (
     CHARACTERISTICS,
     ThetaCharacteristic,
     theta_constants,
-    theta_eval,
+    theta_step,
 )
 
 # The Klein four-group inside S4, as involutive index permutations.
@@ -110,26 +110,36 @@ class Distinct(Value):
 Verdict = EquivalentPlus | EquivalentMinus | Distinct
 
 
-def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
-    """The chart triple of theta differences at x.
+def psi_step(
+    surface: PrincipallyPolarizedSurface, t0: int, t1: int, den: int
+) -> tuple[int, int, int]:
+    """psi(t/den)'s three numerators over gram_den (2 den)^2.
 
     Differences of second-order theta values are invariant under integer
-    translation (the quasi-periodicity anomaly cancels), so x is reduced
-    into the Voronoi cell first, once.  With x0 = t/den, theta_c(x0) is
+    translation (the quasi-periodicity anomaly cancels), so t/den is reduced
+    into the Voronoi cell first, once.  With t/den in the cell, theta_c is
     (h(n_c) - 4 h(t)) / (gram_den * (2*den)^2), where n_c is the descent of
     2*t + den*c and h(y) = y^T H y; the h(t) terms cancel in the differences.
     Characteristic 00 needs no descent: from 2t over 2 den, `descend` tests the
     inequalities that stopped it at t over den, so n_00 = 2t, h(n_00) = 4 h(t).
+    As `descend` scales, (k t, k den) gives k^2 times each numerator.
     """
-    t0, t1, den = numerators(x)
     t0, t1 = descend(surface, t0, t1, den)
     h, den2 = surface.int_gram, 2 * den
-    h00, scale = 4 * form(h, (t0, t1), (t0, t1)), surface.gram_den * den2 * den2
-    diffs = []
+    h00 = 4 * form(h, (t0, t1), (t0, t1))
+    nums = []
     for cx, cy in surface.char_vectors[1:]:  # 10, 01, 11
         n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, den2)
-        diffs.append(Fraction(form(h, n, n) - h00, scale))
-    return Vec3._of(*diffs)
+        nums.append(form(h, n, n) - h00)
+    return tuple(nums)
+
+
+def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
+    """The chart triple of theta differences at x: `psi_step` in Fractions."""
+    t0, t1, den = numerators(x)
+    n10, n01, n11 = psi_step(surface, t0, t1, den)
+    scale = 4 * surface.gram_den * den * den
+    return Vec3._of(Fraction(n10, scale), Fraction(n01, scale), Fraction(n11, scale))
 
 
 def g_action(
@@ -286,32 +296,38 @@ def injectivity_check(
     yp -+ y is integral only when yp and y have the same denominators
     (b, d), and then exactly when b and d divide the numerators' differences
     (sums).  Plus wins when both hold, at 2-torsion points.  The verdict and
-    the equality of all four theta differences are computed independently; a
-    mismatch between the two would falsify the injectivity criterion and
-    raises InternalInconsistencyError.
+    the equality of psi's three theta differences are computed independently;
+    a mismatch between the two would falsify the injectivity criterion and
+    raises InternalInconsistencyError.  The images are compared as `psi_step`
+    numerators, n / (gram_den (2 dy)^2) = n' / (gram_den (2 dyp)^2) exactly
+    when n dyp^2 = n' dy^2.
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("the injectivity criterion needs a hexagonal cell")
-    image_y = psi_eval(surface, y)
-    image_yp = psi_eval(surface, yp)
+    t0, t1, dy = numerators(y)
+    s0, s1, dyp = numerators(yp)
+    dy2, dyp2 = dy * dy, dyp * dyp
+    image_y, image_yp = psi_step(surface, t0, t1, dy), psi_step(surface, s0, s1, dyp)
+    same = [n * dyp2 == m * dy2 for n, m in zip(image_y, image_yp)]
     (a, b), (c, d) = y.x.as_integer_ratio(), y.y.as_integer_ratio()
     (e, f), (g, k) = yp.x.as_integer_ratio(), yp.y.as_integer_ratio()
     if b == f and d == k:
         for verdict, sign in ((EquivalentPlus, -1), (EquivalentMinus, 1)):
             p0, p1 = e + sign * a, g + sign * c  # the numerators of yp -+ y
             if p0 % b == 0 and p1 % d == 0:
-                if image_y != image_yp:
+                if not all(same):
                     raise InternalInconsistencyError(
                         f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
                         "have distinct images"
                     )
                 return verdict._of(Vec2._of(Fraction(p0 // b), Fraction(p1 // d)))
-    for char, a, b in zip(CHARACTERISTICS[1:], image_y.as_tuple(), image_yp.as_tuple()):
-        if a != b:
+    for char, equal in zip(CHARACTERISTICS[1:], same):
+        if not equal:
             return Distinct(char)
+    image = tuple(Fraction(n, 4 * surface.gram_den * dy2) for n in image_y)
     raise InternalInconsistencyError(
         f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
-        f"the image {image_y.as_tuple()}"
+        f"the image {image}"
     )
 
 
@@ -321,7 +337,7 @@ def affine_pieces(
 ) -> tuple[AffinePiece, ...]:
     """Read the embedding off the theta minimizers on every subdivision cell.
 
-    At the cell centroid, `theta_eval` gives for each characteristic c a
+    At the cell centroid, `theta_step` gives for each characteristic c a
     lattice minimizer a_c.  With the integer vector s_c = 2 a_c + c,
     theta_c(x) = Q(x + s_c/2) - Q(x), so on the cell
 
@@ -329,40 +345,37 @@ def affine_pieces(
                  = (s_c - s_00) . G x + (h(s_c) - h(s_00)) / (4 gram_den),
 
     where h(s) = s^T H s.  The linear part in dual coordinates G x is the
-    integer row s_c - s_00.  Each piece is checked against `psi_eval` at the
+    integer row s_c - s_00.  Each piece is checked against `psi_step` at the
     centroid, at (centroid + v)/2 for the first three vertices v, and at
     every vertex.  At x = t/den the piece is
     (4 (s_c - s_00)^T H t + den (h(s_c) - h(s_00))) / (4 gram_den den), and
-    each `psi_eval` coordinate is compared with it by cross-multiplying
-    integers.  The centroid and the midpoints are one numerator mean,
-    `exact.mean`, of the vertices' `numerators` triples; only the centroid
-    becomes a `Vec2`, for `theta_eval`.  `psi_eval` runs once per distinct
+    `psi_step`'s numerator over gram_den (2 den)^2 must be den times its
+    numerator: integers, with no `Vec2` or `Fraction` per point.  The
+    centroid and the midpoints are one numerator mean, `exact.mean`, of the
+    vertices' `numerators` triples.  `psi_step` runs once per distinct
     point: the cells share their vertices, so the 132 checks read 91
     evaluations, kept for this call only.
     """
     cells = subdivide(surface)  # raises ProductTypeError on rectangles
     h, den4 = surface.int_gram, 4 * surface.gram_den
-    images = {}  # numerators(p) -> psi(p) as integer ratios
+    images = {}  # numerators(p) -> psi_step at p
     pieces = []
     for cell in cells:
         ts = [numerators(p) for p in cell.vertices]
         mid = mean(ts)
-        c = Vec2._of(Fraction(mid[0], mid[2]), Fraction(mid[1], mid[2]))
         shifts = []
         for char, (cx, cy) in zip(CHARACTERISTICS, surface.char_vectors):
-            a = theta_eval(surface, char, c).minimizer
-            shifts.append((2 * int(a.x) + cx, 2 * int(a.y) + cy))
+            a0, a1 = theta_step(surface, char, *mid)[1]
+            shifts.append((2 * a0 + cx, 2 * a1 + cy))
         s0 = shifts[0]
         rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
         gaps = [form(h, s, s) - form(h, s0, s0) for s in shifts[1:]]
         for key in (mid, *[mean((mid, t)) for t in ts[:3]], *ts):
             t0, t1, den = key
             if key not in images:
-                x = Vec2._of(Fraction(t0, den), Fraction(t1, den))
-                image = psi_eval(surface, x).as_tuple()
-                images[key] = [q.as_integer_ratio() for q in image]
-            for r, gap, (qn, qd) in zip(rows, gaps, images[key]):
-                if (4 * form(h, r, (t0, t1)) + den * gap) * qd != qn * den4 * den:
+                images[key] = psi_step(surface, t0, t1, den)
+            for r, gap, num in zip(rows, gaps, images[key]):
+                if num != den * (4 * form(h, r, (t0, t1)) + den * gap):
                     raise NotAffineOnCellError(f"cell {cell.label} is not affine")
         pieces.append(
             AffinePiece(

@@ -12,12 +12,15 @@ A series is its surface, characteristic and cutoff N, nothing more: its
 terms are closed forms in the surface's integer Gram, so `build_series` is
 O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
 <c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
-Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta._box_minimum`,
+Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta.box_step`,
 the row walk that certifies its own minimum for `theta_eval_bruteforce`.  It
 prunes its rows, so its work is O(N) only where the box binds, and its memory
-O(1).  `support` lists the terms one by one, only when read.  `safe_cutoff`
-is the one box radius rule, a closed form on the integer Gram; `verify`'s
-brute-force oracle takes its boxes from it too.
+O(1).  `tropicalize_step` returns that value's numerator over
+gram_den (2 den)^2 at v = t/den, as `theta.theta_step` does, and
+`tropicalize_series` builds one `Fraction` from it.  `support` lists the
+terms one by one, only when read.  `safe_cutoff` is the one box radius rule,
+a closed form on the integer Gram; `verify`'s brute-force oracle takes its
+boxes from it too.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -28,9 +31,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Mat2, Value, Vec2, form, gram_eval, to_fraction
+from .exact import Mat2, Value, Vec2, form, gram_eval, numerators, to_fraction
 from .lattice import PrincipallyPolarizedSurface
-from .theta import ThetaCharacteristic, _box_minimum, _certifies
+from .theta import ThetaCharacteristic, _certifies, box_step
 
 
 class TropicalDescentDatum(Value):
@@ -130,13 +133,21 @@ def build_series(
     return FormalThetaSeries(surface, char, cutoff)
 
 
-def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
-    """constant_shift + min over the support of (<exponent, v> + valuation).
+def tropicalize_step(series: FormalThetaSeries, t0: int, t1: int, den: int) -> int:
+    """The tropicalization at v = t/den times gram_den (2 den)^2, an integer.
 
     <c + 2a, G v> + Q(a) + Q(c, a) + Q(c)/4 = Q(v + c/2 + a) - Q(v), so this
-    is the value of the `theta._box_minimum` walk over the cutoff box.
+    is the numerator of the `theta.box_step` walk over the cutoff box; like
+    `theta.theta_step`'s, it works over any common denominator.
     """
-    return _box_minimum(series.surface, series.char, v, series.cutoff)[0]
+    return box_step(series.surface, series.char, t0, t1, den, series.cutoff)[0]
+
+
+def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
+    """constant_shift + min over the support of (<exponent, v> + valuation)."""
+    t0, t1, den = numerators(v)
+    num = tropicalize_step(series, t0, t1, den)
+    return Fraction(num, 4 * series.surface.gram_den * den * den)
 
 
 def safe_cutoff(

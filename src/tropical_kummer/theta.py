@@ -10,12 +10,16 @@ The minimum is found by the closest-vector descent on integer numerators:
 `_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and `theta_step`
 returns the value's numerator over gram_den (2 den)^2 for any common
 denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
-oracle sharing only `_shift` with the descent is provided alongside: a box
-walk that prunes its own rows, so the box's size sets its work only where the
-box binds, and that certifies its
-minimum global on the same integers (`_certifies`, `safe_cutoff`'s test too).
-The walk also tropicalizes the truncated series: <c + 2a, G x> + Q(a) +
-Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both take the same minimum.
+oracle sharing only `_shift` with the descent is provided alongside:
+`box_step`, a box walk that prunes its own rows, so the box's size sets its
+work only where the box binds, and that says whether its minimum is certified
+global on the same integers (`_certifies`, `safe_cutoff`'s test too).  It
+returns its numerator over the same denominator as `theta_step`.
+`bruteforce_step` is the walk that raises RadiusTooSmallError unless
+certified, and `theta_eval_bruteforce` its `Fraction` wrapping.  The walk also
+tropicalizes the truncated series (`nonarch.tropicalize_step`): <c + 2a, G x>
++ Q(a) + Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both take the same
+minimum.
 """
 
 from __future__ import annotations
@@ -113,8 +117,17 @@ def theta_eval(
     return ThetaValue._of(value, Vec2._of(Fraction(a0), Fraction(a1)))
 
 
-def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], bool]:
-    """min of Q(a + s) - Q(x) over |a_i| <= radius, a first minimizer, certified.
+def box_step(
+    surface: PrincipallyPolarizedSurface,
+    char: ThetaCharacteristic,
+    t0: int,
+    t1: int,
+    den: int,
+    radius: int,
+) -> tuple[int, tuple[int, int], bool]:
+    """(num, a, certified): min of Q(a + s) - Q(x) over |a_i| <= radius is
+    num / (gram_den (2 den)^2) at x = t/den, as in `theta_step`; a is its first
+    minimizer, and certified says no a outside the box comes lower.
 
     On the integer numerators of `_shift`, s = (s0, s1) / d and y = d (a + s),
     rows run along the stiffer axis (the axes swap when h22 > h11; below, a1
@@ -135,7 +148,7 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
     box's least Q(a + s), best / (gram_den d^2), is certified global if
     `_certifies(H, m, best)`.
     """
-    s0, s1, d, q_x = _shift(surface, char, *numerators(x))
+    s0, s1, d, q_x = _shift(surface, char, t0, t1, den)
     h11, h12, h22 = surface.int_gram
     det, swap = h11 * h22 - h12 * h12, h22 > h11
     if swap:
@@ -157,8 +170,30 @@ def _box_minimum(surface, char, x, radius) -> tuple[Fraction, tuple[int, int], b
         if num < best or num == best and at < best_a:
             best, best_a = num, at
     m = d * (radius + 1) - max(abs(s0), abs(s1))
-    certified = _certifies(surface.int_gram, m, best)
-    return Fraction(best - q_x, surface.gram_den * d * d), best_a, certified
+    return best - q_x, best_a, _certifies(surface.int_gram, m, best)
+
+
+def bruteforce_step(
+    surface: PrincipallyPolarizedSurface,
+    char: ThetaCharacteristic,
+    t0: int,
+    t1: int,
+    den: int,
+    radius: int,
+) -> tuple[int, tuple[int, int]]:
+    """`box_step`'s (num, a); RadiusTooSmallError unless it is certified."""
+    if not isinstance(radius, int) or isinstance(radius, bool):
+        raise ValueError(f"radius must be an int, got {radius!r}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    num, a, certified = box_step(surface, char, t0, t1, den, radius)
+    if not certified:
+        s0, s1, d, _ = _shift(surface, char, t0, t1, den)
+        shift = (Fraction(s0, d), Fraction(s1, d))
+        raise RadiusTooSmallError(
+            f"radius {radius} cannot certify the minimum for shift {shift}"
+        )
+    return num, a
 
 
 def theta_eval_bruteforce(
@@ -167,19 +202,11 @@ def theta_eval_bruteforce(
     x: Vec2,
     radius: int,
 ) -> ThetaValue:
-    """The `_box_minimum` walk; RadiusTooSmallError unless it is certified."""
-    if not isinstance(radius, int) or isinstance(radius, bool):
-        raise ValueError(f"radius must be an int, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    value, (a1, a2), certified = _box_minimum(surface, char, x, radius)
-    if not certified:
-        s0, s1, d, _ = _shift(surface, char, *numerators(x))
-        shift = (Fraction(s0, d), Fraction(s1, d))
-        raise RadiusTooSmallError(
-            f"radius {radius} cannot certify the minimum for shift {shift}"
-        )
-    return ThetaValue._of(value, Vec2._of(Fraction(a1), Fraction(a2)))
+    """`bruteforce_step` at x, with its `Fraction` value and minimizer."""
+    t0, t1, den = numerators(x)
+    num, (a0, a1) = bruteforce_step(surface, char, t0, t1, den, radius)
+    value = Fraction(num, 4 * surface.gram_den * den * den)
+    return ThetaValue._of(value, Vec2._of(Fraction(a0), Fraction(a1)))
 
 
 def theta_constants(

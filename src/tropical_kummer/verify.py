@@ -24,11 +24,16 @@ surface class it needs (if any) and an optional setup.
   integer periods and their norms read off the surface.
 
 A case computes each of its own quantities once, such as a shifted point
-and its anomaly, however many characteristics it checks.  The four theta
-identity rows (evenness, quasi-periodicity, translation, concavity) read
-each point's numerators once and compare integers over one common
-denominator per case, the numerators of `theta.theta_step`; their
-counterexamples are still rendered from the `Fraction` point.
+and its anomaly, however many characteristics it checks.  The theta,
+oracle and series rows read each point's numerators once and compare
+integers over one common denominator per case: the numerators over
+gram_den (2 den)^2 of `theta.theta_step`, of `theta.bruteforce_step` (the
+certified box) and of `nonarch.tropicalize_step`.  They build a `Fraction`
+only to render a counterexample.  `kummer.injectivity_check` and
+`kummer.affine_pieces` compare `kummer.psi_step` numerators the same way.
+`cvp-descent-oracle` still calls `reduce_point` and checks its
+decomposition, and `quartic-coverage`, `psi-product-collapse` and
+`reduce-idempotence` keep their public calls.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report
@@ -68,7 +73,7 @@ from .sampling import (
     random_unimodular,
     rng_for,
 )
-from .theta import CHARACTERISTICS, theta_eval, theta_eval_bruteforce, theta_step
+from .theta import CHARACTERISTICS, bruteforce_step, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -186,6 +191,11 @@ def _rows(m: Mat2) -> list[list[str]]:
     return [[str(e) for e in row] for row in m.rows()]
 
 
+def _value(s, num: int, den: int) -> str:
+    """A numerator over gram_den (2 den)^2, as `theta_step` returns, shown."""
+    return str(Fraction(num, 4 * s.gram_den * den * den))
+
+
 def _gram_symmetry(s, rng):
     x, y = random_point(rng, 5), random_point(rng, 5)
     if s.q(x, y) != s.q(y, x):
@@ -293,9 +303,15 @@ def _cvp_oracle(s, rng):
     x0, p = reduce_point(s, x)
     if x0 + p != x or not p.is_integral():
         return {"x": _vec(x), "problem": "bad decomposition"}
-    expected = _oracle_theta(s, CHARACTERISTICS[0], x) + s.norm(x)
-    if s.norm(x0) != expected:
-        return {"x": _vec(x), "descent": str(s.norm(x0)), "oracle": str(expected)}
+    # Over gram_den (2 den)^2, Q(x0) = Q((t - den p) / den) is 4 h(t - den p),
+    # and the oracle's theta_00(x) + Q(x) is its numerator plus 4 h(t).
+    t0, t1, den = numerators(x)
+    r, h = (t0 - den * p.x.numerator, t1 - den * p.y.numerator), s.int_gram
+    expected = _oracle_step(s, CHARACTERISTICS[0], t0, t1, den)
+    expected += 4 * form(h, (t0, t1), (t0, t1))
+    if 4 * form(h, r, r) != expected:
+        oracle = _value(s, expected, den)
+        return {"x": _vec(x), "descent": str(s.norm(x0)), "oracle": oracle}
 
 
 def _reduce_idempotence(s, rng):
@@ -309,9 +325,10 @@ def _reduce_idempotence(s, rng):
 
 def _theta_zero_on_cell(s, rng):
     x0, _ = reduce_point(s, random_point(rng, 5))
-    val = theta_eval(s, CHARACTERISTICS[0], x0).value
-    if val != 0:
-        return {"x0": _vec(x0), "value": str(val)}
+    t0, t1, den = numerators(x0)
+    num = theta_step(s, CHARACTERISTICS[0], t0, t1, den)[0]
+    if num != 0:
+        return {"x0": _vec(x0), "value": _value(s, num, den)}
 
 
 def _theta_evenness(s, rng):
@@ -322,17 +339,23 @@ def _theta_evenness(s, rng):
             return {"x": _vec(x), "char": str(char)}
 
 
+def _period_shift(s, x, up):
+    """(t, t + den up, den, anomaly) for x = t/den and an integer vector up:
+    x + up is (t + den up) / den, and over gram_den (2 den)^2 the anomaly
+    2 Q(x, up) + Q(up) is 4 (2 den t^T H up + den^2 up^T H up)."""
+    (t0, t1, den), (u0, u1, _) = numerators(x), numerators(up)
+    h, u = s.int_gram, (u0, u1)
+    anomaly = 4 * den * (2 * form(h, (t0, t1), u) + den * form(h, u, u))
+    return (t0, t1), (t0 + den * u0, t1 + den * u1), den, anomaly
+
+
 def _theta_quasi_periodicity(s, rng):
     x = random_point(rng, 3)
     up = random_integer_vector(rng, 3)
-    (t0, t1, den), (u0, u1, _) = numerators(x), numerators(up)
-    # Over gram_den (2 den)^2, x + up is (t + den up) / den and the anomaly
-    # 2 Q(x, up) + Q(up) is 4 (2 den t^T H up + den^2 up^T H up).
-    h, u = s.int_gram, (u0, u1)
-    anomaly = 4 * den * (2 * form(h, (t0, t1), u) + den * form(h, u, u))
+    t, shifted, den, anomaly = _period_shift(s, x, up)
     for char in CHARACTERISTICS:
-        lhs = theta_step(s, char, t0 + den * u0, t1 + den * u1, den)[0]
-        if lhs != theta_step(s, char, t0, t1, den)[0] - anomaly:
+        lhs = theta_step(s, char, *shifted, den)[0]
+        if lhs != theta_step(s, char, *t, den)[0] - anomaly:
             return {"x": _vec(x), "shift": _vec(up), "char": str(char)}
 
 
@@ -376,14 +399,15 @@ def _theta_concavity(s, rng):
             return {"x": _vec(x), "y": _vec(y)}
 
 
-def _oracle_theta(surface, char, x) -> Fraction:
-    """Theta by the certified box of `theta_eval_bruteforce`, not the descent.
+def _oracle_step(surface, char, t0, t1, den) -> int:
+    """Theta's numerator at t/den by the certified box of `bruteforce_step`, not
+    the descent; over gram_den (2 den)^2, as `theta_step`'s.
 
     The box is the series' `nonarch.safe_cutoff` for |x|_inf: it holds a = 0
     and no a outside it comes below Q(x + c/2), so one box is certified.
     """
-    cutoff = nonarch.safe_cutoff(surface, char, x.sup_norm())
-    return theta_eval_bruteforce(surface, char, x, cutoff).value
+    cutoff = nonarch.safe_cutoff(surface, char, Fraction(max(abs(t0), abs(t1)), den))
+    return bruteforce_step(surface, char, t0, t1, den, cutoff)[0]
 
 
 def _theta_oracle(s, seed, samples):
@@ -396,15 +420,16 @@ def _theta_oracle(s, seed, samples):
             x = random_point(rng, 2)
             char = CHARACTERISTICS[rng.randrange(4)]
             cases += 1
-            fast = theta_eval(surface, char, x).value
-            slow = _oracle_theta(surface, char, x)
+            t0, t1, den = numerators(x)
+            fast = theta_step(surface, char, t0, t1, den)[0]
+            slow = _oracle_step(surface, char, t0, t1, den)
             if fast != slow:
                 counterexample = {
                     "gram": _rows(surface.gram),
                     "x": _vec(x),
                     "char": str(char),
-                    "fast": str(fast),
-                    "oracle": str(slow),
+                    "fast": _value(surface, fast, den),
+                    "oracle": _value(surface, slow, den),
                 }
                 return FAIL, cases, counterexample, None
     return PASS, cases, None, None
@@ -413,10 +438,13 @@ def _theta_oracle(s, seed, samples):
 def _theta_minimizer(s, rng):
     x = random_point(rng, 4)
     char = CHARACTERISTICS[rng.randrange(4)]
-    tv = theta_eval(s, char, x)
-    shift = x + HALF * Vec2(*char.vector(s))
-    attained = s.norm(tv.minimizer + shift) - s.norm(x)
-    if attained != tv.value or not tv.minimizer.is_integral():
+    t0, t1, den = numerators(x)
+    num, (a0, a1) = theta_step(s, char, t0, t1, den)
+    # Over gram_den (2 den)^2, Q(a + x + c/2) - Q(x) is h(2 den a + 2t + den c)
+    # - 4 h(t): the value at the minimizer a.
+    (cx, cy), h = char.vector(s), s.int_gram
+    y = (2 * (den * a0 + t0) + den * cx, 2 * (den * a1 + t1) + den * cy)
+    if form(h, y, y) - 4 * form(h, (t0, t1), (t0, t1)) != num:
         return {"x": _vec(x), "char": str(char)}
 
 
@@ -446,25 +474,26 @@ def _series_tables(bound: Fraction) -> Callable:
 
 def _series_lift(s, rng, tables):
     v = random_point(rng, 2)
+    t0, t1, den = numerators(v)
     for char, series in zip(CHARACTERISTICS, tables):
-        got = nonarch.tropicalize_series(series, v)
-        want = theta_eval(s, char, v).value
+        got = nonarch.tropicalize_step(series, t0, t1, den)
+        want = theta_step(s, char, t0, t1, den)[0]
         if got != want:
             return {
                 "v": _vec(v),
                 "char": str(char),
-                "series": str(got),
-                "theta": str(want),
+                "series": _value(s, got, den),
+                "theta": _value(s, want, den),
             }
 
 
 def _series_quasi_periodicity(s, rng, tables):
     v = random_point(rng, 2)
     up = random_integer_vector(rng, 2)
-    shifted, anomaly = v + up, 2 * s.q(v, up) + s.norm(up)
+    t, shifted, den, anomaly = _period_shift(s, v, up)
     for series in tables:
-        lhs = nonarch.tropicalize_series(series, shifted)
-        if lhs != nonarch.tropicalize_series(series, v) - anomaly:
+        lhs = nonarch.tropicalize_step(series, *shifted, den)
+        if lhs != nonarch.tropicalize_step(series, *t, den) - anomaly:
             return {"v": _vec(v), "shift": _vec(up)}
 
 
@@ -480,8 +509,9 @@ def _cutoff_ladders(s):
 
 def _cutoff_stability(s, rng, ladders):
     v = random_point(rng, 2)
+    t0, t1, den = numerators(v)  # each value over gram_den (2 den)^2
     for char, ladder in zip(CHARACTERISTICS, ladders):
-        values = [nonarch.tropicalize_series(series, v) for series in ladder]
+        values = [nonarch.tropicalize_step(series, t0, t1, den) for series in ladder]
         if values[1] > values[0] or values[2] > values[1]:
             return {"v": _vec(v), "char": str(char)}
         if values[2] != values[1]:

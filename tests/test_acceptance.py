@@ -29,7 +29,6 @@ from tropical_kummer import (
     safe_cutoff,
     theta_constants,
     theta_eval,
-    theta_eval_bruteforce,
     tropicalize_series,
     vertex_sign_diagnostics,
 )
@@ -41,6 +40,7 @@ from tropical_kummer.sampling import (
     random_surface,
     rng_for,
 )
+from tropical_kummer.theta import theta_eval_bruteforce
 
 F = Fraction
 CH = ThetaCharacteristic

@@ -26,12 +26,13 @@ from tropical_kummer import (
     reduce_point,
     safe_cutoff,
     theta_eval,
-    theta_eval_bruteforce,
     tropicalize_series,
     verify,
     voronoi_cell,
 )
+from tropical_kummer.exact import numerators
 from tropical_kummer.sampling import random_integer_vector, rng_for
+from tropical_kummer.theta import bruteforce_step, theta_eval_bruteforce
 
 F = Fraction
 
@@ -196,11 +197,11 @@ ORACLE_GRAMS = (
 def test_verify_oracle_enumerates_one_box(monkeypatch):
     radii = []
 
-    def recorded(surface, char, x, radius):
+    def recorded(surface, char, t0, t1, den, radius):
         radii.append(radius)
-        return theta_eval_bruteforce(surface, char, x, radius)
+        return bruteforce_step(surface, char, t0, t1, den, radius)
 
-    monkeypatch.setattr(verify, "theta_eval_bruteforce", recorded)
+    monkeypatch.setattr(verify, "bruteforce_step", recorded)
     for i, gram in enumerate(ORACLE_GRAMS):
         surface = make_surface(gram)
         # (1/3, 2/7) took 15 growing boxes on diag(1, 10^4) under char 00.
@@ -208,10 +209,12 @@ def test_verify_oracle_enumerates_one_box(monkeypatch):
             i, count=8, bound=3
         )
         for x in points:
+            t0, t1, den = numerators(x)
             for char in CHARACTERISTICS:
                 radii.clear()
-                value = verify._oracle_theta(surface, char, x)
+                num = verify._oracle_step(surface, char, t0, t1, den)
                 assert len(radii) == 1, (gram, x, char, radii)
+                value = F(num, surface.gram_den * (2 * den) ** 2)
                 s = x + F(1, 2) * Vec2(*char.vector(surface))
                 least, _ = reference.certified_minimum(gram, s)
                 assert value == least - reference.q(gram, x, x), (gram, x, char)

@@ -40,7 +40,7 @@ from tropical_kummer import (
 )
 from tropical_kummer import kummer
 from tropical_kummer.exact import mean, numerators
-from tropical_kummer.kummer import AffinePiece, _validate_quartic
+from tropical_kummer.kummer import AffinePiece, _validate_quartic, psi_step
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,
@@ -91,6 +91,28 @@ def test_psi_is_its_theta_differences(index):
             theta_eval(surface, char, x).value for char in CHARACTERISTICS
         )
         assert psi_eval(surface, x) == Vec3(th10 - th00, th01 - th00, th11 - th00), x
+
+
+@pytest.mark.parametrize("index", range(len(PSI_GRAMS)))
+def test_psi_step_is_psi_eval_and_the_reference(index):
+    # psi_step's numerators over gram_den (2 den)^2 are psi_eval's triple and
+    # the differences of `reference.certified_minimum` at x + c/2, where Q(x)
+    # cancels; (k t, k den) gives k^2 times each.
+    gram = PSI_GRAMS[index]
+    surface = make_surface(gram)
+    chars = reference.surface_fields(gram)["char_vectors"]
+    for j in range(20):
+        rng = rng_for(29, "psi-step", index, j)
+        x = random_point(rng, 3)
+        t0, t1, den = numerators(x)
+        k = rng.randint(2, 7)
+        nums = psi_step(surface, t0, t1, den)
+        values = [F(n, surface.gram_den * (2 * den) ** 2) for n in nums]
+        assert Vec3(*values) == psi_eval(surface, x), (gram, x)
+        least = [reference.certified_minimum(gram, x + H * Vec2(*c))[0] for c in chars]
+        assert values == [m - least[0] for m in least[1:]], (gram, x)
+        scaled = psi_step(surface, k * t0, k * t1, k * den)
+        assert scaled == tuple(k * k * n for n in nums), (gram, x, k)
 
 
 def test_psi_product_type_collapses(row_passes, unit_square):
@@ -286,16 +308,23 @@ def test_injectivity_rejects_product(unit_square):
 
 
 def test_injectivity_check_raises_on_an_inconsistent_embedding(monkeypatch, hexagonal):
-    # psi_eval replaced by maps that break the criterion one way or the other.
+    # psi_step replaced by maps that break the criterion one way or the other:
+    # psi(x) = (x, 0) / (4 gram_den), then psi = (1, 2, 3) everywhere.
     y = Vec2(F(1, 5), 0)
-    monkeypatch.setattr(kummer, "psi_eval", lambda surface, x: Vec3(x.x, x.y, 0))
+    def linear(surface, t0, t1, den):
+        return t0 * den, t1 * den, 0
+
+    monkeypatch.setattr(kummer, "psi_step", linear)
     for yp in (y + Vec2(3, -2), -y):
         with pytest.raises(InternalInconsistencyError) as raised:
             injectivity_check(hexagonal, y, yp)
         assert str(raised.value) == (
             f"equivalent points {y.as_tuple()}, {yp.as_tuple()} have distinct images"
         )
-    monkeypatch.setattr(kummer, "psi_eval", lambda surface, x: Vec3(1, 2, 3))
+    def constant(surface, t0, t1, den):
+        return tuple(c * 4 * surface.gram_den * den * den for c in (1, 2, 3))
+
+    monkeypatch.setattr(kummer, "psi_step", constant)
     with pytest.raises(InternalInconsistencyError) as raised:
         injectivity_check(hexagonal, y, Vec2(0, F(1, 5)))
     assert str(raised.value) == (
@@ -364,6 +393,62 @@ def test_injectivity_numerator_rule_examples(hexagonal):
         assert isinstance(injectivity_check(hexagonal, y, yp), Distinct)
 
 
+def _injectivity_by_fractions(surface, y, yp):
+    """`injectivity_check` with psi_eval's Fraction images compared as Vec3s."""
+    image_y, image_yp = psi_eval(surface, y), psi_eval(surface, yp)
+    (a, b), (c, d) = y.x.as_integer_ratio(), y.y.as_integer_ratio()
+    (e, f), (g, k) = yp.x.as_integer_ratio(), yp.y.as_integer_ratio()
+    if b == f and d == k:
+        for verdict, sign in ((EquivalentPlus, -1), (EquivalentMinus, 1)):
+            p0, p1 = e + sign * a, g + sign * c
+            if p0 % b == 0 and p1 % d == 0:
+                if image_y != image_yp:
+                    raise InternalInconsistencyError(
+                        f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
+                        "have distinct images"
+                    )
+                return verdict(Vec2(p0 // b, p1 // d))
+    for char, a, b in zip(CHARACTERISTICS[1:], image_y.as_tuple(), image_yp.as_tuple()):
+        if a != b:
+            return Distinct(char)
+    raise InternalInconsistencyError(
+        f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
+        f"the image {image_y.as_tuple()}"
+    )
+
+
+def _outcome(check, surface, y, yp):
+    try:
+        return check(surface, y, yp)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+def test_injectivity_check_matches_its_fraction_statement(hexagonal, skew_hexagonal):
+    # The integer comparison of psi_step numerators against psi_eval's
+    # Vec3s, on pairs drawn as the verify row draws them; the cut descents
+    # make equivalent points' images differ.
+    surfaces = [hexagonal, skew_hexagonal, make_surface(PSI_GRAMS[2])]
+    surfaces += [make_surface(g) for g in PSI_GRAMS[5:]]
+    surfaces += [cut_descent(s) for s in surfaces]
+    surfaces = [s for s in surfaces if classify(s) is SurfaceClass.IRREDUCIBLE]
+    raised = set()
+    for i, surface in enumerate(surfaces):
+        for k in range(60):
+            rng = rng_for(31, "injectivity-twin", i, k)
+            y, mode = random_point(rng, 3), rng.randrange(3)
+            if mode == 0:
+                yp = y + random_integer_vector(rng, 3)
+            elif mode == 1:
+                yp = -y + random_integer_vector(rng, 3)
+            else:
+                yp = random_point(rng, 3)
+            want = _outcome(_injectivity_by_fractions, surface, y, yp)
+            assert _outcome(injectivity_check, surface, y, yp) == want, (i, y, yp)
+            raised.add(isinstance(want, str))
+    assert raised == {True, False}
+
+
 def test_injectivity_biconditional_sampled(row_passes, hexagonal):
     row_passes("psi-injectivity-mod-sign", hexagonal, samples=200, seed=53)
 
@@ -398,20 +483,20 @@ def test_affine_pieces_offset_reproduces_values(hexagonal):
 
 @pytest.mark.parametrize("coordinate", range(3))
 def test_affine_check_fires_on_every_coordinate(monkeypatch, coordinate):
-    # psi off by 10^-12 in one coordinate at the hexagon vertex m_i, which
-    # lies on the cell tau_i alone.
-    exact_psi, label = kummer.psi_eval, f"tau{coordinate + 1}"
+    # psi's numerator off by 1, the least change it can show, in one
+    # coordinate at the hexagon vertex m_i, which lies on the cell tau_i alone.
+    exact_psi, label = kummer.psi_step, f"tau{coordinate + 1}"
     for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
         (cell,) = [c for c in subdivide(make_surface(gram)) if c.label == label]
-        vertex = cell.vertices[2]
+        vertex = numerators(cell.vertices[2])
 
-        def bent_psi(surface, x):
-            image = list(exact_psi(surface, x).as_tuple())
-            if x == vertex:
-                image[coordinate] += F(1, 10**12)
-            return Vec3(*image)
+        def bent_psi(surface, t0, t1, den):
+            image = list(exact_psi(surface, t0, t1, den))
+            if (t0, t1, den) == vertex:
+                image[coordinate] += 1
+            return tuple(image)
 
-        monkeypatch.setattr(kummer, "psi_eval", bent_psi)
+        monkeypatch.setattr(kummer, "psi_step", bent_psi)
         with pytest.raises(NotAffineOnCellError, match=f"^cell {label} is not affine$"):
             affine_pieces(make_surface(gram))
         monkeypatch.undo()
@@ -425,13 +510,13 @@ def test_affine_check_fires_on_every_coordinate(monkeypatch, coordinate):
 def test_affine_pieces_evaluate_each_point_once(monkeypatch, gram):
     # 18 cells check 132 points (a centroid, three midpoints and three or four
     # vertices each), but the cells share their 19 vertices: 91 are distinct.
-    exact_psi, points = kummer.psi_eval, []
+    exact_psi, points = kummer.psi_step, []
 
-    def counted(surface, x):
-        points.append(x)
-        return exact_psi(surface, x)
+    def counted(surface, t0, t1, den):
+        points.append((t0, t1, den))
+        return exact_psi(surface, t0, t1, den)
 
-    monkeypatch.setattr(kummer, "psi_eval", counted)
+    monkeypatch.setattr(kummer, "psi_step", counted)
     affine_pieces(make_surface(gram))  # fresh: the pieces are memoized
     assert len(points) == len(set(points)) == 91
 
@@ -454,18 +539,66 @@ def test_halfway_writes_the_midpoint_as_numerators_does():
 
 
 def test_affine_check_fires_at_a_shared_vertex(monkeypatch):
-    # The origin is a vertex of all 12 sigma and rho cells; psi off by 10^-12
-    # there is evaluated once and caught on the first cell, sigma1.
-    exact_psi = kummer.psi_eval
+    # The origin is a vertex of all 12 sigma and rho cells; psi's numerator off
+    # by 1 there is evaluated once and caught on the first cell, sigma1.
+    exact_psi = kummer.psi_step
 
-    def bent_psi(surface, x):
-        image = exact_psi(surface, x)
-        return image + Vec3(F(1, 10**12), 0, 0) if x == Vec2(0, 0) else image
+    def bent_psi(surface, t0, t1, den):
+        n10, n01, n11 = exact_psi(surface, t0, t1, den)
+        return (n10 + 1, n01, n11) if (t0, t1) == (0, 0) else (n10, n01, n11)
 
-    monkeypatch.setattr(kummer, "psi_eval", bent_psi)
+    monkeypatch.setattr(kummer, "psi_step", bent_psi)
     for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
         with pytest.raises(NotAffineOnCellError, match="^cell sigma1 is not affine$"):
             affine_pieces(make_surface(gram))
+
+
+def _affine_by_fractions(surface):
+    """`affine_pieces`' check in Fractions: at each cell's centroid, its
+    midpoints to the first three vertices and every vertex, psi_eval is
+    Q(s_c - s_00, x) + (Q(s_c) - Q(s_00)) / 4, s_c = 2 a_c + c for the
+    theta_eval minimizers a_c at the centroid.  The first cell where it is not,
+    or None."""
+    for cell in subdivide(surface):
+        verts = cell.vertices
+        mid = F(1, len(verts)) * sum(verts[1:], verts[0])
+        shifts = [
+            2 * theta_eval(surface, char, mid).minimizer + Vec2(*char.vector(surface))
+            for char in CHARACTERISTICS
+        ]
+        s0 = shifts[0]
+        for p in (mid, *[H * (mid + v) for v in verts[:3]], *verts):
+            piece = [
+                surface.q(s - s0, p) + (surface.norm(s) - surface.norm(s0)) / 4
+                for s in shifts[1:]
+            ]
+            if Vec3(*piece) != psi_eval(surface, p):
+                return cell.label
+    return None
+
+
+def test_affine_pieces_match_their_fraction_statement():
+    # The integer check `num == den (4 r^T H t + den gap)` against the
+    # Fraction one, on 13 irreducible surfaces and their cut descents, most of
+    # which fail it.
+    grams = [((2, -1), (-1, 2)), ((2, -1), (-1, 3)), PSI_GRAMS[2], PSI_GRAMS[5]]
+    surfaces = [make_surface(g) for g in grams]
+    surfaces += [
+        random_irreducible_surface(rng_for(37, "affine-twin", k), max_entry=12)
+        for k in range(9)
+    ]
+    labels = set()
+    for surface in surfaces:
+        for s in (surface, cut_descent(surface)):
+            want = _affine_by_fractions(s)
+            try:
+                affine_pieces(s)
+                got = None
+            except NotAffineOnCellError as exc:
+                got = str(exc).split()[1]
+            assert got == want, s.gram.describe()
+            labels.add(got)
+    assert None in labels and len(labels) > 1
 
 
 def test_unimodularity_on_seeded_irreducible_surfaces(row_passes, hexagonal):

@@ -3,11 +3,15 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import reference
+from conftest import cut_descend, cut_descent
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_kernel_pinned import GRAMS
+from test_theta import _vec
 
 from tropical_kummer import (
     CHARACTERISTICS,
@@ -20,10 +24,13 @@ from tropical_kummer import (
     make_surface,
     safe_cutoff,
     theta_eval,
-    theta_eval_bruteforce,
     tropicalize_series,
 )
-from tropical_kummer.sampling import random_point, rng_for
+from tropical_kummer import nonarch, theta
+from tropical_kummer.exact import numerators
+from tropical_kummer.nonarch import tropicalize_step
+from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
+from tropical_kummer.theta import theta_eval_bruteforce
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -383,3 +390,110 @@ def test_tropicalize_variants_pinned():
     for key, series, v in _variant_cases():
         digest.update(f"{key}:{tropicalize_series(series, v)}\n".encode())
     assert digest.hexdigest() == TROPICALIZE_VARIANTS_SHA256
+
+
+def test_tropicalize_step_is_the_scan_over_any_common_denominator():
+    # On hex, product-type, rational, sheared and skew Grams, the step's
+    # numerator over gram_den (2 den)^2 is the term-by-term scan and
+    # `tropicalize_series`; (k t, k den) gives k^2 num.
+    for i, gram in enumerate(GRAMS + (((2, -1), (-1, 3)),)):
+        s = make_surface(gram)
+        for char, cutoff in product(CHARACTERISTICS, (0, 1, 3)):
+            series = build_series(s, char, cutoff)
+            for j in range(6):
+                rng = rng_for(31, i, str(char), cutoff, j)
+                v = random_point(rng, 3)
+                t0, t1, den = numerators(v)
+                k = rng.randint(2, 7)
+                num = tropicalize_step(series, t0, t1, den)
+                want = reference.series_scan(gram, char.vector(s), cutoff, v)
+                value = F(num, s.gram_den * (2 * den) ** 2)
+                assert value == want == tropicalize_series(series, v), (gram, v)
+                scaled = tropicalize_step(series, k * t0, k * t1, k * den)
+                assert scaled == k * k * num, (gram, v, char, cutoff, k)
+
+
+# The Fraction statement of each series row that `verify` checks on
+# `tropicalize_step` numerators; `row_matches` runs a row beside it.  A
+# statement builds the series that the row's setup builds.
+def _tables(s, bound):
+    return [build_series(s, c, safe_cutoff(s, c, bound)) for c in CHARACTERISTICS]
+
+
+def _series_lift(s, rng):
+    v = random_point(rng, 2)
+    for char, series in zip(CHARACTERISTICS, _tables(s, F(2))):
+        got = tropicalize_series(series, v)
+        want = theta_eval(s, char, v).value
+        if got != want:
+            return {
+                "v": _vec(v),
+                "char": str(char),
+                "series": str(got),
+                "theta": str(want),
+            }
+
+
+def _series_quasi_periodicity(s, rng):
+    v = random_point(rng, 2)
+    up = random_integer_vector(rng, 2)
+    shifted, anomaly = v + up, 2 * s.q(v, up) + s.norm(up)
+    for series in _tables(s, F(5)):
+        lhs = tropicalize_series(series, shifted)
+        if lhs != tropicalize_series(series, v) - anomaly:
+            return {"v": _vec(v), "shift": _vec(up)}
+
+
+def _cutoff_stability(s, rng):
+    v = random_point(rng, 2)
+    for char in CHARACTERISTICS:
+        safe = safe_cutoff(s, char, F(2))
+        cutoffs = (max(0, safe - 1), safe, 2 * safe)
+        values = [tropicalize_series(build_series(s, char, r), v) for r in cutoffs]
+        if values[1] > values[0] or values[2] > values[1]:
+            return {"v": _vec(v), "char": str(char)}
+        if values[2] != values[1]:
+            return {"v": _vec(v), "char": str(char), "problem": "not stabilized"}
+
+
+def _raised(by):
+    """A fault: `box_step` with its numerator raised by by(t0, radius)."""
+
+    def wrap(box_step):
+        def raised(surface, char, t0, t1, den, radius):
+            num, a, certified = box_step(surface, char, t0, t1, den, radius)
+            return num + by(t0, radius), a, certified
+
+        return raised
+
+    return wrap
+
+
+# row: (its Fraction statement, a fault that both read, as `row_matches`
+# takes it): along x, the series is no longer quasi-periodic; with the
+# radius, the cutoff ladder's values rise.
+SERIES_STATEMENTS = {
+    "series-lift-consistency": (_series_lift, (theta, "descend", cut_descend)),
+    "series-quasi-periodicity": (
+        _series_quasi_periodicity,
+        (nonarch, "box_step", _raised(lambda t0, radius: t0)),
+    ),
+    "series-cutoff-stability": (
+        _cutoff_stability,
+        (nonarch, "box_step", _raised(lambda t0, radius: radius)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_STATEMENTS)
+def test_series_rows_match_their_fraction_statement(row_matches, name):
+    statement, fault = SERIES_STATEMENTS[name]
+    skew = make_surface([[2, -1], [-1, 3]])
+    surfaces = [
+        make_surface([[2, -1], [-1, 2]]),
+        skew,
+        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+        make_surface([[5, 3], [3, 2]]),
+        cut_descent(skew),
+    ]
+    row_matches(name, statement, surfaces, fault)

@@ -57,9 +57,10 @@ def test_runtime_does_not_import_dataclasses():
 
 
 def test_private_names_cross_modules_only_where_pinned():
-    # The integer layer (`numerators`, `form`) is public in `exact`.  Only the
-    # box walk and its certificate cross, from `theta` to `nonarch.safe_cutoff`
-    # and `tropicalize_series`, so the oracle's premise is one inequality.
+    # The integer layer (`numerators`, `form`) is public in `exact`, and the
+    # box walk `theta.box_step` is public.  Only its certificate crosses, from
+    # `theta` to `nonarch.safe_cutoff`, so the oracle's premise is one
+    # inequality.
     crossing = {
         (path, f"{node.module}.{alias.name}")
         for path, node in _import_nodes()
@@ -67,10 +68,7 @@ def test_private_names_cross_modules_only_where_pinned():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert crossing == {
-        ("nonarch.py", "theta._box_minimum"),
-        ("nonarch.py", "theta._certifies"),
-    }
+    assert crossing == {("nonarch.py", "theta._certifies")}
 
 
 def test_public_names_resolve_once():
@@ -136,15 +134,26 @@ def test_reference_imports_only_value_types_and_errors():
     ] == []
 
 
+# The descent, the box walk and its wrappers, and the cutoff rule.
+FAST_PATHS = (
+    "descend",
+    "box_step",
+    "bruteforce_step",
+    "theta_eval_bruteforce",
+    "tropicalize_step",
+    "safe_cutoff",
+)
+
+
 def test_reference_runs_without_the_fast_paths(monkeypatch):
-    # With the descent, the box walk, the cutoff rule and the series terms
-    # made to raise, every reference function still returns, called with the
-    # arguments its parameter names ask for.
+    # With the fast paths and the series terms made to raise, every reference
+    # function still returns, called with the arguments its parameter names
+    # ask for.
     def fast_path(*args):
         raise AssertionError("the reference reached a fast path")
 
     for module in (tropical_kummer, lattice, theta, nonarch, kummer, verify):
-        for name in ("descend", "_box_minimum", "theta_eval_bruteforce", "safe_cutoff"):
+        for name in FAST_PATHS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fast_path)
     monkeypatch.setattr(FormalThetaSeries, "support", property(fast_path))

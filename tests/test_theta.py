@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import cut_descent
+import reference
+from conftest import cut_descend, cut_descent
+from test_kernel_pinned import GRAMS
 
 from tropical_kummer import (
     ProductTypeError,
@@ -11,11 +13,13 @@ from tropical_kummer import (
     Vec2,
     lagrange_reduce,
     make_surface,
+    reduce_point,
+    safe_cutoff,
     theta_constants,
     theta_eval,
-    theta_eval_bruteforce,
     verify,
 )
+from tropical_kummer import lattice, theta
 from tropical_kummer.exact import form, numerators
 from tropical_kummer.lattice import HALF
 from tropical_kummer.sampling import (
@@ -24,7 +28,8 @@ from tropical_kummer.sampling import (
     random_point,
     rng_for,
 )
-from tropical_kummer.theta import CHARACTERISTICS, _certifies, theta_step
+from tropical_kummer.theta import CHARACTERISTICS, _certifies, box_step, theta_step
+from tropical_kummer.theta import theta_eval_bruteforce
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -160,9 +165,9 @@ def test_oracle_equivalence_on_random_surfaces(row_passes, hexagonal):
     row_passes("theta-bruteforce-oracle", hexagonal, samples=160, seed=29)
 
 
-# The Fraction statement of each identity that `verify`'s four theta rows
-# check on integer numerators: a row and its statement draw the same case
-# from the same rng and must return the same thing (None or the same dict).
+# The Fraction statement of each theta row that `verify` checks on integer
+# numerators: a row and its statement draw the same case from the same rng
+# and must return the same thing (None or the same dict).
 def _vec(v):
     return [str(c) for c in v.as_tuple()]
 
@@ -207,11 +212,84 @@ def _concavity(s, rng):
             return {"x": _vec(x), "y": _vec(y)}
 
 
+def _zero_on_cell(s, rng):
+    x0, _ = reduce_point(s, random_point(rng, 5))
+    val = theta_eval(s, CHARACTERISTICS[0], x0).value
+    if val != 0:
+        return {"x0": _vec(x0), "value": str(val)}
+
+
+def _minimizer(s, rng):
+    x = random_point(rng, 4)
+    char = CHARACTERISTICS[rng.randrange(4)]
+    tv = theta_eval(s, char, x)
+    shift = x + HALF * Vec2(*char.vector(s))
+    attained = s.norm(tv.minimizer + shift) - s.norm(x)
+    if attained != tv.value or not tv.minimizer.is_integral():
+        return {"x": _vec(x), "char": str(char)}
+
+
+def _oracle_theta(surface, char, x):
+    cutoff = safe_cutoff(surface, char, x.sup_norm())
+    return theta_eval_bruteforce(surface, char, x, cutoff).value
+
+
+def _theta_oracle(s, seed, samples):
+    surfaces = verify._sweep(s, seed, "theta-oracle-gram", verify._n_matrices(samples))
+    cases = 0
+    per_surface = max(1, samples // len(surfaces))
+    for si, surface in enumerate(surfaces):
+        for k in range(per_surface):
+            rng = rng_for(seed, "theta-oracle", si, k)
+            x = random_point(rng, 2)
+            char = CHARACTERISTICS[rng.randrange(4)]
+            cases += 1
+            fast = theta_eval(surface, char, x).value
+            slow = _oracle_theta(surface, char, x)
+            if fast != slow:
+                counterexample = {
+                    "gram": [[str(e) for e in row] for row in surface.gram.rows()],
+                    "x": _vec(x),
+                    "char": str(char),
+                    "fast": str(fast),
+                    "oracle": str(slow),
+                }
+                return verify.FAIL, cases, counterexample, None
+    return verify.PASS, cases, None, None
+
+
+def _cvp_oracle(s, rng):
+    x = random_point(rng, 5)
+    x0, p = reduce_point(s, x)
+    if x0 + p != x or not p.is_integral():
+        return {"x": _vec(x), "problem": "bad decomposition"}
+    expected = _oracle_theta(s, CHARACTERISTICS[0], x) + s.norm(x)
+    if s.norm(x0) != expected:
+        return {"x": _vec(x), "descent": str(s.norm(x0)), "oracle": str(expected)}
+
+
+def _off_the_lattice(descend):
+    """`descend` ending one step off s + d Z^2: theta's value is no longer the
+    one its minimizer attains."""
+
+    def moved(surface, t0, t1, den):
+        n0, n1 = descend(surface, t0, t1, den)
+        return n0 + 1, n1
+
+    return moved
+
+
+# row: (its Fraction statement, None or a fault that both read, as
+# `row_matches` takes it); a `lattice.descend` fault breaks `reduce_point` alone.
 FRACTION_STATEMENTS = {
-    "theta-evenness": _evenness,
-    "theta-quasi-periodicity": _quasi_periodicity,
-    "theta-translation-identities": _translation,
-    "theta-concavity": _concavity,
+    "theta-evenness": (_evenness, None),
+    "theta-quasi-periodicity": (_quasi_periodicity, None),
+    "theta-translation-identities": (_translation, None),
+    "theta-concavity": (_concavity, None),
+    "theta-zero-on-cell": (_zero_on_cell, (lattice, "descend", cut_descend)),
+    "theta-minimizer-attained": (_minimizer, (theta, "descend", _off_the_lattice)),
+    "theta-bruteforce-oracle": (_theta_oracle, (theta, "descend", cut_descend)),
+    "cvp-descent-oracle": (_cvp_oracle, (lattice, "descend", cut_descend)),
 }
 
 SKEW = make_surface([[2, -1], [-1, 3]])
@@ -225,18 +303,9 @@ TWIN_SURFACES = {
 
 
 @pytest.mark.parametrize("name", FRACTION_STATEMENTS)
-def test_integer_rows_match_their_fraction_statement(name):
-    statement = FRACTION_STATEMENTS[name]
-    (check,) = [c for c in verify.CHECKS if c.name == name]
-    returned = set()
-    for s in TWIN_SURFACES.values():
-        extra = () if check.setup is None else (check.setup(s),)
-        for seed, k in product((7, 8), range(50)):
-            want = statement(s, rng_for(seed, check.key, k))
-            got = check.fn(s, rng_for(seed, check.key, k), *extra)
-            assert got == want, (s.gram.describe(), seed, k)
-            returned.add(got is None)
-    assert returned == {True, False}  # both the holding and the failing returns
+def test_integer_rows_match_their_fraction_statement(row_matches, name):
+    statement, fault = FRACTION_STATEMENTS[name]
+    row_matches(name, statement, list(TWIN_SURFACES.values()), fault)
 
 
 def test_theta_step_is_theta_eval_over_any_common_denominator():
@@ -267,3 +336,33 @@ def test_theta_step_is_theta_eval_over_any_common_denominator():
                 assert Vec2(*a) == tv.minimizer
                 scaled = theta_step(s, char, k * t0, k * t1, k * den)
                 assert scaled == (k * k * num, a), (gram, x, char, k)
+
+
+def test_box_step_is_the_reference_box_minimum():
+    # On hex, product-type, rational, sheared and skew Grams:
+    # num / (gram_den (2 den)^2) is the box's least Q(a + s) - Q(x), a its
+    # first minimizer in lexicographic order, and the flag `reference`'s
+    # certificate, whether or not it certifies; (k t, k den) gives k^2 num,
+    # the same a and the same flag.
+    certified = set()
+    for i, gram in enumerate(GRAMS + (((2, -1), (-1, 3)),)):
+        s = make_surface(gram)
+        for j in range(12):
+            rng = rng_for(29, i, j)
+            x = random_point(rng, 3)
+            t0, t1, den = numerators(x)
+            k = rng.randint(2, 7)
+            for char, radius in product(CHARACTERISTICS, range(4)):
+                shift = x + HALF * Vec2(*char.vector(s))
+                least, first = reference.box_minimum(gram, shift, radius)
+                step = box_step(s, char, t0, t1, den, radius)
+                num, a, flag = step
+                value = F(num, s.gram_den * (2 * den) ** 2)
+                assert value == least - reference.q(gram, x, x), (gram, x, char)
+                assert a == first, (gram, x, char, radius)
+                reach = shift.sup_norm()
+                assert flag == reference.certifies(gram, reach, radius, least)
+                scaled = box_step(s, char, k * t0, k * t1, k * den, radius)
+                assert scaled == (k * k * num, a, flag), (gram, x, char, radius, k)
+                certified.add(flag)
+    assert certified == {True, False}

@@ -27,11 +27,11 @@ from tropical_kummer import (
     psi_eval,
     subdivide,
     theta_eval,
-    theta_eval_bruteforce,
     voronoi_cell,
 )
 from tropical_kummer import verify
 from tropical_kummer.nonarch import build_series, descent_datum
+from tropical_kummer.theta import theta_eval_bruteforce
 
 HEX = make_surface([[2, -1], [-1, 2]])
 
