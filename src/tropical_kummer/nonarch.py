@@ -13,14 +13,14 @@ terms are closed forms in the surface's integer Gram, so `build_series` is
 O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
 <c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
 Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta.box_step`,
-the row walk that certifies its own minimum for `theta_eval_bruteforce`.  It
-prunes its rows, so its work is O(N) only where the box binds, and its memory
+the row walk that says whether its own minimum is certified.  It prunes its
+rows, so its work is O(N) only where the box binds, and its memory
 O(1).  `tropicalize_step` returns that value's numerator over
 gram_den (2 den)^2 at v = t/den, as `theta.theta_step` does, and
 `tropicalize_series` builds one `Fraction` from it.  `support` lists the
 terms one by one, only when read.  `safe_cutoff` is the one box radius rule,
-a closed form on the integer Gram; `verify`'s brute-force oracle takes its
-boxes from it too.
+a closed form on the integer Gram; `verify`'s brute-force oracle walks the
+box it gives and treats an uncertified one as an internal inconsistency.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """

@@ -14,12 +14,13 @@ oracle sharing only `_shift` with the descent is provided alongside:
 `box_step`, a box walk that prunes its own rows, so the box's size sets its
 work only where the box binds, and that says whether its minimum is certified
 global on the same integers (`_certifies`, `safe_cutoff`'s test too).  It
-returns its numerator over the same denominator as `theta_step`.
-`bruteforce_step` is the walk that raises RadiusTooSmallError unless
-certified, and `theta_eval_bruteforce` its `Fraction` wrapping.  The walk also
-tropicalizes the truncated series (`nonarch.tropicalize_step`): <c + 2a, G x>
-+ Q(a) + Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both take the same
-minimum.
+returns its numerator over the same denominator as `theta_step`, and each
+caller says what an uncertified box means: to `theta_eval_bruteforce`, its
+`Fraction` wrapping, a radius too small (RadiusTooSmallError); to `verify`'s
+oracle, whose box `safe_cutoff` certifies, an internal inconsistency.  The
+walk also tropicalizes the truncated series (`nonarch.tropicalize_step`):
+<c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both
+take the same minimum.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class ThetaCharacteristic(Value):
     j2: int
 
     def __init__(self, j1: int, j2: int):
-        if j1 not in (0, 1) or j2 not in (0, 1):
+        if any(type(j) is not int or j not in (0, 1) for j in (j1, j2)):
             raise ValueError("characteristic indices must be 0 or 1")
         super().__init__(j1, j2)
 
@@ -67,13 +68,6 @@ CHARACTERISTICS = (
 class ThetaValue(Value):
     value: Fraction
     minimizer: Vec2  # a lattice point attaining the minimum
-
-    @classmethod
-    def _of(cls, value, minimizer):  # unrolled, as `Vec2._of`: one per evaluation
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "minimizer", minimizer)
-        return self
 
 
 def _shift(surface, char, t0, t1, den) -> tuple[int, int, int, int]:
@@ -108,13 +102,17 @@ def theta_step(
     return form(surface.int_gram, n, n) - q_x, ((n[0] - s0) // d, (n[1] - s1) // d)
 
 
+def _theta_value(surface, num: int, a: tuple[int, int], den: int) -> ThetaValue:
+    """The step's (num, a) at x = t/den, as a `Fraction` value and minimizer."""
+    value = Fraction(num, 4 * surface.gram_den * den * den)
+    return ThetaValue._of(value, Vec2._of(Fraction(a[0]), Fraction(a[1])))
+
+
 def theta_eval(
     surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, x: Vec2
 ) -> ThetaValue:
     t0, t1, den = numerators(x)
-    num, (a0, a1) = theta_step(surface, char, t0, t1, den)
-    value = Fraction(num, 4 * surface.gram_den * den * den)
-    return ThetaValue._of(value, Vec2._of(Fraction(a0), Fraction(a1)))
+    return _theta_value(surface, *theta_step(surface, char, t0, t1, den), den)
 
 
 def box_step(
@@ -173,19 +171,19 @@ def box_step(
     return best - q_x, best_a, _certifies(surface.int_gram, m, best)
 
 
-def bruteforce_step(
+def theta_eval_bruteforce(
     surface: PrincipallyPolarizedSurface,
     char: ThetaCharacteristic,
-    t0: int,
-    t1: int,
-    den: int,
+    x: Vec2,
     radius: int,
-) -> tuple[int, tuple[int, int]]:
-    """`box_step`'s (num, a); RadiusTooSmallError unless it is certified."""
+) -> ThetaValue:
+    """`box_step` at x, with its `Fraction` value and minimizer;
+    RadiusTooSmallError unless the box certifies its minimum."""
     if not isinstance(radius, int) or isinstance(radius, bool):
         raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    t0, t1, den = numerators(x)
     num, a, certified = box_step(surface, char, t0, t1, den, radius)
     if not certified:
         s0, s1, d, _ = _shift(surface, char, t0, t1, den)
@@ -193,20 +191,7 @@ def bruteforce_step(
         raise RadiusTooSmallError(
             f"radius {radius} cannot certify the minimum for shift {shift}"
         )
-    return num, a
-
-
-def theta_eval_bruteforce(
-    surface: PrincipallyPolarizedSurface,
-    char: ThetaCharacteristic,
-    x: Vec2,
-    radius: int,
-) -> ThetaValue:
-    """`bruteforce_step` at x, with its `Fraction` value and minimizer."""
-    t0, t1, den = numerators(x)
-    num, (a0, a1) = bruteforce_step(surface, char, t0, t1, den, radius)
-    value = Fraction(num, 4 * surface.gram_den * den * den)
-    return ThetaValue._of(value, Vec2._of(Fraction(a0), Fraction(a1)))
+    return _theta_value(surface, num, a, den)
 
 
 def theta_constants(

@@ -27,13 +27,15 @@ A case computes each of its own quantities once, such as a shifted point
 and its anomaly, however many characteristics it checks.  The theta,
 oracle and series rows read each point's numerators once and compare
 integers over one common denominator per case: the numerators over
-gram_den (2 den)^2 of `theta.theta_step`, of `theta.bruteforce_step` (the
-certified box) and of `nonarch.tropicalize_step`.  They build a `Fraction`
-only to render a counterexample.  `kummer.injectivity_check` and
-`kummer.affine_pieces` compare `kummer.psi_step` numerators the same way.
-`cvp-descent-oracle` still calls `reduce_point` and checks its
-decomposition, and `quartic-coverage`, `psi-product-collapse` and
-`reduce-idempotence` keep their public calls.
+gram_den (2 den)^2 of `theta.theta_step`, of `theta.box_step` and of
+`nonarch.tropicalize_step`.  They build a `Fraction` only to render a
+counterexample.  Both oracle rows walk the box that `nonarch.safe_cutoff`
+promises certified: an uncertified one raises InternalInconsistencyError,
+never an input error.
+`kummer.injectivity_check` and `kummer.affine_pieces` compare
+`kummer.psi_step` numerators the same way.  `cvp-descent-oracle` still calls
+`reduce_point` and checks its decomposition, and `quartic-coverage`,
+`psi-product-collapse` and `reduce-idempotence` keep their public calls.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report
@@ -73,7 +75,7 @@ from .sampling import (
     random_unimodular,
     rng_for,
 )
-from .theta import CHARACTERISTICS, bruteforce_step, theta_step
+from .theta import CHARACTERISTICS, box_step, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -400,14 +402,20 @@ def _theta_concavity(s, rng):
 
 
 def _oracle_step(surface, char, t0, t1, den) -> int:
-    """Theta's numerator at t/den by the certified box of `bruteforce_step`, not
-    the descent; over gram_den (2 den)^2, as `theta_step`'s.
+    """Theta's numerator at t/den by the box walk `box_step`, not the descent;
+    over gram_den (2 den)^2, as `theta_step`'s.
 
     The box is the series' `nonarch.safe_cutoff` for |x|_inf: it holds a = 0
-    and no a outside it comes below Q(x + c/2), so one box is certified.
+    and no a outside it comes below Q(x + c/2), so one box is certified.  An
+    uncertified box breaks that promise: InternalInconsistencyError.
     """
     cutoff = nonarch.safe_cutoff(surface, char, Fraction(max(abs(t0), abs(t1)), den))
-    return bruteforce_step(surface, char, t0, t1, den, cutoff)[0]
+    num, _, certified = box_step(surface, char, t0, t1, den, cutoff)
+    if not certified:
+        raise InternalInconsistencyError(
+            f"safe_cutoff {cutoff} does not certify the box at {(t0, t1)}/{den}"
+        )
+    return num
 
 
 def _theta_oracle(s, seed, samples):
@@ -715,6 +723,11 @@ def run_verification(
     samples: int = 200,
     progress=None,
 ) -> VerificationReport:
+    if any(type(n) is not int for n in (seed, samples)) or samples < 1:
+        raise ValueError(
+            "samples must be an int >= 1 and seed an int, "
+            f"got samples={samples!r}, seed={seed!r}"
+        )
     report = VerificationReport(
         gram=surface.gram,
         seed=seed,

@@ -386,6 +386,26 @@ def test_row_failure_branch(monkeypatch, fault):
     assert text in repr(result.counterexample)
 
 
+@pytest.mark.parametrize("name", ("theta-bruteforce-oracle", "cvp-descent-oracle"))
+def test_oracle_rows_treat_an_uncertified_box_as_internal(monkeypatch, name):
+    # `safe_cutoff` promises the oracle a certified box: a box it fails to
+    # certify is the program's fault, not the input's.
+    monkeypatch.setattr(verify.nonarch, "safe_cutoff", lambda surface, char, b: 0)
+    (check,) = [c for c in verify.CHECKS if c.name == name]
+    result = verify.run_check(check, make_surface(HEX), SEED, SAMPLES)
+    assert result.status == verify.FAIL
+    assert result.counterexample["exception"] == "InternalInconsistencyError"
+
+
+def test_run_verification_needs_int_samples_and_seed():
+    # samples=-3 used to pass with -3 cases a row; samples=True showed as true.
+    surface = make_surface(HEX)
+    bad = ((0, 0), (0, -3), (0, True), (0, 2.0), (True, 5), (F(1), 5), (None, 5))
+    for seed, samples in bad:
+        with pytest.raises(ValueError, match="samples must be an int >= 1"):
+            verify.run_verification(surface, seed=seed, samples=samples)
+
+
 # The `Fraction`s each integer row builds on the passing hex run that
 # perfbench's `verify-hex` times (suite seed 7, 50 samples): the draws, the
 # public calls a row keeps (`reduce_point`, `psi_eval`, `safe_cutoff`'s bound)

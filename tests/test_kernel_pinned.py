@@ -32,7 +32,7 @@ from tropical_kummer import (
 )
 from tropical_kummer.exact import numerators
 from tropical_kummer.sampling import random_integer_vector, rng_for
-from tropical_kummer.theta import bruteforce_step, theta_eval_bruteforce
+from tropical_kummer.theta import box_step, theta_eval_bruteforce
 
 F = Fraction
 
@@ -199,9 +199,9 @@ def test_verify_oracle_enumerates_one_box(monkeypatch):
 
     def recorded(surface, char, t0, t1, den, radius):
         radii.append(radius)
-        return bruteforce_step(surface, char, t0, t1, den, radius)
+        return box_step(surface, char, t0, t1, den, radius)
 
-    monkeypatch.setattr(verify, "bruteforce_step", recorded)
+    monkeypatch.setattr(verify, "box_step", recorded)
     for i, gram in enumerate(ORACLE_GRAMS):
         surface = make_surface(gram)
         # (1/3, 2/7) took 15 growing boxes on diag(1, 10^4) under char 00.

@@ -138,7 +138,6 @@ def test_reference_imports_only_value_types_and_errors():
 FAST_PATHS = (
     "descend",
     "box_step",
-    "bruteforce_step",
     "theta_eval_bruteforce",
     "tropicalize_step",
     "safe_cutoff",

@@ -74,6 +74,14 @@ def test_characteristic_indices_are_bits():
         CH(2, 0)
 
 
+def test_characteristic_indices_are_ints_not_bools_or_floats():
+    # (True, False) used to print as "TrueFalse", and (1.0, 0) as "1.00",
+    # whose `vector` then indexed a tuple with a float.
+    for j1, j2 in ((True, 0), (1.0, 0), (0, False)):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            CH(j1, j2)
+
+
 def test_certificate_is_sound_on_small_forms():
     # `_certifies(H, m, bound)` promises y^T H y > bound wherever |y|_inf >= m,
     # checked here up to |y|_inf = |m| + 4.  For m <= 0 that region holds
