@@ -246,21 +246,6 @@ def numerators(x: Vec2) -> tuple[int, int, int]:
     return a * (den // b), c * (den // d), den
 
 
-def gram_eval(gram: Mat2, x: Vec2, y: Vec2) -> Fraction:
-    """The bilinear form value x^T (gram) y, for any 2x2 matrix.
-
-    Runs on integer numerators over the least common denominators of the
-    matrix, x and y, and builds one `Fraction` for the value.
-    """
-    (a, da), (b, db) = gram.a.as_integer_ratio(), gram.b.as_integer_ratio()
-    (c, dc), (d, dd) = gram.c.as_integer_ratio(), gram.d.as_integer_ratio()
-    dm = math.lcm(da, db, dc, dd)
-    a, b, c, d = a * (dm // da), b * (dm // db), c * (dm // dc), d * (dm // dd)
-    (x0, x1, dx), (y0, y1, dy) = numerators(x), numerators(y)
-    num = x0 * (a * y0 + b * y1) + x1 * (c * y0 + d * y1)
-    return Fraction(num, dm * dx * dy)
-
-
 def integer_gram(gram: Mat2) -> tuple[tuple[int, int, int], int]:
     """(H, den): H = den * G as (h11, h12, h22), den the least common denominator."""
     (a, da), (b, db) = gram.a.as_integer_ratio(), gram.b.as_integer_ratio()

@@ -215,7 +215,7 @@ def _validate_quartic(
     if len(set(vertices)) != 8:
         raise InternalInconsistencyError("vertex orbit is degenerate")
     vmap = dict(zip(VERTEX_LABELS, vertices))
-    # The gauge n.v / o of `contains`: defined, at most 1, and 1 on the face.
+    # The gauge n.v / o of `contains_step`: defined, at most 1, and 1 on the face.
     for face in faces:
         if face.offset == 0:
             raise InternalInconsistencyError(f"face {face.normal}=0 meets the centre")
@@ -265,16 +265,22 @@ def quartic_off(quartic: KummerQuartic, digits: int) -> str:
 
 
 def contains(quartic: KummerQuartic, p: Vec3) -> bool:
-    """Membership in the union of the six closed faces, exact.
+    """Membership in the union of the six closed faces: `contains_step` on p's
+    numerators over their least common denominator."""
+    ratios = [c.as_integer_ratio() for c in p.as_tuple()]
+    d = math.lcm(*(b for _, b in ratios))
+    return contains_step(quartic, *(a * (d // b) for a, b in ratios), d)
+
+
+def contains_step(quartic: KummerQuartic, x: int, y: int, z: int, d: int) -> bool:
+    """Whether (x, y, z) / d lies on the union of the six closed faces, exact.
 
     As the offsets o = p_uv/2, p_vw/2, p_uw/2 of opposite faces n.p = +-o are
     never 0, the solid is |n.p| <= |o| and its surface is where the gauge
-    max_f (n_f.p)/o_f equals 1.  With p = P/D and o = on/od, a face's gauge is
-    the ratio of integers (n.P) od / (D on), compared with 1 exactly.
+    max_f (n_f.p)/o_f equals 1.  With o = on/od, a face's gauge is the ratio
+    of integers (n.(x, y, z)) od / (d on), compared with 1 exactly, so any
+    nonzero common denominator d gives the same answer.
     """
-    ratios = [c.as_integer_ratio() for c in p.as_tuple()]
-    d = math.lcm(*(b for _, b in ratios))
-    x, y, z = (a * (d // b) for a, b in ratios)
     on_face = False
     for face in quartic.faces:
         (n0, n1, n2), (on, od) = face.normal, face.offset.as_integer_ratio()

@@ -31,7 +31,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Mat2, Value, Vec2, form, gram_eval, numerators, to_fraction
+from .exact import Value, Vec2, form, integer_gram, numerators, to_fraction
 from .lattice import PrincipallyPolarizedSurface
 from .theta import ThetaCharacteristic, _certifies, box_step
 
@@ -40,34 +40,35 @@ class TropicalDescentDatum(Value):
     """A pair (lambda, gamma) satisfying the descent cocycle identity.
 
     `lambda_matrix` holds the dual-basis coordinates of the images of the
-    period basis; `pairing` is the symmetric bilinear form
-    B(s, t) = <lambda(t), s> as a matrix in period coordinates.  The datum is
-    even: gamma has no linear part.
+    period basis.  `pairing` is the symmetric bilinear form
+    B(s, t) = <lambda(t), s> = 2 Q(s, t) in period coordinates, stored as the
+    integer Gram den B = 2H of `exact.integer_gram`'s (H, den).  The datum is
+    even: gamma has no linear part.  Both maps take integer pairs and return
+    numerators over den.
     """
 
     lambda_matrix: tuple[tuple[int, int], tuple[int, int]]
-    pairing: Mat2
+    pairing: tuple[int, int, int]
+    den: int
 
-    def gamma(self, up: Vec2) -> Fraction:
-        return gram_eval(self.pairing, up, up) / 2
+    def gamma(self, up: tuple[int, int]) -> int:
+        return form(self.pairing, up, up) // 2  # exact: 2H has even entries
 
-    def cocycle_defect(self, u1: Vec2, u2: Vec2) -> Fraction:
+    def cocycle_defect(self, u1: tuple[int, int], u2: tuple[int, int]) -> int:
         """gamma(u1+u2) - gamma(u1) - gamma(u2) - <lambda(u2), u1>; zero always."""
-        return (
-            self.gamma(u1 + u2)
-            - self.gamma(u1)
-            - self.gamma(u2)
-            - gram_eval(self.pairing, u1, u2)
-        )
+        total = (u1[0] + u2[0], u1[1] + u2[1])
+        gammas = self.gamma(total) - self.gamma(u1) - self.gamma(u2)
+        return gammas - form(self.pairing, u1, u2)
 
 
 def descent_datum(surface: PrincipallyPolarizedSurface) -> TropicalDescentDatum:
-    """The datum of the second-order pair (2Q, 0): gamma(u') = Q(u', u')."""
-    g = surface.gram
-    return TropicalDescentDatum(
-        lambda_matrix=((2, 0), (0, 2)),
-        pairing=Mat2(2 * g.a, 2 * g.b, 2 * g.c, 2 * g.d),
-    )
+    """The datum of the second-order pair (2Q, 0): gamma(u') = Q(u', u').
+
+    Its pairing 2H over den is read from the `Fraction` Gram, not from the
+    surface's stored integer Gram, so the two can be checked against each other.
+    """
+    (h11, h12, h22), den = integer_gram(surface.gram)
+    return TropicalDescentDatum(((2, 0), (0, 2)), (2 * h11, 2 * h12, 2 * h22), den)
 
 
 class FormalThetaSeries(Value):

@@ -33,8 +33,11 @@ counterexample.  Both oracle rows walk the box that `nonarch.safe_cutoff`
 promises certified: an uncertified one raises InternalInconsistencyError,
 never an input error.
 `kummer.injectivity_check` and `kummer.affine_pieces` compare
-`kummer.psi_step` numerators the same way.  `cvp-descent-oracle` still calls
-`reduce_point` and checks its decomposition, and `quartic-coverage`,
+`kummer.psi_step` numerators the same way, and `quartic-coverage` hands
+them to `kummer.contains_step`.  `descent-datum-cocycle` compares the datum's
+numerators with the stored integer Gram, and `series-lift-consistency` each
+printed `constant_shift` with h(c) / (4 gram_den).  `cvp-descent-oracle`
+still calls `reduce_point` and checks its decomposition, and
 `psi-product-collapse` and `reduce-idempotence` keep their public calls.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
@@ -459,12 +462,13 @@ def _theta_minimizer(s, rng):
 def _descent_cocycle(s, rng, datum):
     u1 = random_integer_vector(rng, 5)
     u2 = random_integer_vector(rng, 5)
-    if datum.cocycle_defect(u1, u2) != 0:
+    a, b = numerators(u1)[:2], numerators(u2)[:2]
+    if datum.cocycle_defect(a, b) != 0:
         return {"u1": _vec(u1), "u2": _vec(u2)}
-    gamma = datum.gamma(u1)
-    if gamma != datum.gamma(-u1):
+    gamma = datum.gamma(a)  # over datum.den; Q(a, a) is over gram_den
+    if gamma != datum.gamma((-a[0], -a[1])):
         return {"u1": _vec(u1), "problem": "gamma not even"}
-    if gamma != s.norm(u1):
+    if gamma * s.gram_den != form(s.int_gram, a, a) * datum.den:
         return {"u1": _vec(u1), "problem": "gamma != Q(u,u)"}
 
 
@@ -484,6 +488,10 @@ def _series_lift(s, rng, tables):
     v = random_point(rng, 2)
     t0, t1, den = numerators(v)
     for char, series in zip(CHARACTERISTICS, tables):
+        # The printed Q(c, c)/4 is read off the conorms; check it on the stored H.
+        c, (num, d) = char.vector(s), series.constant_shift.as_integer_ratio()
+        if form(s.int_gram, c, c) * d != 4 * s.gram_den * num:
+            return {"char": str(char), "constant_shift": str(series.constant_shift)}
         got = nonarch.tropicalize_step(series, t0, t1, den)
         want = theta_step(s, char, t0, t1, den)[0]
         if got != want:
@@ -544,9 +552,10 @@ def _quartic_structure(s, seed, samples):
 
 def _quartic_coverage(s, rng, quartic):
     x = random_point(rng, 4)
-    image = kummer.psi_eval(s, x)
-    if not kummer.contains(quartic, image):
-        return {"x": _vec(x), "psi": _vec(image)}
+    t0, t1, den = numerators(x)
+    image = kummer.psi_step(s, t0, t1, den)
+    if not kummer.contains_step(quartic, *image, 4 * s.gram_den * den * den):
+        return {"x": _vec(x), "psi": [_value(s, n, den) for n in image]}
 
 
 def _psi_injectivity(s, rng):

@@ -20,7 +20,6 @@ from tropical_kummer import (
     build_series,
     classify,
     cli,
-    contains,
     injectivity_check,
     lagrange_reduce,
     make_surface,
@@ -33,6 +32,7 @@ from tropical_kummer import (
     vertex_sign_diagnostics,
 )
 from tropical_kummer.errors import RadiusTooSmallError
+from tropical_kummer.kummer import contains
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,

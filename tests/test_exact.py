@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from tropical_kummer import (
     NonSymmetricError,
     Vec2,
     fraction_decimal,
-    gram_eval,
     is_unimodular,
     to_fraction,
 )
@@ -106,13 +106,6 @@ def test_positive_definite_rejects_asymmetric():
         is_positive_form(integer_gram(Mat2.from_rows([[1, 2], [3, 1]]))[0])
 
 
-def test_gram_eval_examples():
-    g = Mat2.from_rows([[2, -1], [-1, 2]])
-    assert gram_eval(g, Vec2(1, 0), Vec2(1, 0)) == 2
-    assert gram_eval(g, Vec2(1, 0), Vec2(0, 1)) == -1
-    assert gram_eval(g, Vec2(-1, -1), Vec2(-1, -1)) == 2
-
-
 def test_unimodular_examples():
     assert is_unimodular([(1, 0), (0, 1), (1, 1)])
     assert not is_unimodular([(2, 0), (0, 2)])
@@ -138,25 +131,6 @@ def test_unimodular_rejects_malformed():
     assert is_unimodular([(Fraction(2, 2), 0), (0, 1)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(rationals, rationals, rationals, rationals, rationals, rationals, rationals)
-def test_gram_eval_symmetry(a, b, d, x1, x2, y1, y2):
-    g = Mat2(a, b, b, d)
-    x, y = Vec2(x1, x2), Vec2(y1, y2)
-    assert gram_eval(g, x, y) == gram_eval(g, y, x)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.tuples(*[rationals] * 4), st.tuples(*[rationals] * 4))
-def test_gram_eval_matches_fraction_formula(entries, coordinates):
-    # Any Mat2, symmetric or not: x^T M y with M's rows (a b) and (c d).
-    a, b, c, d = entries
-    x1, x2, y1, y2 = coordinates
-    value = gram_eval(Mat2(a, b, c, d), Vec2(x1, x2), Vec2(y1, y2))
-    assert type(value) is Fraction
-    assert value == x1 * (a * y1 + b * y2) + x2 * (c * y1 + d * y2)
-
-
 # Denominators up to 10^6, numerators up to 300 digits.
 wide_rationals = st.builds(
     Fraction,
@@ -179,7 +153,7 @@ def test_integer_layer_matches_fractions(entries, coordinates):
     h, den = integer_gram(g)
     (x0, x1n, dx), (y0, y1n, dy) = numerators(x), numerators(y)
     value = Fraction(form(h, (x0, x1n), (y0, y1n)), den * dx * dy)
-    assert value == gram_eval(g, x, y)
+    assert value == reference.q(g, x, y)
     assert value == x1 * (a * y1 + b * y2) + x2 * (b * y1 + d * y2)
     hx, hy = mul_vec(h, (x0, x1n))  # H t = den dx G x
     assert (Fraction(hx, den * dx), Fraction(hy, den * dx)) == g.mul_vec(x).as_tuple()
@@ -199,7 +173,7 @@ def test_positive_definite_forms_are_positive(a, d, b, x1, x2):
         return
     x = Vec2(x1, x2)
     if x != Vec2(0, 0):
-        assert gram_eval(g, x, x) > 0
+        assert reference.q(g, x, x) > 0
 
 
 @st.composite

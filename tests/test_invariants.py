@@ -165,6 +165,10 @@ def _datum(defect, gamma=None):
     return inject
 
 
+def _gamma_off(datum, up, gamma=verify.nonarch.TropicalDescentDatum.gamma):
+    return gamma(datum, up) + 1  # the unpatched numerator, off by one
+
+
 def _quartic_moved(mp, s):
     quartic = kummer.build_quartic(s)
     moved = (quartic.vertices[0] + Vec3(1, 0, 0),) + quartic.vertices[1:]
@@ -304,13 +308,19 @@ FAULTS = {
         1, {"u1", "problem"}, "gamma not even",
     ),
     "descent-cocycle-norm": (
-        "descent-datum-cocycle", HEX, _datum(0, lambda s: lambda d, u: s.norm(u) + 1),
+        "descent-datum-cocycle", HEX, _datum(0, lambda s: _gamma_off),
         1, {"u1", "problem"}, "gamma != Q(u,u)",
     ),
     "series-lift-consistency": (
         "series-lift-consistency", SKEW, _descent_cut(theta),
         2, {"v", "char", "series", "theta"},
         "'char': '00', 'series': '-3/7', 'theta': '0'",
+    ),
+    "series-constant-shift": (
+        "series-lift-consistency", HEX,
+        # Q(0, 0)/4 = 0 holds for 00; Q(u, u)/4 = 1/2 for 10 does not.
+        _attr(verify.nonarch.FormalThetaSeries, "constant_shift", F(0)),
+        1, {"char", "constant_shift"}, "'char': '10', 'constant_shift': '0'",
     ),
     "series-quasi-periodicity": (
         "series-quasi-periodicity", HEX,
@@ -421,9 +431,11 @@ FRACTIONS_BUILT = {
     "theta-concavity": 200,
     "theta-minimizer-attained": 100,
     "theta-bruteforce-oracle": 164,
-    "series-lift-consistency": 100,
+    "descent-datum-cocycle": 200,
+    "series-lift-consistency": 104,  # the draws and four `constant_shift`s
     "series-quasi-periodicity": 48,
     "series-cutoff-stability": 28,
+    "quartic-coverage": 480,
     "psi-injectivity-mod-sign": 364,
     "affine-unimodularity": 390,
 }

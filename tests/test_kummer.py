@@ -1,12 +1,14 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 import reference
-from conftest import cut_descent
+from conftest import cut_descend, cut_descent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel_pinned import GRAMS, _boundary_points, _sheared
+from test_theta import _vec
 
 from tropical_kummer import (
     CHARACTERISTICS,
@@ -25,7 +27,6 @@ from tropical_kummer import (
     affine_pieces,
     build_quartic,
     classify,
-    contains,
     coplanarity_report,
     g_action,
     injectivity_check,
@@ -40,7 +41,8 @@ from tropical_kummer import (
 )
 from tropical_kummer import kummer
 from tropical_kummer.exact import mean, numerators
-from tropical_kummer.kummer import AffinePiece, _validate_quartic, psi_step
+from tropical_kummer.kummer import AffinePiece, _validate_quartic, contains
+from tropical_kummer.kummer import contains_step, psi_step
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,
@@ -270,6 +272,73 @@ def test_contains_raises_on_a_zero_offset(hexagonal):
     hand_built = KummerQuartic(quartic.vertices, faces, quartic.theta_constants)
     with pytest.raises(ZeroDivisionError):
         contains(hand_built, Vec3(0, 0, 0))
+
+
+def test_contains_step_reads_any_common_denominator(hexagonal, skew_hexagonal):
+    # (x, y, z) / d and (k x, k y, k z) / (k d) are one point, for k of
+    # either sign, and `contains` is the step on the least d.
+    for i, surface in enumerate((hexagonal, skew_hexagonal)):
+        quartic = build_quartic(surface)
+        for p in _gauge_probes(quartic, surface, rng_for(62, "probe", i)):
+            d = math.lcm(*(c.denominator for c in p.as_tuple()))
+            x, y, z = (int(c * d) for c in p.as_tuple())
+            for k in (1, 2, 3, 12, -1, -7):
+                got = contains_step(quartic, k * x, k * y, k * z, k * d)
+                assert got == contains(quartic, p), (surface.gram, p, k)
+
+
+def test_contains_step_on_psi_numerators_matches_the_face_solve(
+    hexagonal, skew_hexagonal
+):
+    # psi_step's numerators over gram_den (2 den)^2, from the true descent
+    # (on the quartic) and from a cut one (often off it), against the
+    # face-by-face solve of the same point.
+    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    on = off = 0
+    for surface in (hexagonal, skew_hexagonal, rational):
+        quartic = build_quartic(surface)
+        faces = [
+            (f.normal, f.offset, [quartic.vertex(i) for i in f.vertex_ids])
+            for f in quartic.faces
+        ]
+        for s in (surface, cut_descent(surface)):
+            for k in range(40):
+                t0, t1, den = numerators(random_point(rng_for(62, "psi", k), 4))
+                nums, scale = psi_step(s, t0, t1, den), 4 * s.gram_den * den * den
+                p = Vec3(*(F(n, scale) for n in nums))
+                expected = reference.contains_by_solving(faces, p)
+                assert contains_step(quartic, *nums, scale) == expected, (s.gram, p)
+                on, off = on + expected, off + (not expected)
+    assert on >= 120 and off > 0, (on, off)
+
+
+def test_both_gauge_entries_raise_on_a_zero_offset(hexagonal):
+    quartic = build_quartic(hexagonal)
+    section = FacePlane((1, -1, 0), F(0), quartic.faces[0].vertex_ids, ())
+    faces = (section,) + quartic.faces[1:]
+    hand_built = KummerQuartic(quartic.vertices, faces, quartic.theta_constants)
+    with pytest.raises(ZeroDivisionError):
+        contains(hand_built, Vec3(0, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        contains_step(hand_built, 0, 0, 0, 1)
+
+
+def _quartic_coverage(s, rng):
+    # The Fraction statement of the `quartic-coverage` row, which runs on
+    # `psi_step` numerators and `contains_step`.
+    x = random_point(rng, 4)
+    image = psi_eval(s, x)
+    if not contains(build_quartic(s), image):
+        return {"x": _vec(x), "psi": _vec(image)}
+
+
+def test_quartic_coverage_matches_its_fraction_statement(
+    row_matches, hexagonal, skew_hexagonal
+):
+    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
+    surfaces = [skew_hexagonal, hexagonal, rational]
+    fault = (kummer, "descend", cut_descend)  # psi leaves the skew quartic
+    row_matches("quartic-coverage", _quartic_coverage, surfaces, fault)
 
 
 def test_validate_quartic_guards_the_gauge(hexagonal):

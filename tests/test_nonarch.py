@@ -42,10 +42,11 @@ lattice_vectors = st.tuples(
 
 def test_descent_datum_examples(hexagonal):
     datum = descent_datum(hexagonal)
-    assert datum.gamma(Vec2(1, 0)) == 2
-    assert datum.gamma(Vec2(0, 0)) == 0
+    assert datum.den == 1
+    assert datum.gamma((1, 0)) == 2
+    assert datum.gamma((0, 0)) == 0
     # Hand check of the cocycle identity at (1,0), (0,1).
-    lhs = datum.gamma(Vec2(1, 1)) - datum.gamma(Vec2(1, 0)) - datum.gamma(Vec2(0, 1))
+    lhs = datum.gamma((1, 1)) - datum.gamma((1, 0)) - datum.gamma((0, 1))
     assert lhs == -2
     assert lhs == 2 * hexagonal.q(Vec2(0, 1), Vec2(1, 0))
     assert datum.lambda_matrix == ((2, 0), (0, 2))
@@ -57,8 +58,49 @@ def test_descent_cocycle_identity(u1, u2):
     from tropical_kummer import make_surface
 
     datum = descent_datum(make_surface([[2, -1], [-1, 3]]))
-    assert datum.cocycle_defect(u1, u2) == 0
-    assert datum.gamma(u1) == datum.gamma(-u1)
+    a, b = numerators(u1)[:2], numerators(u2)[:2]
+    assert datum.cocycle_defect(a, b) == 0
+    assert datum.gamma(a) == datum.gamma((-a[0], -a[1]))
+
+
+def _descent_cocycle(s, rng):
+    # The Fraction statement of the `descent-datum-cocycle` row, which runs
+    # on the datum's integer numerators: B = pairing / den, gamma = B(u, u)/2.
+    u1, u2 = random_integer_vector(rng, 5), random_integer_vector(rng, 5)
+    datum = descent_datum(s)
+    b11, b12, b22 = (F(b, datum.den) for b in datum.pairing)
+    pairing = ((b11, b12), (b12, b22))
+
+    def gamma(u):
+        return reference.q(pairing, u, u) / 2
+
+    if gamma(u1 + u2) - gamma(u1) - gamma(u2) - reference.q(pairing, u1, u2) != 0:
+        return {"u1": _vec(u1), "u2": _vec(u2)}
+    if gamma(u1) != gamma(-u1):
+        return {"u1": _vec(u1), "problem": "gamma not even"}
+    if gamma(u1) != s.norm(u1):
+        return {"u1": _vec(u1), "problem": "gamma != Q(u,u)"}
+
+
+def _gram_raised(integer_gram):
+    """A fault: the datum's Gram H with h11 one higher, so gamma != Q."""
+
+    def raised(gram):
+        (h11, h12, h22), den = integer_gram(gram)
+        return (h11 + 1, h12, h22), den
+
+    return raised
+
+
+def test_descent_cocycle_matches_its_fraction_statement(row_matches, hexagonal):
+    surfaces = [
+        hexagonal,
+        make_surface([[2, -1], [-1, 3]]),
+        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+        make_surface([[5, 3], [3, 2]]),
+    ]
+    fault = (nonarch, "integer_gram", _gram_raised)
+    row_matches("descent-datum-cocycle", _descent_cocycle, surfaces, fault)
 
 
 def test_build_series_examples(hexagonal):

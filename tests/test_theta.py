@@ -111,7 +111,7 @@ def test_theta_constants_examples(hexagonal, skew_hexagonal):
     doubled = make_surface([[4, -2], [-2, 4]])
     assert theta_constants(doubled) == (1, 1, 1)
     # Seeded rational Grams and their shears S^T G S, S = [[1, k], [0, 1]],
-    # against the reduced basis's norms through the Fraction `gram_eval`.
+    # against the reduced basis's norms through `s.norm` on the integer Gram.
     for i in range(40):
         rng = rng_for(18, i)
         g = random_irreducible_surface(rng, 60).gram

@@ -52,7 +52,7 @@ FIELDS = {
     "EquivalentPlus": ("shift",),
     "EquivalentMinus": ("shift",),
     "Distinct": ("witness",),
-    "TropicalDescentDatum": ("lambda_matrix", "pairing"),
+    "TropicalDescentDatum": ("lambda_matrix", "pairing", "den"),
     "Check": ("name", "fn", "key", "count", "needs", "setup"),
 }
 
