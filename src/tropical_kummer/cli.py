@@ -65,13 +65,13 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # The largest series cutoff `series` accepts.  A build costs O(1); an
 # evaluation O(1) memory, and O(cutoff) time only when the box binds (a point
 # far outside it), as the walk prunes the other rows.  At this limit, box
-# binding, the command takes about 0.25 s and 20 MB peak RSS on an x86-64
-# machine with Python 3.11.
+# binding (hex, char 11, point (10^6, -10^6)), the command takes 0.21-0.29 s
+# and 16 MB peak RSS on a 2-vCPU x86-64 machine with Python 3.11.
 MAX_SERIES_CUTOFF = 10**5
 
 # The largest sample count `verify` accepts.  A report's work is linear in the
-# count; at this limit the hexagonal example takes 11-13 s and 19 MB peak RSS
-# through the CLI on a 2-vCPU x86-64 machine with Python 3.11.
+# count; at this limit the hexagonal example (seed 7) takes 5.9-6.3 s and
+# 19 MB peak RSS through the CLI on a 2-vCPU x86-64 machine with Python 3.11.
 MAX_VERIFY_SAMPLES = 10**4
 
 # The most OFF decimal digits `surface` accepts.  Python refuses to print an

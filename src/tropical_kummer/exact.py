@@ -41,6 +41,8 @@ _set = object.__setattr__  # sets a field past a frozen value type's __setattr__
 
 def fraction_decimal(q: Fraction, digits: int) -> str:
     """Round q to `digits` fractional digits, exactly (no float round-trip)."""
+    if type(digits) is not int:
+        raise ValueError(f"digits must be an int, got {digits!r}")
     if digits < 1:
         raise ValueError("digits must be positive")
     scaled = round(q * 10**digits)  # exact round-half-even on Fractions
@@ -294,11 +296,11 @@ def is_unimodular(rows: Iterable[Sequence[int]]) -> bool:
     """True iff the m x 2 integer matrix has rank 2 and a torsion-free cokernel.
 
     Equivalently: the gcd of all 2x2 minors is 1.  An entry that is neither an
-    int nor a `Fraction` with denominator 1 raises `ValueError`.
+    int nor a `Fraction` with denominator 1 (a bool too) raises `ValueError`.
     """
     mat = [tuple(r) for r in rows]
     if len(mat) < 2 or any(len(r) != 2 for r in mat) or not all(
-        isinstance(e, (int, Fraction)) and e.denominator == 1 for r in mat for e in r
+        type(e) in (int, Fraction) and e.denominator == 1 for r in mat for e in r
     ):
         raise ValueError("expected an m x 2 integer matrix with m >= 2")
     g = 0

@@ -145,14 +145,16 @@ def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
 def g_action(
     element: tuple[Sequence[int], bool], point: Sequence[Fraction]
 ) -> Vec3:
-    """Apply (coordinate swap, optional sign flip) to a projective 4-tuple.
+    """Apply (int coordinate swap, bool sign flip) to a projective 4-tuple.
 
     Returns the result in the normalized chart (first coordinate
     subtracted off).
     """
     perm, iota = element
-    if sorted(perm) != [0, 1, 2, 3]:
+    if any(type(i) is not int for i in perm) or sorted(perm) != [0, 1, 2, 3]:
         raise ValueError(f"not a coordinate permutation: {perm!r}")
+    if type(iota) is not bool:
+        raise ValueError(f"the sign flag must be a bool, got {iota!r}")
     coords = [to_fraction(c) for c in point]
     if len(coords) != 4:
         raise ValueError("expected a projective 4-tuple")
@@ -343,18 +345,17 @@ def affine_pieces(
 ) -> tuple[AffinePiece, ...]:
     """Read the embedding off the theta minimizers on every subdivision cell.
 
-    At the cell centroid, `theta_step` gives for each characteristic c a
-    lattice minimizer a_c.  With the integer vector s_c = 2 a_c + c,
-    theta_c(x) = Q(x + s_c/2) - Q(x), so on the cell
+    At the cell centroid, `theta_step` gives for each characteristic c != 00
+    a minimizer a_c, and theta_c(x) = Q(x + s_c/2) - Q(x) with s_c = 2 a_c + c.
+    theta_00 vanishes on the cell, as `psi_step` relies on, so on the cell
 
-        psi_c(x) = Q(x + s_c/2) - Q(x + s_00/2)
-                 = (s_c - s_00) . G x + (h(s_c) - h(s_00)) / (4 gram_den),
+        psi_c(x) = Q(x + s_c/2) - Q(x) = s_c . G x + h(s_c) / (4 gram_den),
 
     where h(s) = s^T H s.  The linear part in dual coordinates G x is the
-    integer row s_c - s_00.  Each piece is checked against `psi_step` at the
+    integer row s_c.  Each piece is checked against `psi_step` at the
     centroid, at (centroid + v)/2 for the first three vertices v, and at
     every vertex.  At x = t/den the piece is
-    (4 (s_c - s_00)^T H t + den (h(s_c) - h(s_00))) / (4 gram_den den), and
+    (4 s_c^T H t + den h(s_c)) / (4 gram_den den), and
     `psi_step`'s numerator over gram_den (2 den)^2 must be den times its
     numerator: integers, with no `Vec2` or `Fraction` per point.  The
     centroid and the midpoints are one numerator mean, `exact.mean`, of the
@@ -369,13 +370,11 @@ def affine_pieces(
     for cell in cells:
         ts = [numerators(p) for p in cell.vertices]
         mid = mean(ts)
-        shifts = []
-        for char, (cx, cy) in zip(CHARACTERISTICS, surface.char_vectors):
+        rows = []
+        for char, (cx, cy) in zip(CHARACTERISTICS[1:], surface.char_vectors[1:]):
             a0, a1 = theta_step(surface, char, *mid)[1]
-            shifts.append((2 * a0 + cx, 2 * a1 + cy))
-        s0 = shifts[0]
-        rows = tuple((x - s0[0], y - s0[1]) for x, y in shifts[1:])
-        gaps = [form(h, s, s) - form(h, s0, s0) for s in shifts[1:]]
+            rows.append((2 * a0 + cx, 2 * a1 + cy))
+        gaps = [form(h, s, s) for s in rows]
         for key in (mid, *[mean((mid, t)) for t in ts[:3]], *ts):
             t0, t1, den = key
             if key not in images:
@@ -386,7 +385,7 @@ def affine_pieces(
         pieces.append(
             AffinePiece(
                 cell=cell,
-                linear_part=rows,
+                linear_part=tuple(rows),
                 offset=Vec3(*(Fraction(gap, den4) for gap in gaps)),
                 unimodular=is_unimodular(rows),
             )

@@ -20,8 +20,8 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 and derives from H alone its positivity and its integer context: the
 characteristic vectors (10 and 01 are the reduced basis u, v), the descent
 triples and the conorms p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which
-give the class (p_uv > 0), the norms h(u) = p_uv + p_uw, ... and the face
-offsets +-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
+give the class (p_uv > 0), the characteristic norms (`char_norms`) and the
+face offsets +-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi) runs
 on `exact.numerators` over any common denominator.  The cell geometry runs on H
 too: the Voronoi vertices solve consecutive facet lines of `_facet_cycle`,
@@ -128,13 +128,21 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
         )
     u, v = _lagrange_reduce(h)
     w = (-u[0] - v[0], -u[1] - v[1])
-    p_uv, p_vw, p_uw = conorms = (-form(h, u, v), -form(h, v, w), -form(h, u, w))
+    conorms = (-form(h, u, v), -form(h, v, w), -form(h, u, w))
+    _, h_u, h_v, h_w = char_norms(conorms)
     # (r, r^T H r) in descent scan order: u, v (, w), then the negatives.
-    half = ((u, p_uv + p_uw), (v, p_uv + p_vw), (w, p_uw + p_vw))[: 3 if p_uv else 2]
+    half = ((u, h_u), (v, h_v), (w, h_w))[: 3 if conorms[0] else 2]
     half += tuple(((-x, -y), n) for (x, y), n in half)
     descent = tuple((r, mul_vec(h, r), n) for r, n in half)
     char_vectors = ((0, 0), u, v, (-w[0], -w[1]))
     return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, conorms, {})
+
+
+def char_norms(conorms: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    """h(c) = c^T H c for c = 0, u, v, u + v, from the conorms (p_uv, p_vw, p_uw):
+    each norm of the obtuse superbase u, v, w = -u - v is a sum of two conorms."""
+    p_uv, p_vw, p_uw = conorms
+    return 0, p_uv + p_uw, p_uv + p_vw, p_uw + p_vw
 
 
 def per_surface(build):
@@ -182,8 +190,8 @@ def _lagrange_reduce(h: tuple[int, int, int]):
 @per_surface
 def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
     """The Lagrange-reduced basis that `make_surface` found, in Fractions."""
-    (p_uv, p_vw, p_uw), den = surface.conorms, surface.gram_den
-    norms = tuple(Fraction(n, den) for n in (p_uv + p_uw, p_uv + p_vw, -p_uv))
+    den, (_, h_u, h_v, _) = surface.gram_den, char_norms(surface.conorms)
+    norms = tuple(Fraction(n, den) for n in (h_u, h_v, -surface.conorms[0]))
     u, v = surface.char_vectors[1:3]
     return ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
 

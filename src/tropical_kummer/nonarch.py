@@ -18,9 +18,8 @@ rows, so its work is O(N) only where the box binds, and its memory
 O(1).  `tropicalize_step` returns that value's numerator over
 gram_den (2 den)^2 at v = t/den, as `theta.theta_step` does, and
 `tropicalize_series` builds one `Fraction` from it.  `support` lists the
-terms one by one, only when read.  `safe_cutoff` is the one box radius rule,
-a closed form on the integer Gram; `verify`'s brute-force oracle walks the
-box it gives and treats an uncertified one as an internal inconsistency.
+terms one by one, only when read.  A series' certified cutoff is
+`theta.safe_cutoff`, which this module re-exports for `cli` and `verify`.
 Characteristics use the same reduced-basis indexing as the direct theta
 evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 """
@@ -28,12 +27,11 @@ evaluation, so the tropicalized series and `theta_eval` agree pointwise.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
-from .exact import Value, Vec2, form, integer_gram, numerators, to_fraction
-from .lattice import PrincipallyPolarizedSurface
-from .theta import ThetaCharacteristic, _certifies, box_step
+from .exact import Value, Vec2, form, integer_gram, numerators
+from .lattice import PrincipallyPolarizedSurface, char_norms
+from .theta import ThetaCharacteristic, box_step, safe_cutoff  # noqa: F401
 
 
 class TropicalDescentDatum(Value):
@@ -96,8 +94,7 @@ class FormalThetaSeries(Value):
     @functools.cached_property
     def constant_shift(self) -> Fraction:
         """The lifting constant Q(c, c) / 4 of c = 0, u, v or -w, by conorms."""
-        (p_uv, p_vw, p_uw), j = self.surface.conorms, self.char.j1 + 2 * self.char.j2
-        h_c = (0, p_uv + p_uw, p_uv + p_vw, p_uw + p_vw)[j]
+        h_c = char_norms(self.surface.conorms)[self.char.j1 + 2 * self.char.j2]
         return Fraction(h_c, 4 * self.surface.gram_den)
 
     @property
@@ -149,33 +146,3 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     t0, t1, den = numerators(v)
     num = tropicalize_step(series, t0, t1, den)
     return Fraction(num, 4 * series.surface.gram_den * den * den)
-
-
-def safe_cutoff(
-    surface: PrincipallyPolarizedSurface,
-    char: ThetaCharacteristic,
-    region_bound: Fraction,
-) -> int:
-    """Smallest certified cutoff for all evaluation points ``|v|_inf <= bound``.
-
-    The shift v + c/2 has |.|_inf <= reach = bound + |c|_inf / 2, so the
-    minimized quadratic at u' = 0 is at most M = (sum |G_ij|) reach^2, and
-    any u' outside the cutoff-R box keeps it above lam_low (R + 1 - reach)^2,
-    lam_low = det(G) / (G11 + G22).  R is the smallest R >= 1 with
-    R + 1 - reach > T = sqrt(M / lam_low): floor(T + reach), or 1 if that is
-    smaller, which is isqrt(floor(T^2)) + floor(reach) or one more, as
-    floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G,
-    bound = b/q and reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
-    k (h11 + h22) / (p^2 det(H)), k = (h11 + 2|h12| + h22) r^2, and R passes the
-    walk's own certificate, the exact test `theta._certifies(H, p (R + 1) - r, k)`.
-    """
-    b, q = to_fraction(region_bound).as_integer_ratio()
-    if b < 0:
-        raise ValueError("region_bound must be nonnegative")
-    h11, h12, h22 = h = surface.int_gram
-    cx, cy = char.vector(surface)
-    r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
-    det = h11 * h22 - h12 * h12
-    k = (h11 + 2 * abs(h12) + h22) * r * r
-    radius = max(1, math.isqrt(k * (h11 + h22) // (p * p * det)) + r // p)
-    return radius if _certifies(h, p * (radius + 1) - r, k) else radius + 1

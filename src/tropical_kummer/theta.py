@@ -13,7 +13,8 @@ denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
 oracle sharing only `_shift` with the descent is provided alongside:
 `box_step`, a box walk that prunes its own rows, so the box's size sets its
 work only where the box binds, and that says whether its minimum is certified
-global on the same integers (`_certifies`, `safe_cutoff`'s test too).  It
+global on the same integers (`_certifies`).  `safe_cutoff`, the one radius
+rule, sizes the box for all |x|_inf <= bound and passes that test.  The walk
 returns its numerator over the same denominator as `theta_step`, and each
 caller says what an uncertified box means: to `theta_eval_bruteforce`, its
 `Fraction` wrapping, a radius too small (RadiusTooSmallError); to `verify`'s
@@ -29,8 +30,9 @@ import math
 from fractions import Fraction
 
 from .errors import ProductTypeError, RadiusTooSmallError
-from .exact import Value, Vec2, form, numerators
-from .lattice import PrincipallyPolarizedSurface, SurfaceClass, classify, descend
+from .exact import Value, Vec2, form, numerators, to_fraction
+from .lattice import PrincipallyPolarizedSurface, SurfaceClass, char_norms, classify
+from .lattice import descend
 
 
 class ThetaCharacteristic(Value):
@@ -171,6 +173,36 @@ def box_step(
     return best - q_x, best_a, _certifies(surface.int_gram, m, best)
 
 
+def safe_cutoff(
+    surface: PrincipallyPolarizedSurface,
+    char: ThetaCharacteristic,
+    region_bound: Fraction,
+) -> int:
+    """Smallest certified cutoff for all evaluation points ``|v|_inf <= bound``.
+
+    The shift v + c/2 has |.|_inf <= reach = bound + |c|_inf / 2, so the
+    minimized quadratic at u' = 0 is at most M = (sum |G_ij|) reach^2, and
+    any u' outside the cutoff-R box keeps it above lam_low (R + 1 - reach)^2,
+    lam_low = det(G) / (G11 + G22).  R is the smallest R >= 1 with
+    R + 1 - reach > T = sqrt(M / lam_low): floor(T + reach), or 1 if that is
+    smaller, which is isqrt(floor(T^2)) + floor(reach) or one more, as
+    floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G,
+    bound = b/q and reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
+    k (h11 + h22) / (p^2 det(H)), k = (h11 + 2|h12| + h22) r^2, and R passes
+    `box_step`'s own certificate, the exact test `_certifies(H, p (R + 1) - r, k)`.
+    """
+    b, q = to_fraction(region_bound).as_integer_ratio()
+    if b < 0:
+        raise ValueError("region_bound must be nonnegative")
+    h11, h12, h22 = h = surface.int_gram
+    cx, cy = char.vector(surface)
+    r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
+    det = h11 * h22 - h12 * h12
+    k = (h11 + 2 * abs(h12) + h22) * r * r
+    radius = max(1, math.isqrt(k * (h11 + h22) // (p * p * det)) + r // p)
+    return radius if _certifies(h, p * (radius + 1) - r, k) else radius + 1
+
+
 def theta_eval_bruteforce(
     surface: PrincipallyPolarizedSurface,
     char: ThetaCharacteristic,
@@ -200,5 +232,5 @@ def theta_constants(
     """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, by conorms."""
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("theta constants are defined for hexagonal cells only")
-    (p_uv, p_vw, p_uw), den4 = surface.conorms, 4 * surface.gram_den
-    return tuple(Fraction(n, den4) for n in (p_uv + p_uw, p_uv + p_vw, p_uw + p_vw))
+    den4 = 4 * surface.gram_den
+    return tuple(Fraction(n, den4) for n in char_norms(surface.conorms)[1:])

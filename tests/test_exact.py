@@ -88,6 +88,9 @@ def test_fraction_decimal_is_exactly_rounded():
     assert abs(printed - val) < Fraction(1, 10**8)
     with pytest.raises(ValueError, match="digits must be positive"):
         fraction_decimal(val, 0)
+    for digits in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="digits must be an int"):
+            fraction_decimal(val, digits)
 
 
 def test_singular_inverse_raises():
@@ -125,6 +128,7 @@ def test_unimodular_rejects_malformed():
         [(Fraction(3, 2), 0), (0, 1)],
         [(1.9, 0), (0, 1)],
         [("1", "0"), ("0", "1")],
+        [(True, False), (False, True)],
     ):
         with pytest.raises(ValueError):
             is_unimodular(rows)

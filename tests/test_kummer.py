@@ -133,6 +133,12 @@ def test_g_action_rejects_bad_input():
         g_action(((0, 0, 1, 2), False), (0, 1, 2, 3))
     with pytest.raises(ValueError):
         g_action(((0, 1, 2, 3), False), (0, 1, 2))
+    # bool entries sort as 0 and 1, and "no" is truthy: both are refused.
+    with pytest.raises(ValueError, match="permutation"):
+        g_action(((False, True, 2, 3), False), (0, 1, 2, 3))
+    for flag in ("no", 1, None):
+        with pytest.raises(ValueError, match="flag"):
+            g_action(((0, 1, 2, 3), flag), (0, 1, 2, 3))
 
 
 def test_quartic_vertices_symmetric_example(hexagonal):
@@ -193,6 +199,10 @@ def test_contains_rejects_points_off_the_faces(hexagonal):
     quartic = build_quartic(hexagonal)
     # On the right plane but outside the face quadrilateral.
     assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
+    # Conorms (1, 2, 2), face offsets 1/2, 1 and 1: (1, 0, 0) lies on two
+    # faces and has gauge 2 on the third, where num - d on = d on = 1.
+    narrow = build_quartic(make_surface([[3, -2], [-2, 4]]))
+    assert not contains_step(narrow, 1, 0, 0, 1)
 
 
 def _random_rational_irreducible(rng):

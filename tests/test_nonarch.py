@@ -116,15 +116,18 @@ def test_build_series_examples(hexagonal):
 
 
 def test_constant_shift_is_a_quarter_of_the_characteristic_norm(
-    hexagonal, skew_hexagonal, hidden_product
+    hexagonal, skew_hexagonal, hidden_product, unit_square
 ):
-    # It reads the stored conorms; Q(c, c) is recomputed from the Gram.  On
-    # the skew hexagon Q(u) != Q(v), and on a product type p_uv = 0.
+    # It reads the stored conorms; Q(c, c) is recomputed from the Gram, and
+    # theta_c(0) = Q(c/2) by the descent, which shares no code with the
+    # conorm rule.  On the skew hexagon Q(u) != Q(v), and on a product type
+    # p_uv = 0.
     rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
-    for s in (hexagonal, skew_hexagonal, hidden_product, rational):
+    for s in (hexagonal, skew_hexagonal, hidden_product, unit_square, rational):
         for char in CHARACTERISTICS:
-            want = s.norm(Vec2(*char.vector(s))) / 4
-            assert build_series(s, char, 0).constant_shift == want, (s, char)
+            shift = build_series(s, char, 0).constant_shift
+            assert shift == s.norm(Vec2(*char.vector(s))) / 4, (s, char)
+            assert shift == theta_eval(s, char, Vec2(0, 0)).value, (s, char)
 
 
 def _peak_bytes(fn):

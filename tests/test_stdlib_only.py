@@ -57,10 +57,11 @@ def test_runtime_does_not_import_dataclasses():
 
 
 def test_private_names_cross_modules_only_where_pinned():
-    # The integer layer (`numerators`, `form`) is public in `exact`, and the
-    # box walk `theta.box_step` is public.  Only its certificate crosses, from
-    # `theta` to `nonarch.safe_cutoff`, so the oracle's premise is one
-    # inequality.
+    # The integer layer (`numerators`, `form`) is public in `exact`, the
+    # characteristic norms `lattice.char_norms` are public, and the box walk
+    # `theta.box_step` is public.  Its certificate `_certifies` stays in
+    # `theta` with the one radius rule that passes it, `safe_cutoff`, so no
+    # private name crosses a module.
     crossing = {
         (path, f"{node.module}.{alias.name}")
         for path, node in _import_nodes()
@@ -68,7 +69,7 @@ def test_private_names_cross_modules_only_where_pinned():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert crossing == {("nonarch.py", "theta._certifies")}
+    assert crossing == set()
 
 
 def test_public_names_resolve_once():
