@@ -70,7 +70,7 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 MAX_SERIES_CUTOFF = 10**5
 
 # The largest sample count `verify` accepts.  A report's work is linear in the
-# count; at this limit the hexagonal example (seed 7) takes 5.9-6.3 s and
+# count; at this limit the hexagonal example (seed 7) takes 5.2-5.9 s and
 # 19 MB peak RSS through the CLI on a 2-vCPU x86-64 machine with Python 3.11.
 MAX_VERIFY_SAMPLES = 10**4
 

@@ -2,6 +2,13 @@
 
 Every sample k is derived from (seed, k) alone, so sample counts can vary
 and evaluation order (or parallelism) cannot change any drawn value.
+
+Each draw rule is stated once, on integers: `random_numerators` draws a point
+as its numerators over one common denominator, `random_pair` an integer
+vector and `random_unimodular_entries` an element of GL_2(Z).
+`random_point`, `random_integer_vector` and `random_unimodular` are their
+`Vec2` and `Mat2` views: the same `rng` calls in the same order, so a view
+and its integer draw give the same values and leave the same generator state.
 """
 
 from __future__ import annotations
@@ -31,18 +38,37 @@ _MAX_DEN = 12  # the largest denominator of a drawn fraction
 _UNIMODULAR_STEPS = 6  # elementary operations per random unimodular matrix
 
 
-def random_fraction(rng: random.Random, bound: int) -> Fraction:
-    den = rng.randint(1, _MAX_DEN)
-    num = rng.randint(-bound * den, bound * den)
-    return Fraction(num, den)
+def _draw(rng: random.Random, bound: int) -> tuple[int, int, int, int]:
+    """The point draw: per coordinate a denominator d in [1, _MAX_DEN], then a
+    numerator in [-bound d, bound d]; as (n0, d0, n1, d1)."""
+    randrange = rng.randrange
+    d0 = randrange(1, _MAX_DEN + 1)
+    n0 = randrange(-bound * d0, bound * d0 + 1)
+    d1 = randrange(1, _MAX_DEN + 1)
+    return n0, d0, randrange(-bound * d1, bound * d1 + 1), d1
+
+
+def random_numerators(rng: random.Random, bound: int) -> tuple[int, int, int]:
+    """A point drawn as `exact.numerators` writes it: (t0, t1, den) in lowest
+    terms, equal to `numerators(random_point(rng, bound))`."""
+    n0, d0, n1, d1 = _draw(rng, bound)
+    den = math.lcm(d0, d1)
+    t0, t1 = n0 * (den // d0), n1 * (den // d1)
+    g = math.gcd(t0, t1, den)
+    return t0 // g, t1 // g, den // g
 
 
 def random_point(rng: random.Random, bound: int) -> Vec2:
-    return Vec2._of(random_fraction(rng, bound), random_fraction(rng, bound))
+    n0, d0, n1, d1 = _draw(rng, bound)
+    return Vec2._of(Fraction(n0, d0), Fraction(n1, d1))
+
+
+def random_pair(rng: random.Random, bound: int) -> tuple[int, int]:
+    return rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1)
 
 
 def random_integer_vector(rng: random.Random, bound: int = 4) -> Vec2:
-    return Vec2(rng.randint(-bound, bound), rng.randint(-bound, bound))
+    return Vec2(*random_pair(rng, bound))
 
 
 def random_gram(rng: random.Random, max_entry: int = 6) -> Mat2:
@@ -69,16 +95,21 @@ def random_irreducible_surface(
             return surface
 
 
-def random_unimodular(rng: random.Random) -> Mat2:
-    """A random element of GL_2(Z) built from elementary operations."""
-    m = [[1, 0], [0, 1]]
+def random_unimodular_entries(rng: random.Random) -> tuple[int, int, int, int]:
+    """A random element of GL_2(Z), rows (a b) and (c d), by row operations."""
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(_UNIMODULAR_STEPS):
         op = rng.randrange(3)
         if op == 0:
-            m[0], m[1] = m[1], m[0]
+            a, b, c, d = c, d, a, b
         elif op == 1:
-            m[0] = [-m[0][0], -m[0][1]]
+            a, b = -a, -b
         else:
-            k = rng.randint(-2, 2)
-            m[1] = [m[1][0] + k * m[0][0], m[1][1] + k * m[0][1]]
-    return Mat2(m[0][0], m[0][1], m[1][0], m[1][1])
+            k = rng.randrange(-2, 3)
+            c, d = c + k * a, d + k * b
+    return a, b, c, d
+
+
+def random_unimodular(rng: random.Random) -> Mat2:
+    """`random_unimodular_entries` as a `Mat2`."""
+    return Mat2(*random_unimodular_entries(rng))

@@ -25,9 +25,11 @@ surface class it needs (if any) and an optional setup.
 
 A case computes each of its own quantities once, such as a shifted point
 and its anomaly, however many characteristics it checks.  The theta,
-oracle and series rows read each point's numerators once and compare
-integers over one common denominator per case: the numerators over
-gram_den (2 den)^2 of `theta.theta_step`, of `theta.box_step` and of
+oracle, series, cocycle, coverage and unimodularity rows draw each point
+as its numerators and each integer vector or matrix as `int`s
+(`sampling.random_numerators`, `random_pair`, `random_unimodular_entries`)
+and compare integers over one common denominator per case: the numerators
+over gram_den (2 den)^2 of `theta.theta_step`, of `theta.box_step` and of
 `nonarch.tropicalize_step`.  They build a `Fraction` only to render a
 counterexample.  Both oracle rows walk the box that `nonarch.safe_cutoff`
 promises certified: an uncertified one raises InternalInconsistencyError,
@@ -39,6 +41,9 @@ numerators with the stored integer Gram, and `series-lift-consistency` each
 printed `constant_shift` with h(c) / (4 gram_den).  `cvp-descent-oracle`
 still calls `reduce_point` and checks its decomposition, and
 `psi-product-collapse` and `reduce-idempotence` keep their public calls.
+These three, `theta-zero-on-cell`, the `gram-*` rows,
+`psi-injectivity-mod-sign` and `classify-congruence-invariance` draw
+through `sampling`'s `Vec2` and `Mat2` views of the same draws.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report
@@ -73,9 +78,12 @@ from .lattice import (
 from .sampling import (
     random_integer_vector,
     random_irreducible_surface,
+    random_numerators,
+    random_pair,
     random_point,
     random_surface,
     random_unimodular,
+    random_unimodular_entries,
     rng_for,
 )
 from .theta import CHARACTERISTICS, box_step, theta_step
@@ -192,6 +200,16 @@ def _vec(v) -> list[str]:
     return [str(c) for c in v.as_tuple()]
 
 
+def _point(t0: int, t1: int, den: int) -> list[str]:
+    """The point t/den, shown as `_vec` shows it."""
+    return [str(Fraction(t0, den)), str(Fraction(t1, den))]
+
+
+def _ints(pair: tuple[int, int]) -> list[str]:
+    """An integer vector, shown as `_vec` shows it."""
+    return [str(pair[0]), str(pair[1])]
+
+
 def _rows(m: Mat2) -> list[list[str]]:
     return [[str(e) for e in row] for row in m.rows()]
 
@@ -215,13 +233,12 @@ def _gram_positivity(s, rng):
 
 def _unimodular_invariance(s, rng):
     m = rng.choice((2, 3))
-    rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m)]
+    rows = [random_pair(rng, 4) for _ in range(m)]
     base = is_unimodular(rows)
     perm = list(range(m))
     rng.shuffle(perm)
     permuted = [rows[i] for i in perm]
-    u = random_unimodular(rng)  # integral: its entries are read as ints
-    a, b, c, d = int(u.a), int(u.b), int(u.c), int(u.d)
+    a, b, c, d = random_unimodular_entries(rng)
     # r -> U r: the rows go to M U^T.
     transformed = [(a * r0 + b * r1, c * r0 + d * r1) for r0, r1 in rows]
     if is_unimodular(permuted) != base or is_unimodular(transformed) != base:
@@ -337,31 +354,29 @@ def _theta_zero_on_cell(s, rng):
 
 
 def _theta_evenness(s, rng):
-    x = random_point(rng, 4)
-    t0, t1, den = numerators(x)
+    t0, t1, den = random_numerators(rng, 4)
     for char in CHARACTERISTICS:
         if theta_step(s, char, t0, t1, den)[0] != theta_step(s, char, -t0, -t1, den)[0]:
-            return {"x": _vec(x), "char": str(char)}
+            return {"x": _point(t0, t1, den), "char": str(char)}
 
 
-def _period_shift(s, x, up):
-    """(t, t + den up, den, anomaly) for x = t/den and an integer vector up:
-    x + up is (t + den up) / den, and over gram_den (2 den)^2 the anomaly
-    2 Q(x, up) + Q(up) is 4 (2 den t^T H up + den^2 up^T H up)."""
-    (t0, t1, den), (u0, u1, _) = numerators(x), numerators(up)
-    h, u = s.int_gram, (u0, u1)
-    anomaly = 4 * den * (2 * form(h, (t0, t1), u) + den * form(h, u, u))
-    return (t0, t1), (t0 + den * u0, t1 + den * u1), den, anomaly
+def _period_shift(s, rng, bound):
+    """(t, t + den up, den, anomaly, up) for a point x = t/den and an integer
+    vector up, both drawn within `bound`: x + up is (t + den up) / den, and
+    over gram_den (2 den)^2 the anomaly 2 Q(x, up) + Q(up) is
+    4 (2 den t^T H up + den^2 up^T H up)."""
+    t0, t1, den = random_numerators(rng, bound)
+    up, h = random_pair(rng, bound), s.int_gram
+    anomaly = 4 * den * (2 * form(h, (t0, t1), up) + den * form(h, up, up))
+    return (t0, t1), (t0 + den * up[0], t1 + den * up[1]), den, anomaly, up
 
 
 def _theta_quasi_periodicity(s, rng):
-    x = random_point(rng, 3)
-    up = random_integer_vector(rng, 3)
-    t, shifted, den, anomaly = _period_shift(s, x, up)
+    t, shifted, den, anomaly, up = _period_shift(s, rng, 3)
     for char in CHARACTERISTICS:
         lhs = theta_step(s, char, *shifted, den)[0]
         if lhs != theta_step(s, char, *t, den)[0] - anomaly:
-            return {"x": _vec(x), "shift": _vec(up), "char": str(char)}
+            return {"x": _point(*t, den), "shift": _ints(up), "char": str(char)}
 
 
 def _translation_table(s):
@@ -375,8 +390,7 @@ def _translation_table(s):
 
 def _theta_translation(s, rng, table):
     char00 = CHARACTERISTICS[0]
-    x = random_point(rng, 3)
-    t0, t1, den = numerators(x)
+    t0, t1, den = random_numerators(rng, 3)
     for char, (v0, v1), h_vec in table:
         # theta_c(x) = theta_00(x +- vec/2) +- Q(x, vec) + Q(vec)/4 over
         # gram_den (4 den)^2, with x +- vec/2 = (2t +- den vec) / (2 den).
@@ -387,12 +401,11 @@ def _theta_translation(s, rng, table):
         plus = theta_step(s, char00, 2 * t0 + e0, 2 * t1 + e1, 2 * den)[0] + q
         minus = theta_step(s, char00, 2 * t0 - e0, 2 * t1 - e1, 2 * den)[0] - q
         if lhs != plus + quarter or lhs != minus + quarter:
-            return {"x": _vec(x), "char": str(char)}
+            return {"x": _point(t0, t1, den), "char": str(char)}
 
 
 def _theta_concavity(s, rng):
-    x, y = random_point(rng, 3), random_point(rng, 3)
-    (a0, a1, dx), (b0, b1, dy) = numerators(x), numerators(y)
+    (a0, a1, dx), (b0, b1, dy) = random_numerators(rng, 3), random_numerators(rng, 3)
     d = math.lcm(dx, dy)
     a0, a1, b0, b1 = a0 * (d // dx), a1 * (d // dx), b0 * (d // dy), b1 * (d // dy)
     for char in CHARACTERISTICS:
@@ -401,7 +414,7 @@ def _theta_concavity(s, rng):
         mid = theta_step(s, char, a0 + b0, a1 + b1, 2 * d)[0]
         ends = theta_step(s, char, a0, a1, d)[0] + theta_step(s, char, b0, b1, d)[0]
         if mid < 2 * ends:
-            return {"x": _vec(x), "y": _vec(y)}
+            return {"x": _point(a0, a1, d), "y": _point(b0, b1, d)}
 
 
 def _oracle_step(surface, char, t0, t1, den) -> int:
@@ -428,16 +441,15 @@ def _theta_oracle(s, seed, samples):
     for si, surface in enumerate(surfaces):
         for k in range(per_surface):
             rng = rng_for(seed, "theta-oracle", si, k)
-            x = random_point(rng, 2)
+            t0, t1, den = random_numerators(rng, 2)
             char = CHARACTERISTICS[rng.randrange(4)]
             cases += 1
-            t0, t1, den = numerators(x)
             fast = theta_step(surface, char, t0, t1, den)[0]
             slow = _oracle_step(surface, char, t0, t1, den)
             if fast != slow:
                 counterexample = {
                     "gram": _rows(surface.gram),
-                    "x": _vec(x),
+                    "x": _point(t0, t1, den),
                     "char": str(char),
                     "fast": _value(surface, fast, den),
                     "oracle": _value(surface, slow, den),
@@ -447,29 +459,26 @@ def _theta_oracle(s, seed, samples):
 
 
 def _theta_minimizer(s, rng):
-    x = random_point(rng, 4)
+    t0, t1, den = random_numerators(rng, 4)
     char = CHARACTERISTICS[rng.randrange(4)]
-    t0, t1, den = numerators(x)
     num, (a0, a1) = theta_step(s, char, t0, t1, den)
     # Over gram_den (2 den)^2, Q(a + x + c/2) - Q(x) is h(2 den a + 2t + den c)
     # - 4 h(t): the value at the minimizer a.
     (cx, cy), h = char.vector(s), s.int_gram
     y = (2 * (den * a0 + t0) + den * cx, 2 * (den * a1 + t1) + den * cy)
     if form(h, y, y) - 4 * form(h, (t0, t1), (t0, t1)) != num:
-        return {"x": _vec(x), "char": str(char)}
+        return {"x": _point(t0, t1, den), "char": str(char)}
 
 
 def _descent_cocycle(s, rng, datum):
-    u1 = random_integer_vector(rng, 5)
-    u2 = random_integer_vector(rng, 5)
-    a, b = numerators(u1)[:2], numerators(u2)[:2]
+    a, b = random_pair(rng, 5), random_pair(rng, 5)
     if datum.cocycle_defect(a, b) != 0:
-        return {"u1": _vec(u1), "u2": _vec(u2)}
+        return {"u1": _ints(a), "u2": _ints(b)}
     gamma = datum.gamma(a)  # over datum.den; Q(a, a) is over gram_den
     if gamma != datum.gamma((-a[0], -a[1])):
-        return {"u1": _vec(u1), "problem": "gamma not even"}
+        return {"u1": _ints(a), "problem": "gamma not even"}
     if gamma * s.gram_den != form(s.int_gram, a, a) * datum.den:
-        return {"u1": _vec(u1), "problem": "gamma != Q(u,u)"}
+        return {"u1": _ints(a), "problem": "gamma != Q(u,u)"}
 
 
 def _series_tables(bound: Fraction) -> Callable:
@@ -485,8 +494,7 @@ def _series_tables(bound: Fraction) -> Callable:
 
 
 def _series_lift(s, rng, tables):
-    v = random_point(rng, 2)
-    t0, t1, den = numerators(v)
+    t0, t1, den = random_numerators(rng, 2)
     for char, series in zip(CHARACTERISTICS, tables):
         # The printed Q(c, c)/4 is read off the conorms; check it on the stored H.
         c, (num, d) = char.vector(s), series.constant_shift.as_integer_ratio()
@@ -496,7 +504,7 @@ def _series_lift(s, rng, tables):
         want = theta_step(s, char, t0, t1, den)[0]
         if got != want:
             return {
-                "v": _vec(v),
+                "v": _point(t0, t1, den),
                 "char": str(char),
                 "series": _value(s, got, den),
                 "theta": _value(s, want, den),
@@ -504,13 +512,11 @@ def _series_lift(s, rng, tables):
 
 
 def _series_quasi_periodicity(s, rng, tables):
-    v = random_point(rng, 2)
-    up = random_integer_vector(rng, 2)
-    t, shifted, den, anomaly = _period_shift(s, v, up)
+    t, shifted, den, anomaly, up = _period_shift(s, rng, 2)
     for series in tables:
         lhs = nonarch.tropicalize_step(series, *shifted, den)
         if lhs != nonarch.tropicalize_step(series, *t, den) - anomaly:
-            return {"v": _vec(v), "shift": _vec(up)}
+            return {"v": _point(*t, den), "shift": _ints(up)}
 
 
 def _cutoff_ladders(s):
@@ -524,14 +530,14 @@ def _cutoff_ladders(s):
 
 
 def _cutoff_stability(s, rng, ladders):
-    v = random_point(rng, 2)
-    t0, t1, den = numerators(v)  # each value over gram_den (2 den)^2
+    t0, t1, den = random_numerators(rng, 2)  # each value over gram_den (2 den)^2
     for char, ladder in zip(CHARACTERISTICS, ladders):
         values = [nonarch.tropicalize_step(series, t0, t1, den) for series in ladder]
         if values[1] > values[0] or values[2] > values[1]:
-            return {"v": _vec(v), "char": str(char)}
+            return {"v": _point(t0, t1, den), "char": str(char)}
         if values[2] != values[1]:
-            return {"v": _vec(v), "char": str(char), "problem": "not stabilized"}
+            v = _point(t0, t1, den)
+            return {"v": v, "char": str(char), "problem": "not stabilized"}
 
 
 def _quartic_structure(s, seed, samples):
@@ -551,11 +557,10 @@ def _quartic_structure(s, seed, samples):
 
 
 def _quartic_coverage(s, rng, quartic):
-    x = random_point(rng, 4)
-    t0, t1, den = numerators(x)
+    t0, t1, den = random_numerators(rng, 4)
     image = kummer.psi_step(s, t0, t1, den)
     if not kummer.contains_step(quartic, *image, 4 * s.gram_den * den * den):
-        return {"x": _vec(x), "psi": [_value(s, n, den) for n in image]}
+        return {"x": _point(t0, t1, den), "psi": [_value(s, n, den) for n in image]}
 
 
 def _psi_injectivity(s, rng):

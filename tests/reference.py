@@ -3,8 +3,10 @@
 Each function takes the Fraction Gram G (a `Mat2` or its rows), never a
 surface, so none reaches what `make_surface` derives or the package's descent,
 box walk, cutoff rule or series terms.  Points and vectors are `Vec2`s, but for
-a characteristic's integer pair c.  From the package this module takes its
-value types and errors only.
+a characteristic's integer pair c.  The `draw_*` functions state the suite's
+sampling draws as `Fraction`s built from `randint`, beside the package's
+integer draws.  From the package this module takes its value types and errors
+only.
 """
 
 import functools
@@ -205,3 +207,35 @@ def series_scan(gram, c, cutoff, v):
         for a1 in side
     )
     return F(least, den * dv) + q(gram, Vec2(*c), Vec2(*c)) / 4
+
+
+def draw_point(rng, bound):
+    """A sample point: per coordinate a denominator d in 1..12, then a
+    numerator in [-bound d, bound d], each by `randint`."""
+    coordinates = []
+    for _ in range(2):
+        den = rng.randint(1, 12)
+        coordinates.append(F(rng.randint(-bound * den, bound * den), den))
+    return Vec2(*coordinates)
+
+
+def draw_integer_vector(rng, bound):
+    """A sample integer vector in [-bound, bound]^2, each entry by `randint`."""
+    return Vec2(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def draw_unimodular(rng):
+    """A sample element of GL_2(Z): six elementary row operations, each a
+    swap of the rows, the first row negated, or k in [-2, 2] times the first
+    row added to the second."""
+    m = [[1, 0], [0, 1]]
+    for _ in range(6):
+        op = rng.randrange(3)
+        if op == 0:
+            m[0], m[1] = m[1], m[0]
+        elif op == 1:
+            m[0] = [-m[0][0], -m[0][1]]
+        else:
+            k = rng.randint(-2, 2)
+            m[1] = [m[1][0] + k * m[0][0], m[1][1] + k * m[0][1]]
+    return Mat2.from_rows(m)

@@ -358,6 +358,9 @@ def test_verify_200_samples_pinned(capsys, tmp_path, gram, seed, digest):
 # SHA-256 of `verify` reports at seed 7 and 50 samples, serialized as the
 # CLI prints them, recorded before the checks became one table of rows.
 VERIFY_SEED7_SAMPLES50_SHA256 = {
+    # The report that perfbench's `verify-hex` times and digests, the bytes
+    # `test_pinned_outputs` reads through the CLI.
+    "hex": HEX_VERIFY_SEED7_SAMPLES50_SHA256,
     "skew": "028d8ac167c8f1dff6392548c7e5e3c96601d064bc8a98c25c7d47c25226a749",
     "hidden-product": "388b2fc46d3cb172ecd14587b53b8642599b325bb4d69b938053cf274f88302e",
     "unit-square": "026826549bc196555371d424ae41ac490115e63a45ad4a24433fa360f295323b",
@@ -377,6 +380,7 @@ VERIFY_SEED7_SAMPLES50_SHA256 = {
 
 
 _PINNED_SURFACES = {
+    "hex": make_surface([[2, -1], [-1, 2]]),
     "skew": make_surface([[2, -1], [-1, 3]]),
     "hidden-product": make_surface([[5, 3], [3, 2]]),
     "unit-square": make_surface([[1, 0], [0, 1]]),

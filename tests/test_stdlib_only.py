@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import random
 import sys
 from fractions import Fraction as F
 from inspect import isfunction, signature
@@ -162,6 +163,7 @@ def test_reference_runs_without_the_fast_paths(monkeypatch):
     given = dict(x=x, y=x, s=x, v=x, yp=Vec2(1, 0) - x, reach=2, radius=2, cutoff=2)
     given.update(ceiling=5, c=(1, 1), faces=[((0, 0, 1), 0, square)])
     given["p"] = Vec3(F(1, 2), F(1, 3), 0)
+    given.update(rng=random.Random(0), bound=3)
     public = [f for n, f in vars(reference).items() if isfunction(f) and n[0] != "_"]
     for gram in ([[2, -1], [-1, 2]], [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]):
         rel = [Vec2(*r) for r, _, _ in reference.surface_fields(gram)["descent"]]
