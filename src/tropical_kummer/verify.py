@@ -201,13 +201,8 @@ def _vec(v) -> list[str]:
 
 
 def _point(t0: int, t1: int, den: int) -> list[str]:
-    """The point t/den, shown as `_vec` shows it."""
+    """The point t/den (den 1 for an integer vector), shown as `_vec` shows it."""
     return [str(Fraction(t0, den)), str(Fraction(t1, den))]
-
-
-def _ints(pair: tuple[int, int]) -> list[str]:
-    """An integer vector, shown as `_vec` shows it."""
-    return [str(pair[0]), str(pair[1])]
 
 
 def _rows(m: Mat2) -> list[list[str]]:
@@ -376,7 +371,7 @@ def _theta_quasi_periodicity(s, rng):
     for char in CHARACTERISTICS:
         lhs = theta_step(s, char, *shifted, den)[0]
         if lhs != theta_step(s, char, *t, den)[0] - anomaly:
-            return {"x": _point(*t, den), "shift": _ints(up), "char": str(char)}
+            return {"x": _point(*t, den), "shift": _point(*up, 1), "char": str(char)}
 
 
 def _translation_table(s):
@@ -473,12 +468,12 @@ def _theta_minimizer(s, rng):
 def _descent_cocycle(s, rng, datum):
     a, b = random_pair(rng, 5), random_pair(rng, 5)
     if datum.cocycle_defect(a, b) != 0:
-        return {"u1": _ints(a), "u2": _ints(b)}
+        return {"u1": _point(*a, 1), "u2": _point(*b, 1)}
     gamma = datum.gamma(a)  # over datum.den; Q(a, a) is over gram_den
     if gamma != datum.gamma((-a[0], -a[1])):
-        return {"u1": _ints(a), "problem": "gamma not even"}
+        return {"u1": _point(*a, 1), "problem": "gamma not even"}
     if gamma * s.gram_den != form(s.int_gram, a, a) * datum.den:
-        return {"u1": _ints(a), "problem": "gamma != Q(u,u)"}
+        return {"u1": _point(*a, 1), "problem": "gamma != Q(u,u)"}
 
 
 def _series_tables(bound: Fraction) -> Callable:
@@ -516,7 +511,7 @@ def _series_quasi_periodicity(s, rng, tables):
     for series in tables:
         lhs = nonarch.tropicalize_step(series, *shifted, den)
         if lhs != nonarch.tropicalize_step(series, *t, den) - anomaly:
-            return {"v": _point(*t, den), "shift": _ints(up)}
+            return {"v": _point(*t, den), "shift": _point(*up, 1)}
 
 
 def _cutoff_ladders(s):
