@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import kummer, nonarch
 from .errors import InputError
-from .exact import Mat2, Vec2, to_fraction
+from .exact import Mat2, Vec2, as_strings, to_fraction
 from .lattice import (
     PrincipallyPolarizedSurface,
     classify,
@@ -162,16 +162,12 @@ def _parse_point(text: str) -> Vec2:
     return Vec2(_rational(parts[0]), _rational(parts[1]))
 
 
-def _vec_json(v) -> list[str]:
-    return [str(c) for c in v.as_tuple()]
-
-
 def cmd_classify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     rb = lagrange_reduce(surface)
     _emit(
         {
             "class": classify(surface).value,
-            "reduced_basis": {"u": _vec_json(rb.u), "v": _vec_json(rb.v)},
+            "reduced_basis": {"u": as_strings(rb.u), "v": as_strings(rb.v)},
             "norms": {
                 "uu": str(rb.norms[0]),
                 "vv": str(rb.norms[1]),
@@ -187,8 +183,8 @@ def cmd_voronoi(args, config: dict, surface: PrincipallyPolarizedSurface) -> int
     _emit(
         {
             "kind": cell.kind.value,
-            "relevant_vectors": [_vec_json(r) for r in cell.relevant_vectors],
-            "vertices": [_vec_json(m) for m in cell.vertices],
+            "relevant_vectors": [as_strings(r) for r in cell.relevant_vectors],
+            "vertices": [as_strings(m) for m in cell.vertices],
         }
     )
     return 0
@@ -202,9 +198,9 @@ def cmd_theta(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     _emit(
         {
             "char": str(char),
-            "point": _vec_json(point),
+            "point": as_strings(point),
             "value": str(tv.value),
-            "minimizer": _vec_json(tv.minimizer),
+            "minimizer": as_strings(tv.minimizer),
         }
     )
     return 0
@@ -215,8 +211,8 @@ def cmd_embed(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
         point = _parse_point(args.point)
     _emit(
         {
-            "point": _vec_json(point),
-            "psi": _vec_json(kummer.psi_eval(surface, point)),
+            "point": as_strings(point),
+            "psi": as_strings(kummer.psi_eval(surface, point)),
         }
     )
     return 0
@@ -240,7 +236,7 @@ def cmd_surface(args, config: dict, surface: PrincipallyPolarizedSurface) -> int
         _emit(
             {
                 "vertices": {
-                    label: _vec_json(v)
+                    label: as_strings(v)
                     for label, v in zip(kummer.VERTEX_LABELS, quartic.vertices)
                 },
                 "faces": faces,
@@ -266,7 +262,7 @@ def cmd_series(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
     _emit(
         {
             "char": str(char),
-            "point": _vec_json(point),
+            "point": as_strings(point),
             "cutoff": cutoff,
             "terms": series.n_terms,
             "constant_shift": str(series.constant_shift),

@@ -2,7 +2,7 @@
 
 Every quantity in this package is a ``fractions.Fraction``; floats appear
 only in the decimal formatting used for mesh export.  Rationals serialize
-as ``"p/q"`` (or ``"n"`` for integers), which is exactly ``str(Fraction)``.
+as ``"p/q"`` (or ``"n"`` for integers), exactly ``str(Fraction)``, by `as_strings`.
 """
 
 from __future__ import annotations
@@ -246,6 +246,16 @@ def numerators(x: Vec2) -> tuple[int, int, int]:
     (a, b), (c, d) = x.x.as_integer_ratio(), x.y.as_integer_ratio()
     den = math.lcm(b, d)
     return a * (den // b), c * (den // d), den
+
+
+def point(t0: int, t1: int, den: int) -> Vec2:
+    """The point (t0, t1) / den: `numerators` read back into a `Vec2`."""
+    return Vec2._of(Fraction(t0, den), Fraction(t1, den))
+
+
+def as_strings(v: Vec2 | Vec3) -> list[str]:
+    """A vector's coordinates as exact strings, ``"p/q"`` or ``"n"``."""
+    return [str(c) for c in v.as_tuple()]
 
 
 def integer_gram(gram: Mat2) -> tuple[tuple[int, int, int], int]:

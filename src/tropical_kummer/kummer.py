@@ -30,10 +30,9 @@ from .errors import (
     ProductTypeError,
 )
 from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
-from .exact import form, lex_positive, mean, numerators  # integer layer
+from .exact import form, lex_positive, mean, numerators, point  # integer layer
 from .lattice import (
     Cell,
-    HALF,
     PrincipallyPolarizedSurface,
     SurfaceClass,
     classify,
@@ -44,6 +43,7 @@ from .lattice import (
 from .theta import (
     CHARACTERISTICS,
     ThetaCharacteristic,
+    step_scale,
     theta_constants,
     theta_step,
 )
@@ -113,7 +113,7 @@ Verdict = EquivalentPlus | EquivalentMinus | Distinct
 def psi_step(
     surface: PrincipallyPolarizedSurface, t0: int, t1: int, den: int
 ) -> tuple[int, int, int]:
-    """psi(t/den)'s three numerators over gram_den (2 den)^2.
+    """psi(t/den)'s three numerators over `step_scale`, gram_den (2 den)^2.
 
     Differences of second-order theta values are invariant under integer
     translation (the quasi-periodicity anomaly cancels), so t/den is reduced
@@ -138,7 +138,7 @@ def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:
     """The chart triple of theta differences at x: `psi_step` in Fractions."""
     t0, t1, den = numerators(x)
     n10, n01, n11 = psi_step(surface, t0, t1, den)
-    scale = 4 * surface.gram_den * den * den
+    scale = step_scale(surface, den)
     return Vec3._of(Fraction(n10, scale), Fraction(n01, scale), Fraction(n11, scale))
 
 
@@ -300,39 +300,37 @@ def injectivity_check(
 ) -> Verdict:
     """Decide yp = +-y modulo Z^2 and cross-check against the embedding.
 
-    The verdict is read off numerators: a `Fraction` is in lowest terms, so
-    yp -+ y is integral only when yp and y have the same denominators
-    (b, d), and then exactly when b and d divide the numerators' differences
-    (sums).  Plus wins when both hold, at 2-torsion points.  The verdict and
-    the equality of psi's three theta differences are computed independently;
-    a mismatch between the two would falsify the injectivity criterion and
-    raises InternalInconsistencyError.  The images are compared as `psi_step`
-    numerators, n / (gram_den (2 dy)^2) = n' / (gram_den (2 dyp)^2) exactly
-    when n dyp^2 = n' dy^2.
+    The verdict is read off the `numerators` over each point's least common
+    denominator.  A coordinate's denominator does not change under -+ or a
+    Z^2 shift, so yp -+ y is integral only when the two denominators agree,
+    and then exactly when that denominator divides the numerators'
+    differences (sums).  Plus wins when both hold, at 2-torsion points.  The
+    verdict and the equality of psi's three theta differences are computed
+    independently; a mismatch between the two would falsify the injectivity
+    criterion and raises InternalInconsistencyError.  The images are compared
+    as `psi_step` numerators, n / (gram_den (2 dy)^2) = n' / (gram_den (2 dyp)^2)
+    exactly when n dyp^2 = n' dy^2.
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("the injectivity criterion needs a hexagonal cell")
     t0, t1, dy = numerators(y)
     s0, s1, dyp = numerators(yp)
-    dy2, dyp2 = dy * dy, dyp * dyp
     image_y, image_yp = psi_step(surface, t0, t1, dy), psi_step(surface, s0, s1, dyp)
-    same = [n * dyp2 == m * dy2 for n, m in zip(image_y, image_yp)]
-    (a, b), (c, d) = y.x.as_integer_ratio(), y.y.as_integer_ratio()
-    (e, f), (g, k) = yp.x.as_integer_ratio(), yp.y.as_integer_ratio()
-    if b == f and d == k:
+    same = [n * dyp * dyp == m * dy * dy for n, m in zip(image_y, image_yp)]
+    if dy == dyp:
         for verdict, sign in ((EquivalentPlus, -1), (EquivalentMinus, 1)):
-            p0, p1 = e + sign * a, g + sign * c  # the numerators of yp -+ y
-            if p0 % b == 0 and p1 % d == 0:
+            p0, p1 = s0 + sign * t0, s1 + sign * t1  # the numerators of yp -+ y
+            if p0 % dy == 0 and p1 % dy == 0:
                 if not all(same):
                     raise InternalInconsistencyError(
                         f"equivalent points {y.as_tuple()}, {yp.as_tuple()} "
                         "have distinct images"
                     )
-                return verdict._of(Vec2._of(Fraction(p0 // b), Fraction(p1 // d)))
+                return verdict._of(point(p0, p1, dy))
     for char, equal in zip(CHARACTERISTICS[1:], same):
         if not equal:
             return Distinct(char)
-    image = tuple(Fraction(n, 4 * surface.gram_den * dy2) for n in image_y)
+    image = tuple(Fraction(n, step_scale(surface, dy)) for n in image_y)
     raise InternalInconsistencyError(
         f"{y.as_tuple()} and {yp.as_tuple()} are inequivalent but share "
         f"the image {image}"
@@ -364,7 +362,7 @@ def affine_pieces(
     evaluations, kept for this call only.
     """
     cells = subdivide(surface)  # raises ProductTypeError on rectangles
-    h, den4 = surface.int_gram, 4 * surface.gram_den
+    h, den4 = surface.int_gram, step_scale(surface, 1)
     images = {}  # numerators(p) -> psi_step at p
     pieces = []
     for cell in cells:
@@ -442,7 +440,7 @@ def two_torsion_images(
     vertex_set = set(build_quartic(surface).vertices)
     out = []
     for c in surface.char_vectors:  # 0, u/2, v/2, (u + v)/2
-        rep = HALF * Vec2(*c)
+        rep = point(*c, 2)
         image = psi_eval(surface, rep)
         out.append((rep, image, image in vertex_set))
     return tuple(out)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from .errors import InternalInconsistencyError, NotPositiveDefiniteError
 from .errors import ProductTypeError
 from .exact import Mat2, Value, Vec2, ZERO2, form, integer_gram
-from .exact import is_positive_form, lex_positive, mul_vec, numerators
+from .exact import is_positive_form, lex_positive, mul_vec, numerators, point
 
 HALF = Fraction(1, 2)
 
@@ -192,8 +192,7 @@ def lagrange_reduce(surface: PrincipallyPolarizedSurface) -> ReducedBasis:
     """The Lagrange-reduced basis that `make_surface` found, in Fractions."""
     den, (_, h_u, h_v, _) = surface.gram_den, char_norms(surface.conorms)
     norms = tuple(Fraction(n, den) for n in (h_u, h_v, -surface.conorms[0]))
-    u, v = surface.char_vectors[1:3]
-    return ReducedBasis(*(Vec2._of(*map(Fraction, r)) for r in (u, v)), norms)
+    return ReducedBasis(*(point(*r, 1) for r in surface.char_vectors[1:3]), norms)
 
 
 def classify(surface: PrincipallyPolarizedSurface) -> SurfaceClass:
@@ -214,9 +213,7 @@ def _facet_vertex(
     (r1x, r1y), (r2x, r2y) = mul_vec(surface.int_gram, a), mul_vec(surface.int_gram, b)
     c1, c2 = a[0] * r1x + a[1] * r1y, b[0] * r2x + b[1] * r2y
     det2 = 2 * (r1x * r2y - r1y * r2x)
-    return Vec2._of(
-        Fraction(c1 * r2y - c2 * r1y, det2), Fraction(r1x * c2 - r2x * c1, det2)
-    )
+    return point(c1 * r2y - c2 * r1y, r1x * c2 - r2x * c1, det2)
 
 
 def _facet_cycle(surface: PrincipallyPolarizedSurface) -> tuple[tuple[int, int], ...]:
@@ -237,7 +234,7 @@ def voronoi_cell(surface: PrincipallyPolarizedSurface) -> VoronoiCell:
     pairs = zip(cycle, cycle[1:] + cycle[:1])
     verts = tuple(_facet_vertex(surface, a, b) for a, b in pairs)
     kind = CellKind.HEXAGON if len(cycle) == 6 else CellKind.RECTANGLE
-    rel = tuple(Vec2(*r) for r, _, _ in surface.descent)
+    rel = tuple(point(*r, 1) for r, _, _ in surface.descent)
     return VoronoiCell(kind=kind, relevant_vectors=rel, vertices=verts)
 
 
@@ -290,8 +287,7 @@ def reduce_point(
     Boundary points keep whichever representative `descend` reaches first.
     """
     t0, t1, den = numerators(x)
-    t0, t1 = descend(surface, t0, t1, den)
-    x0 = Vec2._of(Fraction(t0, den), Fraction(t1, den))
+    x0 = point(*descend(surface, t0, t1, den), den)
     return x0, x - x0
 
 
@@ -306,7 +302,7 @@ def subdivide(surface: PrincipallyPolarizedSurface) -> tuple[Cell, ...]:
     """
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("rectangular Voronoi cells are not subdivided")
-    halves = [HALF * Vec2(*r) for r in _facet_cycle(surface)]
+    halves = [point(*r, 2) for r in _facet_cycle(surface)]
     m = voronoi_cell(surface).vertices
     cells: list[Cell] = []
     for i in range(6):

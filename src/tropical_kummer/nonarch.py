@@ -11,12 +11,13 @@ contributes ``Q(c, c)/4`` for the characteristic representative ``c``.
 A series is its surface, characteristic and cutoff N, nothing more: its
 terms are closed forms in the surface's integer Gram, so `build_series` is
 O(1).  The term at u' = a in the box |a_i| <= N evaluates at v to
-<c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4 that is
+<c + 2a, G v> + Q(a, a) + Q(c, a), and with the constant Q(c, c)/4
+(`theta.ThetaCharacteristic.constant`) that is
 Q(v + c/2 + a) - Q(v): tropicalization is the value of `theta.box_step`,
 the row walk that says whether its own minimum is certified.  It prunes its
 rows, so its work is O(N) only where the box binds, and its memory
 O(1).  `tropicalize_step` returns that value's numerator over
-gram_den (2 den)^2 at v = t/den, as `theta.theta_step` does, and
+`theta.step_scale` at v = t/den, as `theta.theta_step` does, and
 `tropicalize_series` builds one `Fraction` from it.  `support` lists the
 terms one by one, only when read.  A series' certified cutoff is
 `theta.safe_cutoff`, which this module re-exports for `cli` and `verify`.
@@ -30,8 +31,8 @@ import functools
 from fractions import Fraction
 
 from .exact import Value, Vec2, form, integer_gram, numerators
-from .lattice import PrincipallyPolarizedSurface, char_norms
-from .theta import ThetaCharacteristic, box_step, safe_cutoff  # noqa: F401
+from .lattice import PrincipallyPolarizedSurface
+from .theta import ThetaCharacteristic, box_step, safe_cutoff, step_scale  # noqa: F401
 
 
 class TropicalDescentDatum(Value):
@@ -93,9 +94,8 @@ class FormalThetaSeries(Value):
 
     @functools.cached_property
     def constant_shift(self) -> Fraction:
-        """The lifting constant Q(c, c) / 4 of c = 0, u, v or -w, by conorms."""
-        h_c = char_norms(self.surface.conorms)[self.char.j1 + 2 * self.char.j2]
-        return Fraction(h_c, 4 * self.surface.gram_den)
+        """The lifting constant Q(c, c) / 4 of c = 0, u, v or -w."""
+        return self.char.constant(self.surface)
 
     @property
     def n_terms(self) -> int:
@@ -145,4 +145,4 @@ def tropicalize_series(series: FormalThetaSeries, v: Vec2) -> Fraction:
     """constant_shift + min over the support of (<exponent, v> + valuation)."""
     t0, t1, den = numerators(v)
     num = tropicalize_step(series, t0, t1, den)
-    return Fraction(num, 4 * series.surface.gram_den * den * den)
+    return Fraction(num, step_scale(series.surface, den))

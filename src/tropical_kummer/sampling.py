@@ -6,9 +6,9 @@ and evaluation order (or parallelism) cannot change any drawn value.
 Each draw rule is stated once, on integers: `random_numerators` draws a point
 as its numerators over one common denominator, `random_pair` an integer
 vector and `random_unimodular_entries` an element of GL_2(Z).
-`random_point`, `random_integer_vector` and `random_unimodular` are their
-`Vec2` and `Mat2` views: the same `rng` calls in the same order, so a view
-and its integer draw give the same values and leave the same generator state.
+`random_point` (`exact.point` of the numerators), `random_integer_vector`
+and `random_unimodular` are their `Vec2` and `Mat2` views: the same `rng`
+calls in the same order, so the same values and the same generator state.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from fractions import Fraction
 
-from .exact import Mat2, Vec2
+from .exact import Mat2, Vec2, point
 from .lattice import (
     PrincipallyPolarizedSurface,
     SurfaceClass,
@@ -38,20 +37,15 @@ _MAX_DEN = 12  # the largest denominator of a drawn fraction
 _UNIMODULAR_STEPS = 6  # elementary operations per random unimodular matrix
 
 
-def _draw(rng: random.Random, bound: int) -> tuple[int, int, int, int]:
-    """The point draw: per coordinate a denominator d in [1, _MAX_DEN], then a
-    numerator in [-bound d, bound d]; as (n0, d0, n1, d1)."""
+def random_numerators(rng: random.Random, bound: int) -> tuple[int, int, int]:
+    """A point drawn as `exact.numerators` writes it, (t0, t1, den) in lowest
+    terms: per coordinate a denominator d in [1, _MAX_DEN], then a numerator
+    in [-bound d, bound d]."""
     randrange = rng.randrange
     d0 = randrange(1, _MAX_DEN + 1)
     n0 = randrange(-bound * d0, bound * d0 + 1)
     d1 = randrange(1, _MAX_DEN + 1)
-    return n0, d0, randrange(-bound * d1, bound * d1 + 1), d1
-
-
-def random_numerators(rng: random.Random, bound: int) -> tuple[int, int, int]:
-    """A point drawn as `exact.numerators` writes it: (t0, t1, den) in lowest
-    terms, equal to `numerators(random_point(rng, bound))`."""
-    n0, d0, n1, d1 = _draw(rng, bound)
+    n1 = randrange(-bound * d1, bound * d1 + 1)
     den = math.lcm(d0, d1)
     t0, t1 = n0 * (den // d0), n1 * (den // d1)
     g = math.gcd(t0, t1, den)
@@ -59,8 +53,7 @@ def random_numerators(rng: random.Random, bound: int) -> tuple[int, int, int]:
 
 
 def random_point(rng: random.Random, bound: int) -> Vec2:
-    n0, d0, n1, d1 = _draw(rng, bound)
-    return Vec2._of(Fraction(n0, d0), Fraction(n1, d1))
+    return point(*random_numerators(rng, bound))
 
 
 def random_pair(rng: random.Random, bound: int) -> tuple[int, int]:

@@ -8,8 +8,8 @@ the function value at x is
 
 The minimum is found by the closest-vector descent on integer numerators:
 `_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and `theta_step`
-returns the value's numerator over gram_den (2 den)^2 for any common
-denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
+returns the value's numerator over `step_scale`, gram_den (2 den)^2, for any
+common denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
 oracle sharing only `_shift` with the descent is provided alongside:
 `box_step`, a box walk that prunes its own rows, so the box's size sets its
 work only where the box binds, and that says whether its minimum is certified
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .errors import ProductTypeError, RadiusTooSmallError
-from .exact import Value, Vec2, form, numerators, to_fraction
+from .exact import Value, Vec2, form, numerators, point, to_fraction
 from .lattice import PrincipallyPolarizedSurface, SurfaceClass, char_norms, classify
 from .lattice import descend
 
@@ -53,9 +53,16 @@ class ThetaCharacteristic(Value):
     def __str__(self) -> str:
         return f"{self.j1}{self.j2}"
 
+    _index = property(lambda self: self.j1 + 2 * self.j2)  # 00, 10, 01, 11: 0..3
+
     def vector(self, surface: PrincipallyPolarizedSurface) -> tuple[int, int]:
-        """The integer vector j1*u + j2*v in the surface's reduced basis."""
-        return surface.char_vectors[self.j1 + 2 * self.j2]
+        """The integer vector c = j1*u + j2*v in the surface's reduced basis."""
+        return surface.char_vectors[self._index]
+
+    def constant(self, surface: PrincipallyPolarizedSurface) -> Fraction:
+        """The lifting constant Q(c, c)/4, h(c) / (4 gram_den) by conorms."""
+        h_c = char_norms(surface.conorms)[self._index]
+        return Fraction(h_c, step_scale(surface, 1))
 
 
 # Fixed numbering b0..b3 of the four second-order characteristics.
@@ -70,6 +77,11 @@ CHARACTERISTICS = (
 class ThetaValue(Value):
     value: Fraction
     minimizer: Vec2  # a lattice point attaining the minimum
+
+
+def step_scale(surface: PrincipallyPolarizedSurface, den: int) -> int:
+    """gram_den (2 den)^2: the denominator of every step's numerator at t/den."""
+    return 4 * surface.gram_den * den * den
 
 
 def _shift(surface, char, t0, t1, den) -> tuple[int, int, int, int]:
@@ -106,8 +118,7 @@ def theta_step(
 
 def _theta_value(surface, num: int, a: tuple[int, int], den: int) -> ThetaValue:
     """The step's (num, a) at x = t/den, as a `Fraction` value and minimizer."""
-    value = Fraction(num, 4 * surface.gram_den * den * den)
-    return ThetaValue._of(value, Vec2._of(Fraction(a[0]), Fraction(a[1])))
+    return ThetaValue._of(Fraction(num, step_scale(surface, den)), point(*a, 1))
 
 
 def theta_eval(
@@ -218,8 +229,7 @@ def theta_eval_bruteforce(
     t0, t1, den = numerators(x)
     num, a, certified = box_step(surface, char, t0, t1, den, radius)
     if not certified:
-        s0, s1, d, _ = _shift(surface, char, t0, t1, den)
-        shift = (Fraction(s0, d), Fraction(s1, d))
+        shift = point(*_shift(surface, char, t0, t1, den)[:3]).as_tuple()
         raise RadiusTooSmallError(
             f"radius {radius} cannot certify the minimum for shift {shift}"
         )
@@ -229,8 +239,7 @@ def theta_eval_bruteforce(
 def theta_constants(
     surface: PrincipallyPolarizedSurface,
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, by conorms."""
+    """(theta_10, theta_01, theta_11) = (Q(u,u), Q(v,v), Q(w,w)) / 4, by `constant`."""
     if classify(surface) is not SurfaceClass.IRREDUCIBLE:
         raise ProductTypeError("theta constants are defined for hexagonal cells only")
-    den4 = 4 * surface.gram_den
-    return tuple(Fraction(n, den4) for n in char_norms(surface.conorms)[1:])
+    return tuple(char.constant(surface) for char in CHARACTERISTICS[1:])

@@ -29,11 +29,11 @@ oracle, series, cocycle, coverage and unimodularity rows draw each point
 as its numerators and each integer vector or matrix as `int`s
 (`sampling.random_numerators`, `random_pair`, `random_unimodular_entries`)
 and compare integers over one common denominator per case: the numerators
-over gram_den (2 den)^2 of `theta.theta_step`, of `theta.box_step` and of
+over `theta.step_scale` of `theta.theta_step`, of `theta.box_step` and of
 `nonarch.tropicalize_step`.  They build a `Fraction` only to render a
-counterexample.  Both oracle rows walk the box that `nonarch.safe_cutoff`
-promises certified: an uncertified one raises InternalInconsistencyError,
-never an input error.
+counterexample (`exact.point`).  Both oracle rows walk the box that
+`nonarch.safe_cutoff` promises certified: an uncertified one raises
+InternalInconsistencyError, never an input error.
 `kummer.injectivity_check` and `kummer.affine_pieces` compare
 `kummer.psi_step` numerators the same way, and `quartic-coverage` hands
 them to `kummer.contains_step`.  `descent-datum-cocycle` compares the datum's
@@ -62,7 +62,8 @@ from fractions import Fraction
 
 from . import kummer, nonarch
 from .errors import InternalInconsistencyError
-from .exact import Mat2, Value, Vec2, form, is_unimodular, numerators
+from .exact import Mat2, Value, Vec2, as_strings, form, is_unimodular, numerators
+from .exact import point
 from .lattice import (
     HALF,
     PrincipallyPolarizedSurface,
@@ -86,7 +87,7 @@ from .sampling import (
     random_unimodular_entries,
     rng_for,
 )
-from .theta import CHARACTERISTICS, box_step, theta_step
+from .theta import CHARACTERISTICS, box_step, step_scale, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -196,13 +197,9 @@ def run_check(
     )
 
 
-def _vec(v) -> list[str]:
-    return [str(c) for c in v.as_tuple()]
-
-
 def _point(t0: int, t1: int, den: int) -> list[str]:
-    """The point t/den (den 1 for an integer vector), shown as `_vec` shows it."""
-    return [str(Fraction(t0, den)), str(Fraction(t1, den))]
+    """The point t/den (den 1 for an integer vector), as `as_strings` shows it."""
+    return as_strings(point(t0, t1, den))
 
 
 def _rows(m: Mat2) -> list[list[str]]:
@@ -210,20 +207,20 @@ def _rows(m: Mat2) -> list[list[str]]:
 
 
 def _value(s, num: int, den: int) -> str:
-    """A numerator over gram_den (2 den)^2, as `theta_step` returns, shown."""
-    return str(Fraction(num, 4 * s.gram_den * den * den))
+    """A numerator over `step_scale`, as `theta_step` returns, shown."""
+    return str(Fraction(num, step_scale(s, den)))
 
 
 def _gram_symmetry(s, rng):
     x, y = random_point(rng, 5), random_point(rng, 5)
     if s.q(x, y) != s.q(y, x):
-        return {"x": _vec(x), "y": _vec(y)}
+        return {"x": as_strings(x), "y": as_strings(y)}
 
 
 def _gram_positivity(s, rng):
     x = random_point(rng, 5)
     if x != Vec2(0, 0) and s.norm(x) <= 0:
-        return {"x": _vec(x), "q": str(s.norm(x))}
+        return {"x": as_strings(x), "q": str(s.norm(x))}
 
 
 def _unimodular_invariance(s, rng):
@@ -264,7 +261,8 @@ def _reduction_invariants(s, seed, samples):
         and quv <= 0
         and 2 * abs(quv) <= quu
     )
-    detail = {"u": _vec(rb.u), "v": _vec(rb.v), "norms": [str(q) for q in rb.norms]}
+    norms = [str(q) for q in rb.norms]
+    detail = {"u": as_strings(rb.u), "v": as_strings(rb.v), "norms": norms}
     return (PASS if ok else FAIL), 1, (None if ok else detail), detail
 
 
@@ -319,7 +317,7 @@ def _cvp_oracle(s, rng):
     x = random_point(rng, 5)
     x0, p = reduce_point(s, x)
     if x0 + p != x or not p.is_integral():
-        return {"x": _vec(x), "problem": "bad decomposition"}
+        return {"x": as_strings(x), "problem": "bad decomposition"}
     # Over gram_den (2 den)^2, Q(x0) = Q((t - den p) / den) is 4 h(t - den p),
     # and the oracle's theta_00(x) + Q(x) is its numerator plus 4 h(t).
     t0, t1, den = numerators(x)
@@ -328,16 +326,16 @@ def _cvp_oracle(s, rng):
     expected += 4 * form(h, (t0, t1), (t0, t1))
     if 4 * form(h, r, r) != expected:
         oracle = _value(s, expected, den)
-        return {"x": _vec(x), "descent": str(s.norm(x0)), "oracle": oracle}
+        return {"x": as_strings(x), "descent": str(s.norm(x0)), "oracle": oracle}
 
 
 def _reduce_idempotence(s, rng):
     x0, _ = reduce_point(s, random_point(rng, 5))
     x1, p = reduce_point(s, x0)
     if p != Vec2(0, 0) or s.norm(x1) != s.norm(x0):
-        return {"x0": _vec(x0), "x1": _vec(x1)}
+        return {"x0": as_strings(x0), "x1": as_strings(x1)}
     if not in_voronoi_cell(s, x0):
-        return {"x0": _vec(x0), "problem": "not in cell"}
+        return {"x0": as_strings(x0), "problem": "not in cell"}
 
 
 def _theta_zero_on_cell(s, rng):
@@ -345,7 +343,7 @@ def _theta_zero_on_cell(s, rng):
     t0, t1, den = numerators(x0)
     num = theta_step(s, CHARACTERISTICS[0], t0, t1, den)[0]
     if num != 0:
-        return {"x0": _vec(x0), "value": _value(s, num, den)}
+        return {"x0": as_strings(x0), "value": _value(s, num, den)}
 
 
 def _theta_evenness(s, rng):
@@ -554,7 +552,7 @@ def _quartic_structure(s, seed, samples):
 def _quartic_coverage(s, rng, quartic):
     t0, t1, den = random_numerators(rng, 4)
     image = kummer.psi_step(s, t0, t1, den)
-    if not kummer.contains_step(quartic, *image, 4 * s.gram_den * den * den):
+    if not kummer.contains_step(quartic, *image, step_scale(s, den)):
         return {"x": _point(t0, t1, den), "psi": [_value(s, n, den) for n in image]}
 
 
@@ -570,7 +568,7 @@ def _psi_injectivity(s, rng):
     try:
         kummer.injectivity_check(s, y, yp)
     except InternalInconsistencyError as exc:
-        return {"y": _vec(y), "yp": _vec(yp), "error": str(exc)}
+        return {"y": as_strings(y), "yp": as_strings(yp), "error": str(exc)}
 
 
 def _psi_product_collapse(s, rng, rb):
@@ -578,7 +576,7 @@ def _psi_product_collapse(s, rng, rb):
     c1, c2 = random_point(rng, 3).as_tuple()
     x = c1 * rb.u + c2 * rb.v
     if kummer.psi_eval(s, x) != kummer.psi_eval(s, c1 * rb.u - c2 * rb.v):
-        return {"x": _vec(x)}
+        return {"x": as_strings(x)}
 
 
 def _affine_unimodularity(s, seed, samples):
@@ -620,7 +618,7 @@ def _subdivision_geometry(s, seed, samples):
     for cell in cells:
         for p in cell.vertices:
             if not in_voronoi_cell(s, p):
-                return FAIL, 1, {"cell": cell.label, "vertex": _vec(p)}, None
+                return FAIL, 1, {"cell": cell.label, "vertex": as_strings(p)}, None
     rb = lagrange_reduce(s)
     shifts = (HALF * rb.v, HALF * -rb.w)
     for cell in cells:
@@ -631,8 +629,8 @@ def _subdivision_geometry(s, seed, samples):
                 if not in_voronoi_cell(s, p + shift):
                     counterexample = {
                         "cell": cell.label,
-                        "vertex": _vec(p),
-                        "shift": _vec(shift),
+                        "vertex": as_strings(p),
+                        "shift": as_strings(shift),
                     }
                     return FAIL, 1, counterexample, None
     return PASS, len(cells), None, None

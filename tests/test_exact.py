@@ -16,7 +16,7 @@ from tropical_kummer import (
     to_fraction,
 )
 from tropical_kummer.exact import form, integer_gram, is_positive_form, lex_positive
-from tropical_kummer.exact import mul_vec, numerators
+from tropical_kummer.exact import as_strings, mul_vec, numerators, point
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -153,6 +153,8 @@ def test_integer_layer_matches_fractions(entries, coordinates):
         t0, t1, den = numerators(p)
         assert den == math.lcm(p.x.denominator, p.y.denominator)
         assert (Fraction(t0, den), Fraction(t1, den)) == p.as_tuple()
+        assert point(t0, t1, den) == point(-3 * t0, -3 * t1, -3 * den) == p
+        assert as_strings(p) == [str(p.x), str(p.y)]
     g = Mat2(a, b, b, d)
     h, den = integer_gram(g)
     (x0, x1n, dx), (y0, y1n, dy) = numerators(x), numerators(y)

@@ -428,7 +428,8 @@ _EQUIVALENCE_SURFACES = (
 @st.composite
 def _pairs(draw):
     y = Vec2(draw(_coords), draw(_coords))
-    mode = draw(st.sampled_from(("plus", "minus", "torsion", "same-den", "free")))
+    modes = ("plus", "minus", "torsion", "same-den", "swapped-den", "free")
+    mode = draw(st.sampled_from(modes))
     if mode == "torsion":  # y = -y mod Z^2: both sums are integral
         y = Vec2(*(F(draw(st.integers(-5, 5)), 2) for _ in range(2)))
     if mode in ("plus", "torsion"):
@@ -438,6 +439,8 @@ def _pairs(draw):
     if mode == "same-den":  # y's denominators, other numerators
         dens = (y.x.denominator, y.y.denominator)
         return y, Vec2(*(F(draw(st.integers(-10 * d, 10 * d)), d) for d in dens))
+    if mode == "swapped-den":  # y's denominators exchanged: the same lcm
+        return y, Vec2(y.y, y.x) + draw(_lattice)
     return y, Vec2(draw(_coords), draw(_coords))
 
 

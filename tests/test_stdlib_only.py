@@ -2,6 +2,7 @@ import ast
 import functools
 import importlib
 import random
+import re
 import sys
 from fractions import Fraction as F
 from inspect import isfunction, signature
@@ -184,3 +185,46 @@ def test_verify_does_not_descend():
             names.add(node.attr)
     assert "theta_step" in names
     assert "descend" not in names
+
+
+# Each rule that takes a value out of the integer layer, as `ast.unparse`
+# writes it: the scale gram_den (2 den)^2, the characteristic index, a point
+# built from its numerators and a vector rendered as exact strings.
+_RULES = {
+    "scale": r"4 \* ([\w.]+\.)?gram_den",
+    "index": r"([\w.]+\.)?j1 \+ 2 \* ([\w.]+\.)?j2",
+    "point": r"Vec2(\._of)?\(Fraction\(.+\), Fraction\(.+\)\)",
+    "render": r"\[str\((\w+)\) for \1 in .+\.as_tuple\(\)\]",
+}
+
+
+def _rule_sites() -> dict[str, list[str]]:
+    """Per rule, `module.name` of the innermost def or class around each
+    runtime expression that writes it."""
+    found = {rule: [] for rule in _RULES}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.expr):
+            text = ast.unparse(node)
+            for rule, pattern in _RULES.items():
+                if re.fullmatch(pattern, text):
+                    found[rule].append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_each_rule_out_of_the_integer_layer_is_written_once():
+    # `verify`'s lift row restates the scale on purpose: it checks the
+    # printed constant against the stored Gram, apart from `step_scale`.
+    assert _rule_sites() == {
+        "scale": ["theta.step_scale", "verify._series_lift"],
+        "index": ["theta.ThetaCharacteristic"],
+        "point": ["exact.point"],
+        "render": ["exact.as_strings"],
+    }
