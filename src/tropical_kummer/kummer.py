@@ -30,7 +30,7 @@ from .errors import (
     ProductTypeError,
 )
 from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
-from .exact import form, lex_positive, mean, numerators, point  # integer layer
+from .exact import form, lex_positive, mean, mul_vec, numerators, point  # integer layer
 from .lattice import (
     Cell,
     PrincipallyPolarizedSurface,
@@ -117,20 +117,37 @@ def psi_step(
 
     Differences of second-order theta values are invariant under integer
     translation (the quasi-periodicity anomaly cancels), so t/den is reduced
-    into the Voronoi cell first, once.  With t/den in the cell, theta_c is
-    (h(n_c) - 4 h(t)) / (gram_den * (2*den)^2), where n_c is the descent of
-    2*t + den*c and h(y) = y^T H y; the h(t) terms cancel in the differences.
-    Characteristic 00 needs no descent: from 2t over 2 den, `descend` tests the
-    inequalities that stopped it at t over den, so n_00 = 2t, h(n_00) = 4 h(t).
-    As `descend` scales, (k t, k den) gives k^2 times each numerator.
+    into the Voronoi cell V first, once; the rest is closed form.  On V,
+    theta_00 = 0 and theta_c(x) is the least Q(x + q/2) - Q(x) = Q(x, q) +
+    Q(q)/4 over q in c + 2 Z^2, a coset closed under q -> -q, so over
+    step_scale
+
+        psi_c = den * min over q of (den h(q) - 4 |t^T H q|),  h(q) = q^T H q.
+
+    Only q in {c, c + 2c'} can reach the minimum, for (c, c') = (u, v),
+    (v, u), (u + v, -v): the nearest point p of the coset c/2 + Z^2 to -x
+    has x + p in V, so p lies in 2V, as V is symmetric.  As u, v, w = -u - v
+    is an obtuse superbase (every 2-D lattice is of Voronoi's first kind),
+    the coset's points in 2V are +-c/2 and +-(c/2 + c'); any other, as u - 2v
+    for c = u when Q(u, v) = 0, lies on the boundary of 2V, where it only
+    ties with them.  H u and H v are read from `int_gram` and `char_vectors`,
+    not from the conorms, which the quartic's faces are built on.  As
+    `descend` scales, (k t, k den) gives k^2 times each numerator.
     """
     t0, t1 = descend(surface, t0, t1, den)
-    h, den2 = surface.int_gram, 2 * den
-    h00 = 4 * form(h, (t0, t1), (t0, t1))
+    h, (_, u, v, _) = surface.int_gram, surface.char_vectors
+    (hu0, hu1), (hv0, hv1) = mul_vec(h, u), mul_vec(h, v)
+    huu, huv = u[0] * hu0 + u[1] * hu1, u[0] * hv0 + u[1] * hv1
+    hvv = v[0] * hv0 + v[1] * hv1
+    a, b = t0 * hu0 + t1 * hu1, t0 * hv0 + t1 * hv1  # t^T H u, t^T H v
     nums = []
-    for cx, cy in surface.char_vectors[1:]:  # 10, 01, 11
-        n = descend(surface, 2 * t0 + den * cx, 2 * t1 + den * cy, den2)
-        nums.append(form(h, n, n) - h00)
+    # (h(c), t^T H c, h(c + 2c'), t^T H (c + 2c')) for c = u, v, u + v.
+    for hc, tc, hq, tq in (
+        (huu, a, huu + 4 * (huv + hvv), a + 2 * b),
+        (hvv, b, hvv + 4 * (huv + huu), b + 2 * a),
+        (huu + 2 * huv + hvv, a + b, huu - 2 * huv + hvv, a - b),
+    ):
+        nums.append(den * min(den * hc - 4 * abs(tc), den * hq - 4 * abs(tq)))
     return tuple(nums)
 
 

@@ -13,12 +13,13 @@ common denominator den; `theta_eval` builds one `Fraction` from it.  A brute-for
 oracle sharing only `_shift` with the descent is provided alongside:
 `box_step`, a box walk that prunes its own rows, so the box's size sets its
 work only where the box binds, and that says whether its minimum is certified
-global on the same integers (`_certifies`).  `safe_cutoff`, the one radius
-rule, sizes the box for all |x|_inf <= bound and passes that test.  The walk
-returns its numerator over the same denominator as `theta_step`, and each
-caller says what an uncertified box means: to `theta_eval_bruteforce`, its
-`Fraction` wrapping, a radius too small (RadiusTooSmallError); to `verify`'s
-oracle, whose box `safe_cutoff` certifies, an internal inconsistency.  The
+global on the same integers (`_certifies`).  `cutoff_step`, the one radius
+rule, sizes the box for all |x|_inf <= b/q on integers and passes that test;
+`safe_cutoff` is its `Fraction` entry.  The walk returns its numerator over
+the same denominator as `theta_step`, and each caller says what an
+uncertified box means: to `theta_eval_bruteforce`, its `Fraction` wrapping, a
+radius too small (RadiusTooSmallError); to `verify`'s oracle, whose box
+`cutoff_step` certifies, an internal inconsistency.  The
 walk also tropicalizes the truncated series (`nonarch.tropicalize_step`):
 <c + 2a, G x> + Q(a) + Q(c, a) + Q(c)/4 is Q(x + c/2 + a) - Q(x), so both
 take the same minimum.
@@ -184,27 +185,24 @@ def box_step(
     return best - q_x, best_a, _certifies(surface.int_gram, m, best)
 
 
-def safe_cutoff(
-    surface: PrincipallyPolarizedSurface,
-    char: ThetaCharacteristic,
-    region_bound: Fraction,
+def cutoff_step(
+    surface: PrincipallyPolarizedSurface, char: ThetaCharacteristic, b: int, q: int
 ) -> int:
-    """Smallest certified cutoff for all evaluation points ``|v|_inf <= bound``.
+    """Smallest certified cutoff for all evaluation points ``|v|_inf <= b/q``.
 
-    The shift v + c/2 has |.|_inf <= reach = bound + |c|_inf / 2, so the
+    The shift v + c/2 has |.|_inf <= reach = b/q + |c|_inf / 2, so the
     minimized quadratic at u' = 0 is at most M = (sum |G_ij|) reach^2, and
     any u' outside the cutoff-R box keeps it above lam_low (R + 1 - reach)^2,
     lam_low = det(G) / (G11 + G22).  R is the smallest R >= 1 with
     R + 1 - reach > T = sqrt(M / lam_low): floor(T + reach), or 1 if that is
     smaller, which is isqrt(floor(T^2)) + floor(reach) or one more, as
-    floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G,
-    bound = b/q and reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
+    floor(T + reach) <= floor(T) + floor(reach) + 1.  With H = gram_den G and
+    reach = r/p (r = 2b + q |c|_inf, p = 2q), T^2 is
     k (h11 + h22) / (p^2 det(H)), k = (h11 + 2|h12| + h22) r^2, and R passes
     `box_step`'s own certificate, the exact test `_certifies(H, p (R + 1) - r, k)`.
+    Scaling (b, q) by m scales r and p by m and k by m^2, so any b >= 0 over
+    any q > 0 gives the same R.
     """
-    b, q = to_fraction(region_bound).as_integer_ratio()
-    if b < 0:
-        raise ValueError("region_bound must be nonnegative")
     h11, h12, h22 = h = surface.int_gram
     cx, cy = char.vector(surface)
     r, p = 2 * b + q * max(abs(cx), abs(cy)), 2 * q
@@ -212,6 +210,18 @@ def safe_cutoff(
     k = (h11 + 2 * abs(h12) + h22) * r * r
     radius = max(1, math.isqrt(k * (h11 + h22) // (p * p * det)) + r // p)
     return radius if _certifies(h, p * (radius + 1) - r, k) else radius + 1
+
+
+def safe_cutoff(
+    surface: PrincipallyPolarizedSurface,
+    char: ThetaCharacteristic,
+    region_bound: Fraction,
+) -> int:
+    """`cutoff_step` on the numerator and denominator of ``region_bound``."""
+    b, q = to_fraction(region_bound).as_integer_ratio()
+    if b < 0:
+        raise ValueError("region_bound must be nonnegative")
+    return cutoff_step(surface, char, b, q)
 
 
 def theta_eval_bruteforce(

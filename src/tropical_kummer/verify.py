@@ -32,8 +32,9 @@ and compare integers over one common denominator per case: the numerators
 over `theta.step_scale` of `theta.theta_step`, of `theta.box_step` and of
 `nonarch.tropicalize_step`.  They build a `Fraction` only to render a
 counterexample (`exact.point`).  Both oracle rows walk the box that
-`nonarch.safe_cutoff` promises certified: an uncertified one raises
-InternalInconsistencyError, never an input error.
+`theta.cutoff_step`, the series' radius rule on integers, promises
+certified: an uncertified one raises InternalInconsistencyError, never an
+input error.
 `kummer.injectivity_check` and `kummer.affine_pieces` compare
 `kummer.psi_step` numerators the same way, and `quartic-coverage` hands
 them to `kummer.contains_step`.  `descent-datum-cocycle` compares the datum's
@@ -87,7 +88,7 @@ from .sampling import (
     random_unimodular_entries,
     rng_for,
 )
-from .theta import CHARACTERISTICS, box_step, step_scale, theta_step
+from .theta import CHARACTERISTICS, box_step, cutoff_step, step_scale, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -414,15 +415,16 @@ def _oracle_step(surface, char, t0, t1, den) -> int:
     """Theta's numerator at t/den by the box walk `box_step`, not the descent;
     over gram_den (2 den)^2, as `theta_step`'s.
 
-    The box is the series' `nonarch.safe_cutoff` for |x|_inf: it holds a = 0
-    and no a outside it comes below Q(x + c/2), so one box is certified.  An
-    uncertified box breaks that promise: InternalInconsistencyError.
+    The box is the series' radius rule `cutoff_step` for |x|_inf =
+    max(|t0|, |t1|) / den: it holds a = 0 and no a outside it comes below
+    Q(x + c/2), so one box is certified.  An uncertified box breaks that
+    promise: InternalInconsistencyError.
     """
-    cutoff = nonarch.safe_cutoff(surface, char, Fraction(max(abs(t0), abs(t1)), den))
+    cutoff = cutoff_step(surface, char, max(abs(t0), abs(t1)), den)
     num, _, certified = box_step(surface, char, t0, t1, den, cutoff)
     if not certified:
         raise InternalInconsistencyError(
-            f"safe_cutoff {cutoff} does not certify the box at {(t0, t1)}/{den}"
+            f"cutoff_step {cutoff} does not certify the box at {(t0, t1)}/{den}"
         )
     return num
 

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from itertools import product
 
 import pytest
@@ -112,3 +114,13 @@ def row_matches(monkeypatch):
         assert holds == {True, False}  # both the holding and the failing returns
 
     return run
+
+
+def source_mutant(module, name, old, new):
+    """`module.name` rebuilt from its source with the one `old` made `new`: a
+    broken kernel that reads the module's globals, for `monkeypatch` to bind."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]

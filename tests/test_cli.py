@@ -402,12 +402,12 @@ def test_verify_reports_pinned(name):
 
 def test_verify_cut_descent_report_pinned_at_seed_8():
     # A second seed for the failing report: twelve checks fail at seed 8,
-    # and nine checks' case counts differ from seed 7.
+    # and eight checks' case counts differ from seed 7.
     surface = _PINNED_SURFACES["skew-descent-cut"]
     report = verify.run_verification(surface, seed=8, samples=50)
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3d96b4ec7fff7493c54779f95e0ece2d3c63e9bb22b9767bfbbb9ba65b081e39"
+        "bc8e5722d5f5644d9c7e61a15d033fea25ab073849e83b77831c61dd18a6ca2f"
     )
 
 

@@ -349,11 +349,11 @@ FAULTS = {
     ),
     "quartic-coverage": (
         "quartic-coverage", SKEW, _descent_cut(kummer),
-        1, {"x", "psi"}, "'psi': ['1/3', '5/12', '5/4']",
+        2, {"x", "psi"}, "'psi': ['-1/2', '-11/20', '-19/20']",
     ),
     "psi-injectivity-mod-sign": (
         "psi-injectivity-mod-sign", SKEW, _descent_cut(kummer),
-        3, {"y", "yp", "error"}, "have distinct images",
+        13, {"y", "yp", "error"}, "have distinct images",
     ),
     "psi-product-collapse": (
         "psi-product-collapse", SQUARE, _counting(kummer, "psi_eval"),
@@ -398,9 +398,9 @@ def test_row_failure_branch(monkeypatch, fault):
 
 @pytest.mark.parametrize("name", ("theta-bruteforce-oracle", "cvp-descent-oracle"))
 def test_oracle_rows_treat_an_uncertified_box_as_internal(monkeypatch, name):
-    # `safe_cutoff` promises the oracle a certified box: a box it fails to
+    # `cutoff_step` promises the oracle a certified box: a box it fails to
     # certify is the program's fault, not the input's.
-    monkeypatch.setattr(verify.nonarch, "safe_cutoff", lambda surface, char, b: 0)
+    monkeypatch.setattr(verify, "cutoff_step", lambda surface, char, b, q: 0)
     (check,) = [c for c in verify.CHECKS if c.name == name]
     result = verify.run_check(check, make_surface(HEX), SEED, SAMPLES)
     assert result.status == verify.FAIL
@@ -426,21 +426,21 @@ def test_run_verification_needs_int_samples_and_seed():
 # `Fraction.__new__`; where it does not, the counts only drop.
 FRACTIONS_BUILT = {
     "unimodular-invariance": 0,
-    "cvp-descent-oracle": 450,
+    "cvp-descent-oracle": 400,
     "theta-zero-on-cell": 300,
     "theta-evenness": 0,
     "theta-quasi-periodicity": 0,
     "theta-translation-identities": 0,
     "theta-concavity": 0,
     "theta-minimizer-attained": 0,
-    "theta-bruteforce-oracle": 68,
+    "theta-bruteforce-oracle": 20,
     "descent-datum-cocycle": 0,
     "series-lift-consistency": 4,  # the four `constant_shift`s
     "series-quasi-periodicity": 0,
     "series-cutoff-stability": 4,  # `safe_cutoff`'s bound, once per characteristic
     "quartic-coverage": 380,
     "psi-injectivity-mod-sign": 364,
-    "affine-unimodularity": 390,
+    "affine-unimodularity": 354,
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import reference
-from conftest import cut_descend, cut_descent
+from conftest import cut_descend, cut_descent, source_mutant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel_pinned import GRAMS, _boundary_points, _sheared
@@ -39,7 +39,7 @@ from tropical_kummer import (
     two_torsion_images,
     vertex_sign_diagnostics,
 )
-from tropical_kummer import kummer
+from tropical_kummer import kummer, verify
 from tropical_kummer.exact import mean, numerators
 from tropical_kummer.kummer import AffinePiece, _validate_quartic, contains
 from tropical_kummer.kummer import contains_step, psi_step
@@ -115,6 +115,91 @@ def test_psi_step_is_psi_eval_and_the_reference(index):
         assert values == [m - least[0] for m in least[1:]], (gram, x)
         scaled = psi_step(surface, k * t0, k * t1, k * den)
         assert scaled == tuple(k * k * n for n in nums), (gram, x, k)
+
+
+# Integer, rational, product-type, sheared and nearly singular Grams.
+BOUNDARY_GRAMS = PSI_GRAMS + (
+    ((1, 0), (0, 1)),
+    ((10**4, 1 - 10**4), (1 - 10**4, 10**4)),
+    ((10**4, 0), (0, 1)),
+    ((F(1, 3), F(-1, 3) + F(1, 10**4)), (F(-1, 3) + F(1, 10**4), F(1, 3))),
+)
+
+
+def _reference_boundary(gram):
+    """0, the cell's vertices m_i and facet midpoints r/2 and, on a hexagon,
+    the points (m_{i-1} + m_{i+1})/2: every vertex of the 18 subdivision
+    cells.  Built from the reference's Fraction reduction alone, with the
+    relevant vectors in the facet order w, -v, u, -w, v, -u (or -v, u, v, -u)."""
+    u, v, (_, _, q_uv) = reference.surface_fields(gram)["reduced"]
+    u, v = Vec2(*u), Vec2(*v)
+    half = (-(u + v), -v, u) if q_uv < 0 else (-v, u)
+    cycle = half + tuple(-r for r in half)
+    pairs = zip(cycle, cycle[1:] + cycle[:1])
+    m = [reference.facet_vertex(gram, a, b) for a, b in pairs]
+    points = [Vec2(0, 0), *m, *(H * r for r in cycle)]
+    if q_uv < 0:
+        points += [H * (m[i - 1] + m[(i + 1) % 6]) for i in range(6)]
+    return points
+
+
+BOUNDARY_CASES = [
+    (gram, x) for gram in BOUNDARY_GRAMS for x in _reference_boundary(gram)
+]
+
+
+def _psi_by_definition(gram, x):
+    """theta_c - theta_00 at x: `certified_minimum` at x + c/2 less that at x."""
+    chars = reference.surface_fields(gram)["char_vectors"]
+    least = [reference.certified_minimum(gram, x + H * Vec2(*c))[0] for c in chars]
+    return [m - least[0] for m in least[1:]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from(BOUNDARY_CASES),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(1, 6),
+)
+def test_psi_step_on_the_cell_boundary_is_its_definition(case, shift, k):
+    # Where the closed form's candidates tie, shifted by a period and read
+    # over k times the least denominator: the cell's vertices and facet
+    # midpoints, and the subdivision's vertices.
+    gram, x = case
+    x += Vec2(*shift)
+    surface = make_surface(gram)
+    t0, t1, den = numerators(x)
+    nums = psi_step(surface, k * t0, k * t1, k * den)
+    values = [F(n, surface.gram_den * (2 * k * den) ** 2) for n in nums]
+    assert values == _psi_by_definition(gram, x), (gram, x, k)
+
+
+def test_psi_step_on_every_boundary_point_is_its_definition():
+    for gram, x in BOUNDARY_CASES:
+        surface, (t0, t1, den) = make_surface(gram), numerators(x)
+        scale = surface.gram_den * (2 * den) ** 2
+        values = [F(n, scale) for n in psi_step(surface, t0, t1, den)]
+        assert values == _psi_by_definition(gram, x), (gram, x)
+
+
+def test_verify_fails_when_psi_keeps_only_the_c_candidate(monkeypatch):
+    # `psi_step` without its c + 2c' candidates: its images leave the
+    # quartic, the pieces stop being affine, and on hex two equivalent
+    # points part.
+    mutant = source_mutant(
+        kummer,
+        "psi_step",
+        "min(den * hc - 4 * abs(tc), den * hq - 4 * abs(tq))",
+        "(den * hc - 4 * abs(tc))",
+    )
+    monkeypatch.setattr(kummer, "psi_step", mutant)
+    rows = {"quartic-coverage", "affine-unimodularity", "coplanarity-table"}
+    for gram, failing in (
+        (((2, -1), (-1, 2)), rows | {"psi-injectivity-mod-sign"}),
+        (((2, -1), (-1, 3)), rows),
+    ):
+        report = verify.run_verification(make_surface(gram), seed=7, samples=50)
+        assert {c.name for c in report.checks if c.status == verify.FAIL} == failing
 
 
 def test_psi_product_type_collapses(row_passes, unit_square):
@@ -814,10 +899,11 @@ def _pieces_text(surface):
 
 
 # SHA-256 of `_pieces_text` on 45 irreducible surfaces, each as given and
-# with its descent cut to +-u, +-v, recorded while the pieces were still
-# fitted from interior points; 43 of the 45 cut surfaces raise.
+# with its descent cut to +-u, +-v.  The cut moves no point of the cell, so
+# `psi_step` is exact there and the cut reaches only the theta minimizers
+# the pieces are read from; 19 of the 45 cut surfaces raise.
 PIECES_SHA256 = (
-    "5e3c71f94bfef1456fab3bb2954c5efe9e6a907874967379a4dd5f41606ecb3b"
+    "d467402ddaca32457cb7d42e710fa24722bd9f26dd94d2d24c8d5dca8780e0ff"
 )
 
 

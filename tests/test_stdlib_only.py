@@ -62,7 +62,7 @@ def test_private_names_cross_modules_only_where_pinned():
     # The integer layer (`numerators`, `form`) is public in `exact`, the
     # characteristic norms `lattice.char_norms` are public, and the box walk
     # `theta.box_step` is public.  Its certificate `_certifies` stays in
-    # `theta` with the one radius rule that passes it, `safe_cutoff`, so no
+    # `theta` with the one radius rule that passes it, `cutoff_step`, so no
     # private name crosses a module.
     crossing = {
         (path, f"{node.module}.{alias.name}")
@@ -143,6 +143,7 @@ FAST_PATHS = (
     "box_step",
     "theta_eval_bruteforce",
     "tropicalize_step",
+    "cutoff_step",
     "safe_cutoff",
 )
 
