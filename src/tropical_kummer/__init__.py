@@ -6,6 +6,8 @@ of second order, the theta embedding into tropical P^3 with its
 parallelepiped image, and tropicalized truncated theta series.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     InternalInconsistencyError,
     NonSymmetricError,
@@ -70,56 +72,10 @@ from .theta import (
     theta_eval,
 )
 
-__all__ = [
-    "AffinePiece",
-    "CHARACTERISTICS",
-    "Cell",
-    "CellKind",
-    "Distinct",
-    "EquivalentMinus",
-    "EquivalentPlus",
-    "FacePlane",
-    "FormalThetaSeries",
-    "InternalInconsistencyError",
-    "KummerQuartic",
-    "Mat2",
-    "NonSymmetricError",
-    "NotAffineOnCellError",
-    "NotPositiveDefiniteError",
-    "PrincipallyPolarizedSurface",
-    "ProductTypeError",
-    "RadiusTooSmallError",
-    "ReducedBasis",
-    "SurfaceClass",
-    "ThetaCharacteristic",
-    "ThetaValue",
-    "TropicalDescentDatum",
-    "VERTEX_LABELS",
-    "Vec2",
-    "Vec3",
-    "VoronoiCell",
-    "affine_pieces",
-    "build_quartic",
-    "build_series",
-    "classify",
-    "coplanarity_report",
-    "descent_datum",
-    "fraction_decimal",
-    "g_action",
-    "in_voronoi_cell",
-    "injectivity_check",
-    "is_unimodular",
-    "lagrange_reduce",
-    "make_surface",
-    "psi_eval",
-    "reduce_point",
-    "safe_cutoff",
-    "subdivide",
-    "theta_constants",
-    "theta_eval",
-    "to_fraction",
-    "tropicalize_series",
-    "two_torsion_images",
-    "vertex_sign_diagnostics",
-    "voronoi_cell",
-]
+# The public names are the ones imported above, stated there once; the
+# submodules that those imports bind on the package are not among them.
+__all__ = sorted(
+    name
+    for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

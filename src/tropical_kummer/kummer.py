@@ -6,6 +6,11 @@ chart (x1,x2,x3) <-> (0 : x1 : x2 : x3), so
 
     psi(x) = (th[10](x) - th[00](x), th[01](x) - th[00](x), th[11](x) - th[00](x)).
 
+`psi_step` takes these differences of `theta.theta_numerators`, the four
+values at a point from one descent, on integer numerators; `psi_eval` is its
+`Fraction` entry.  `affine_pieces` reads its linear parts off `theta_step`'s
+minimizers, which the one-descent kernel does not return.
+
 The quartic's eight vertices are the orbit of the theta-constant point
 under the group generated by the double-transposition coordinate swaps and
 the min-plus Cremona involution x -> -x.
@@ -30,13 +35,12 @@ from .errors import (
     ProductTypeError,
 )
 from .exact import Value, Vec2, Vec3, fraction_decimal, is_unimodular, to_fraction
-from .exact import form, lex_positive, mean, mul_vec, numerators, point  # integer layer
+from .exact import form, lex_positive, mean, numerators, point  # integer layer
 from .lattice import (
     Cell,
     PrincipallyPolarizedSurface,
     SurfaceClass,
     classify,
-    descend,
     per_surface,
     subdivide,
 )
@@ -45,6 +49,7 @@ from .theta import (
     ThetaCharacteristic,
     step_scale,
     theta_constants,
+    theta_numerators,
     theta_step,
 )
 
@@ -113,42 +118,15 @@ Verdict = EquivalentPlus | EquivalentMinus | Distinct
 def psi_step(
     surface: PrincipallyPolarizedSurface, t0: int, t1: int, den: int
 ) -> tuple[int, int, int]:
-    """psi(t/den)'s three numerators over `step_scale`, gram_den (2 den)^2.
+    """psi(t/den)'s three numerators over `step_scale`, gram_den (2 den)^2:
+    `theta.theta_numerators`' entries 10, 01 and 11 less its entry 00.
 
-    Differences of second-order theta values are invariant under integer
-    translation (the quasi-periodicity anomaly cancels), so t/den is reduced
-    into the Voronoi cell V first, once; the rest is closed form.  On V,
-    theta_00 = 0 and theta_c(x) is the least Q(x + q/2) - Q(x) = Q(x, q) +
-    Q(q)/4 over q in c + 2 Z^2, a coset closed under q -> -q, so over
-    step_scale
-
-        psi_c = den * min over q of (den h(q) - 4 |t^T H q|),  h(q) = q^T H q.
-
-    Only q in {c, c + 2c'} can reach the minimum, for (c, c') = (u, v),
-    (v, u), (u + v, -v): the nearest point p of the coset c/2 + Z^2 to -x
-    has x + p in V, so p lies in 2V, as V is symmetric.  As u, v, w = -u - v
-    is an obtuse superbase (every 2-D lattice is of Voronoi's first kind),
-    the coset's points in 2V are +-c/2 and +-(c/2 + c'); any other, as u - 2v
-    for c = u when Q(u, v) = 0, lies on the boundary of 2V, where it only
-    ties with them.  H u and H v are read from `int_gram` and `char_vectors`,
-    not from the conorms, which the quartic's faces are built on.  As
-    `descend` scales, (k t, k den) gives k^2 times each numerator.
+    Their one descent reduces t/den into the Voronoi cell, where psi is the
+    kernel's closed form; differences of theta values do not see the period
+    it removed, as the quasi-periodicity anomaly cancels.
     """
-    t0, t1 = descend(surface, t0, t1, den)
-    h, (_, u, v, _) = surface.int_gram, surface.char_vectors
-    (hu0, hu1), (hv0, hv1) = mul_vec(h, u), mul_vec(h, v)
-    huu, huv = u[0] * hu0 + u[1] * hu1, u[0] * hv0 + u[1] * hv1
-    hvv = v[0] * hv0 + v[1] * hv1
-    a, b = t0 * hu0 + t1 * hu1, t0 * hv0 + t1 * hv1  # t^T H u, t^T H v
-    nums = []
-    # (h(c), t^T H c, h(c + 2c'), t^T H (c + 2c')) for c = u, v, u + v.
-    for hc, tc, hq, tq in (
-        (huu, a, huu + 4 * (huv + hvv), a + 2 * b),
-        (hvv, b, hvv + 4 * (huv + huu), b + 2 * a),
-        (huu + 2 * huv + hvv, a + b, huu - 2 * huv + hvv, a - b),
-    ):
-        nums.append(den * min(den * hc - 4 * abs(tc), den * hq - 4 * abs(tq)))
-    return tuple(nums)
+    n00, n10, n01, n11 = theta_numerators(surface, t0, t1, den)
+    return n10 - n00, n01 - n00, n11 - n00
 
 
 def psi_eval(surface: PrincipallyPolarizedSurface, x: Vec2) -> Vec3:

@@ -18,8 +18,9 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
 and derives from H alone its positivity and its integer context: the
-characteristic vectors (10 and 01 are the reduced basis u, v), the descent
-triples and the conorms p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which
+characteristic vectors (10 and 01 are the reduced basis u, v), H u and H v,
+which give the descent triples and `theta.theta_numerators`' `candidates`,
+and the conorms p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which
 give the class (p_uv > 0), the characteristic norms (`char_norms`) and the
 face offsets +-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi) runs
@@ -66,6 +67,9 @@ class PrincipallyPolarizedSurface(Value):
     # j1*u + j2*v for the characteristics 00, 10, 01, 11; u, v is reduced.
     char_vectors: tuple[tuple[int, int], ...]
     conorms: tuple[int, int, int]  # (p_uv, p_vw, p_uw) = -(u^T H v, v^T H w, u^T H w)
+    # (H u, H v, near, far) for `theta.theta_numerators`: h(c) and h(c + 2c')
+    # for (c, c') = (u, v), (v, u), (u + v, -v), with h(y) = y^T H y.
+    candidates: tuple
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
 
@@ -130,12 +134,22 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
     w = (-u[0] - v[0], -u[1] - v[1])
     conorms = (-form(h, u, v), -form(h, v, w), -form(h, u, w))
     _, h_u, h_v, h_w = char_norms(conorms)
-    # (r, r^T H r) in descent scan order: u, v (, w), then the negatives.
-    half = ((u, h_u), (v, h_v), (w, h_w))[: 3 if conorms[0] else 2]
-    half += tuple(((-x, -y), n) for (x, y), n in half)
-    descent = tuple((r, mul_vec(h, r), n) for r, n in half)
+    (hu0, hu1), (hv0, hv1) = hu, hv = mul_vec(h, u), mul_vec(h, v)
+    # (r, H r, r^T H r) in descent scan order: u, v (, w), then the negatives.
+    half = ((u, hu, h_u), (v, hv, h_v), (w, (-hu0 - hv0, -hu1 - hv1), h_w))
+    half = half[: 3 if conorms[0] else 2]
+    descent = half + tuple(((-x, -y), (-a, -b), n) for (x, y), (a, b), n in half)
     char_vectors = ((0, 0), u, v, (-w[0], -w[1]))
-    return PrincipallyPolarizedSurface(g, h, den, descent, char_vectors, conorms, {})
+    # The kernel's h(c) and h(c + 2c'), read off H u, H v, not off the conorms
+    # that the quartic's faces use.
+    huu, huv = u[0] * hu0 + u[1] * hu1, u[0] * hv0 + u[1] * hv1
+    hvv = v[0] * hv0 + v[1] * hv1
+    near = (huu, hvv, huu + 2 * huv + hvv)
+    far = (huu + 4 * (huv + hvv), hvv + 4 * (huv + huu), huu - 2 * huv + hvv)
+    candidates = (hu, hv, near, far)
+    return PrincipallyPolarizedSurface(
+        g, h, den, descent, char_vectors, conorms, candidates, {}
+    )
 
 
 def char_norms(conorms: tuple[int, int, int]) -> tuple[int, int, int, int]:

@@ -9,7 +9,11 @@ the function value at x is
 The minimum is found by the closest-vector descent on integer numerators:
 `_shift` reads s, for x = t/den, as 2*t + den*c over 2*den, and `theta_step`
 returns the value's numerator over `step_scale`, gram_den (2 den)^2, for any
-common denominator den; `theta_eval` builds one `Fraction` from it.  A brute-force
+common denominator den, and a minimizer; `theta_eval` builds one `Fraction`
+from it.  `theta_numerators` gives all four values at one point, over the same
+denominator, from one descent of x itself into the Voronoi cell and a closed
+form on the cell (every 2-D lattice is of Voronoi's first kind); it returns no
+minimizer, which stays `theta_step`'s.  A brute-force
 oracle sharing only `_shift` with the descent is provided alongside:
 `box_step`, a box walk that prunes its own rows, so the box's size sets its
 work only where the box binds, and that says whether its minimum is certified
@@ -115,6 +119,47 @@ def theta_step(
     n = descend(surface, s0, s1, d)
     # n - s is d times the lattice point that attains the minimum.
     return form(surface.int_gram, n, n) - q_x, ((n[0] - s0) // d, (n[1] - s1) // d)
+
+
+def theta_numerators(
+    surface: PrincipallyPolarizedSurface, t0: int, t1: int, den: int
+) -> tuple[int, int, int, int]:
+    """The four theta values at t/den, 00, 10, 01, 11, as numerators over
+    `step_scale`, gram_den (2 den)^2, from one descent: `theta_step`'s values.
+
+    Let r = descend(t, den), so r/den is t/den reduced into the Voronoi cell V
+    by the period p = (t - r)/den.  Then theta_00 = Q(r/den) - Q(t/den), 4 (h(r)
+    - h(t)) over step_scale with h(y) = y^T H y, and quasi-periodicity moves
+    every theta_c by that same Q(r/den) - Q(t/den) from r/den to t/den.  On V,
+    theta_00 = 0 and theta_c(x) is the least Q(x + q/2) - Q(x) = Q(x, q) +
+    Q(q)/4 over q in c + 2 Z^2, a coset closed under q -> -q, so at x = r/den
+
+        theta_c - theta_00 = den * min over q of (den h(q) - 4 |r^T H q|).
+
+    Only q in {c, c + 2c'} can reach the minimum, for (c, c') = (u, v),
+    (v, u), (u + v, -v): the nearest point p of the coset c/2 + Z^2 to -x
+    has x + p in V, so p lies in 2V, as V is symmetric.  As u, v, w = -u - v
+    is an obtuse superbase (every 2-D lattice is of Voronoi's first kind),
+    the coset's points in 2V are +-c/2 and +-(c/2 + c'); any other, as u - 2v
+    for c = u when Q(u, v) = 0, lies on the boundary of 2V, where it only
+    ties with them.  H u, H v and the six h(q) are the surface's stored
+    `candidates`, read off `int_gram` and `char_vectors` once, not off the
+    conorms, which the quartic's faces are built on.  As `descend` scales,
+    (k t, k den) gives k^2 times each numerator.  The minimizer is left to
+    `theta_step`.
+    """
+    r0, r1 = descend(surface, t0, t1, den)
+    (hu0, hu1), (hv0, hv1), (h1, h2, h3), (q1, q2, q3) = surface.candidates
+    (h11, h12, h22), s0, s1 = surface.int_gram, r0 + t0, r1 + t1
+    # 4 (h(r) - h(t)) = 4 (r - t)^T H (r + t), written out: this runs per point.
+    base = 4 * ((r0 - t0) * (h11 * s0 + h12 * s1) + (r1 - t1) * (h12 * s0 + h22 * s1))
+    a, b = 4 * (r0 * hu0 + r1 * hu1), 4 * (r0 * hv0 + r1 * hv1)  # 4 r^T H u, v
+    return (
+        base,
+        base + den * min(den * h1 - abs(a), den * q1 - abs(a + 2 * b)),
+        base + den * min(den * h2 - abs(b), den * q2 - abs(b + 2 * a)),
+        base + den * min(den * h3 - abs(a + b), den * q3 - abs(a - b)),
+    )
 
 
 def _theta_value(surface, num: int, a: tuple[int, int], den: int) -> ThetaValue:

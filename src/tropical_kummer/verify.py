@@ -29,12 +29,22 @@ oracle, series, cocycle, coverage and unimodularity rows draw each point
 as its numerators and each integer vector or matrix as `int`s
 (`sampling.random_numerators`, `random_pair`, `random_unimodular_entries`)
 and compare integers over one common denominator per case: the numerators
-over `theta.step_scale` of `theta.theta_step`, of `theta.box_step` and of
-`nonarch.tropicalize_step`.  They build a `Fraction` only to render a
-counterexample (`exact.point`).  Both oracle rows walk the box that
-`theta.cutoff_step`, the series' radius rule on integers, promises
-certified: an uncertified one raises InternalInconsistencyError, never an
-input error.
+over `theta.step_scale` of `theta.theta_step`, of `theta.theta_numerators`,
+of `theta.box_step` and of `nonarch.tropicalize_step`.  They build a
+`Fraction` only to render a counterexample (`exact.point`).  Both oracle rows
+walk the box that `theta.cutoff_step`, the series' radius rule on integers,
+promises certified: an uncertified one raises InternalInconsistencyError,
+never an input error.
+`theta-evenness`, `theta-concavity` and `series-lift-consistency` read all
+four characteristics at a point off one `theta_numerators` call, one descent,
+and `theta-translation-identities` reads its left-hand sides there; its six
+theta_00 shifts stay on `theta_step`, which is faster for one characteristic.
+`theta-quasi-periodicity` and `theta-zero-on-cell` stay on `theta_step`: the
+kernel reduces the point into the cell and shifts by the anomaly, so it
+holds both identities by construction and they would test nothing on it.
+`theta-bruteforce-oracle` holds both `theta_step` and the kernel's entry for
+its drawn characteristic to the box walk, and `theta-minimizer-attained`
+reads the minimizer that only `theta_step` returns.
 `kummer.injectivity_check` and `kummer.affine_pieces` compare
 `kummer.psi_step` numerators the same way, and `quartic-coverage` hands
 them to `kummer.contains_step`.  `descent-datum-cocycle` compares the datum's
@@ -88,7 +98,8 @@ from .sampling import (
     random_unimodular_entries,
     rng_for,
 )
-from .theta import CHARACTERISTICS, box_step, cutoff_step, step_scale, theta_step
+from .theta import CHARACTERISTICS, box_step, cutoff_step, step_scale
+from .theta import theta_numerators, theta_step
 
 PASS = "pass"
 FAIL = "fail"
@@ -349,8 +360,9 @@ def _theta_zero_on_cell(s, rng):
 
 def _theta_evenness(s, rng):
     t0, t1, den = random_numerators(rng, 4)
-    for char in CHARACTERISTICS:
-        if theta_step(s, char, t0, t1, den)[0] != theta_step(s, char, -t0, -t1, den)[0]:
+    plus, minus = theta_numerators(s, t0, t1, den), theta_numerators(s, -t0, -t1, den)
+    for char, at_x, at_minus_x in zip(CHARACTERISTICS, plus, minus):
+        if at_x != at_minus_x:
             return {"x": _point(t0, t1, den), "char": str(char)}
 
 
@@ -385,10 +397,11 @@ def _translation_table(s):
 def _theta_translation(s, rng, table):
     char00 = CHARACTERISTICS[0]
     t0, t1, den = random_numerators(rng, 3)
-    for char, (v0, v1), h_vec in table:
+    values = theta_numerators(s, t0, t1, den)[1:]
+    for (char, (v0, v1), h_vec), value in zip(table, values):
         # theta_c(x) = theta_00(x +- vec/2) +- Q(x, vec) + Q(vec)/4 over
         # gram_den (4 den)^2, with x +- vec/2 = (2t +- den vec) / (2 den).
-        lhs = 4 * theta_step(s, char, t0, t1, den)[0]
+        lhs = 4 * value
         q = 16 * den * form(s.int_gram, (t0, t1), (v0, v1))
         quarter = 4 * den * den * h_vec
         e0, e1 = den * v0, den * v1
@@ -402,13 +415,12 @@ def _theta_concavity(s, rng):
     (a0, a1, dx), (b0, b1, dy) = random_numerators(rng, 3), random_numerators(rng, 3)
     d = math.lcm(dx, dy)
     a0, a1, b0, b1 = a0 * (d // dx), a1 * (d // dx), b0 * (d // dy), b1 * (d // dy)
-    for char in CHARACTERISTICS:
-        # Over gram_den (4d)^2, theta(x) and theta(y) read 4 times their step
-        # numerators and theta((x + y)/2) = theta((a + b) / 2d) its own.
-        mid = theta_step(s, char, a0 + b0, a1 + b1, 2 * d)[0]
-        ends = theta_step(s, char, a0, a1, d)[0] + theta_step(s, char, b0, b1, d)[0]
-        if mid < 2 * ends:
-            return {"x": _point(a0, a1, d), "y": _point(b0, b1, d)}
+    # Over gram_den (4d)^2, theta(x) and theta(y) read 4 times their
+    # numerators and theta((x + y)/2) = theta((a + b) / 2d) its own.
+    mid = theta_numerators(s, a0 + b0, a1 + b1, 2 * d)
+    ends = zip(theta_numerators(s, a0, a1, d), theta_numerators(s, b0, b1, d))
+    if any(m < 2 * (x + y) for m, (x, y) in zip(mid, ends)):
+        return {"x": _point(a0, a1, d), "y": _point(b0, b1, d)}
 
 
 def _oracle_step(surface, char, t0, t1, den) -> int:
@@ -437,16 +449,19 @@ def _theta_oracle(s, seed, samples):
         for k in range(per_surface):
             rng = rng_for(seed, "theta-oracle", si, k)
             t0, t1, den = random_numerators(rng, 2)
-            char = CHARACTERISTICS[rng.randrange(4)]
+            i = rng.randrange(4)
+            char = CHARACTERISTICS[i]
             cases += 1
             fast = theta_step(surface, char, t0, t1, den)[0]
+            kernel = theta_numerators(surface, t0, t1, den)[i]
             slow = _oracle_step(surface, char, t0, t1, den)
-            if fast != slow:
+            if fast != slow or kernel != slow:
                 counterexample = {
                     "gram": _rows(surface.gram),
                     "x": _point(t0, t1, den),
                     "char": str(char),
                     "fast": _value(surface, fast, den),
+                    "kernel": _value(surface, kernel, den),
                     "oracle": _value(surface, slow, den),
                 }
                 return FAIL, cases, counterexample, None
@@ -490,13 +505,13 @@ def _series_tables(bound: Fraction) -> Callable:
 
 def _series_lift(s, rng, tables):
     t0, t1, den = random_numerators(rng, 2)
-    for char, series in zip(CHARACTERISTICS, tables):
+    values = theta_numerators(s, t0, t1, den)
+    for char, series, want in zip(CHARACTERISTICS, tables, values):
         # The printed Q(c, c)/4 is read off the conorms; check it on the stored H.
         c, (num, d) = char.vector(s), series.constant_shift.as_integer_ratio()
         if form(s.int_gram, c, c) * d != 4 * s.gram_den * num:
             return {"char": str(char), "constant_shift": str(series.constant_shift)}
         got = nonarch.tropicalize_step(series, t0, t1, den)
-        want = theta_step(s, char, t0, t1, den)[0]
         if got != want:
             return {
                 "v": _point(t0, t1, den),

@@ -48,6 +48,7 @@ def cut_descent(surface):
         tuple(entry for entry in surface.descent if entry[0] in keep),
         surface.char_vectors,
         surface.conorms,
+        surface.candidates,
     )
 
 
@@ -116,11 +117,14 @@ def row_matches(monkeypatch):
     return run
 
 
-def source_mutant(module, name, old, new):
-    """`module.name` rebuilt from its source with the one `old` made `new`: a
-    broken kernel that reads the module's globals, for `monkeypatch` to bind."""
+def source_mutant(module, name, *edits):
+    """`module.name` rebuilt from its source with each (old, new) of `edits`
+    made, each `old` found once: a broken kernel that reads the module's
+    globals, for `monkeypatch` to bind."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, (name, old)
+    for old, new in edits:
+        assert source.count(old) == 1, (name, old)
+        source = source.replace(old, new)
     namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    exec(compile(source, module.__file__, "exec"), namespace)
     return namespace[name]

@@ -110,7 +110,7 @@ def _conorms_swapped(mp, s):
     # u, v stay the reduced basis; the norms come from swapped stored conorms.
     p_uv, p_vw, p_uw = s.conorms
     fields = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors)
-    swapped = PrincipallyPolarizedSurface(*fields, (p_vw, p_uv, p_uw))
+    swapped = PrincipallyPolarizedSurface(*fields, (p_vw, p_uv, p_uw), s.candidates)
     wrong = verify.lagrange_reduce(swapped)
     mp.setattr(verify, "lagrange_reduce", lambda surface: wrong)
 
@@ -136,9 +136,8 @@ def _theta_value_off(mp, s):
 
 
 def _step_drifting(mp, s):
-    # The four identity rows read `verify.theta_step`; each call's numerator is
-    # raised 10^9 more than the last, so no two calls agree and every
-    # midpoint falls below its chord.
+    # The periodicity and translation rows read `verify.theta_step`; each
+    # call's numerator is raised 10^9 more than the last, so no two calls agree.
     exact, drift = verify.theta_step, itertools.count(0, 10**9)
 
     def drifting(*args):
@@ -148,11 +147,24 @@ def _step_drifting(mp, s):
     mp.setattr(verify, "theta_step", drifting)
 
 
-def _descent_cut(module):
-    """Patch `module.descend` to scan only +-u and +-v, as `cut_descent` does:
-    the fast path behind theta (`theta`) or psi (`kummer`) stops short, so the
-    rows that check it against other code fail, as in the pinned cut reports."""
-    return lambda mp, s: mp.setattr(module, "descend", cut_descend(module.descend))
+def _kernel_drifting(mp, s):
+    # The evenness and concavity rows read `verify.theta_numerators`; each
+    # call's four numerators are raised 10^9 more than the last, so no two
+    # calls agree and every midpoint falls below its chord.
+    exact, drift = verify.theta_numerators, itertools.count(0, 10**9)
+
+    def drifting(*args):
+        up = next(drift)
+        return tuple(num + up for num in exact(*args))
+
+    mp.setattr(verify, "theta_numerators", drifting)
+
+
+def _descent_cut(mp, s):
+    """Patch `theta.descend` to scan only +-u and +-v, as `cut_descent` does:
+    the descent behind theta and psi stops short, so the rows that check it
+    against other code fail, as in the pinned cut reports."""
+    mp.setattr(theta, "descend", cut_descend(theta.descend))
 
 
 def _datum(defect, gamma=None):
@@ -275,7 +287,7 @@ FAULTS = {
         1, {"x0", "value"}, "'value': '1'",
     ),
     "theta-evenness": (
-        "theta-evenness", HEX, _step_drifting,
+        "theta-evenness", HEX, _kernel_drifting,
         1, {"x", "char"}, "'char': '00'",
     ),
     "theta-quasi-periodicity": (
@@ -287,7 +299,7 @@ FAULTS = {
         1, {"x", "char"}, "'char': '10'",
     ),
     "theta-concavity": (
-        "theta-concavity", HEX, _step_drifting,
+        "theta-concavity", HEX, _kernel_drifting,
         1, {"x", "y"}, "",
     ),
     "theta-minimizer-attained": (
@@ -295,9 +307,9 @@ FAULTS = {
         1, {"x", "char"}, "",
     ),
     "theta-bruteforce-oracle": (
-        "theta-bruteforce-oracle", SKEW, _descent_cut(theta),
-        2, {"gram", "x", "char", "fast", "oracle"},
-        "'fast': '-57/10', 'oracle': '-61/10'",
+        "theta-bruteforce-oracle", SKEW, _descent_cut,
+        2, {"gram", "x", "char", "fast", "kernel", "oracle"},
+        "'fast': '-57/10', 'kernel': '-61/10', 'oracle': '-61/10'",
     ),
     "descent-cocycle-defect": (
         "descent-datum-cocycle", HEX, _datum(1),
@@ -312,7 +324,7 @@ FAULTS = {
         1, {"u1", "problem"}, "gamma != Q(u,u)",
     ),
     "series-lift-consistency": (
-        "series-lift-consistency", SKEW, _descent_cut(theta),
+        "series-lift-consistency", SKEW, _descent_cut,
         2, {"v", "char", "series", "theta"},
         "'char': '00', 'series': '-3/7', 'theta': '0'",
     ),
@@ -348,11 +360,11 @@ FAULTS = {
         1, {"display_reading", "two_torsion_on_vertices", "theta_constants"}, "'+'",
     ),
     "quartic-coverage": (
-        "quartic-coverage", SKEW, _descent_cut(kummer),
+        "quartic-coverage", SKEW, _descent_cut,
         2, {"x", "psi"}, "'psi': ['-1/2', '-11/20', '-19/20']",
     ),
     "psi-injectivity-mod-sign": (
-        "psi-injectivity-mod-sign", SKEW, _descent_cut(kummer),
+        "psi-injectivity-mod-sign", SKEW, _descent_cut,
         13, {"y", "yp", "error"}, "have distinct images",
     ),
     "psi-product-collapse": (

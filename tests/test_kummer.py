@@ -39,7 +39,7 @@ from tropical_kummer import (
     two_torsion_images,
     vertex_sign_diagnostics,
 )
-from tropical_kummer import kummer, verify
+from tropical_kummer import kummer, theta, verify
 from tropical_kummer.exact import mean, numerators
 from tropical_kummer.kummer import AffinePiece, _validate_quartic, contains
 from tropical_kummer.kummer import contains_step, psi_step
@@ -182,24 +182,56 @@ def test_psi_step_on_every_boundary_point_is_its_definition():
         assert values == _psi_by_definition(gram, x), (gram, x)
 
 
-def test_verify_fails_when_psi_keeps_only_the_c_candidate(monkeypatch):
-    # `psi_step` without its c + 2c' candidates: its images leave the
-    # quartic, the pieces stop being affine, and on hex two equivalent
-    # points part.
-    mutant = source_mutant(
-        kummer,
-        "psi_step",
-        "min(den * hc - 4 * abs(tc), den * hq - 4 * abs(tq))",
-        "(den * hc - 4 * abs(tc))",
-    )
-    monkeypatch.setattr(kummer, "psi_step", mutant)
-    rows = {"quartic-coverage", "affine-unimodularity", "coplanarity-table"}
-    for gram, failing in (
-        (((2, -1), (-1, 2)), rows | {"psi-injectivity-mod-sign"}),
-        (((2, -1), (-1, 3)), rows),
-    ):
+def _failing_rows_with_kernel(monkeypatch, *edits):
+    """The rows that `verify` fails on hex and on skew (seed 7, 50 samples)
+    with `theta_numerators` rebuilt with each (old, new) of `edits` made, bound
+    wherever the program reads it."""
+    mutant = source_mutant(theta, "theta_numerators", *edits)
+    for module in (theta, kummer, verify):
+        monkeypatch.setattr(module, "theta_numerators", mutant)
+    failing = []
+    for gram in (((2, -1), (-1, 2)), ((2, -1), (-1, 3))):
         report = verify.run_verification(make_surface(gram), seed=7, samples=50)
-        assert {c.name for c in report.checks if c.status == verify.FAIL} == failing
+        failing.append({c.name for c in report.checks if c.status == verify.FAIL})
+    return failing
+
+
+def test_verify_fails_when_psi_keeps_only_the_c_candidate(monkeypatch):
+    # The kernel without its c + 2c' candidates: psi's images leave the
+    # quartic, the pieces stop being affine, theta parts from the box walk,
+    # the series and the translation identities, and on hex two equivalent
+    # points part.
+    candidates = (
+        ("den * h1 - abs(a)", "den * q1 - abs(a + 2 * b)"),
+        ("den * h2 - abs(b)", "den * q2 - abs(b + 2 * a)"),
+        ("den * h3 - abs(a + b)", "den * q3 - abs(a - b)"),
+    )
+    c_only = [(f"min({c}, {q})", f"({c})") for c, q in candidates]
+    hexagonal, skew = _failing_rows_with_kernel(monkeypatch, *c_only)
+    rows = {
+        "quartic-coverage",
+        "affine-unimodularity",
+        "coplanarity-table",
+        "theta-bruteforce-oracle",
+        "series-lift-consistency",
+        "theta-translation-identities",
+    }
+    assert hexagonal == rows | {"psi-injectivity-mod-sign"}
+    assert skew == rows | {"theta-concavity"}
+
+
+def test_verify_fails_when_the_kernel_flips_the_descent_term(monkeypatch):
+    # theta_00 = 4 (h(r) - h(t)) negated: psi, its differences, is untouched,
+    # but every theta value parts from the box walk, the series and the
+    # translation identities, and stops being concave.
+    flip = ("base = 4 * (", "base = -4 * (")
+    rows = {
+        "theta-bruteforce-oracle",
+        "series-lift-consistency",
+        "theta-translation-identities",
+        "theta-concavity",
+    }
+    assert _failing_rows_with_kernel(monkeypatch, flip) == [rows, rows]
 
 
 def test_psi_product_type_collapses(row_passes, unit_square):
@@ -432,7 +464,7 @@ def test_quartic_coverage_matches_its_fraction_statement(
 ):
     rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
     surfaces = [skew_hexagonal, hexagonal, rational]
-    fault = (kummer, "descend", cut_descend)  # psi leaves the skew quartic
+    fault = (theta, "descend", cut_descend)  # psi leaves the skew quartic
     row_matches("quartic-coverage", _quartic_coverage, surfaces, fault)
 
 
@@ -885,7 +917,7 @@ def test_coplanarity_report_raises_on_permuted_conorms(
     assert s.conorms == (1, 2, 1)
     args = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors, conorms)
     with pytest.raises(InternalInconsistencyError, match=message):
-        coplanarity_report(PrincipallyPolarizedSurface(*args))
+        coplanarity_report(PrincipallyPolarizedSurface(*args, s.candidates))
 
 
 def _pieces_text(surface):

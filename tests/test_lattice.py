@@ -406,7 +406,7 @@ def test_descend_raises_on_swapped_descent_norms(skew_hexagonal):
     swapped = {(1, 0): 3, (-1, 0): 3, (0, 1): 2, (0, -1): 2}  # 2 and 3 in H
     descent = tuple((r, hr, swapped.get(r, n)) for r, hr, n in s.descent)
     bad = PrincipallyPolarizedSurface(
-        s.gram, s.int_gram, s.gram_den, descent, s.char_vectors, s.conorms
+        s.gram, s.int_gram, s.gram_den, descent, s.char_vectors, s.conorms, s.candidates
     )
     start = time.perf_counter()
     with pytest.raises(InternalInconsistencyError, match="did not lower t"):

@@ -21,14 +21,17 @@ from tropical_kummer import (
 )
 from tropical_kummer import lattice, theta
 from tropical_kummer.exact import form, numerators
+from tropical_kummer.kummer import psi_step
 from tropical_kummer.lattice import HALF
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,
     random_point,
+    random_surface,
     rng_for,
 )
-from tropical_kummer.theta import CHARACTERISTICS, _certifies, box_step, theta_step
+from tropical_kummer.theta import CHARACTERISTICS, _certifies, box_step, step_scale
+from tropical_kummer.theta import theta_numerators, theta_step
 from tropical_kummer.theta import theta_eval_bruteforce
 
 F = Fraction
@@ -175,15 +178,23 @@ def test_oracle_equivalence_on_random_surfaces(row_passes, hexagonal):
 
 # The Fraction statement of each theta row that `verify` checks on integer
 # numerators: a row and its statement draw the same case from the same rng
-# and must return the same thing (None or the same dict).
+# and must return the same thing (None or the same dict).  The rows that read
+# `theta_numerators` read it here too, as `Fraction`s: on a cut descent it
+# and `theta_eval` part.
 def _vec(v):
     return [str(c) for c in v.as_tuple()]
 
 
+def _kernel(s, x):
+    """The four theta values at x, 00, 10, 01, 11, by `theta_numerators`."""
+    t0, t1, den = numerators(x)
+    return [F(n, step_scale(s, den)) for n in theta_numerators(s, t0, t1, den)]
+
+
 def _evenness(s, rng):
     x = random_point(rng, 4)
-    for char in CHARACTERISTICS:
-        if theta_eval(s, char, x).value != theta_eval(s, char, -x).value:
+    for char, at_x, at_minus_x in zip(CHARACTERISTICS, _kernel(s, x), _kernel(s, -x)):
+        if at_x != at_minus_x:
             return {"x": _vec(x), "char": str(char)}
 
 
@@ -202,8 +213,8 @@ def _translation(s, rng):
     # c, vec = 10, u; 01, v; 11, w.
     rb = lagrange_reduce(s)
     x = random_point(rng, 3)
-    for char, vec in zip(CHARACTERISTICS[1:], (rb.u, rb.v, rb.w)):
-        lhs = theta_eval(s, char, x).value
+    vectors = (rb.u, rb.v, rb.w)
+    for char, vec, lhs in zip(CHARACTERISTICS[1:], vectors, _kernel(s, x)[1:]):
         q, quarter = s.q(x, vec), s.norm(vec) / 4
         plus = theta_eval(s, CHARACTERISTICS[0], x + HALF * vec).value + q + quarter
         minus = theta_eval(s, CHARACTERISTICS[0], x - HALF * vec).value - q + quarter
@@ -213,11 +224,9 @@ def _translation(s, rng):
 
 def _concavity(s, rng):
     x, y = random_point(rng, 3), random_point(rng, 3)
-    for char in CHARACTERISTICS:
-        lhs = theta_eval(s, char, HALF * (x + y)).value
-        rhs = (theta_eval(s, char, x).value + theta_eval(s, char, y).value) / 2
-        if lhs < rhs:
-            return {"x": _vec(x), "y": _vec(y)}
+    mid, at_x, at_y = _kernel(s, HALF * (x + y)), _kernel(s, x), _kernel(s, y)
+    if any(m < (a + b) / 2 for m, a, b in zip(mid, at_x, at_y)):
+        return {"x": _vec(x), "y": _vec(y)}
 
 
 def _zero_on_cell(s, rng):
@@ -250,16 +259,19 @@ def _theta_oracle(s, seed, samples):
         for k in range(per_surface):
             rng = rng_for(seed, "theta-oracle", si, k)
             x = random_point(rng, 2)
-            char = CHARACTERISTICS[rng.randrange(4)]
+            i = rng.randrange(4)
+            char = CHARACTERISTICS[i]
             cases += 1
             fast = theta_eval(surface, char, x).value
+            kernel = _kernel(surface, x)[i]
             slow = _oracle_theta(surface, char, x)
-            if fast != slow:
+            if fast != slow or kernel != slow:
                 counterexample = {
                     "gram": [[str(e) for e in row] for row in surface.gram.rows()],
                     "x": _vec(x),
                     "char": str(char),
                     "fast": str(fast),
+                    "kernel": str(kernel),
                     "oracle": str(slow),
                 }
                 return verify.FAIL, cases, counterexample, None
@@ -344,6 +356,47 @@ def test_theta_step_is_theta_eval_over_any_common_denominator():
                 assert Vec2(*a) == tv.minimizer
                 scaled = theta_step(s, char, k * t0, k * t1, k * den)
                 assert scaled == (k * k * num, a), (gram, x, char, k)
+
+
+def _kernel_sweep():
+    """(surface, t0, t1, den, k): the hex, skew, hidden-product, unit-square,
+    sheared and rational Grams and 60 random ones, 500 points t/den each,
+    |t_i| <= 40 den, den <= 12, and a scale k in 2..5."""
+    g = 10**6
+    grams = [
+        [[2, -1], [-1, 2]],
+        [[2, -1], [-1, 3]],
+        [[5, 3], [3, 2]],
+        [[1, 0], [0, 1]],
+        [[g, 1 - g], [1 - g, g]],
+        [[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]],
+    ]
+    surfaces = [make_surface(gram) for gram in grams]
+    surfaces += [random_surface(rng_for(36, "kernel-gram", k)) for k in range(60)]
+    for i, s in enumerate(surfaces):
+        rng = rng_for(36, "kernel-point", i)
+        for j in range(500):
+            den = rng.randrange(1, 13)
+            t0, t1 = (rng.randrange(80 * den + 1) - 40 * den for _ in "01")
+            yield s, t0, t1, den, 2 + j % 4
+
+
+def test_theta_numerators_are_theta_step_values():
+    # Entry i is `theta_step`'s value for characteristic i, on the sweep.
+    for s, t0, t1, den, _ in _kernel_sweep():
+        nums = theta_numerators(s, t0, t1, den)
+        steps = tuple(theta_step(s, char, t0, t1, den)[0] for char in CHARACTERISTICS)
+        assert nums == steps, (s.gram.describe(), (t0, t1, den))
+
+
+def test_theta_numerators_scale_and_give_psi():
+    # On the same sweep, (k t, k den) gives k^2 times every entry, and
+    # `psi_step` is entries 1-3 less entry 0.
+    for s, t0, t1, den, k in _kernel_sweep():
+        n00, n10, n01, n11 = theta_numerators(s, t0, t1, den)
+        scaled = theta_numerators(s, k * t0, k * t1, k * den)
+        assert scaled == (k * k * n00, k * k * n10, k * k * n01, k * k * n11)
+        assert psi_step(s, t0, t1, den) == (n10 - n00, n01 - n00, n11 - n00)
 
 
 def test_box_step_is_the_reference_box_minimum():

@@ -189,6 +189,7 @@ def test_surface_compares_and_shows_only_its_gram():
         HEX.descent[:2],
         HEX.char_vectors,
         HEX.conorms,
+        HEX.candidates,
     )
     assert rebuilt == HEX and hash(rebuilt) == hash((HEX.gram,))
     assert repr(rebuilt) == repr(HEX)
@@ -200,6 +201,7 @@ def test_surface_compares_and_shows_only_its_gram():
         descent=HEX.descent,
         char_vectors=HEX.char_vectors,
         conorms=HEX.conorms,
+        candidates=HEX.candidates,
     )
     assert keyword.lazy == {} and keyword.lazy is not rebuilt.lazy
     assert make_surface([[2, -1], [-1, 3]]) != HEX
