@@ -12,9 +12,11 @@ failure while reading the config into a surface (`main`'s ``with _reading()``
 block) or the command's own arguments (its block) and the typed input errors of
 `errors` (`errors.InputError`, e.g. a product-type surface given to
 ``surface``).  Any other exception from the computation exits 3: two
-independent computations disagreed, or a bug.  Errors emit one JSON object
-``{"error": {"type", "stage", "message"}}`` on stderr, where the stage is the
-subcommand (``args`` if it is missing or unknown); never a traceback.
+independent computations disagreed, or a bug; or an `OutputError`: stdout
+could not be written (closed, or a pipe whose reader has gone).  Errors emit
+one JSON object ``{"error": {"type", "stage", "message"}}`` on stderr, where
+the stage is the subcommand (``args`` if it is missing or unknown); never a
+traceback.  Stderr carries only diagnostics: lost, they change no exit code.
 
 An input rational with more than `_MAX_INPUT_DIGITS` digits in its numerator
 or denominator is an input error, so that every printed number can print.
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from . import kummer, nonarch
@@ -97,13 +100,42 @@ def _reading():
         raise _BadInput(exc) from exc
 
 
+class OutputError(Exception):
+    """The command's output could not be written to stdout: exit 3."""
+
+
+def _write(stream, text: str) -> str | None:
+    """Write and flush `text`: None, or why `stream` could not take it.
+
+    A failed stream is pointed at os.devnull: it keeps the bytes it could not
+    write, and the interpreter flushes it again at exit, where a failure would
+    make the exit code 120.
+    """
+    if stream is None:  # its descriptor was closed when the interpreter started
+        return "the stream is closed"
+    try:
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:  # EPIPE, EBADF, or a closed file object
+        with suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return str(exc)
+    return None
+
+
+def _out(text: str) -> None:
+    problem = _write(sys.stdout, text)
+    if problem is not None:
+        raise OutputError(f"could not write the output to stdout: {problem}")
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _out(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_error(exc: Exception, stage: str) -> None:
     obj = {"error": {"type": type(exc).__name__, "stage": stage, "message": str(exc)}}
-    sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write(sys.stderr, json.dumps(obj, sort_keys=True) + "\n")  # lost if it fails
 
 
 def _load_config(path: str) -> dict:
@@ -244,7 +276,7 @@ def cmd_surface(args, config: dict, surface: PrincipallyPolarizedSurface) -> int
             }
         )
         return 0
-    sys.stdout.write(kummer.quartic_off(quartic, args.precision))
+    _out(kummer.quartic_off(quartic, args.precision))
     return 0
 
 
@@ -280,11 +312,12 @@ def cmd_verify(args, config: dict, surface: PrincipallyPolarizedSurface) -> int:
         _within("samples", samples, 1, MAX_VERIFY_SAMPLES)
 
     def progress(check):
-        sys.stderr.write(
+        _write(
+            sys.stderr,
             f"[{check.status:4s}] {check.name} "
             f"({check.cases} cases, {check.elapsed * 1000:.1f} ms)\n"
+            + (check.traceback or "")
         )
-        sys.stderr.write(check.traceback or "")
 
     report = verify.run_verification(
         surface, seed=seed, samples=samples, progress=progress

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,56 @@ def test_cli_subprocess_entry_point(hex_config):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "irreducible"
+
+
+def _spawn(argv, lost=None, how="closed"):
+    """The CLI in a child process, stdout and stderr captured; descriptor
+    `lost` (1 or 2), if given, is closed before the child starts, or is a pipe
+    whose reader has gone (`how` "broken").  The child's streams are buffered,
+    as they are by default, so a failed write leaves bytes for its exit flush."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    streams, preexec, broken = {1: subprocess.PIPE, 2: subprocess.PIPE}, None, None
+    if lost is not None and how == "closed":
+        streams[lost], preexec = subprocess.DEVNULL, lambda: os.close(lost)
+    elif lost is not None:
+        read, streams[lost] = broken = os.pipe()
+        os.close(read)
+    argv = [sys.executable, "-m", "tropical_kummer", *argv]
+    try:
+        return subprocess.run(
+            argv, stdout=streams[1], stderr=streams[2], env=env, preexec_fn=preexec
+        )
+    finally:
+        if broken is not None:
+            os.close(broken[1])
+
+
+def test_a_lost_stream_keeps_the_outcome(hex_config, tmp_path):
+    # Stderr carries only diagnostics: lost, it changes neither stdout nor the
+    # exit code (the interpreter's own flush at exit included, which exits 120
+    # when it fails).  Lost stdout is the command's output: exit 3, saying so.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"gram": [["1", "2"], ["2", "1"]]}))
+    check = ["verify", hex_config, "--samples", "5"]
+    report = _spawn(check).stdout
+    assert json.loads(report)["passed"] is True
+    runs = (
+        (check, 0, report),
+        (["classify", str(bad)], 2, b""),
+        (["classify", str(tmp_path / "missing.json")], 2, b""),
+    )
+    for (argv, code, out), how in product(runs, ("closed", "broken")):
+        proc = _spawn(argv, 2, how)
+        assert (proc.returncode, proc.stdout) == (code, out), (argv, how)
+    for how in ("closed", "broken"):
+        proc = _spawn(["classify", hex_config], 1, how)
+        assert proc.returncode == 3, how
+        (line,) = proc.stderr.decode().splitlines()
+        error = json.loads(line)["error"]
+        assert (error["type"], error["stage"]) == ("OutputError", "classify")
+        assert error["message"].startswith("could not write the output to stdout: ")
 
 
 # Runs the CLI as `python -m tropical_kummer` does, then lists sys.modules.

@@ -1,9 +1,13 @@
-"""Every row of the `verify` table on the four example surfaces.
+"""Every row of the `verify` table, run from two tables.
 
-`verify` and pytest run the same table through `verify.run_check`: a row
-passes on every surface of its class and is skipped, with no case run, on
-the others.  The seed differs from the pinned reports' seed 7, so these
-runs draw other cases.
+`verify` and pytest run the same table through `verify.run_check`.
+`test_row` runs every row on the four example surfaces (seed 1, 50 samples):
+a row passes on every surface of its class and is skipped, with no case run,
+on the others.  `RUNS` adds the runs that state a row on particular surfaces
+or at a larger case count, so each run Tier-1 makes of a row is one line.
+`TWINS` pairs each row that compares integer numerators with its `Fraction`
+statement, kept beside the module's other tests; `NO_TWIN` says why each
+other row has none.
 """
 
 import ast
@@ -12,7 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import cut_descend
+from conftest import cut_descend, cut_descent, with_fields
+from test_kummer import _quartic_coverage
+from test_nonarch import _cutoff_stability, _descent_cocycle, _gram_raised, _raised
+from test_nonarch import _series_lift, _series_quasi_periodicity
+from test_theta import _concavity, _cvp_oracle, _evenness, _minimizer
+from test_theta import _off_the_lattice, _quasi_periodicity, _theta_oracle
+from test_theta import _translation, _zero_on_cell
 
 from tropical_kummer import (
     AffinePiece,
@@ -24,17 +34,21 @@ from tropical_kummer import (
     Vec3,
     VoronoiCell,
     kummer,
+    lattice,
     make_surface,
+    nonarch,
     subdivide,
     theta,
     verify,
 )
+from tropical_kummer.sampling import rng_for
 
 F = Fraction
 H = F(1, 2)
 
 SEED = 1
 SAMPLES = 50
+CHECK = {check.name: check for check in verify.CHECKS}
 
 SURFACES = {
     "hexagonal": SurfaceClass.IRREDUCIBLE,
@@ -42,18 +56,165 @@ SURFACES = {
     "hidden_product": SurfaceClass.PRODUCT_TYPE,
     "unit_square": SurfaceClass.PRODUCT_TYPE,
 }
+HS = ("hexagonal", "skew_hexagonal")
+
+# (row, surface fixtures, samples, seed): runs beyond `test_row`'s sweep.  A
+# row that reads neither seed nor samples (`dual-basis-integrality`,
+# `quartic-structure`, `subdivision-geometry`) needs none.
+RUNS = (
+    ("voronoi-geometry", ("hexagonal",), 200, 23),  # and 20 random surfaces
+    ("cvp-descent-oracle", ("hexagonal", "hidden_product"), 50, 2),
+    ("reduce-idempotence", ("hexagonal", "hidden_product"), 50, 2),
+    ("theta-zero-on-cell", ("hexagonal", "hidden_product"), 40, 9),
+    ("theta-evenness", (*HS, "hidden_product"), 40, 13),
+    ("theta-quasi-periodicity", HS, 40, 17),
+    ("theta-translation-identities", HS, 40, 19),
+    ("theta-concavity", ("hexagonal",), 40, 21),
+    ("theta-minimizer-attained", HS, 40, 3),
+    ("theta-bruteforce-oracle", ("hexagonal",), 160, 29),  # 16 surfaces x 10
+    ("series-lift-consistency", (*HS, "hidden_product"), 50, 67),
+    ("series-quasi-periodicity", ("hexagonal",), 60, 71),  # a quarter: 15 points
+    ("series-cutoff-stability", HS, 100, 61),  # a quarter: 25 points
+    ("quartic-coverage", HS, 60, 47),
+    ("psi-injectivity-mod-sign", ("hexagonal",), 200, 53),
+    ("psi-product-collapse", ("unit_square",), 40, 43),
+    ("affine-unimodularity", HS, 1, 0),
+    ("affine-unimodularity", ("hexagonal",), 120, 59),  # and 6 random surfaces
+)
 
 
-@pytest.mark.parametrize("fixture", SURFACES)
-@pytest.mark.parametrize("check", verify.CHECKS, ids=lambda check: check.name)
-def test_row(request, check, fixture):
-    surface = request.getfixturevalue(fixture)
-    result = verify.run_check(check, surface, SEED, SAMPLES)
-    if check.needs not in (None, SURFACES[fixture]):
-        assert (result.status, result.cases) == (verify.SKIP, 0)
-    else:
-        assert result.status == verify.PASS, result
-        assert result.cases > 0
+SWEEP = [(c.name, (f,), SAMPLES, SEED) for c in verify.CHECKS for f in SURFACES]
+
+
+@pytest.mark.parametrize(
+    "name, fixtures, samples, seed",
+    [pytest.param(*run, id=f"{run[0]}-{run[1][0]}") for run in SWEEP]
+    + [pytest.param(*run, id=f"{run[0]}-seed-{run[3]}") for run in RUNS],
+)
+def test_row(request, name, fixtures, samples, seed):
+    check = CHECK[name]
+    for fixture in fixtures:
+        surface = request.getfixturevalue(fixture)
+        result = verify.run_check(check, surface, seed, samples)
+        if check.needs not in (None, SURFACES[fixture]):
+            assert (result.status, result.cases) == (verify.SKIP, 0)
+        else:
+            assert result.status == verify.PASS, (fixture, result)
+            assert result.cases > 0
+
+
+SKEW = make_surface([[2, -1], [-1, 3]])
+TWIN_SURFACES = {
+    "hexagonal": make_surface([[2, -1], [-1, 2]]),
+    "skew": SKEW,
+    "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
+    "hidden-product": make_surface([[5, 3], [3, 2]]),
+    "skew-descent-cut": cut_descent(SKEW),  # some cases fail: dicts compared
+}
+ALL = tuple(TWIN_SURFACES)
+CUT = (theta, "descend", cut_descend)  # the descent behind theta and psi cut
+
+# row: (its Fraction statement, surfaces, None or a fault that both read):
+# (module, name, wrap) patches the attribute to wrap(itself) while both run
+# once more on the first surface.  A `lattice.descend` fault breaks
+# `reduce_point` alone; along x, the series is no longer quasi-periodic; with
+# the radius, the cutoff ladder's values rise.
+TWINS = {
+    "cvp-descent-oracle": (_cvp_oracle, ALL, (lattice, "descend", cut_descend)),
+    "theta-zero-on-cell": (_zero_on_cell, ALL, (lattice, "descend", cut_descend)),
+    "theta-evenness": (_evenness, ALL, None),
+    "theta-quasi-periodicity": (_quasi_periodicity, ALL, None),
+    "theta-translation-identities": (_translation, ALL, None),
+    "theta-concavity": (_concavity, ALL, None),
+    "theta-minimizer-attained": (_minimizer, ALL, (theta, "descend", _off_the_lattice)),
+    "theta-bruteforce-oracle": (_theta_oracle, ALL, CUT),
+    "descent-datum-cocycle": (  # the datum reads no descent: no cut surface
+        _descent_cocycle, ALL[:4], (nonarch, "integer_gram", _gram_raised)
+    ),
+    "series-lift-consistency": (_series_lift, ALL, CUT),
+    "series-quasi-periodicity": (
+        _series_quasi_periodicity,
+        ALL,
+        (nonarch, "box_step", _raised(lambda t0, radius: t0)),
+    ),
+    "series-cutoff-stability": (
+        _cutoff_stability,
+        ALL,
+        (nonarch, "box_step", _raised(lambda t0, radius: radius)),
+    ),
+    "quartic-coverage": (  # psi leaves the skew quartic
+        _quartic_coverage, ("skew", "hexagonal", "rational"), CUT
+    ),
+}
+
+# row: why it has no twin: its own public `Fraction` calls, or a test that
+# holds its kernel to a `Fraction` statement.
+NO_TWIN = {
+    "gram-symmetry": "public Fraction calls: s.q on Vec2 draws",
+    "gram-positivity": "public Fraction calls: s.norm on Vec2 draws",
+    "unimodular-invariance": "public calls: is_unimodular on int rows",
+    "dual-basis-integrality": "public Fraction calls: Mat2.inverse and s.q",
+    "reduction-invariants": "public Fraction calls: lagrange_reduce, s.norm, s.q",
+    "classify-congruence-invariance": "public calls: classify on Mat2 congruences",
+    "voronoi-geometry": "public Fraction calls: voronoi_cell and s.q",
+    "reduce-idempotence": "public Fraction calls: reduce_point, in_voronoi_cell",
+    "quartic-structure": "public calls: build_quartic and its sign diagnostics",
+    "psi-injectivity-mod-sign": (
+        "test_kummer.test_injectivity_check_matches_its_fraction_statement"
+    ),
+    "psi-product-collapse": "public Fraction calls: psi_eval",
+    "affine-unimodularity": (
+        "test_kummer.test_affine_pieces_match_their_fraction_statement"
+    ),
+    "coplanarity-table": "public calls: coplanarity_report, which validates itself",
+    "subdivision-geometry": "public Fraction calls: subdivide and in_voronoi_cell",
+}
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_row_matches_its_fraction_statement(monkeypatch, name):
+    # Both draw the same cases from the same rng: a per-case row 50 cases at
+    # seeds 7 and 8 (only the row gets its setup), a whole check at seeds 7
+    # and 8 with 40 samples.  Each must return what the other does: None or
+    # the same counterexample, or the same report tuple; both the holding and
+    # the failing returns must occur.
+    statement, names, fault = TWINS[name]
+    check, surfaces, holds = CHECK[name], [TWIN_SURFACES[n] for n in names], set()
+
+    def compare(s):
+        if check.key is None:
+            for seed in (7, 8):
+                got, want = check.fn(s, seed, 40), statement(s, seed, 40)
+                assert got == want, (s.gram.describe(), seed)
+                holds.add(got[2] is None)
+            return
+        extra = () if check.setup is None else (check.setup(s),)
+        for seed, k in itertools.product((7, 8), range(50)):
+            want = statement(s, rng_for(seed, check.key, k))
+            got = check.fn(s, rng_for(seed, check.key, k), *extra)
+            assert got == want, (s.gram.describe(), seed, k)
+            holds.add(got is None)
+
+    for s in surfaces:
+        compare(s)
+    if fault is not None:
+        module, attr, wrap = fault
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+        compare(surfaces[0])
+    assert holds == {True, False}
+
+
+def test_every_row_is_classified():
+    # Each row has a twin or a reason for none, not both; each table names
+    # rows; each run of `RUNS` is on surfaces of its row's class, so it must
+    # pass, not skip.
+    rows = set(CHECK)
+    assert rows - {*TWINS, *NO_TWIN} == set(), "rows with no twin and no reason"
+    assert set(TWINS) & set(NO_TWIN) == set()
+    assert {*TWINS, *NO_TWIN, *(run[0] for run in RUNS)} <= rows
+    assert all(NO_TWIN.values())
+    for name, fixtures, _, _ in RUNS:
+        assert all(CHECK[name].needs in (None, SURFACES[f]) for f in fixtures), name
 
 
 def test_report_rows_are_the_benchmark_rows():
@@ -109,9 +270,7 @@ def _doubled_cell(mp, s):
 def _conorms_swapped(mp, s):
     # u, v stay the reduced basis; the norms come from swapped stored conorms.
     p_uv, p_vw, p_uw = s.conorms
-    fields = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors)
-    swapped = PrincipallyPolarizedSurface(*fields, (p_vw, p_uv, p_uw), s.candidates)
-    wrong = verify.lagrange_reduce(swapped)
+    wrong = verify.lagrange_reduce(with_fields(s, conorms=(p_vw, p_uv, p_uw)))
     mp.setattr(verify, "lagrange_reduce", lambda surface: wrong)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import reference
-from conftest import cut_descend, cut_descent, source_mutant
+from conftest import cut_descent, source_mutant, with_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel_pinned import GRAMS, _boundary_points, _sheared
@@ -19,7 +19,6 @@ from tropical_kummer import (
     InternalInconsistencyError,
     KummerQuartic,
     NotAffineOnCellError,
-    PrincipallyPolarizedSurface,
     ProductTypeError,
     SurfaceClass,
     Vec2,
@@ -234,10 +233,6 @@ def test_verify_fails_when_the_kernel_flips_the_descent_term(monkeypatch):
     assert _failing_rows_with_kernel(monkeypatch, flip) == [rows, rows]
 
 
-def test_psi_product_type_collapses(row_passes, unit_square):
-    row_passes("psi-product-collapse", unit_square, samples=40, seed=43)
-
-
 def test_g_action_examples():
     p = (0, H, H, H)
     assert g_action(((0, 1, 2, 3), False), p) == Vec3(H, H, H)
@@ -289,8 +284,9 @@ def test_quartic_skew_example(skew_hexagonal):
     assert quartic.vertex("tau_0") == Vec3(H, F(3, 4), F(3, 4))
 
 
-def test_quartic_vertex_set_is_antipodally_stable(row_passes, skew_hexagonal):
-    row_passes("quartic-structure", skew_hexagonal, samples=1, seed=0)
+def test_quartic_vertex_set_is_antipodally_stable(skew_hexagonal):
+    vertices = build_quartic(skew_hexagonal).vertices
+    assert set(vertices) == {-v for v in vertices}
 
 
 def test_face_offsets_come_in_opposite_pairs(hexagonal, skew_hexagonal):
@@ -459,15 +455,6 @@ def _quartic_coverage(s, rng):
         return {"x": _vec(x), "psi": _vec(image)}
 
 
-def test_quartic_coverage_matches_its_fraction_statement(
-    row_matches, hexagonal, skew_hexagonal
-):
-    rational = make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]])
-    surfaces = [skew_hexagonal, hexagonal, rational]
-    fault = (theta, "descend", cut_descend)  # psi leaves the skew quartic
-    row_matches("quartic-coverage", _quartic_coverage, surfaces, fault)
-
-
 def test_validate_quartic_guards_the_gauge(hexagonal):
     quartic = build_quartic(hexagonal)
     _validate_quartic(quartic.vertices, quartic.faces)
@@ -482,10 +469,6 @@ def test_validate_quartic_guards_the_gauge(hexagonal):
     beyond = FacePlane((2, 0, -1), H, ("tau_0", "tau_3", "tau_0", "tau_3"), ())
     with pytest.raises(InternalInconsistencyError, match="tau_tilde_1: gauge 2"):
         _validate_quartic(quartic.vertices, (beyond,) + quartic.faces[1:])
-
-
-def test_surface_coverage(row_passes, hexagonal, skew_hexagonal):
-    row_passes("quartic-coverage", hexagonal, skew_hexagonal, samples=60, seed=47)
 
 
 def test_injectivity_examples(hexagonal):
@@ -648,10 +631,6 @@ def test_injectivity_check_matches_its_fraction_statement(hexagonal, skew_hexago
     assert raised == {True, False}
 
 
-def test_injectivity_biconditional_sampled(row_passes, hexagonal):
-    row_passes("psi-injectivity-mod-sign", hexagonal, samples=200, seed=53)
-
-
 def test_affine_pieces_sigma_linear_part(hexagonal):
     pieces = affine_pieces(hexagonal)
     sigma = next(p for p in pieces if p.cell.label == "sigma1")
@@ -659,12 +638,21 @@ def test_affine_pieces_sigma_linear_part(hexagonal):
     assert sigma.unimodular
 
 
-def test_affine_pieces_all_unimodular(row_passes, hexagonal, skew_hexagonal):
-    row_passes("affine-unimodularity", hexagonal, skew_hexagonal, samples=1, seed=0)
+def test_affine_pieces_all_unimodular(hexagonal, skew_hexagonal):
+    for s in (hexagonal, skew_hexagonal):
+        pieces = affine_pieces(s)
+        assert len(pieces) == 18
+        assert [p.cell.label for p in pieces if not p.unimodular] == []
 
 
-def test_affine_pieces_antipodal_cells_negate(row_passes, hexagonal):
-    row_passes("affine-unimodularity", hexagonal, samples=1, seed=0)
+def test_affine_pieces_antipodal_cells_negate(hexagonal):
+    # Quadrilateral q + 3 negates q, cell and linear part alike.
+    at = {(p.cell.kind, p.cell.quadrilateral): p for p in affine_pieces(hexagonal)}
+    for (kind, q), piece in at.items():
+        antipode = at[kind, (q + 2) % 6 + 1]
+        assert set(antipode.cell.vertices) == {-p for p in piece.cell.vertices}
+        negated = tuple((-r[0], -r[1]) for r in piece.linear_part)
+        assert antipode.linear_part == negated, piece.cell.label
 
 
 def test_affine_pieces_offset_reproduces_values(hexagonal):
@@ -800,11 +788,6 @@ def test_affine_pieces_match_their_fraction_statement():
     assert None in labels and len(labels) > 1
 
 
-def test_unimodularity_on_seeded_irreducible_surfaces(row_passes, hexagonal):
-    # The hexagon and 6 random irreducible surfaces.
-    row_passes("affine-unimodularity", hexagonal, samples=120, seed=59)
-
-
 def test_coplanarity_report_hexagonal(hexagonal):
     report = coplanarity_report(hexagonal)
     t10, t01, t11 = theta_constants(hexagonal)
@@ -915,9 +898,8 @@ def test_coplanarity_report_raises_on_permuted_conorms(
     # minimizers, so a wrong stored conorm cannot pass silently.
     s = skew_hexagonal
     assert s.conorms == (1, 2, 1)
-    args = (s.gram, s.int_gram, s.gram_den, s.descent, s.char_vectors, conorms)
     with pytest.raises(InternalInconsistencyError, match=message):
-        coplanarity_report(PrincipallyPolarizedSurface(*args, s.candidates))
+        coplanarity_report(with_fields(s, conorms=conorms))
 
 
 def _pieces_text(surface):

@@ -7,7 +7,6 @@ from itertools import product
 
 import pytest
 import reference
-from conftest import cut_descend, cut_descent
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernel_pinned import GRAMS
@@ -26,7 +25,6 @@ from tropical_kummer import (
     theta_eval,
     tropicalize_series,
 )
-from tropical_kummer import nonarch, theta
 from tropical_kummer.exact import numerators
 from tropical_kummer.nonarch import tropicalize_step
 from tropical_kummer.sampling import random_integer_vector, random_point, rng_for
@@ -90,17 +88,6 @@ def _gram_raised(integer_gram):
         return (h11 + 1, h12, h22), den
 
     return raised
-
-
-def test_descent_cocycle_matches_its_fraction_statement(row_matches, hexagonal):
-    surfaces = [
-        hexagonal,
-        make_surface([[2, -1], [-1, 3]]),
-        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
-        make_surface([[5, 3], [3, 2]]),
-    ]
-    fault = (nonarch, "integer_gram", _gram_raised)
-    row_matches("descent-datum-cocycle", _descent_cocycle, surfaces, fault)
 
 
 def test_build_series_examples(hexagonal):
@@ -250,13 +237,6 @@ def test_safe_cutoff_matches_stepping(hexagonal, skew_hexagonal, unit_square):
     assert huge > 10**12
 
 
-def test_safe_cutoff_doubling_stability(row_passes, hexagonal, skew_hexagonal):
-    # 25 points: the row reads a quarter of the samples.
-    row_passes(
-        "series-cutoff-stability", hexagonal, skew_hexagonal, samples=100, seed=61
-    )
-
-
 def test_cutoff_monotone_and_stabilized(hexagonal):
     char = CH(1, 1)
     v = Vec2(F(3, 2), F(-1, 3))
@@ -267,16 +247,6 @@ def test_cutoff_monotone_and_stabilized(hexagonal):
     ]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[r] == values[2 * r]
-
-
-def test_lift_consistency(row_passes, hexagonal, skew_hexagonal, hidden_product):
-    surfaces = (hexagonal, skew_hexagonal, hidden_product)
-    row_passes("series-lift-consistency", *surfaces, samples=50, seed=67)
-
-
-def test_series_quasi_periodicity(row_passes, hexagonal):
-    # 15 points: the row reads a quarter of the samples.
-    row_passes("series-quasi-periodicity", hexagonal, samples=60, seed=71)
 
 
 @st.composite
@@ -459,8 +429,8 @@ def test_tropicalize_step_is_the_scan_over_any_common_denominator():
 
 
 # The Fraction statement of each series row that `verify` checks on
-# `tropicalize_step` numerators; `row_matches` runs a row beside it.  A
-# statement builds the series that the row's setup builds.
+# `tropicalize_step` numerators, which `test_invariants.TWINS` runs beside
+# its row.  A statement builds the series that the row's setup builds.
 def _tables(s, bound):
     return [build_series(s, c, safe_cutoff(s, c, bound)) for c in CHARACTERISTICS]
 
@@ -511,33 +481,3 @@ def _raised(by):
         return raised
 
     return wrap
-
-
-# row: (its Fraction statement, a fault that both read, as `row_matches`
-# takes it): along x, the series is no longer quasi-periodic; with the
-# radius, the cutoff ladder's values rise.
-SERIES_STATEMENTS = {
-    "series-lift-consistency": (_series_lift, (theta, "descend", cut_descend)),
-    "series-quasi-periodicity": (
-        _series_quasi_periodicity,
-        (nonarch, "box_step", _raised(lambda t0, radius: t0)),
-    ),
-    "series-cutoff-stability": (
-        _cutoff_stability,
-        (nonarch, "box_step", _raised(lambda t0, radius: radius)),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", SERIES_STATEMENTS)
-def test_series_rows_match_their_fraction_statement(row_matches, name):
-    statement, fault = SERIES_STATEMENTS[name]
-    skew = make_surface([[2, -1], [-1, 3]])
-    surfaces = [
-        make_surface([[2, -1], [-1, 2]]),
-        skew,
-        make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
-        make_surface([[5, 3], [3, 2]]),
-        cut_descent(skew),
-    ]
-    row_matches(name, statement, surfaces, fault)

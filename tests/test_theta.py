@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 import reference
-from conftest import cut_descend, cut_descent
 from test_kernel_pinned import GRAMS
 
 from tropical_kummer import (
@@ -19,7 +18,6 @@ from tropical_kummer import (
     theta_eval,
     verify,
 )
-from tropical_kummer import lattice, theta
 from tropical_kummer.exact import form, numerators
 from tropical_kummer.kummer import psi_step
 from tropical_kummer.lattice import HALF
@@ -100,12 +98,6 @@ def test_certificate_is_sound_on_small_forms():
     assert certified > 100
 
 
-def test_minimizer_is_attained(row_passes, hexagonal, skew_hexagonal):
-    row_passes(
-        "theta-minimizer-attained", hexagonal, skew_hexagonal, samples=40, seed=3
-    )
-
-
 def test_theta_constants_examples(hexagonal, skew_hexagonal):
     assert theta_constants(hexagonal) == (F(1, 2), F(1, 2), F(1, 2))
     assert theta_constants(skew_hexagonal) == (F(1, 2), F(3, 4), F(3, 4))
@@ -146,41 +138,11 @@ def test_theta_constants_reject_product_type(unit_square):
         theta_constants(unit_square)
 
 
-def test_zero_on_voronoi_cell(row_passes, hexagonal, hidden_product):
-    row_passes("theta-zero-on-cell", hexagonal, hidden_product, samples=40, seed=9)
-
-
-def test_evenness(row_passes, hexagonal, skew_hexagonal, hidden_product):
-    surfaces = (hexagonal, skew_hexagonal, hidden_product)
-    row_passes("theta-evenness", *surfaces, samples=40, seed=13)
-
-
-def test_quasi_periodicity(row_passes, hexagonal, skew_hexagonal):
-    row_passes(
-        "theta-quasi-periodicity", hexagonal, skew_hexagonal, samples=40, seed=17
-    )
-
-
-def test_translation_identities(row_passes, hexagonal, skew_hexagonal):
-    row_passes(
-        "theta-translation-identities", hexagonal, skew_hexagonal, samples=40, seed=19
-    )
-
-
-def test_concavity(row_passes, hexagonal):
-    row_passes("theta-concavity", hexagonal, samples=40, seed=21)
-
-
-def test_oracle_equivalence_on_random_surfaces(row_passes, hexagonal):
-    # The hexagon and 15 random surfaces, 10 points each.
-    row_passes("theta-bruteforce-oracle", hexagonal, samples=160, seed=29)
-
-
 # The Fraction statement of each theta row that `verify` checks on integer
-# numerators: a row and its statement draw the same case from the same rng
-# and must return the same thing (None or the same dict).  The rows that read
-# `theta_numerators` read it here too, as `Fraction`s: on a cut descent it
-# and `theta_eval` part.
+# numerators: `test_invariants.TWINS` runs it beside its row, on the same
+# case drawn from the same rng, and both must return the same (None or the
+# same dict).  The rows that read `theta_numerators` read it here too, as
+# `Fraction`s: on a cut descent it and `theta_eval` part.
 def _vec(v):
     return [str(c) for c in v.as_tuple()]
 
@@ -297,35 +259,6 @@ def _off_the_lattice(descend):
         return n0 + 1, n1
 
     return moved
-
-
-# row: (its Fraction statement, None or a fault that both read, as
-# `row_matches` takes it); a `lattice.descend` fault breaks `reduce_point` alone.
-FRACTION_STATEMENTS = {
-    "theta-evenness": (_evenness, None),
-    "theta-quasi-periodicity": (_quasi_periodicity, None),
-    "theta-translation-identities": (_translation, None),
-    "theta-concavity": (_concavity, None),
-    "theta-zero-on-cell": (_zero_on_cell, (lattice, "descend", cut_descend)),
-    "theta-minimizer-attained": (_minimizer, (theta, "descend", _off_the_lattice)),
-    "theta-bruteforce-oracle": (_theta_oracle, (theta, "descend", cut_descend)),
-    "cvp-descent-oracle": (_cvp_oracle, (lattice, "descend", cut_descend)),
-}
-
-SKEW = make_surface([[2, -1], [-1, 3]])
-TWIN_SURFACES = {
-    "hexagonal": make_surface([[2, -1], [-1, 2]]),
-    "skew": SKEW,
-    "rational": make_surface([[F(1, 2), F(-1, 5)], [F(-1, 5), F(3, 7)]]),
-    "hidden-product": make_surface([[5, 3], [3, 2]]),
-    "skew-descent-cut": cut_descent(SKEW),  # some cases fail: dicts compared
-}
-
-
-@pytest.mark.parametrize("name", FRACTION_STATEMENTS)
-def test_integer_rows_match_their_fraction_statement(row_matches, name):
-    statement, fault = FRACTION_STATEMENTS[name]
-    row_matches(name, statement, list(TWIN_SURFACES.values()), fault)
 
 
 def test_theta_step_is_theta_eval_over_any_common_denominator():
