@@ -258,12 +258,24 @@ def as_strings(v: Vec2 | Vec3) -> list[str]:
     return [str(c) for c in v.as_tuple()]
 
 
-def integer_gram(gram: Mat2) -> tuple[tuple[int, int, int], int]:
-    """(H, den): H = den * G as (h11, h12, h22), den the least common denominator."""
-    (a, da), (b, db) = gram.a.as_integer_ratio(), gram.b.as_integer_ratio()
-    d, dd = gram.d.as_integer_ratio()
-    if gram.c.as_integer_ratio() != (b, db):  # Fractions are in lowest terms
-        raise NonSymmetricError(f"matrix {gram.describe()} is not symmetric")
+def integer_gram(
+    gram: Mat2 | Sequence[Sequence[RationalLike]],
+) -> tuple[tuple[int, int, int], int]:
+    """(H, den): H = den * G as (h11, h12, h22), den the least common denominator.
+
+    G is a `Mat2` or 2x2 rows.  Its entries are read in the order a, b, c, d,
+    each as a lowest-terms ratio: an int as itself over 1, anything else
+    through `to_fraction`, which raises on what `Mat2` refuses.  So rows
+    build no `Fraction` from int entries, and raise as `Mat2.from_rows` does.
+    """
+    (a, b), (c, d) = gram.rows() if isinstance(gram, Mat2) else gram
+    entries = a, b, c, d
+    (a, da), (b, db), (c, dc), (d, dd) = [
+        (e, 1) if type(e) is int else to_fraction(e).as_integer_ratio()
+        for e in entries
+    ]
+    if (c, dc) != (b, db):  # ratios in lowest terms are equal only if equal
+        raise NonSymmetricError(f"matrix {Mat2(*entries).describe()} is not symmetric")
     den = math.lcm(da, db, dd)
     return (a * (den // da), b * (den // db), d * (den // dd)), den
 

@@ -17,18 +17,21 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 ``w`` and ``-v``, and ``m_{i+3} = -m_i`` (see `voronoi_cell`).
 
 `make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
-and derives from H alone its positivity and its integer context: the
-characteristic vectors (10 and 01 are the reduced basis u, v), H u and H v,
-which give the descent triples and `theta.theta_numerators`' `candidates`,
-and the conorms p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which
-give the class (p_uv > 0), the characteristic norms (`char_norms`) and the
-face offsets +-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
+from a `Mat2` or from rows, and derives from H alone its positivity and its
+integer context: the characteristic vectors (10 and 01 are the reduced basis
+u, v), H u and H v, which give the descent triples and
+`theta.theta_numerators`' `candidates`, and the conorms
+p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which give the class
+(p_uv > 0), the characteristic norms (`char_norms`) and the face offsets
++-p/2 (Conway-Sloane).  `q` and `norm` read H as stored.  The
 closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi) runs
 on `exact.numerators` over any common denominator.  The cell geometry runs on H
 too: the Voronoi vertices solve consecutive facet lines of `_facet_cycle`,
 `subdivide` reads its 18 cells off that cycle and those vertices in one loop,
-and `in_voronoi_cell` compares integers.  The rational reduced basis, the cell
-and its subdivision are memoized on the surface on first read.
+and `in_voronoi_cell` compares integers.  The surface keeps the Gram as given;
+a surface built from rows builds its `Fraction` Gram, `gram`, only when
+something reads it.  That Gram, the rational reduced basis, the cell and its
+subdivision are memoized on the surface on first read.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class PrincipallyPolarizedSurface(Value):
     """A polarized surface: the Gram matrix and its derived context."""
 
     _shown = ("gram",)  # the rest derives from the Gram
-    gram: Mat2
+    entries: Mat2 | tuple  # G as given: a `Mat2`, or its rows as a tuple pair
     int_gram: tuple[int, int, int]  # gram_den * G
     gram_den: int
     # (r, H r, r^T H r) for the relevant vectors r, in descent scan order.
@@ -72,6 +75,13 @@ class PrincipallyPolarizedSurface(Value):
     candidates: tuple
     # Geometric products built on first use; see `per_surface`.
     lazy: dict = dict  # a fresh dict per surface
+
+    @property
+    def gram(self) -> Mat2:
+        """G as a `Mat2`: the one given, or one built from the given rows on
+        first read (an embed request never reads it)."""
+        given = self.entries
+        return given if isinstance(given, Mat2) else _fraction_gram(self)
 
     def q(self, x: Vec2, y: Vec2) -> Fraction:  # x^T H y / gram_den on numerators
         (x0, x1, dx), (y0, y1, dy) = numerators(x), numerators(y)
@@ -122,33 +132,42 @@ class Cell(Value):
 def make_surface(gram) -> PrincipallyPolarizedSurface:
     """Build a surface, and its context, from a symmetric positive-definite matrix.
 
-    All of it derives from H = gram_den * G, read once: scaling keeps Q's order.
+    `gram` is a `Mat2` or 2x2 rows of ints, `Fraction`s or ``"p/q"`` strings.
+    All of it derives from H = gram_den * G, read once by `exact.integer_gram`
+    (scaling keeps Q's order), so int rows build no `Fraction`: the surface
+    keeps G as given, and its `gram` is a `Mat2` built on first read.
     """
-    g = gram if isinstance(gram, Mat2) else Mat2.from_rows(gram)
-    h, den = integer_gram(g)  # raises NonSymmetricError when asymmetric
+    if not isinstance(gram, Mat2):
+        (a, b), (c, d) = gram  # frozen: the caller's rows may change later
+        gram = (a, b), (c, d)
+    h, den = integer_gram(gram)  # raises NonSymmetricError when asymmetric
     if not is_positive_form(h):
+        shown = gram if isinstance(gram, Mat2) else Mat2.from_rows(gram)
         raise NotPositiveDefiniteError(
-            f"matrix {g.describe()} is not positive-definite"
+            f"matrix {shown.describe()} is not positive-definite"
         )
     u, v = _lagrange_reduce(h)
-    w = (-u[0] - v[0], -u[1] - v[1])
+    (u0, u1), (v0, v1) = u, v
+    w, s = (-u0 - v0, -u1 - v1), (u0 + v0, u1 + v1)  # s = u + v = -w
     conorms = (-form(h, u, v), -form(h, v, w), -form(h, u, w))
     _, h_u, h_v, h_w = char_norms(conorms)
     (hu0, hu1), (hv0, hv1) = hu, hv = mul_vec(h, u), mul_vec(h, v)
     # (r, H r, r^T H r) in descent scan order: u, v (, w), then the negatives.
-    half = ((u, hu, h_u), (v, hv, h_v), (w, (-hu0 - hv0, -hu1 - hv1), h_w))
-    half = half[: 3 if conorms[0] else 2]
-    descent = half + tuple(((-x, -y), (-a, -b), n) for (x, y), (a, b), n in half)
-    char_vectors = ((0, 0), u, v, (-w[0], -w[1]))
+    ru, rv = (u, hu, h_u), (v, hv, h_v)
+    nu, nv = ((-u0, -u1), (-hu0, -hu1), h_u), ((-v0, -v1), (-hv0, -hv1), h_v)
+    if conorms[0]:
+        hs0, hs1 = hu0 + hv0, hu1 + hv1  # H s
+        descent = (ru, rv, (w, (-hs0, -hs1), h_w), nu, nv, (s, (hs0, hs1), h_w))
+    else:
+        descent = (ru, rv, nu, nv)
     # The kernel's h(c) and h(c + 2c'), read off H u, H v, not off the conorms
     # that the quartic's faces use.
-    huu, huv = u[0] * hu0 + u[1] * hu1, u[0] * hv0 + u[1] * hv1
-    hvv = v[0] * hv0 + v[1] * hv1
+    huu, huv = u0 * hu0 + u1 * hu1, u0 * hv0 + u1 * hv1
+    hvv = v0 * hv0 + v1 * hv1
     near = (huu, hvv, huu + 2 * huv + hvv)
     far = (huu + 4 * (huv + hvv), hvv + 4 * (huv + huu), huu - 2 * huv + hvv)
-    candidates = (hu, hv, near, far)
-    return PrincipallyPolarizedSurface(
-        g, h, den, descent, char_vectors, conorms, candidates, {}
+    return PrincipallyPolarizedSurface._of(
+        gram, h, den, descent, ((0, 0), u, v, s), conorms, (hu, hv, near, far), {}
     )
 
 
@@ -171,33 +190,39 @@ def per_surface(build):
     return get
 
 
+@per_surface
+def _fraction_gram(surface: PrincipallyPolarizedSurface) -> Mat2:
+    return Mat2.from_rows(surface.entries)
+
+
 def _lagrange_reduce(h: tuple[int, int, int]):
     """Lagrange-Gauss reduction of the period basis under the integer Gram h.
 
     The iteration is deterministic (round-half-up multiplier, fixed swap
     rule) and is followed by a sign normalization: Q(u,v) <= 0, and the
     leading nonzero coordinate of u is positive (of both u and v when
-    Q(u,v) = 0, where the signs decouple).
+    Q(u,v) = 0, where the signs decouple).  It runs on the coordinates
+    u = (u0, u1), v = (v0, v1) and H u.
     """
-    q = functools.partial(form, h)
-    u, v = (1, 0), (0, 1)
-    if q(u, u) > q(v, v):
-        u, v = v, u
+    h11, h12, h22 = h
+    u0, u1, v0, v1 = (0, 1, 1, 0) if h11 > h22 else (1, 0, 0, 1)
     while True:
-        a, b = q(u, v), q(u, u)
-        k = (2 * a + b) // (2 * b)  # nearest integer to a/b, halves up
-        vk = (v[0] - k * u[0], v[1] - k * u[1])
-        if q(vk, vk) < b:
-            u, v = vk, u
-        else:
-            v = vk
+        hu0, hu1 = h11 * u0 + h12 * u1, h12 * u0 + h22 * u1
+        b = u0 * hu0 + u1 * hu1  # Q(u, u)
+        # k: the nearest integer to Q(u, v) / b, halves up.
+        k = (2 * (v0 * hu0 + v1 * hu1) + b) // (2 * b)
+        v0, v1 = v0 - k * u0, v1 - k * u1
+        if h11 * v0 * v0 + 2 * h12 * v0 * v1 + h22 * v1 * v1 >= b:
             break
-    if q(u, v) > 0:
-        v = (-v[0], -v[1])
-    if q(u, v) == 0:
-        u, v = lex_positive(u), lex_positive(v)
-    elif u != lex_positive(u):
-        u, v = (-u[0], -u[1]), (-v[0], -v[1])
+        u0, u1, v0, v1 = v0, v1, u0, u1
+    a = v0 * hu0 + v1 * hu1  # Q(u, v)
+    if a > 0:
+        v0, v1 = -v0, -v1
+    u, v = (u0, u1), (v0, v1)
+    if a == 0:
+        return lex_positive(u), lex_positive(v)
+    if u != lex_positive(u):
+        return (-u0, -u1), (-v0, -v1)
     return u, v
 
 

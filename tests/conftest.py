@@ -1,5 +1,6 @@
 import inspect
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,24 @@ def unit_square():
 def hidden_product():
     """Product type that needs a nontrivial reduction step."""
     return make_surface([[5, 3], [3, 2]])
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A function that returns how many `Fraction`s were built (through
+    `Fraction.__new__`) since its last call, or since the fixture was set up."""
+    built, new = [0], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def take():
+        count, built[0] = built[0], 0
+        return count
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return take
 
 
 def with_fields(surface, **changed):

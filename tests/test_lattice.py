@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import reference
-from conftest import cut_descent, with_fields
+from conftest import cut_descent, source_mutant, with_fields
 
 from tropical_kummer import (
     CellKind,
@@ -25,7 +25,9 @@ from tropical_kummer import (
     subdivide,
     voronoi_cell,
 )
+from tropical_kummer import lattice, verify
 from tropical_kummer.exact import form, integer_gram
+from tropical_kummer.kummer import Distinct, EquivalentMinus, EquivalentPlus
 from tropical_kummer.kummer import injectivity_check, psi_eval
 from tropical_kummer.lattice import _lagrange_reduce
 from tropical_kummer.sampling import (
@@ -87,16 +89,60 @@ def _reference_grams():
     return grams
 
 
-def test_make_surface_matches_fraction_reference():
+def _tie_grams():
+    """Grams at the ties of the Lagrange rule, each also in a disguise U^T G U:
+    2|Q(u,v)| = Q(u,u) (the half-up multiplier), Q(u,u) = Q(v,v) (the swap)
+    and Q(u,v) = 0 (the decoupled signs)."""
+    reduced = []
+    for a in range(2, 13, 2):
+        reduced += [((a, a // 2), (a // 2, d)) for d in (a, a + 1, 3 * a)]
+        reduced += [((a, -a // 2), (-a // 2, d)) for d in (a, a + 3)]
+        reduced += [((F(a, 3), F(a, 6)), (F(a, 6), F(a + 1, 3)))]
+    for a in range(1, 9):
+        reduced += [((a, b), (b, a)) for b in range(-(a // 2), a // 2 + 1)]
+        reduced += [((a, 0), (0, d)) for d in (a, a + 1, 7 * a)]
+        reduced += [((F(a, 5), 0), (0, F(a, 2)))]
+    grams = []
+    for i, ((a, b), (_, d)) in enumerate(reduced):
+        p, q = i % 9 - 4, (1, -1)[i % 2]  # U = [[1, p], [0, q]]
+        c = a * p + b * q
+        grams += [((a, b), (b, d)), ((a, c), (c, a * p * p + 2 * b * p * q + d))]
+    return grams
+
+
+def _as_strings(rows, k):
+    """The rows as "p/q" strings, numerator and denominator scaled by k."""
+    return [[f"{F(e).numerator * k}/{F(e).denominator * k}" for e in r] for r in rows]
+
+
+def _mixed(rows, k):
+    """The rows with entries as ints (where integral), Fractions and strings."""
+    kinds = (lambda e: F(e) if F(e).denominator > 1 else int(e), F, lambda e: str(F(e)))
+    # b and c are of different kinds: the symmetry check compares across kinds.
+    return [
+        [kinds[(k + 2 * i + j) % 3](e) for j, e in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+
+
+def _assert_matches_reference(grams):
     fields = ("gram", "int_gram", "gram_den", "descent", "char_vectors", "conorms")
     kinds = set()
-    for rows in _reference_grams():
+    for k, rows in enumerate(grams):
         s, ref = make_surface(rows), reference.surface_fields(rows)
         for name in fields:
             assert getattr(s, name) == ref[name], (rows, name)
         rb = lagrange_reduce(s)
         assert (rb.u.as_tuple(), rb.v.as_tuple(), rb.norms) == ref["reduced"], rows
         assert all(type(e) is int for e in (*s.int_gram, s.gram_den, *s.conorms)), rows
+        # A Mat2, "p/q" strings (not all in lowest terms) and mixed entries
+        # build the same surface as the rows.
+        strings = _as_strings(rows, k % 3 + 1)
+        for given in (Mat2.from_rows(rows), strings, _mixed(rows, k)):
+            t = make_surface(given)
+            for name in (*fields, "candidates"):
+                assert getattr(t, name) == getattr(s, name), (given, name)
+            assert t == s and hash(t) == hash(s) and repr(t) == repr(s), given
         # Selling: the cell is a hexagon exactly when all three conorms are
         # positive; otherwise u and v are orthogonal.
         kind = classify(s)
@@ -107,8 +153,35 @@ def test_make_surface_matches_fraction_reference():
     assert kinds == set(SurfaceClass)  # the families hold both kinds
 
 
+def test_make_surface_matches_fraction_reference():
+    _assert_matches_reference(_reference_grams())
+
+
+def test_make_surface_matches_fraction_reference_at_lagrange_ties():
+    _assert_matches_reference(_tie_grams())
+
+
+def test_lagrange_ties_catch_a_half_down_multiplier(monkeypatch):
+    # Rounding the multiplier's halves down still reduces, to another basis:
+    # at a tie, v - u and -v are both as short.
+    half_down = source_mutant(
+        lattice, "_lagrange_reduce", ("+ b) // (2 * b)", "+ b - 1) // (2 * b)")
+    )
+    monkeypatch.setattr(lattice, "_lagrange_reduce", half_down)
+    with pytest.raises(AssertionError):
+        _assert_matches_reference(_tie_grams())
+
+
 NPD, NOT_PD = NotPositiveDefiniteError, "is not positive-definite"
 NOT_SYM = "is not symmetric"
+
+
+def _unpacking_error(rows):
+    """The interpreter's own message for rows that are not two pairs."""
+    try:
+        (_, _), (_, _) = rows
+    except (TypeError, ValueError) as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize(
@@ -124,8 +197,21 @@ NOT_SYM = "is not symmetric"
             NonSymmetricError,
             "matrix [[1/2, 1], [2, 1/3]] " + NOT_SYM,
         ),
+        (
+            [["2/4", "1/2"], ["1/3", 1]],
+            NonSymmetricError,
+            "matrix [[1/2, 1/2], [1/3, 1]] " + NOT_SYM,
+        ),
+        ([["2/4", 1], [1, "1/2"]], NPD, "matrix [[1/2, 1], [1, 1/2]] " + NOT_PD),
         ([[True, 0], [0, 1]], TypeError, "booleans are not rationals"),
         ([[1, 0], [0, 0.5]], TypeError, "cannot interpret 0.5 as an exact rational"),
+        ([[1, 0], [0, None]], TypeError, "cannot interpret None as an exact rational"),
+        ([[1, "x"], ["x", 1]], ValueError, "Invalid literal for Fraction: 'x'"),
+        ([[1, 2], [3, "x"]], ValueError, "Invalid literal for Fraction: 'x'"),
+        ([[1, "1/0"], ["1/0", 1]], ValueError, "zero denominator in '1/0'"),
+        (None, TypeError, _unpacking_error(None)),
+        ([[1], [2]], ValueError, _unpacking_error([[1], [2]])),
+        ([[1, 0], [0, 1], [1]], ValueError, _unpacking_error([[1, 0], [0, 1], [1]])),
     ],
     ids=[
         "asymmetric",
@@ -134,15 +220,24 @@ NOT_SYM = "is not symmetric"
         "negative-definite",
         "zero-corner",
         "asymmetric-and-indefinite",
+        "asymmetric-strings",
+        "indefinite-strings",
         "bool",
         "float",
+        "none-entry",
+        "junk-string",
+        "junk-after-asymmetry",  # every entry is read before the symmetry check
+        "zero-denominator",
+        "none",
+        "two-by-one",
+        "three-rows",
     ],
 )
 def test_make_surface_rejects_like_the_reference(rows, error, message):
     with pytest.raises(error) as raised:
         make_surface(rows)
     assert str(raised.value) == message
-    if error is not TypeError:  # the reference reads any entry F() takes
+    if error in (NonSymmetricError, NPD):  # the reference reads any entry F() takes
         with pytest.raises(error, match=r"^matrix .* is not") as expected:
             reference.surface_fields(rows)
         assert str(expected.value) == message
@@ -235,16 +330,50 @@ def test_reduced_basis_is_built_on_first_read():
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
 
 
-def test_embed_request_builds_no_lazy_data(hexagonal, skew_hexagonal):
-    rational = make_surface(RATIONAL_HEX)
+ROWS = ([[2, -1], [-1, 2]], [[2, -1], [-1, 3]], RATIONAL_HEX)
+
+
+def test_embed_request_builds_no_lazy_data():
     y, yp = Vec2(F(1, 3), F(-2, 7)), Vec2(F(-7, 3), F(16, 7))
-    for shared in (hexagonal, skew_hexagonal, rational):
-        s = make_surface(shared.gram)
-        assert classify(s) is SurfaceClass.IRREDUCIBLE
-        for pair in ((y, yp), (y, -yp), (y, y + Vec2(1, -2)), (y, Vec2(F(1, 2), 0))):
-            injectivity_check(s, *pair)
-        psi_eval(s, Vec2(F(-9, 4), F(5, 3)))
-        assert s.lazy == {}, s.gram
+    pairs = ((y, yp), (y, -yp), (y, y + Vec2(1, -2)), (y, Vec2(F(1, 2), 0)))
+    for rows in ROWS:
+        for s in (make_surface(rows), make_surface(Mat2.from_rows(rows))):
+            assert classify(s) is SurfaceClass.IRREDUCIBLE
+            for pair in pairs:
+                injectivity_check(s, *pair)
+            psi_eval(s, Vec2(F(-9, 4), F(5, 3)))
+            assert s.lazy == {}, rows
+            assert s.gram is s.gram and s.gram == Mat2.from_rows(rows), rows
+
+
+def test_embed_request_builds_only_the_fractions_it_returns(fractions_built):
+    y, z = Vec2(F(1, 3), F(-2, 7)), Vec2(F(-9, 4), F(5, 3))
+    plus, minus, other = y + Vec2(1, -2), -y + Vec2(3, 0), Vec2(F(1, 2), 0)
+    fractions_built()
+    for rows in ROWS[:2]:  # int rows
+        s = make_surface(rows)
+        assert fractions_built() == 0, rows
+        psi_eval(s, z)
+        assert fractions_built() == 3, rows  # its three coordinates
+        for yp, verdict in ((plus, EquivalentPlus), (minus, EquivalentMinus)):
+            assert type(injectivity_check(s, y, yp)) is verdict
+            assert fractions_built() == 2, rows  # the shift's two coordinates
+        assert type(injectivity_check(s, y, other)) is Distinct
+        assert fractions_built() == 0, rows
+
+
+def test_descent_datum_reads_the_given_gram_on_row_built_surfaces():
+    # The datum's pairing comes from `gram`, which a row-built surface builds
+    # from its rows, not from `int_gram`: one raised entry of `int_gram` fails
+    # the cocycle row that compares the two.
+    (row,) = [c for c in verify.CHECKS if c.name == "descent-datum-cocycle"]
+    s = make_surface(RATIONAL_HEX)
+    (h11, h12, h22) = s.int_gram
+    raised = with_fields(s, int_gram=(h11 + 1, h12, h22))
+    assert verify.run_check(row, s, 7, 20).status == verify.PASS
+    result = verify.run_check(row, raised, 7, 20)
+    assert result.status == verify.FAIL, result
+    assert result.counterexample["problem"] == "gamma != Q(u,u)", result
 
 
 def test_subdivide_builds_no_reduced_basis(hexagonal, skew_hexagonal):

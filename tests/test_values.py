@@ -195,7 +195,7 @@ def test_surface_compares_and_shows_only_its_gram():
     assert repr(rebuilt) == repr(HEX)
     assert rebuilt.lazy == {} and rebuilt.lazy is not HEX.lazy
     keyword = PrincipallyPolarizedSurface(
-        gram=HEX.gram,
+        entries=HEX.gram,
         int_gram=HEX.int_gram,
         gram_den=HEX.gram_den,
         descent=HEX.descent,
