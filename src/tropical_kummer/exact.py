@@ -79,14 +79,18 @@ class Value(metaclass=_ValueType):
     """
 
     def __init__(self, *args, **kwargs):
+        for name, value in zip(self._fields, self._bind(args, kwargs)):
+            _set(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict):
+        """The constructor's arguments as field values, in field order."""
         names = self._fields
         if kwargs or len(args) != len(names):  # bind keywords, then defaults
             values = dict(zip(names, args), **kwargs)
             if len(values) < len(args) + len(kwargs) or not values.keys() <= set(names):
                 raise TypeError(f"{type(self).__qualname__}() takes {', '.join(names)}")
             args = [values[n] if n in values else self._default(n) for n in names]
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        return args
 
     @classmethod
     def _of(cls, *values):
@@ -119,33 +123,48 @@ class Value(metaclass=_ValueType):
     __delattr__ = __setattr__
 
 
-class Vec2(Value):
+class _Rational(Value):
+    """Base of the rational value types: the public constructor binds its
+    arguments as `Value`'s does, then coerces each field with `to_fraction`."""
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(self._fields, self._bind(args, kwargs)):
+            _set(self, name, to_fraction(value))
+
+
+class _Vector(_Rational):
+    """Base of `Vec2` and `Vec3`: componentwise arithmetic over the fields.
+
+    Each vector unrolls its own `_of`: vectors are built on every request.
+    """
+
+    def as_tuple(self) -> tuple[Fraction, ...]:
+        return self._key(self)  # a vector shows all its fields, in order
+
+    def __add__(self, other):
+        return self._of(*map(operator.add, self.as_tuple(), other.as_tuple()))
+
+    def __sub__(self, other):
+        return self._of(*map(operator.sub, self.as_tuple(), other.as_tuple()))
+
+    def __neg__(self):
+        return self._of(*map(operator.neg, self.as_tuple()))
+
+    def __rmul__(self, scalar):
+        s = to_fraction(scalar)
+        return self._of(*[s * c for c in self.as_tuple()])
+
+
+class Vec2(_Vector):
     x: Fraction
     y: Fraction
 
-    def __init__(self, x: RationalLike, y: RationalLike):
-        _set(self, "x", to_fraction(x))
-        _set(self, "y", to_fraction(y))
-
     @classmethod
-    def _of(cls, x, y):  # unrolled `Value._of`: vectors are built on every request
+    def _of(cls, x, y):  # unrolled `Value._of`
         self = object.__new__(cls)
         _set(self, "x", x)
         _set(self, "y", y)
         return self
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2._of(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2._of(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2._of(-self.x, -self.y)
-
-    def __rmul__(self, scalar) -> "Vec2":
-        s = to_fraction(scalar)
-        return Vec2._of(s * self.x, s * self.y)
 
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
@@ -153,21 +172,14 @@ class Vec2(Value):
     def sup_norm(self) -> Fraction:
         return max(abs(self.x), abs(self.y))
 
-    def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
 
 ZERO2 = Vec2(0, 0)
 
 
-class Vec3(Value):
+class Vec3(_Vector):
     x: Fraction
     y: Fraction
     z: Fraction
-
-    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
-        for name, value in zip("xyz", (x, y, z)):
-            _set(self, name, to_fraction(value))
 
     @classmethod
     def _of(cls, x, y, z):  # unrolled, as `Vec2._of`
@@ -177,34 +189,14 @@ class Vec3(Value):
         _set(self, "z", z)
         return self
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3._of(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3._of(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3._of(-self.x, -self.y, -self.z)
-
-    def __rmul__(self, scalar) -> "Vec3":
-        s = to_fraction(scalar)
-        return Vec3._of(s * self.x, s * self.y, s * self.z)
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z)
-
-
-class Mat2(Value):
+class Mat2(_Rational):
     """2x2 rational matrix with rows (a b) and (c d)."""
 
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
-
-    def __init__(self, a, b, c, d):  # each a RationalLike
-        for name, value in zip("abcd", (a, b, c, d)):
-            _set(self, name, to_fraction(value))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "Mat2":

@@ -261,14 +261,6 @@ def quartic_off(quartic: KummerQuartic, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contains(quartic: KummerQuartic, p: Vec3) -> bool:
-    """Membership in the union of the six closed faces: `contains_step` on p's
-    numerators over their least common denominator."""
-    ratios = [c.as_integer_ratio() for c in p.as_tuple()]
-    d = math.lcm(*(b for _, b in ratios))
-    return contains_step(quartic, *(a * (d // b) for a, b in ratios), d)
-
-
 def contains_step(quartic: KummerQuartic, x: int, y: int, z: int, d: int) -> bool:
     """Whether (x, y, z) / d lies on the union of the six closed faces, exact.
 

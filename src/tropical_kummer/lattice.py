@@ -16,10 +16,10 @@ Vertex numbering of the hexagonal Voronoi cell follows the facet cycle
 ``w, -v, u, -w, v, -u`` of `_facet_cycle`: ``m_0`` lies on the facets of
 ``w`` and ``-v``, and ``m_{i+3} = -m_i`` (see `voronoi_cell`).
 
-`make_surface` reads the Gram once, as `exact.integer_gram`'s H = gram_den G,
-from a `Mat2` or from rows, and derives from H alone its positivity and its
-integer context: the characteristic vectors (10 and 01 are the reduced basis
-u, v), H u and H v, which give the descent triples and
+`make_surface` reads the Gram once, from its rows (a `Mat2` is read as its
+rows), as `exact.integer_gram`'s H = gram_den G, and derives from H alone its
+positivity and its integer context: the characteristic vectors (10 and 01 are
+the reduced basis u, v), H u and H v, which give the descent triples and
 `theta.theta_numerators`' `candidates`, and the conorms
 p = -(u^T H v, v^T H w, u^T H w), w = -u - v, which give the class
 (p_uv > 0), the characteristic norms (`char_norms`) and the face offsets
@@ -28,10 +28,10 @@ closest-vector descent (the relevant-vector slicer of Sommer-Feder-Shalvi) runs
 on `exact.numerators` over any common denominator.  The cell geometry runs on H
 too: the Voronoi vertices solve consecutive facet lines of `_facet_cycle`,
 `subdivide` reads its 18 cells off that cycle and those vertices in one loop,
-and `in_voronoi_cell` compares integers.  The surface keeps the Gram as given;
-a surface built from rows builds its `Fraction` Gram, `gram`, only when
-something reads it.  That Gram, the rational reduced basis, the cell and its
-subdivision are memoized on the surface on first read.
+and `in_voronoi_cell` compares integers.  The surface keeps the rows as given
+and builds its `Fraction` Gram, `gram`, only when something reads it.  That
+Gram, the rational reduced basis, the cell and its subdivision are memoized
+on the surface on first read.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class PrincipallyPolarizedSurface(Value):
     """A polarized surface: the Gram matrix and its derived context."""
 
     _shown = ("gram",)  # the rest derives from the Gram
-    entries: Mat2 | tuple  # G as given: a `Mat2`, or its rows as a tuple pair
+    entries: tuple  # G's rows as given, a frozen tuple pair
     int_gram: tuple[int, int, int]  # gram_den * G
     gram_den: int
     # (r, H r, r^T H r) for the relevant vectors r, in descent scan order.
@@ -78,10 +78,9 @@ class PrincipallyPolarizedSurface(Value):
 
     @property
     def gram(self) -> Mat2:
-        """G as a `Mat2`: the one given, or one built from the given rows on
-        first read (an embed request never reads it)."""
-        given = self.entries
-        return given if isinstance(given, Mat2) else _fraction_gram(self)
+        """G as a `Mat2`, built from `entries` on first read (an embed request
+        never reads it)."""
+        return _fraction_gram(self)
 
     def q(self, x: Vec2, y: Vec2) -> Fraction:  # x^T H y / gram_den on numerators
         (x0, x1, dx), (y0, y1, dy) = numerators(x), numerators(y)
@@ -132,19 +131,18 @@ class Cell(Value):
 def make_surface(gram) -> PrincipallyPolarizedSurface:
     """Build a surface, and its context, from a symmetric positive-definite matrix.
 
-    `gram` is a `Mat2` or 2x2 rows of ints, `Fraction`s or ``"p/q"`` strings.
-    All of it derives from H = gram_den * G, read once by `exact.integer_gram`
-    (scaling keeps Q's order), so int rows build no `Fraction`: the surface
-    keeps G as given, and its `gram` is a `Mat2` built on first read.
+    `gram` is a `Mat2`, read as its rows, or 2x2 rows of ints, `Fraction`s or
+    ``"p/q"`` strings.  All of it derives from H = gram_den * G, read once by
+    `exact.integer_gram` (scaling keeps Q's order), so int rows build no
+    `Fraction`: the surface keeps the rows as given, and its `gram` is a
+    `Mat2` built on first read.
     """
-    if not isinstance(gram, Mat2):
-        (a, b), (c, d) = gram  # frozen: the caller's rows may change later
-        gram = (a, b), (c, d)
-    h, den = integer_gram(gram)  # raises NonSymmetricError when asymmetric
+    (a, b), (c, d) = gram.rows() if isinstance(gram, Mat2) else gram
+    rows = (a, b), (c, d)  # frozen: the caller's rows may change later
+    h, den = integer_gram(rows)  # raises NonSymmetricError when asymmetric
     if not is_positive_form(h):
-        shown = gram if isinstance(gram, Mat2) else Mat2.from_rows(gram)
         raise NotPositiveDefiniteError(
-            f"matrix {shown.describe()} is not positive-definite"
+            f"matrix {Mat2.from_rows(rows).describe()} is not positive-definite"
         )
     u, v = _lagrange_reduce(h)
     (u0, u1), (v0, v1) = u, v
@@ -167,7 +165,7 @@ def make_surface(gram) -> PrincipallyPolarizedSurface:
     near = (huu, hvv, huu + 2 * huv + hvv)
     far = (huu + 4 * (huv + hvv), hvv + 4 * (huv + huu), huu - 2 * huv + hvv)
     return PrincipallyPolarizedSurface._of(
-        gram, h, den, descent, ((0, 0), u, v, s), conorms, (hu, hv, near, far), {}
+        rows, h, den, descent, ((0, 0), u, v, s), conorms, (hu, hv, near, far), {}
     )
 
 

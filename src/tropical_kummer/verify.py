@@ -23,38 +23,20 @@ surface class it needs (if any) and an optional setup.
   characteristic and cutoff, and the translation row's table is three
   integer periods and their norms read off the surface.
 
-A case computes each of its own quantities once, such as a shifted point
-and its anomaly, however many characteristics it checks.  The theta,
-oracle, series, cocycle, coverage and unimodularity rows draw each point
-as its numerators and each integer vector or matrix as `int`s
-(`sampling.random_numerators`, `random_pair`, `random_unimodular_entries`)
-and compare integers over one common denominator per case: the numerators
-over `theta.step_scale` of `theta.theta_step`, of `theta.theta_numerators`,
-of `theta.box_step` and of `nonarch.tropicalize_step`.  They build a
-`Fraction` only to render a counterexample (`exact.point`).  Both oracle rows
-walk the box that `theta.cutoff_step`, the series' radius rule on integers,
-promises certified: an uncertified one raises InternalInconsistencyError,
-never an input error.
-`theta-evenness`, `theta-concavity` and `series-lift-consistency` read all
-four characteristics at a point off one `theta_numerators` call, one descent,
-and `theta-translation-identities` reads its left-hand sides there; its six
-theta_00 shifts stay on `theta_step`, which is faster for one characteristic.
-`theta-quasi-periodicity` and `theta-zero-on-cell` stay on `theta_step`: the
-kernel reduces the point into the cell and shifts by the anomaly, so it
-holds both identities by construction and they would test nothing on it.
-`theta-bruteforce-oracle` holds both `theta_step` and the kernel's entry for
-its drawn characteristic to the box walk, and `theta-minimizer-attained`
-reads the minimizer that only `theta_step` returns.
-`kummer.injectivity_check` and `kummer.affine_pieces` compare
-`kummer.psi_step` numerators the same way, and `quartic-coverage` hands
-them to `kummer.contains_step`.  `descent-datum-cocycle` compares the datum's
-numerators with the stored integer Gram, and `series-lift-consistency` each
-printed `constant_shift` with h(c) / (4 gram_den).  `cvp-descent-oracle`
-still calls `reduce_point` and checks its decomposition, and
-`psi-product-collapse` and `reduce-idempotence` keep their public calls.
-These three, `theta-zero-on-cell`, the `gram-*` rows,
-`psi-injectivity-mod-sign` and `classify-congruence-invariance` draw
-through `sampling`'s `Vec2` and `Mat2` views of the same draws.
+A case computes each of its own quantities once, however many
+characteristics it checks, and compares integers over one common
+denominator where it can; it builds a `Fraction` only to render a
+counterexample.
+
+`theta-quasi-periodicity` and `theta-zero-on-cell` run on `theta_step`, not
+on the one-descent kernel `theta.theta_numerators`: the kernel reduces the
+point into the cell and shifts by the anomaly, so it holds both identities
+by construction and they would test nothing on it.  `theta-bruteforce-oracle`
+holds both fast paths, `theta_step` and the kernel's entry for its drawn
+characteristic, to the box walk, so each keeps an oracle that shares none of
+its code.  The oracle rows walk the box that `theta.cutoff_step` promises
+certified: an uncertified one raises InternalInconsistencyError, never an
+input error.
 
 Every draw depends on (seed, key, index) alone, so reports are deterministic
 for a fixed configuration.  Wall-clock timings are kept out of the report

@@ -32,7 +32,8 @@ from tropical_kummer import (
     vertex_sign_diagnostics,
 )
 from tropical_kummer.errors import RadiusTooSmallError
-from tropical_kummer.kummer import contains
+from tropical_kummer.exact import numerators
+from tropical_kummer.kummer import contains_step, psi_step
 from tropical_kummer.sampling import (
     random_integer_vector,
     random_irreducible_surface,
@@ -40,7 +41,7 @@ from tropical_kummer.sampling import (
     random_surface,
     rng_for,
 )
-from tropical_kummer.theta import theta_eval_bruteforce
+from tropical_kummer.theta import step_scale, theta_eval_bruteforce
 
 F = Fraction
 CH = ThetaCharacteristic
@@ -205,9 +206,10 @@ def test_criterion_08_parallelepiped_and_coverage():
         (0, 0, F(1, 2)),
     }
     assert {v.as_tuple() for v in quartic.vertices} == expected
+    # psi's numerators over its scale, as the `quartic-coverage` row reads them.
     for k in range(500):
-        x = random_point(rng_for(SEED, "coverage", k), 4)
-        assert contains(quartic, psi_eval(HEX, x))
+        t0, t1, den = numerators(random_point(rng_for(SEED, "coverage", k), 4))
+        assert contains_step(quartic, *psi_step(HEX, t0, t1, den), step_scale(HEX, den))
     report(8, "orbit vertices span a parallelepiped on the face-table planes; "
               "500 embedded points lie on it")
 

@@ -40,7 +40,7 @@ from tropical_kummer import (
 )
 from tropical_kummer import kummer, theta, verify
 from tropical_kummer.exact import mean, numerators
-from tropical_kummer.kummer import AffinePiece, _validate_quartic, contains
+from tropical_kummer.kummer import AffinePiece, _validate_quartic
 from tropical_kummer.kummer import contains_step, psi_step
 from tropical_kummer.sampling import (
     random_integer_vector,
@@ -301,17 +301,23 @@ def test_face_offsets_come_in_opposite_pairs(hexagonal, skew_hexagonal):
             assert offsets[0] == -offsets[1]
 
 
+def _contains(quartic, p):
+    """`contains_step` on p's numerators over their least common denominator."""
+    d = math.lcm(*(c.denominator for c in p.as_tuple()))
+    return contains_step(quartic, *(int(c * d) for c in p.as_tuple()), d)
+
+
 def test_contains_examples(hexagonal):
     quartic = build_quartic(hexagonal)
-    assert contains(quartic, quartic.vertex("tau_0"))
-    assert not contains(quartic, Vec3(0, 0, 0))
-    assert contains(quartic, psi_eval(hexagonal, Vec2(F(1, 5), F(1, 7))))
+    assert _contains(quartic, quartic.vertex("tau_0"))
+    assert not _contains(quartic, Vec3(0, 0, 0))
+    assert _contains(quartic, psi_eval(hexagonal, Vec2(F(1, 5), F(1, 7))))
 
 
 def test_contains_rejects_points_off_the_faces(hexagonal):
     quartic = build_quartic(hexagonal)
     # On the right plane but outside the face quadrilateral.
-    assert not contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
+    assert not _contains(quartic, Vec3(F(5, 2), F(5, 2), F(9, 2)))
     # Conorms (1, 2, 2), face offsets 1/2, 1 and 1: (1, 0, 0) lies on two
     # faces and has gauge 2 on the third, where num - d on = d on = 1.
     narrow = build_quartic(make_surface([[3, -2], [-2, 4]]))
@@ -382,7 +388,7 @@ def test_contains_is_the_face_gauge(hexagonal, skew_hexagonal):
         ]
         for p in _gauge_probes(quartic, surface, rng_for(61, "probe", k)):
             expected = reference.contains_by_solving(faces, p)
-            assert contains(quartic, p) == expected, (surface.gram, p)
+            assert _contains(quartic, p) == expected, (surface.gram, p)
             on, off = on + expected, off + (not expected)
     assert on > 2000 and off > 1000, (on, off)
 
@@ -394,12 +400,12 @@ def test_contains_raises_on_a_zero_offset(hexagonal):
     faces = (section,) + quartic.faces[1:]
     hand_built = KummerQuartic(quartic.vertices, faces, quartic.theta_constants)
     with pytest.raises(ZeroDivisionError):
-        contains(hand_built, Vec3(0, 0, 0))
+        _contains(hand_built, Vec3(0, 0, 0))
 
 
 def test_contains_step_reads_any_common_denominator(hexagonal, skew_hexagonal):
     # (x, y, z) / d and (k x, k y, k z) / (k d) are one point, for k of
-    # either sign, and `contains` is the step on the least d.
+    # either sign: the same answer as on the least d.
     for i, surface in enumerate((hexagonal, skew_hexagonal)):
         quartic = build_quartic(surface)
         for p in _gauge_probes(quartic, surface, rng_for(62, "probe", i)):
@@ -407,7 +413,7 @@ def test_contains_step_reads_any_common_denominator(hexagonal, skew_hexagonal):
             x, y, z = (int(c * d) for c in p.as_tuple())
             for k in (1, 2, 3, 12, -1, -7):
                 got = contains_step(quartic, k * x, k * y, k * z, k * d)
-                assert got == contains(quartic, p), (surface.gram, p, k)
+                assert got == _contains(quartic, p), (surface.gram, p, k)
 
 
 def test_contains_step_on_psi_numerators_matches_the_face_solve(
@@ -436,14 +442,17 @@ def test_contains_step_on_psi_numerators_matches_the_face_solve(
 
 
 def test_both_gauge_entries_raise_on_a_zero_offset(hexagonal):
+    # A point read off a Vec3 and raw numerators over any denominator both
+    # reach the zero-offset face first, so both divide by zero.
     quartic = build_quartic(hexagonal)
     section = FacePlane((1, -1, 0), F(0), quartic.faces[0].vertex_ids, ())
     faces = (section,) + quartic.faces[1:]
     hand_built = KummerQuartic(quartic.vertices, faces, quartic.theta_constants)
     with pytest.raises(ZeroDivisionError):
-        contains(hand_built, Vec3(0, 0, 0))
-    with pytest.raises(ZeroDivisionError):
-        contains_step(hand_built, 0, 0, 0, 1)
+        _contains(hand_built, Vec3(0, 0, 0))
+    for x, y, z, d in ((0, 0, 0, 1), (0, 0, 0, -3), (1, 1, 1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            contains_step(hand_built, x, y, z, d)
 
 
 def _quartic_coverage(s, rng):
@@ -451,7 +460,7 @@ def _quartic_coverage(s, rng):
     # `psi_step` numerators and `contains_step`.
     x = random_point(rng, 4)
     image = psi_eval(s, x)
-    if not contains(build_quartic(s), image):
+    if not _contains(build_quartic(s), image):
         return {"x": _vec(x), "psi": _vec(image)}
 
 

@@ -138,11 +138,16 @@ def _assert_matches_reference(grams):
         # A Mat2, "p/q" strings (not all in lowest terms) and mixed entries
         # build the same surface as the rows.
         strings = _as_strings(rows, k % 3 + 1)
-        for given in (Mat2.from_rows(rows), strings, _mixed(rows, k)):
+        for given in (rows, Mat2.from_rows(rows), strings, _mixed(rows, k)):
             t = make_surface(given)
             for name in (*fields, "candidates"):
                 assert getattr(t, name) == getattr(s, name), (given, name)
             assert t == s and hash(t) == hash(s) and repr(t) == repr(s), given
+            # Whatever the input, the surface stores rows, and `gram` reads them.
+            pair = t.entries
+            assert type(pair) is tuple and [type(r) for r in pair] == [tuple] * 2, given
+            assert [len(r) for r in pair] == [2, 2], given
+            assert t.gram == Mat2.from_rows(t.entries), given
         # Selling: the cell is a hexagon exactly when all three conorms are
         # positive; otherwise u and v are orthogonal.
         kind = classify(s)

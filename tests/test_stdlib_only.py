@@ -229,3 +229,35 @@ def test_each_rule_out_of_the_integer_layer_is_written_once():
         "point": ["exact.point"],
         "render": ["exact.as_strings"],
     }
+
+
+def _methods():
+    """(`module.Class`, def) for every method written in a runtime class body."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}", item
+
+
+def test_field_coercion_is_written_once():
+    # The rational value types' public constructors coerce through one
+    # `__init__`; arithmetic and the kernels build through the non-coercing `_of`.
+    def coerces(method):
+        return any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "to_fraction"
+            for n in ast.walk(method)
+        )
+
+    sites = [w for w, m in _methods() if m.name == "__init__" and coerces(m)]
+    assert sites == ["exact._Rational"]
+
+
+def test_vector_arithmetic_is_written_once():
+    ops = ("__add__", "__sub__", "__neg__", "__rmul__")
+    sites = {op: [] for op in ops}
+    for where, method in _methods():
+        if where.startswith("exact.") and method.name in ops:
+            sites[method.name].append(where)
+    assert sites == {op: ["exact._Vector"] for op in ops}

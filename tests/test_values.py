@@ -183,7 +183,7 @@ def test_equality_stays_within_a_class():
 
 def test_surface_compares_and_shows_only_its_gram():
     rebuilt = PrincipallyPolarizedSurface(
-        HEX.gram,
+        HEX.entries,
         HEX.int_gram,
         HEX.gram_den,
         HEX.descent[:2],
@@ -191,11 +191,11 @@ def test_surface_compares_and_shows_only_its_gram():
         HEX.conorms,
         HEX.candidates,
     )
+    assert rebuilt.lazy == {} and rebuilt.lazy is not HEX.lazy
     assert rebuilt == HEX and hash(rebuilt) == hash((HEX.gram,))
     assert repr(rebuilt) == repr(HEX)
-    assert rebuilt.lazy == {} and rebuilt.lazy is not HEX.lazy
     keyword = PrincipallyPolarizedSurface(
-        entries=HEX.gram,
+        entries=HEX.entries,
         int_gram=HEX.int_gram,
         gram_den=HEX.gram_den,
         descent=HEX.descent,
@@ -208,7 +208,7 @@ def test_surface_compares_and_shows_only_its_gram():
     with pytest.raises(AttributeError):
         HEX.lazy = {}
     with pytest.raises(TypeError):
-        PrincipallyPolarizedSurface(HEX.gram)
+        PrincipallyPolarizedSurface(HEX.entries)
 
 
 def test_series_keeps_identity_equality():
